@@ -231,8 +231,8 @@ def build_parser() -> _Parser:
         "--threads",
         type=int,
         default=0,
-        help="parallelism bound (0 = all cores); the current implementation is "
-        "sequential either way, which satisfies the --threads 1 determinism contract",
+        help="parallelism bound (0 = all cores); cqakit runs sequentially either way, "
+        "and this flag does not size the BLAS thread pool",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -45,6 +45,25 @@ def rank(scores: np.ndarray, target: int, filtered: frozenset[int] | set[int]) -
     return 1.0 + better + 0.5 * ties
 
 
+def _ranks(scores: np.ndarray, targets: list[int], base) -> list[float]:
+    """Filtered ranks of ``targets``, all drawn from the filter ``base``.
+
+    Equal to ``rank(scores, v, base - {v})`` for each target ``v``: every
+    target competes with the same entities, those outside ``base``, so
+    one sort of their scores ranks all targets at once.
+    """
+    if not all(0 <= v < scores.shape[0] for v in targets):
+        raise IndexError(f"target entity out of range [0, {scores.shape[0]})")
+    keep = np.ones(scores.shape[0], dtype=bool)
+    keep[np.fromiter(base, dtype=np.int64, count=len(base))] = False
+    others = np.sort(scores[keep])
+    others = others[~np.isnan(others)]  # as in rank(), NaN neither outranks nor ties
+    s_t = scores[targets]
+    above = np.searchsorted(others, s_t, side="right")
+    ties = above - np.searchsorted(others, s_t, side="left")
+    return (1.0 + (others.size - above) + 0.5 * ties).tolist()
+
+
 def _mode_sets(record: GroundedQueryRecord, mode: str):
     """(targets, filter base) for one record under an evaluation mode."""
     if mode == "entailment":
@@ -131,8 +150,7 @@ def evaluate_scores(
                 excluded += 1
                 continue
             values = {m: 0.0 for m in METRICS}
-            for v in sorted(targets):
-                r = rank(row, v, base - {v})
+            for r in _ranks(row, sorted(targets), base):
                 for m in METRICS:
                     values[m] += _metric(r, m)
             for m in METRICS:
@@ -195,14 +213,12 @@ def evaluate_scores(
     return report
 
 
-def evaluate(model, dataset: Dataset, layers=None, mode: str = "both") -> MetricReport:
+def evaluate(model, dataset: Dataset, mode: str = "both") -> MetricReport:
     """Encode and score every record once, then compute the mode's metrics.
 
     ``mode`` is one of the evaluation modes, or ``both`` for
-    entailment+inference. Records already carry their three answer sets, so
-    ``layers`` is accepted only for interface completeness.
+    entailment+inference. Records already carry their three answer sets.
     """
-    del layers
     modes = ("entailment", "inference") if mode == "both" else (mode,)
     for m in modes:
         if m not in MODES:

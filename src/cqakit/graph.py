@@ -3,18 +3,29 @@
 Graphs are immutable after construction and safe to share across readers.
 Entities and relations are dense integer ids; human-readable labels live in
 optional dictionary sidecar files (``id<TAB>label`` per line).
+
+Every graph comes out of one builder, :func:`_build_layers`. It packs each
+edge ``(h, r, t)`` into the int64 key ``(h·R + r)·V + t``, so sorted keys are
+the edges in ``(head, relation, tail)`` order, and deduplicates the edges of
+all cumulative layers with one ``np.unique``, tagging each edge with the
+first layer that holds it. Layer ``k``'s adjacency dicts start as shallow
+copies of layer ``k-1``'s and only the keys touched by layer ``k``'s new
+edges are rebuilt, so unchanged tuples are shared between layers.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
+from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .rng import make_rng
 
 logger = logging.getLogger(__name__)
-
 
 class GraphFormatError(ValueError):
     """Raised for malformed triple or dictionary files."""
@@ -24,6 +35,81 @@ class EdgeTriple(NamedTuple):
     head: int
     relation: int
     tail: int
+
+
+class EdgeView(Set):
+    """Read-only set of :class:`EdgeTriple` over one layer's sorted packed keys.
+
+    Iteration yields triples in ascending ``(head, relation, tail)`` order.
+    ``<=``, ``==`` and ``-`` against a view over the same universe work on
+    the key arrays; other set algebra falls back to the generic
+    implementation, whose results are frozensets.
+    """
+
+    def __init__(self, keys: np.ndarray, num_entities: int, num_relations: int):
+        keys.flags.writeable = False
+        self._keys = keys
+        self._universe = (num_entities, num_relations)
+        self._key_list: list[int] | None = None
+
+    def __len__(self) -> int:
+        return int(self._keys.size)
+
+    def __iter__(self):
+        return map(EdgeTriple, *(column.tolist() for column in self.rows().T))
+
+    def __contains__(self, edge) -> bool:
+        try:
+            head, relation, tail = edge
+        except (TypeError, ValueError):
+            return False
+        return self.has(head, relation, tail)
+
+    def has(self, head: int, relation: int, tail: int) -> bool:
+        """Binary search of the sorted keys for one edge."""
+        V, R = self._universe
+        if not (0 <= head < V and 0 <= relation < R and 0 <= tail < V):
+            return False
+        # bisect a list copy: a scalar np.searchsorted costs three times as
+        # much per call, and the DNF oracle asks millions of times
+        if self._key_list is None:
+            self._key_list = self._keys.tolist()
+        keys = self._key_list
+        key = (head * R + relation) * V + tail
+        i = bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
+
+    def rows(self) -> np.ndarray:
+        """The edges as sorted ``(n, 3)`` int64 ``head, relation, tail`` rows."""
+        return _unpack(self._keys, *self._universe)
+
+    def _same_universe(self, other) -> bool:
+        return isinstance(other, EdgeView) and other._universe == self._universe
+
+    def __le__(self, other):
+        if self._same_universe(other):
+            return bool(np.isin(self._keys, other._keys, assume_unique=True).all())
+        return super().__le__(other)
+
+    def __eq__(self, other):
+        if self._same_universe(other):
+            return bool(np.array_equal(self._keys, other._keys))
+        return super().__eq__(other)
+
+    def __sub__(self, other):
+        if self._same_universe(other):
+            return EdgeView(np.setdiff1d(self._keys, other._keys, assume_unique=True), *self._universe)
+        return super().__sub__(other)
+
+    def __hash__(self):
+        return self._hash()  # equal to the hash of the frozenset of the same triples
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"EdgeView({len(self)} edges)"
 
 
 @dataclass(frozen=True)
@@ -38,7 +124,7 @@ class KnowledgeGraph:
 
     num_entities: int
     num_relations: int
-    edges: frozenset[EdgeTriple]
+    edges: EdgeView
     fwd_index: dict[tuple[int, int], tuple[int, ...]] = field(repr=False, compare=False)
     bwd_index: dict[tuple[int, int], tuple[int, ...]] = field(repr=False, compare=False)
     in_index: dict[int, tuple[tuple[int, int], ...]] = field(repr=False, compare=False)
@@ -47,33 +133,8 @@ class KnowledgeGraph:
     def from_edges(
         edges, num_entities: int | None = None, num_relations: int | None = None
     ) -> "KnowledgeGraph":
-        edge_set = frozenset(EdgeTriple(*e) for e in edges)
-        max_ent = max((max(e.head, e.tail) for e in edge_set), default=-1)
-        max_rel = max((e.relation for e in edge_set), default=-1)
-        if num_entities is None:
-            num_entities = max_ent + 1
-        if num_relations is None:
-            num_relations = max_rel + 1
-        if max_ent >= num_entities or max_rel >= num_relations:
-            raise GraphFormatError(
-                f"edge ids exceed declared universe ({max_ent} >= {num_entities} "
-                f"or {max_rel} >= {num_relations})"
-            )
-        fwd: dict[tuple[int, int], list[int]] = {}
-        bwd: dict[tuple[int, int], list[int]] = {}
-        inc: dict[int, list[tuple[int, int]]] = {}
-        for h, r, t in edge_set:
-            fwd.setdefault((h, r), []).append(t)
-            bwd.setdefault((t, r), []).append(h)
-            inc.setdefault(t, []).append((h, r))
-        return KnowledgeGraph(
-            num_entities=num_entities,
-            num_relations=num_relations,
-            edges=edge_set,
-            fwd_index={k: tuple(sorted(v)) for k, v in fwd.items()},
-            bwd_index={k: tuple(sorted(v)) for k, v in bwd.items()},
-            in_index={k: tuple(sorted(v)) for k, v in inc.items()},
-        )
+        """One graph over ``edges``, any iterable of triples; duplicates are dropped."""
+        return _build_layers([_as_rows(edges)], num_entities, num_relations)[0][0]
 
     def successors(self, head: int, relation: int) -> tuple[int, ...]:
         """Entities reachable from ``head`` via ``relation`` (sorted)."""
@@ -87,7 +148,105 @@ class KnowledgeGraph:
         return self.in_index.get(tail, ())
 
     def has_edge(self, head: int, relation: int, tail: int) -> bool:
-        return EdgeTriple(head, relation, tail) in self.edges
+        """Edge membership from the sorted edge keys; no adjacency dict is read."""
+        return self.edges.has(head, relation, tail)
+
+
+def _unpack(keys: np.ndarray, num_entities: int, num_relations: int) -> np.ndarray:
+    heads, rest = np.divmod(keys, max(num_relations * num_entities, 1))
+    relations, tails = np.divmod(rest, max(num_entities, 1))
+    return np.stack([heads, relations, tails], axis=1)
+
+
+def _as_rows(edges) -> np.ndarray:
+    """``(n, 3)`` int64 rows from an iterable of ``(head, relation, tail)`` triples."""
+    try:
+        return np.fromiter(edges, dtype=np.dtype((np.int64, 3)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GraphFormatError(f"edges must be (head, relation, tail) integer triples: {exc}") from None
+
+
+def _group_ids(group: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Dense ids of the values of ``group``, which ``order`` sorts."""
+    ordered = group[order]
+    starts = np.ones(ordered.size, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    ids = np.empty(ordered.size, dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return ids
+
+
+def _index(positions: np.ndarray, ids: np.ndarray, key_cols, value_cols) -> dict:
+    """``{key: tuple(values)}`` over the edges at ``positions``, sorted by key, then value."""
+    if positions.size == 0:
+        return {}
+    group = ids[positions]
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    first = positions[starts]
+    if len(key_cols) == 1:
+        keys = key_cols[0][first].tolist()
+    else:
+        keys = zip(*(col[first].tolist() for col in key_cols))
+    if len(value_cols) == 1:
+        values = value_cols[0][positions].tolist()
+    else:
+        values = list(zip(*(col[positions].tolist() for col in value_cols)))
+    bounds = starts.tolist() + [positions.size]
+    return {key: tuple(values[a:b]) for key, a, b in zip(keys, bounds, bounds[1:])}
+
+
+def _build_layers(
+    parts: list[np.ndarray], num_entities: int | None, num_relations: int | None
+) -> tuple[list[KnowledgeGraph], list[int]]:
+    """Cumulative graphs over edge rows: graph ``k`` holds ``parts[0..k]``.
+
+    Universe sizes default to the largest ids seen plus one. Also returns,
+    per part, how many of its rows an earlier part already holds.
+    """
+    rows = np.concatenate(parts)
+    tags = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    if rows.size and rows.min() < 0:
+        bad = rows[np.flatnonzero((rows < 0).any(axis=1))[0]].tolist()
+        raise GraphFormatError(f"negative id in edge {tuple(bad)}")
+    max_ent = int(rows[:, [0, 2]].max(initial=-1))
+    max_rel = int(rows[:, 1].max(initial=-1))
+    V = max_ent + 1 if num_entities is None else num_entities
+    R = max_rel + 1 if num_relations is None else num_relations
+    if max_ent >= V or max_rel >= R:
+        raise GraphFormatError(
+            f"edge ids exceed declared universe ({max_ent} >= {V} or {max_rel} >= {R})"
+        )
+    if V * R * V >= 2**63:  # packed keys are int64
+        raise GraphFormatError(f"{V} entities and {R} relations overflow int64 edge keys")
+    keys, first, inverse = np.unique(
+        (rows[:, 0] * R + rows[:, 1]) * V + rows[:, 2], return_index=True, return_inverse=True
+    )
+    layer = tags[first]
+    repeated = np.bincount(tags[layer[inverse] < tags], minlength=len(parts)).tolist()
+
+    heads, relations, tails = _unpack(keys, V, R).T
+    # per index: the edge order that sorts it by key, then value; the dense
+    # id of each edge's key; the key columns; the value columns
+    specs = [
+        (order, _group_ids(group, order), key_cols, value_cols)
+        for group, order, key_cols, value_cols in (
+            (heads * R + relations, np.arange(keys.size), (heads, relations), (tails,)),
+            (tails * R + relations, np.lexsort((heads, relations, tails)), (tails, relations), (heads,)),
+            (tails, np.lexsort((relations, heads, tails)), (tails,), (heads, relations)),
+        )
+    ]
+
+    graphs: list[KnowledgeGraph] = []
+    indexes: list[dict] = [{}, {}, {}]
+    for k in range(len(parts)):
+        held, added = layer <= k, layer == k
+        for i, (order, ids, key_cols, value_cols) in enumerate(specs):
+            touched = np.zeros(keys.size, dtype=bool)
+            touched[ids[added]] = True
+            rebuilt = held & touched[ids]
+            indexes[i] = {**indexes[i], **_index(order[rebuilt[order]], ids, key_cols, value_cols)}
+        graphs.append(KnowledgeGraph(V, R, EdgeView(keys[held], V, R), *indexes))
+    return graphs, repeated
 
 
 @dataclass(frozen=True)
@@ -142,6 +301,8 @@ def _resolve(token: str, mapping: dict[str, int] | None, size: int | None, what:
         raise GraphFormatError(f"{where}: unknown {what} {token!r}") from None
     if size is not None and not (0 <= idx < size):
         raise GraphFormatError(f"{where}: {what} id {idx} out of dictionary range [0, {size})")
+    if idx < 0:
+        raise GraphFormatError(f"{where}: negative {what} id {idx}")
     return idx
 
 
@@ -202,36 +363,20 @@ def layer_graphs(
     edges, and the test layer all edges. Edges in valid/test files that
     duplicate an earlier layer are dropped with a warning.
     """
-    train_t = read_triples(train_file, entity_dict, relation_dict)
-    valid_t = read_triples(valid_file, entity_dict, relation_dict)
-    test_t = read_triples(test_file, entity_dict, relation_dict)
-
-    train_set = set(train_t)
-    dup_valid = sum(1 for e in valid_t if e in train_set)
-    valid_set = train_set | set(valid_t)
-    dup_test = sum(1 for e in test_t if e in valid_set)
-    test_set = valid_set | set(test_t)
-    if dup_valid or dup_test:
+    parts = [
+        _as_rows(read_triples(path, entity_dict, relation_dict))
+        for path in (train_file, valid_file, test_file)
+    ]
+    num_entities = len(entity_dict) if entity_dict is not None else None
+    num_relations = len(relation_dict) if relation_dict is not None else None
+    layers, repeated = _build_layers(parts, num_entities, num_relations)
+    if repeated[1] or repeated[2]:
         logger.warning(
             "deduplicated %d valid and %d test edges already present in earlier layers",
-            dup_valid,
-            dup_test,
+            repeated[1],
+            repeated[2],
         )
-
-    if entity_dict is not None:
-        num_entities = len(entity_dict)
-    else:
-        num_entities = max((max(e.head, e.tail) for e in test_set), default=-1) + 1
-    if relation_dict is not None:
-        num_relations = len(relation_dict)
-    else:
-        num_relations = max((e.relation for e in test_set), default=-1) + 1
-
-    return GraphLayers(
-        train=KnowledgeGraph.from_edges(train_set, num_entities, num_relations),
-        valid=KnowledgeGraph.from_edges(valid_set, num_entities, num_relations),
-        test=KnowledgeGraph.from_edges(test_set, num_entities, num_relations),
-    )
+    return GraphLayers(*layers)
 
 
 def split_edges(
@@ -245,23 +390,16 @@ def split_edges(
     """
     if any(r <= 0 for r in ratios):
         raise ValueError("split ratios must be positive")
-    edges = sorted(kg.edges)
-    total = len(edges)
+    rows = kg.edges.rows()
+    total = len(rows)
     if total < len(ratios):
         raise ValueError(f"cannot split {total} edges into {len(ratios)} parts")
-    order = make_rng(seed).permutation(total)
-    shuffled = [edges[i] for i in order]
+    shuffled = rows[make_rng(seed).permutation(total)]
     s = sum(ratios)
     n1 = total * ratios[0] // s
     n2 = total * (ratios[0] + ratios[1]) // s
-    train_set = set(shuffled[:n1])
-    valid_set = train_set | set(shuffled[n1:n2])
-    test_set = valid_set | set(shuffled[n2:])
-    return GraphLayers(
-        train=KnowledgeGraph.from_edges(train_set, kg.num_entities, kg.num_relations),
-        valid=KnowledgeGraph.from_edges(valid_set, kg.num_entities, kg.num_relations),
-        test=KnowledgeGraph.from_edges(test_set, kg.num_entities, kg.num_relations),
-    )
+    parts = [shuffled[:n1], shuffled[n1:n2], shuffled[n2:]]
+    return GraphLayers(*_build_layers(parts, kg.num_entities, kg.num_relations)[0])
 
 
 def synthetic_graph(

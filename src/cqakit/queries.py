@@ -111,15 +111,6 @@ def num_anchors(node: QueryNode) -> int:
     return sum(1 for n in node.walk() if n.kind is OperatorKind.ANCHOR)
 
 
-def is_grounded(node: QueryNode) -> bool:
-    for n in node.walk():
-        if n.kind is OperatorKind.ANCHOR and n.entity is None:
-            return False
-        if n.kind is OperatorKind.PROJECTION and n.relation is None:
-            return False
-    return True
-
-
 def validate_ids(node: QueryNode, num_entities: int, num_relations: int) -> None:
     """Check every anchor/relation id against a graph universe."""
     for n in node.walk():

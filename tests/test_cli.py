@@ -155,3 +155,12 @@ def test_threads_flag_accepted(capsys):
     code, out, _ = run(capsys, "--threads", "1", "linearize", "--query", "(e,(0))")
     assert code == 0
     assert out.strip() == "[e0]"
+
+
+def test_negative_id_in_triple_file_exits_two(tmp_path, capsys):
+    for name, text in (("train.txt", "0\t0\t1\n1\t0\t-3\n"), ("valid.txt", ""), ("test.txt", "")):
+        (tmp_path / name).write_text(text)
+    code, _, err = run(capsys, "answer", "--kg", str(tmp_path), "--layer", "test", "--query", "(p,(0),(e,(0)))")
+    assert code == 2
+    assert "negative entity id -3" in err
+    assert "Traceback" not in err

@@ -1,7 +1,9 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
-from cqakit.evaluation import evaluate, evaluate_scores, rank
+from cqakit.evaluation import _ranks, evaluate, evaluate_scores, rank
 from cqakit.queries import parse_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance
@@ -64,6 +66,25 @@ def test_rank_matches_brute_force():
             elif scores[v] == scores[target]:
                 expected += 0.5
         assert rank(scores, target, filtered) == expected
+
+
+@given(st.data())
+def test_one_sort_ranks_match_rank_oracle(data):
+    # few distinct (rounded) values, so most scores tie with others
+    values = data.draw(
+        st.lists(
+            st.floats(-2, 2).map(lambda x: round(x, 1)) | st.sampled_from([np.inf, -np.inf, np.nan]),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    n = data.draw(st.integers(1, 30))
+    scores = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    extremes = {int(np.nanargmax(scores)), int(np.nanargmin(scores))} if not np.isnan(scores).all() else set()
+    targets = data.draw(st.sets(st.integers(0, n - 1), min_size=1)) | extremes
+    base = targets | data.draw(st.sets(st.integers(0, n - 1)))
+    order = sorted(targets)
+    assert _ranks(scores, order, base) == [rank(scores, v, base - {v}) for v in order]
 
 
 def test_rank_rejects_bad_target():

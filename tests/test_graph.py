@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -69,6 +70,30 @@ def test_malformed_lines_report_line_numbers(tmp_path):
         load_triples(write(tmp_path, "bad3.txt", "0\t0\t7\n"), {"a": 0}, {"r": 0})
 
 
+def test_negative_ids_rejected(tmp_path):
+    with pytest.raises(GraphFormatError, match=":1: negative entity id -3"):
+        load_triples(write(tmp_path, "neg.txt", "1\t0\t-3\n"))
+    with pytest.raises(GraphFormatError, match="negative relation id"):
+        load_triples(write(tmp_path, "neg_rel.txt", "1\t-1\t0\n"))
+    with pytest.raises(GraphFormatError, match="negative id"):
+        KnowledgeGraph.from_edges([(1, 0, -3)])
+
+
+def test_ids_too_large_for_edge_keys_rejected():
+    with pytest.raises(GraphFormatError, match="overflow int64 edge keys"):
+        KnowledgeGraph.from_edges([(0, 0, 2**40)])
+    with pytest.raises(GraphFormatError, match="integer triples"):
+        KnowledgeGraph.from_edges([(0, 0, 2**70)])
+
+
+def test_has_edge_rejects_out_of_range_ids():
+    # (0, 0, 2) and (0, 1, 0) pack to the same key when ids are not range-checked
+    kg = KnowledgeGraph.from_edges([(0, 1, 0)], 2, 2)
+    assert kg.has_edge(0, 1, 0) and (0, 1, 0) in kg.edges
+    assert not kg.has_edge(0, 0, 2) and (0, 0, 2) not in kg.edges
+    assert not kg.has_edge(0, 2, 0) and not kg.has_edge(-1, 1, 0)
+
+
 def test_load_is_idempotent(tmp_path):
     path = write(tmp_path, "toy.txt", TOY_SIX_LINES)
     assert load_triples(path) == load_triples(path)
@@ -122,6 +147,20 @@ def test_split_edges_ratios_and_determinism():
     assert len(a.valid.edges) == 90
     assert len(a.test.edges) == 100
     assert a.train.edges == b.train.edges and a.valid.edges == b.valid.edges
+
+
+def test_split_edges_pinned_layers():
+    # sha256 of each layer's sorted edge list, recorded from the frozenset-based
+    # store that the edge table replaced: the same seed must give the same split
+    layers = split_edges(synthetic_graph(30, 3, 100, seed=1), (8, 1, 1), seed=7)
+    expected = {
+        "train": "1f6a8e166ef5d35d03655037e025aabb5aaf1645b458585bbf6ba812fe1d941e",
+        "valid": "93783088d00a8744295f4bf31fea48e5799300fb47e67da8b0ec865dc1f3d41e",
+        "test": "3c9842e7a649bbd7317aae30f807bf0bb5d17caa48e3bdce67cdbc32c039d7ea",
+    }
+    for name, digest in expected.items():
+        edges = repr([tuple(e) for e in sorted(layers.layer(name).edges)])
+        assert hashlib.sha256(edges.encode()).hexdigest() == digest
 
 
 def test_split_edges_cumulative_small():

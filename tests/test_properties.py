@@ -1,9 +1,12 @@
 """Property tests over randomly generated query trees and graphs."""
 
+import os
+import tempfile
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from cqakit.graph import KnowledgeGraph
+from cqakit.graph import KnowledgeGraph, layer_graphs
 from cqakit.linearize import LPAREN, RPAREN, Vocabulary, delinearize, linearize, sequence_length
 from cqakit.queries import (
     anchor,
@@ -78,6 +81,51 @@ def test_index_edge_bijection_random_graphs(edges):
         assert h in kg.predecessors(t, r)
     rebuilt = {(h, r, t) for (h, r), tails in kg.fwd_index.items() for t in tails}
     assert rebuilt == set(map(tuple, kg.edges))
+
+
+def naive_layer(triples):
+    """The edge set and the three indexes, built straight from the triples."""
+    edges = frozenset(triples)
+    fwd, bwd, inc = {}, {}, {}
+    for h, r, t in edges:
+        fwd.setdefault((h, r), []).append(t)
+        bwd.setdefault((t, r), []).append(h)
+        inc.setdefault(t, []).append((h, r))
+
+    def sort(index):
+        return {k: tuple(sorted(v)) for k, v in index.items()}
+
+    return edges, sort(fwd), sort(bwd), sort(inc)
+
+
+triples = st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 6))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_layer_builder_matches_naive_reference(data):
+    # small id ranges, and later files drawing from earlier ones, give
+    # duplicates within a file and across files; valid/test may be empty
+    train = data.draw(st.lists(triples, min_size=1, max_size=12), "train")
+    valid = data.draw(st.lists(triples | st.sampled_from(train), max_size=6), "valid")
+    test = data.draw(st.lists(triples | st.sampled_from(train + valid), max_size=6), "test")
+    with tempfile.TemporaryDirectory() as root:
+        paths = []
+        for name, rows in (("train", train), ("valid", valid), ("test", test)):
+            paths.append(os.path.join(root, f"{name}.txt"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows))
+        layers = layer_graphs(*paths)
+    everything = train + valid + test
+    for layer, held in ((layers.train, train), (layers.valid, train + valid), (layers.test, everything)):
+        assert layer.num_entities == 1 + max(max(h, t) for h, _, t in everything)
+        assert layer.num_relations == 1 + max(r for _, r, _ in everything)
+        edges, fwd, bwd, inc = naive_layer(held)
+        assert layer.edges == edges and len(layer.edges) == len(edges)
+        assert sorted(layer.edges) == list(layer.edges)
+        assert all(layer.has_edge(*e) for e in edges)
+        assert (layer.fwd_index, layer.bwd_index, layer.in_index) == (fwd, bwd, inc)
+    assert layers.test.edges - layers.train.edges == frozenset(everything) - frozenset(train)
 
 
 @settings(deadline=2000, max_examples=40)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -243,3 +244,15 @@ def test_sampler_config_validation():
         SamplerConfig(per_type_count=-1, seed=0)
     with pytest.raises(ValueError):
         SamplerConfig(per_type_count=1, seed=0, source_layer="valid")
+
+
+def test_dataset_bytes_pinned(desk_layers, tmp_path):
+    # sha256 of the file written for this graph, types and seed, recorded from
+    # the frozenset-based graph store that the edge table replaced
+    ds = sample_dataset(
+        desk_layers, builtin_query_types().all_fol, SamplerConfig(per_type_count=3, seed=29), kg_name="desk"
+    )
+    path = tmp_path / "desk.jsonl"
+    write_dataset(ds, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "1a2cae30f0ef849ad466ce74e0a185e546848a8155270778c9057ec79c7554fc"
