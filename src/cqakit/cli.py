@@ -227,13 +227,6 @@ def _bucket_key(label: str) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="cqakit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"cqakit {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="parallelism bound (0 = all cores); cqakit runs sequentially either way, "
-        "and this flag does not size the BLAS thread pool",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample a benchmark dataset from a knowledge graph")

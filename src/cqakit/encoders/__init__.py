@@ -4,8 +4,9 @@ Architectures (all gradients hand-derived, verified by finite differences):
 
 * ``LSTM`` — stacked bidirectional LSTM over the linearized token sequence,
   readout at position 0;
-* ``TreeLSTM`` / ``TreeLSTM-NoMemoryCell`` — child-sum recursion over the
-  computational graph itself, readout at the root;
+* ``TreeLSTM`` / ``TreeLSTM-NoMemoryCell`` — one child-sum recursion over
+  the computational graph itself with either the full cell or the cell
+  without its memory state, readout at the root;
 * ``Transformer-APE`` / ``Transformer-RPE`` — pre-norm encoder stack with
   learned absolute positions, or relative-distance embeddings inside the
   attention logits.
@@ -28,7 +29,7 @@ from .gradcheck import NonFiniteLossError, grad_check
 from .lstm import BiLSTMEncoder
 from .numerics import softmax
 from .transformer import TransformerEncoder
-from .treelstm import TreeLSTMEncoder, TreeNoMemEncoder
+from .treelstm import TREE_CELLS, TreeLSTMEncoder
 
 ARCHITECTURES = (
     "LSTM",
@@ -38,7 +39,7 @@ ARCHITECTURES = (
     "Transformer-RPE",
 )
 
-TREE_ARCHS = ("TreeLSTM", "TreeLSTM-NoMemoryCell")
+TREE_ARCHS = tuple(TREE_CELLS)
 
 # benchmark-scale defaults: d=400, 3 layers, 16 heads; desk scale: d=64, 2, 4
 FULL_SCALE = {"d": 400, "layers": 3, "heads": 16}
@@ -65,10 +66,8 @@ def make_encoder(
     arch = normalize_arch(arch)
     if arch == "LSTM":
         return BiLSTMEncoder(d, layers, rng, dtype)
-    if arch == "TreeLSTM":
-        return TreeLSTMEncoder(d, rng, dtype)
-    if arch == "TreeLSTM-NoMemoryCell":
-        return TreeNoMemEncoder(d, rng, dtype)
+    if arch in TREE_CELLS:
+        return TreeLSTMEncoder(TREE_CELLS[arch], d, rng, dtype)
     relative = arch == "Transformer-RPE"
     return TransformerEncoder(d, layers, heads, rng, relative, max_len, rpe_clip, dtype)
 
@@ -199,8 +198,11 @@ class QueryModel:
             max_len=meta.get("max_len", 64),
             rpe_clip=meta.get("rpe_clip", 16),
         )
-        table = EmbeddingTable(vocab, tensors.pop("table"))
-        model = QueryModel(vocab, table, encoder)
+        rows = tensors.pop("table", None)
+        if rows is None or rows.shape != (vocab.size, meta["d"]):
+            shape = "missing" if rows is None else rows.shape
+            raise CheckpointError(f"table: expected shape {(vocab.size, meta['d'])}, found {shape}")
+        model = QueryModel(vocab, EmbeddingTable(vocab, rows), encoder)
         leftover = {}
         for name, arr in tensors.items():
             if name.startswith("enc."):
@@ -210,6 +212,9 @@ class QueryModel:
                 encoder.params[key] = arr
             else:
                 leftover[name] = arr
+        missing = sorted(f"enc.{k}" for k in encoder.params if f"enc.{k}" not in tensors)
+        if missing:
+            raise CheckpointError(f"checkpoint lacks encoder tensors: {', '.join(missing)}")
         return model, meta, leftover
 
 
@@ -240,7 +245,6 @@ __all__ = [
     "DESK_SCALE",
     "BiLSTMEncoder",
     "TreeLSTMEncoder",
-    "TreeNoMemEncoder",
     "TransformerEncoder",
     "EmbeddingTable",
     "QueryModel",

@@ -6,31 +6,26 @@ relation token enters as an extra leaf child. Child-sum composition handles
 the variable arity of intersections and unions; the readout is the root's
 hidden state.
 
-Two variants share the recursion:
+One recursion (:class:`TreeLSTMEncoder`) walks the nodes in post order,
+forms ``h~ = sum_k h_k`` over each node's children and hands it to a cell;
+its backward walk runs in reverse post order and adds each node's state
+gradients into its children. Only the cell equations differ:
 
-* ``TreeLSTM`` — full cell with per-child forget gates,
-      h~ = sum_k h_k
+* ``TreeLSTM`` (:class:`TreeLSTMCell`) — state ``(h, c)``, per-child forget gates,
       i = s(Wi x + Ui h~ + bi),  o = s(Wo x + Uo h~ + bo)
       u = tanh(Wu x + Uu h~ + bu),  f_k = s(Wf x + Uf h_k + bf)
       c = i * u + sum_k f_k * c_k,  h = o * tanh(c)
-* ``TreeLSTM-NoMemoryCell`` — the cell state removed,
-      h = tanh(W x + U sum_k h_k + b)
+* ``TreeLSTM-NoMemoryCell`` (:class:`NoMemoryCell`) — state ``(h,)``,
+      h = tanh(W x + U h~ + b)
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..linearize import OP_I, OP_N, OP_P, OP_U, Vocabulary
+from ..linearize import KIND_TO_OP, Vocabulary
 from ..queries import OperatorKind, QueryNode
 from .numerics import sigmoid, uniform_init
-
-_OP_TOKEN = {
-    OperatorKind.PROJECTION: OP_P,
-    OperatorKind.INTERSECTION: OP_I,
-    OperatorKind.UNION: OP_U,
-    OperatorKind.NEGATION: OP_N,
-}
 
 
 def tree_token_nodes(graph: QueryNode, vocab: Vocabulary):
@@ -50,51 +45,128 @@ def tree_token_nodes(graph: QueryNode, vocab: Vocabulary):
             nodes.append((vocab.relation_token(node.relation), []))
             child_slots.append(len(nodes) - 1)
         child_slots.extend(visit(c) for c in node.children)
-        nodes.append((_OP_TOKEN[node.kind], child_slots))
+        nodes.append((KIND_TO_OP[node.kind], child_slots))
         return len(nodes) - 1
 
     visit(graph)
     return nodes
 
 
-class TreeLSTMEncoder:
+class TreeLSTMCell:
+    """Full child-sum cell; state ``(h, c)``."""
+
     arch = "TreeLSTM"
 
-    def __init__(self, d: int, rng: np.random.Generator, dtype=np.float64):
-        self.d = d
+    @staticmethod
+    def init(d: int, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
         p = {}
         for gate in ("i", "f", "o", "u"):
             p[f"W{gate}"] = uniform_init(rng, (d, d), d, dtype)
             p[f"U{gate}"] = uniform_init(rng, (d, d), d, dtype)
             p[f"b{gate}"] = np.zeros(d, dtype=dtype)
-        self.params = p
+        return p
+
+    @staticmethod
+    def forward(p, x, h_sum, children):
+        """One node's state and cache from its input, ``h~`` and child states."""
+        i = sigmoid(x @ p["Wi"] + h_sum @ p["Ui"] + p["bi"])
+        o = sigmoid(x @ p["Wo"] + h_sum @ p["Uo"] + p["bo"])
+        u = np.tanh(x @ p["Wu"] + h_sum @ p["Uu"] + p["bu"])
+        fks = [sigmoid(x @ p["Wf"] + h_k @ p["Uf"] + p["bf"]) for h_k, _ in children]
+        c = i * u + sum((f * c_k for f, (_, c_k) in zip(fks, children)), np.zeros(x.shape, x.dtype))
+        h = o * np.tanh(c)
+        return (h, c), (i, o, u, fks)
+
+    @staticmethod
+    def backward(p, grads, x, h_sum, children, state, cache, d_state):
+        """Adds into ``grads``; returns (dx, one state gradient per child)."""
+        i, o, u, fks = cache
+        dh_j, dc_j = d_state
+        tc = np.tanh(state[1])
+        do = dh_j * tc
+        dc_j = dc_j + dh_j * o * (1 - tc * tc)
+        di = dc_j * u
+        du = dc_j * i
+        dzi = di * i * (1 - i)
+        dzo = do * o * (1 - o)
+        dzu = du * (1 - u * u)
+        grads["Wi"] += np.outer(x, dzi)
+        grads["Wo"] += np.outer(x, dzo)
+        grads["Wu"] += np.outer(x, dzu)
+        grads["Ui"] += np.outer(h_sum, dzi)
+        grads["Uo"] += np.outer(h_sum, dzo)
+        grads["Uu"] += np.outer(h_sum, dzu)
+        grads["bi"] += dzi
+        grads["bo"] += dzo
+        grads["bu"] += dzu
+        dx = dzi @ p["Wi"].T + dzo @ p["Wo"].T + dzu @ p["Wu"].T
+        dh_sum = dzi @ p["Ui"].T + dzo @ p["Uo"].T + dzu @ p["Uu"].T
+        d_children = []
+        for f, (h_k, c_k) in zip(fks, children):
+            dzf = dc_j * c_k * f * (1 - f)
+            grads["Wf"] += np.outer(x, dzf)
+            grads["Uf"] += np.outer(h_k, dzf)
+            grads["bf"] += dzf
+            dx += dzf @ p["Wf"].T
+            d_children.append((dh_sum + dzf @ p["Uf"].T, dc_j * f))
+        return dx, d_children
+
+
+class NoMemoryCell:
+    """Ablated cell without the memory state; state ``(h,)``."""
+
+    arch = "TreeLSTM-NoMemoryCell"
+
+    @staticmethod
+    def init(d: int, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
+        return {
+            "W": uniform_init(rng, (d, d), d, dtype),
+            "U": uniform_init(rng, (d, d), d, dtype),
+            "b": np.zeros(d, dtype=dtype),
+        }
+
+    @staticmethod
+    def forward(p, x, h_sum, children):
+        return (np.tanh(x @ p["W"] + h_sum @ p["U"] + p["b"]),), None
+
+    @staticmethod
+    def backward(p, grads, x, h_sum, children, state, cache, d_state):
+        h = state[0]
+        dz = d_state[0] * (1 - h * h)
+        grads["W"] += np.outer(x, dz)
+        grads["U"] += np.outer(h_sum, dz)
+        grads["b"] += dz
+        dh_sum = dz @ p["U"].T
+        return dz @ p["W"].T, [(dh_sum,) for _ in children]
+
+
+TREE_CELLS = {cell.arch: cell for cell in (TreeLSTMCell, NoMemoryCell)}
+
+
+class TreeLSTMEncoder:
+    """The child-sum recursion around one cell (see the module docstring)."""
+
+    def __init__(self, cell, d: int, rng: np.random.Generator, dtype=np.float64):
+        self.cell = cell
+        self.arch = cell.arch
+        self.d = d
+        self.params = cell.init(d, rng, dtype)
 
     def forward(self, graphs: list[QueryNode], table, vocab: Vocabulary):
         """Encode each query tree; returns (B,d) readouts and a cache."""
-        p = self.params
         outs = []
         tree_caches = []
         for graph in graphs:
-            nodes = tree_token_nodes(graph, vocab)
-            xs, hs, cs, steps = [], [], [], []
-            for token, child_slots in nodes:
+            states, steps = [], []
+            for token, child_slots in tree_token_nodes(graph, vocab):
                 x = table.rows[token]
-                h_sum = sum((hs[k] for k in child_slots), np.zeros(self.d, dtype=x.dtype))
-                i = sigmoid(x @ p["Wi"] + h_sum @ p["Ui"] + p["bi"])
-                o = sigmoid(x @ p["Wo"] + h_sum @ p["Uo"] + p["bo"])
-                u = np.tanh(x @ p["Wu"] + h_sum @ p["Uu"] + p["bu"])
-                fks = [sigmoid(x @ p["Wf"] + hs[k] @ p["Uf"] + p["bf"]) for k in child_slots]
-                c = i * u + sum(
-                    (f * cs[k] for f, k in zip(fks, child_slots)),
-                    np.zeros(self.d, dtype=x.dtype),
-                )
-                h = o * np.tanh(c)
-                xs.append(x)
-                hs.append(h)
-                cs.append(c)
-                steps.append((token, child_slots, x, h_sum, i, o, u, fks, c))
-            outs.append(hs[-1])
-            tree_caches.append((steps, hs, cs))
+                children = [states[k] for k in child_slots]
+                h_sum = sum((s[0] for s in children), np.zeros(self.d, dtype=x.dtype))
+                state, cell_cache = self.cell.forward(self.params, x, h_sum, children)
+                states.append(state)
+                steps.append((token, child_slots, children, x, h_sum, cell_cache))
+            outs.append(states[-1][0])
+            tree_caches.append((steps, states))
         return np.stack(outs), tree_caches
 
     def backward(self, cache, d_out: np.ndarray):
@@ -103,98 +175,17 @@ class TreeLSTMEncoder:
         grads = {k: np.zeros_like(v) for k, v in p.items()}
         tok_ids: list[int] = []
         tok_grads: list[np.ndarray] = []
-        for (steps, hs, cs), droot in zip(cache, d_out):
-            n = len(steps)
-            dh = [np.zeros(self.d, dtype=droot.dtype) for _ in range(n)]
-            dc = [np.zeros(self.d, dtype=droot.dtype) for _ in range(n)]
-            dh[-1] = droot.copy()
-            for idx in range(n - 1, -1, -1):
-                token, child_slots, x, h_sum, i, o, u, fks, c = steps[idx]
-                tc = np.tanh(c)
-                dh_j, dc_j = dh[idx], dc[idx]
-                do = dh_j * tc
-                dc_j = dc_j + dh_j * o * (1 - tc * tc)
-                di = dc_j * u
-                du = dc_j * i
-                dzi = di * i * (1 - i)
-                dzo = do * o * (1 - o)
-                dzu = du * (1 - u * u)
-                grads["Wi"] += np.outer(x, dzi)
-                grads["Wo"] += np.outer(x, dzo)
-                grads["Wu"] += np.outer(x, dzu)
-                grads["Ui"] += np.outer(h_sum, dzi)
-                grads["Uo"] += np.outer(h_sum, dzo)
-                grads["Uu"] += np.outer(h_sum, dzu)
-                grads["bi"] += dzi
-                grads["bo"] += dzo
-                grads["bu"] += dzu
-                dx = dzi @ p["Wi"].T + dzo @ p["Wo"].T + dzu @ p["Wu"].T
-                dh_sum = dzi @ p["Ui"].T + dzo @ p["Uo"].T + dzu @ p["Uu"].T
-                for f, k in zip(fks, child_slots):
-                    df = dc_j * cs[k]
-                    dzf = df * f * (1 - f)
-                    grads["Wf"] += np.outer(x, dzf)
-                    grads["Uf"] += np.outer(hs[k], dzf)
-                    grads["bf"] += dzf
-                    dx += dzf @ p["Wf"].T
-                    dh[k] += dh_sum + dzf @ p["Uf"].T
-                    dc[k] += dc_j * f
-                tok_ids.append(token)
-                tok_grads.append(dx)
-        ids = np.array(tok_ids, dtype=np.int64)
-        dxs = np.stack(tok_grads) if tok_grads else np.zeros((0, self.d))
-        return grads, ids, dxs
-
-
-class TreeNoMemEncoder:
-    """Ablated tree cell without the memory state: h = tanh(Wx + U sum h_k + b)."""
-
-    arch = "TreeLSTM-NoMemoryCell"
-
-    def __init__(self, d: int, rng: np.random.Generator, dtype=np.float64):
-        self.d = d
-        self.params = {
-            "W": uniform_init(rng, (d, d), d, dtype),
-            "U": uniform_init(rng, (d, d), d, dtype),
-            "b": np.zeros(d, dtype=dtype),
-        }
-
-    def forward(self, graphs: list[QueryNode], table, vocab: Vocabulary):
-        p = self.params
-        outs = []
-        tree_caches = []
-        for graph in graphs:
-            nodes = tree_token_nodes(graph, vocab)
-            hs, steps = [], []
-            for token, child_slots in nodes:
-                x = table.rows[token]
-                h_sum = sum((hs[k] for k in child_slots), np.zeros(self.d, dtype=x.dtype))
-                h = np.tanh(x @ p["W"] + h_sum @ p["U"] + p["b"])
-                hs.append(h)
-                steps.append((token, child_slots, x, h_sum, h))
-            outs.append(hs[-1])
-            tree_caches.append(steps)
-        return np.stack(outs), tree_caches
-
-    def backward(self, cache, d_out: np.ndarray):
-        p = self.params
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        tok_ids: list[int] = []
-        tok_grads: list[np.ndarray] = []
-        for steps, droot in zip(cache, d_out):
-            n = len(steps)
-            dh = [np.zeros(self.d, dtype=droot.dtype) for _ in range(n)]
-            dh[-1] = droot.copy()
-            for idx in range(n - 1, -1, -1):
-                token, child_slots, x, h_sum, h = steps[idx]
-                dz = dh[idx] * (1 - h * h)
-                grads["W"] += np.outer(x, dz)
-                grads["U"] += np.outer(h_sum, dz)
-                grads["b"] += dz
-                dx = dz @ p["W"].T
-                dh_sum = dz @ p["U"].T
-                for k in child_slots:
-                    dh[k] += dh_sum
+        for (steps, states), droot in zip(cache, d_out):
+            d_states = [[np.zeros(self.d, dtype=droot.dtype) for _ in s] for s in states]
+            d_states[-1][0] = droot.copy()
+            for idx in range(len(steps) - 1, -1, -1):
+                token, child_slots, children, x, h_sum, cell_cache = steps[idx]
+                dx, d_children = self.cell.backward(
+                    p, grads, x, h_sum, children, states[idx], cell_cache, d_states[idx]
+                )
+                for k, d_child in zip(child_slots, d_children):
+                    for d_acc, g in zip(d_states[k], d_child):
+                        d_acc += g
                 tok_ids.append(token)
                 tok_grads.append(dx)
         ids = np.array(tok_ids, dtype=np.int64)

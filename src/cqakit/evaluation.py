@@ -227,11 +227,12 @@ def evaluate(model, dataset: Dataset, mode: str = "both") -> MetricReport:
     if not records:
         return MetricReport()
     score_rows = np.zeros((len(records), model.vocab.num_entities))
-    # batch per type so tree shapes align and padding stays tight
-    by_type: dict[str, list[int]] = {}
+    # tree encoders take one query type per batch, as in training; sequence
+    # encoders take records in order, padded to the longest in each chunk
+    groups: dict[str, list[int]] = {}
     for i, record in enumerate(records):
-        by_type.setdefault(record.type_formula, []).append(i)
-    for indices in by_type.values():
+        groups.setdefault(record.type_formula if model.is_tree else "", []).append(i)
+    for indices in groups.values():
         for start in range(0, len(indices), 256):
             chunk = indices[start : start + 256]
             e_q = model.encode_graphs([records[i].query for i in chunk])

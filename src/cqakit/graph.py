@@ -117,16 +117,15 @@ class KnowledgeGraph:
     """Entity/relation universe plus an indexed edge set.
 
     ``fwd_index[(head, relation)]`` lists tails sorted ascending;
-    ``bwd_index[(tail, relation)]`` lists heads. Lookups on absent keys
-    return the empty tuple. ``in_index[tail]`` lists all ``(head, relation)``
-    pairs pointing at ``tail`` (used by the reverse sampler).
+    ``in_index[tail]`` lists all ``(head, relation)`` pairs pointing at
+    ``tail`` (used by the reverse sampler). Lookups on absent keys return
+    the empty tuple.
     """
 
     num_entities: int
     num_relations: int
     edges: EdgeView
     fwd_index: dict[tuple[int, int], tuple[int, ...]] = field(repr=False, compare=False)
-    bwd_index: dict[tuple[int, int], tuple[int, ...]] = field(repr=False, compare=False)
     in_index: dict[int, tuple[tuple[int, int], ...]] = field(repr=False, compare=False)
 
     @staticmethod
@@ -139,9 +138,6 @@ class KnowledgeGraph:
     def successors(self, head: int, relation: int) -> tuple[int, ...]:
         """Entities reachable from ``head`` via ``relation`` (sorted)."""
         return self.fwd_index.get((head, relation), ())
-
-    def predecessors(self, tail: int, relation: int) -> tuple[int, ...]:
-        return self.bwd_index.get((tail, relation), ())
 
     def in_edges(self, tail: int) -> tuple[tuple[int, int], ...]:
         """All ``(head, relation)`` pairs with an edge into ``tail``."""
@@ -231,13 +227,12 @@ def _build_layers(
         (order, _group_ids(group, order), key_cols, value_cols)
         for group, order, key_cols, value_cols in (
             (heads * R + relations, np.arange(keys.size), (heads, relations), (tails,)),
-            (tails * R + relations, np.lexsort((heads, relations, tails)), (tails, relations), (heads,)),
             (tails, np.lexsort((relations, heads, tails)), (tails,), (heads, relations)),
         )
     ]
 
     graphs: list[KnowledgeGraph] = []
-    indexes: list[dict] = [{}, {}, {}]
+    indexes: list[dict] = [{}, {}]
     for k in range(len(parts)):
         held, added = layer <= k, layer == k
         for i, (order, ids, key_cols, value_cols) in enumerate(specs):

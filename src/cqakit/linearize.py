@@ -39,13 +39,13 @@ OP_U = 5
 OP_N = 6
 NUM_SPECIALS = 7
 
-_KIND_TO_OP = {
+KIND_TO_OP = {
     OperatorKind.PROJECTION: OP_P,
     OperatorKind.INTERSECTION: OP_I,
     OperatorKind.UNION: OP_U,
     OperatorKind.NEGATION: OP_N,
 }
-_OP_TO_KIND = {v: k for k, v in _KIND_TO_OP.items()}
+_OP_TO_KIND = {v: k for k, v in KIND_TO_OP.items()}
 
 TokenSequence = list[int]
 
@@ -124,7 +124,7 @@ def linearize(graph: ComputationGraph, vocab: Vocabulary) -> TokenSequence:
             out.append(vocab.entity_token(node.entity))
             return
         out.append(LPAREN)
-        out.append(_KIND_TO_OP[node.kind])
+        out.append(KIND_TO_OP[node.kind])
         if node.kind is OperatorKind.PROJECTION:
             out.append(vocab.relation_token(node.relation))
         for child in node.children:

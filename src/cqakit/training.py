@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .encoders import QueryModel, new_model
+from .encoders import CheckpointError, QueryModel, new_model
 from .linearize import Vocabulary
 from .rng import make_rng
 from .sampler import Dataset
@@ -216,11 +216,13 @@ class Checkpoint:
             config.adam_beta2,
             config.adam_eps,
         )
-        for name, arr in leftover.items():
-            if name.startswith("adam.m."):
-                adam.m[name[7:]] = arr
-            elif name.startswith("adam.v."):
-                adam.v[name[7:]] = arr
+        for moments, prefix in ((adam.m, "adam.m."), (adam.v, "adam.v.")):
+            for name, zeros in moments.items():
+                arr = leftover.get(prefix + name)
+                if arr is None or arr.shape != zeros.shape:
+                    found = "missing" if arr is None else arr.shape
+                    raise CheckpointError(f"{prefix}{name}: expected shape {zeros.shape}, found {found}")
+                moments[name] = arr
         adam.step_count = meta.get("step", 0)
         return Checkpoint(model, config, adam, meta.get("step", 0))
 

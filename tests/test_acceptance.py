@@ -257,7 +257,7 @@ def test_10_cli_determinism(tmp_path):
         rep = tmp_path / f"report_{tag}.jsonl"
         assert cli_main(["generate", "--kg", str(kg_root), "--types", "fol", "--count", "2",
                          "--seed", "7", "--out", str(data)]) == 0
-        assert cli_main(["--threads", "1", "train", "--data", str(data), "--out", str(ckpt),
+        assert cli_main(["train", "--data", str(data), "--out", str(ckpt),
                          "--set", "epochs=2", "--set", "d=16", "--set", "batch_size=64"]) == 0
         assert cli_main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--mode", "both",
                          "--out", str(rep)]) == 0

@@ -151,10 +151,29 @@ def write_line(tmp_path, text):
     return p
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--threads", "1", "linearize", "--query", "(e,(0))")
-    assert code == 0
-    assert out.strip() == "[e0]"
+def test_threads_flag_rejected(capsys):
+    code, out, err = run(capsys, "--threads", "1", "linearize", "--query", "(e,(0))")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error")
+
+
+def test_eval_checkpoint_without_table_exits_two(capsys, kg_dir, tmp_path):
+    from cqakit.encoders import load_checkpoint, save_checkpoint
+
+    data, ckpt = tmp_path / "d.jsonl", tmp_path / "m.ckpt"
+    assert main(["generate", "--kg", str(kg_dir), "--types", "conj", "--count", "1",
+                 "--seed", "3", "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--out", str(ckpt),
+                 "--set", "epochs=1", "--set", "d=8", "--set", "arch=TreeLSTM"]) == 0
+    meta, tensors = load_checkpoint(ckpt)
+    del tensors["table"]
+    save_checkpoint(ckpt, meta, tensors)
+    capsys.readouterr()
+    code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))
+    assert code == 2
+    assert "table" in err
+    assert "Traceback" not in err and "mean_over_types" not in out
 
 
 def test_negative_id_in_triple_file_exits_two(tmp_path, capsys):

@@ -215,6 +215,49 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(out_a, out_b)
 
 
+TREE_PARAM_NAMES = {
+    "TreeLSTM": {f"{w}{g}" for w in "WUb" for g in "ifou"},
+    "TreeLSTM-NoMemoryCell": {"W", "U", "b"},
+}
+
+
+@pytest.mark.parametrize("arch", sorted(TREE_PARAM_NAMES))
+def test_tree_checkpoint_round_trip(arch, tmp_path):
+    path = tmp_path / "m.ckpt"
+    model = new_model(VOCAB, arch, d=8, seed=15)
+    assert set(model.encoder.params) == TREE_PARAM_NAMES[arch]
+    model.save(path)
+    _, tensors = load_checkpoint(path)
+    assert set(tensors) == {"table"} | {f"enc.{k}" for k in TREE_PARAM_NAMES[arch]}
+    loaded, meta, leftover = QueryModel.load(path)
+    assert meta["arch"] == arch and not leftover
+    out_a, _ = model.encode(model.prepare(GRAPHS))
+    out_b, _ = loaded.encode(loaded.prepare(GRAPHS))
+    np.testing.assert_array_equal(out_a, out_b)
+
+
+@pytest.mark.parametrize("arch,dropped", [("TreeLSTM", "enc.Wf"), ("LSTM", "table"),
+                                          ("TreeLSTM-NoMemoryCell", "table")])
+def test_checkpoint_missing_tensor_rejected(arch, dropped, tmp_path):
+    path = tmp_path / "m.ckpt"
+    new_model(VOCAB, arch, d=8, seed=16).save(path)
+    meta, tensors = load_checkpoint(path)
+    del tensors[dropped]
+    save_checkpoint(path, meta, tensors)
+    with pytest.raises(CheckpointError, match=dropped):
+        QueryModel.load(path)
+
+
+def test_checkpoint_table_shape_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    new_model(VOCAB, "TreeLSTM", d=8, seed=17).save(path)
+    meta, tensors = load_checkpoint(path)
+    tensors["table"] = tensors["table"][:, :4]
+    save_checkpoint(path, meta, tensors)
+    with pytest.raises(CheckpointError, match="table"):
+        QueryModel.load(path)
+
+
 def test_checkpoint_vocab_hash_mismatch(tmp_path):
     path = tmp_path / "m.ckpt"
     model = new_model(VOCAB, "LSTM", d=8, seed=13)

@@ -78,24 +78,22 @@ def test_index_edge_bijection_random_graphs(edges):
     kg = KnowledgeGraph.from_edges(edges, NUM_ENTITIES, NUM_RELATIONS)
     for h, r, t in kg.edges:
         assert t in kg.successors(h, r)
-        assert h in kg.predecessors(t, r)
     rebuilt = {(h, r, t) for (h, r), tails in kg.fwd_index.items() for t in tails}
     assert rebuilt == set(map(tuple, kg.edges))
 
 
 def naive_layer(triples):
-    """The edge set and the three indexes, built straight from the triples."""
+    """The edge set and the two indexes, built straight from the triples."""
     edges = frozenset(triples)
-    fwd, bwd, inc = {}, {}, {}
+    fwd, inc = {}, {}
     for h, r, t in edges:
         fwd.setdefault((h, r), []).append(t)
-        bwd.setdefault((t, r), []).append(h)
         inc.setdefault(t, []).append((h, r))
 
     def sort(index):
         return {k: tuple(sorted(v)) for k, v in index.items()}
 
-    return edges, sort(fwd), sort(bwd), sort(inc)
+    return edges, sort(fwd), sort(inc)
 
 
 triples = st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 6))
@@ -120,11 +118,11 @@ def test_layer_builder_matches_naive_reference(data):
     for layer, held in ((layers.train, train), (layers.valid, train + valid), (layers.test, everything)):
         assert layer.num_entities == 1 + max(max(h, t) for h, _, t in everything)
         assert layer.num_relations == 1 + max(r for _, r, _ in everything)
-        edges, fwd, bwd, inc = naive_layer(held)
+        edges, fwd, inc = naive_layer(held)
         assert layer.edges == edges and len(layer.edges) == len(edges)
         assert sorted(layer.edges) == list(layer.edges)
         assert all(layer.has_edge(*e) for e in edges)
-        assert (layer.fwd_index, layer.bwd_index, layer.in_index) == (fwd, bwd, inc)
+        assert (layer.fwd_index, layer.in_index) == (fwd, inc)
     assert layers.test.edges - layers.train.edges == frozenset(everything) - frozenset(train)
 
 

@@ -196,6 +196,22 @@ def test_train_checkpoint_round_trip(desk_dataset, desk_vocab, tmp_path):
     np.testing.assert_array_equal(ckpt.moments.m["table"], loaded.moments.m["table"])
 
 
+@pytest.mark.parametrize("prefix", ["adam.m.", "adam.v.", "adam.v.enc.U"])
+def test_checkpoint_missing_adam_moments_rejected(prefix, desk_dataset, desk_vocab, tmp_path):
+    from cqakit.encoders import CheckpointError, load_checkpoint, save_checkpoint
+    from cqakit.training import Checkpoint
+
+    cfg = TrainConfig(arch="TreeLSTM-NoMemoryCell", d=8, epochs=1, seed=13)
+    path = tmp_path / "t.ckpt"
+    train(cfg, desk_dataset, desk_vocab).save(path)
+    meta, tensors = load_checkpoint(path)
+    for name in [n for n in tensors if n.startswith(prefix)]:
+        del tensors[name]
+    save_checkpoint(path, meta, tensors)
+    with pytest.raises(CheckpointError, match=prefix):
+        Checkpoint.load(path)
+
+
 def test_tree_batches_group_by_type(desk_dataset, desk_vocab):
     cfg = TrainConfig(arch="TreeLSTM-NoMemoryCell", d=16, epochs=1, batch_size=8, seed=12)
     ckpt = train(cfg, desk_dataset, desk_vocab)
