@@ -78,8 +78,8 @@ class TreeLSTMCell:
         return (h, c), (i, o, u, fks)
 
     @staticmethod
-    def backward(p, grads, x, h_sum, children, state, cache, d_state):
-        """Adds into ``grads``; returns (dx, one state gradient per child)."""
+    def backward(p, grads, x, h_sum, children, state, cache, d_state, d_children):
+        """Adds into ``grads`` and each child's ``d_children`` state gradients; returns dx."""
         i, o, u, fks = cache
         dh_j, dc_j = d_state
         tc = np.tanh(state[1])
@@ -101,15 +101,15 @@ class TreeLSTMCell:
         grads["bu"] += dzu
         dx = dzi @ p["Wi"].T + dzo @ p["Wo"].T + dzu @ p["Wu"].T
         dh_sum = dzi @ p["Ui"].T + dzo @ p["Uo"].T + dzu @ p["Uu"].T
-        d_children = []
-        for f, (h_k, c_k) in zip(fks, children):
+        for f, (h_k, c_k), (dh_k, dc_k) in zip(fks, children, d_children):
             dzf = dc_j * c_k * f * (1 - f)
             grads["Wf"] += np.outer(x, dzf)
             grads["Uf"] += np.outer(h_k, dzf)
             grads["bf"] += dzf
             dx += dzf @ p["Wf"].T
-            d_children.append((dh_sum + dzf @ p["Uf"].T, dc_j * f))
-        return dx, d_children
+            dh_k += dh_sum + dzf @ p["Uf"].T
+            dc_k += dc_j * f
+        return dx
 
 
 class NoMemoryCell:
@@ -130,14 +130,16 @@ class NoMemoryCell:
         return (np.tanh(x @ p["W"] + h_sum @ p["U"] + p["b"]),), None
 
     @staticmethod
-    def backward(p, grads, x, h_sum, children, state, cache, d_state):
+    def backward(p, grads, x, h_sum, children, state, cache, d_state, d_children):
         h = state[0]
         dz = d_state[0] * (1 - h * h)
         grads["W"] += np.outer(x, dz)
         grads["U"] += np.outer(h_sum, dz)
         grads["b"] += dz
         dh_sum = dz @ p["U"].T
-        return dz @ p["W"].T, [(dh_sum,) for _ in children]
+        for (dh_k,) in d_children:
+            dh_k += dh_sum
+        return dz @ p["W"].T
 
 
 TREE_CELLS = {cell.arch: cell for cell in (TreeLSTMCell, NoMemoryCell)}
@@ -164,7 +166,7 @@ class TreeLSTMEncoder:
                 h_sum = sum((s[0] for s in children), np.zeros(self.d, dtype=x.dtype))
                 state, cell_cache = self.cell.forward(self.params, x, h_sum, children)
                 states.append(state)
-                steps.append((token, child_slots, children, x, h_sum, cell_cache))
+                steps.append((token, child_slots, x, h_sum, cell_cache))
             outs.append(states[-1][0])
             tree_caches.append((steps, states))
         return np.stack(outs), tree_caches
@@ -179,13 +181,12 @@ class TreeLSTMEncoder:
             d_states = [[np.zeros(self.d, dtype=droot.dtype) for _ in s] for s in states]
             d_states[-1][0] = droot.copy()
             for idx in range(len(steps) - 1, -1, -1):
-                token, child_slots, children, x, h_sum, cell_cache = steps[idx]
-                dx, d_children = self.cell.backward(
-                    p, grads, x, h_sum, children, states[idx], cell_cache, d_states[idx]
+                token, child_slots, x, h_sum, cell_cache = steps[idx]
+                children = [states[k] for k in child_slots]
+                d_children = [d_states[k] for k in child_slots]
+                dx = self.cell.backward(
+                    p, grads, x, h_sum, children, states[idx], cell_cache, d_states[idx], d_children
                 )
-                for k, d_child in zip(child_slots, d_children):
-                    for d_acc, g in zip(d_states[k], d_child):
-                        d_acc += g
                 tok_ids.append(token)
                 tok_grads.append(dx)
         ids = np.array(tok_ids, dtype=np.int64)

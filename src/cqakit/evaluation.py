@@ -227,14 +227,10 @@ def evaluate(model, dataset: Dataset, mode: str = "both") -> MetricReport:
     if not records:
         return MetricReport()
     score_rows = np.zeros((len(records), model.vocab.num_entities))
-    # tree encoders take one query type per batch, as in training; sequence
-    # encoders take records in order, padded to the longest in each chunk
-    groups: dict[str, list[int]] = {}
-    for i, record in enumerate(records):
-        groups.setdefault(record.type_formula if model.is_tree else "", []).append(i)
-    for indices in groups.values():
-        for start in range(0, len(indices), 256):
-            chunk = indices[start : start + 256]
-            e_q = model.encode_graphs([records[i].query for i in chunk])
-            score_rows[chunk] = model.entity_scores(e_q)
+    # tree encoders walk each graph on its own, so a chunk may mix types;
+    # sequence encoders pad each chunk to its longest record
+    for start in range(0, len(records), 256):
+        chunk = records[start : start + 256]
+        e_q = model.encode_graphs([record.query for record in chunk])
+        score_rows[start : start + len(chunk)] = model.entity_scores(e_q)
     return evaluate_scores(records, score_rows, modes)
