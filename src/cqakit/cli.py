@@ -37,6 +37,7 @@ from .sampler import (
 )
 from .symbolic import answer
 from .training import (
+    Checkpoint,
     TrainingDivergedError,
     config_from_mapping,
     parse_config_file,
@@ -179,10 +180,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .encoders import QueryModel
-
-    model, meta, _ = QueryModel.load(args.ckpt)
+    model = Checkpoint.load(args.ckpt).model
     dataset = read_dataset(args.data)
+    vocab = model.vocab
+    if (dataset.num_entities, dataset.num_relations) != (vocab.num_entities, vocab.num_relations):
+        raise DataError(
+            f"{args.data}: dataset universe ({dataset.num_entities} entities, "
+            f"{dataset.num_relations} relations) differs from the checkpoint's "
+            f"({vocab.num_entities} entities, {vocab.num_relations} relations)"
+        )
     report = evaluate(model, dataset, mode=args.mode)
     print(report.table())
     if args.out:

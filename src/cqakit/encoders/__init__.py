@@ -41,11 +41,6 @@ ARCHITECTURES = (
 
 TREE_ARCHS = tuple(TREE_CELLS)
 
-# benchmark-scale defaults: d=400, 3 layers, 16 heads; desk scale: d=64, 2, 4
-FULL_SCALE = {"d": 400, "layers": 3, "heads": 16}
-DESK_SCALE = {"d": 64, "layers": 2, "heads": 4}
-
-
 def normalize_arch(name: str) -> str:
     for arch in ARCHITECTURES:
         if name.lower() == arch.lower():
@@ -154,69 +149,6 @@ class QueryModel:
     def entity_scores(self, e_q: np.ndarray) -> np.ndarray:
         return score_all(e_q, self.table)
 
-    # -- persistence --------------------------------------------------------
-
-    def meta(self) -> dict:
-        m = {
-            "arch": self.arch,
-            "d": self.d,
-            "vocab_hash": self.vocab.layout_hash(),
-            "num_relations": self.vocab.num_relations,
-            "num_entities": self.vocab.num_entities,
-            "readout": "position0",
-        }
-        for attr in ("layers", "heads", "max_len", "rpe_clip"):
-            if hasattr(self.encoder, attr):
-                m[attr] = getattr(self.encoder, attr)
-        return m
-
-    def save(self, path, extra_meta: dict | None = None, extra_tensors: dict | None = None):
-        meta = self.meta()
-        if extra_meta:
-            meta.update(extra_meta)
-        tensors = dict(self.parameters())
-        if extra_tensors:
-            tensors.update(extra_tensors)
-        save_checkpoint(path, meta, tensors)
-
-    @staticmethod
-    def load(path) -> tuple["QueryModel", dict, dict]:
-        """Rebuild a model from a checkpoint; returns (model, meta, leftover tensors)."""
-        meta, tensors = load_checkpoint(path)
-        vocab = Vocabulary(meta["num_relations"], meta["num_entities"])
-        if vocab.layout_hash() != meta["vocab_hash"]:
-            raise CheckpointError(
-                "vocabulary layout hash mismatch: checkpoint was written for a different universe"
-            )
-        rng = np.random.default_rng(0)  # shapes are overwritten below
-        encoder = make_encoder(
-            meta["arch"],
-            meta["d"],
-            rng,
-            layers=meta.get("layers", 2),
-            heads=meta.get("heads", 4),
-            max_len=meta.get("max_len", 64),
-            rpe_clip=meta.get("rpe_clip", 16),
-        )
-        rows = tensors.pop("table", None)
-        if rows is None or rows.shape != (vocab.size, meta["d"]):
-            shape = "missing" if rows is None else rows.shape
-            raise CheckpointError(f"table: expected shape {(vocab.size, meta['d'])}, found {shape}")
-        model = QueryModel(vocab, EmbeddingTable(vocab, rows), encoder)
-        leftover = {}
-        for name, arr in tensors.items():
-            if name.startswith("enc."):
-                key = name[4:]
-                if key not in encoder.params or encoder.params[key].shape != arr.shape:
-                    raise CheckpointError(f"unexpected tensor {name} {arr.shape}")
-                encoder.params[key] = arr
-            else:
-                leftover[name] = arr
-        missing = sorted(f"enc.{k}" for k in encoder.params if f"enc.{k}" not in tensors)
-        if missing:
-            raise CheckpointError(f"checkpoint lacks encoder tensors: {', '.join(missing)}")
-        return model, meta, leftover
-
 
 def new_model(
     vocab: Vocabulary,
@@ -241,8 +173,6 @@ def new_model(
 __all__ = [
     "ARCHITECTURES",
     "TREE_ARCHS",
-    "FULL_SCALE",
-    "DESK_SCALE",
     "BiLSTMEncoder",
     "TreeLSTMEncoder",
     "TransformerEncoder",

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
 MAGIC = b"CQAKIT-CKPT v1\n"
 
-_DTYPES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
+# stored code -> native dtype the tensor is read into
+_DTYPES = {"<f8": np.dtype(np.float64), "<f4": np.dtype(np.float32)}
+_ENTRY_FIELDS = {"name": str, "dtype": str, "shape": list, "offset": int, "nbytes": int}
 
 
 class CheckpointError(ValueError):
@@ -29,7 +32,7 @@ def save_checkpoint(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
         code = "<f8" if arr.dtype == np.float64 else "<f4"
-        raw = arr.astype(_DTYPES[code], copy=False).tobytes()
+        raw = arr.astype(code, copy=False).tobytes()
         directory.append(
             {"name": name, "dtype": code, "shape": list(arr.shape), "offset": offset, "nbytes": len(raw)}
         )
@@ -48,24 +51,47 @@ def save_checkpoint(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read ``(meta, tensors)``; any malformed part raises :class:`CheckpointError`."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
+        if fh.read(len(MAGIC)) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
         manifest_line = fh.readline()
-        try:
-            manifest = json.loads(manifest_line)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}: bad manifest: {exc}") from None
         payload = fh.read()
+    try:
+        manifest = json.loads(manifest_line)
+    except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not UTF-8, deep nesting
+        raise CheckpointError(f"{path}: bad manifest: {exc}") from None
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("meta"), dict)
+        and isinstance(manifest.get("tensors"), list)
+    ):
+        raise CheckpointError(f"{path}: manifest is not an object with 'meta' and 'tensors' fields")
     if hashlib.sha256(payload).hexdigest() != manifest.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch")
     tensors = {}
     for entry in manifest["tensors"]:
-        dtype = _DTYPES.get(entry["dtype"])
-        if dtype is None:
-            raise CheckpointError(f"{path}: unsupported dtype {entry['dtype']!r}")
-        raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
-        tensors[entry["name"]] = arr.astype(np.float64 if entry["dtype"] == "<f8" else np.float32)
+        name, arr = _read_tensor(path, entry, payload)
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name} listed twice")
+        tensors[name] = arr
     return manifest["meta"], tensors
+
+
+def _read_tensor(path, entry, payload: bytes) -> tuple[str, np.ndarray]:
+    if not isinstance(entry, dict):
+        raise CheckpointError(f"{path}: tensor entry is not an object")
+    for key, kind in _ENTRY_FIELDS.items():
+        if not isinstance(entry.get(key), kind):
+            raise CheckpointError(f"{path}: tensor entry needs {key!r} of type {kind.__name__}")
+    name, shape, offset, nbytes = entry["name"], entry["shape"], entry["offset"], entry["nbytes"]
+    dtype = _DTYPES.get(entry["dtype"])
+    if dtype is None:
+        raise CheckpointError(f"{path}: {name}: unsupported dtype {entry['dtype']!r}")
+    if not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise CheckpointError(f"{path}: {name}: bad shape {shape}")
+    count = math.prod(shape)
+    if nbytes != count * dtype.itemsize or offset < 0 or offset + nbytes > len(payload):
+        raise CheckpointError(f"{path}: {name}: {nbytes} bytes at {offset} do not hold shape {shape}")
+    stored = np.frombuffer(payload, dtype=entry["dtype"], count=count, offset=offset)
+    return name, stored.astype(dtype).reshape(shape)

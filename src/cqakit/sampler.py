@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -26,6 +27,8 @@ from .queries import (
     ComputationGraph,
     OperatorKind,
     QueryNode,
+    QueryStructureError,
+    QuerySyntaxError,
     QueryType,
     anchor,
     negation,
@@ -301,21 +304,33 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise DatasetFormatError(f"{path}: empty file")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path}:1: bad header: {exc}") from None
-        if header.get("format") != DATASET_FORMAT:
-            raise DatasetFormatError(f"{path}: not a {DATASET_FORMAT} file")
-        if header.get("version") != DATASET_VERSION:
-            raise DatasetFormatError(
-                f"{path}: version mismatch (file {header.get('version')}, reader {DATASET_VERSION})"
-            )
-        body = fh.read()
+    """Read a dataset file; any malformed part raises :class:`DatasetFormatError`.
+
+    Answer lists must be strictly ascending entity ids and query ids must
+    lie inside the universe the header declares.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header_line = fh.readline()
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    if not header_line:
+        raise DatasetFormatError(f"{path}: empty file")
+    try:
+        header = json.loads(header_line)
+    except (ValueError, RecursionError) as exc:
+        raise DatasetFormatError(f"{path}:1: bad header: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
+        raise DatasetFormatError(f"{path}:1: not a {DATASET_FORMAT} file")
+    if header.get("version") != DATASET_VERSION:
+        raise DatasetFormatError(
+            f"{path}:1: version mismatch (file {header.get('version')}, reader {DATASET_VERSION})"
+        )
+    for key in ("num_entities", "num_relations"):
+        value = header.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise DatasetFormatError(f"{path}:1: header lacks a non-negative integer {key!r}")
     checksum = hashlib.sha256(body.encode()).hexdigest()
     if checksum != header.get("checksum"):
         raise DatasetFormatError(f"{path}: checksum failure (file edited or truncated?)")
@@ -324,35 +339,42 @@ def read_dataset(path) -> Dataset:
         provenance=Provenance(
             header.get("kg", "unknown"), header.get("seed", 0), header.get("config_hash", "")
         ),
-        num_entities=header.get("num_entities", 0),
-        num_relations=header.get("num_relations", 0),
+        num_entities=header["num_entities"],
+        num_relations=header["num_relations"],
     )
     for lineno, line in enumerate(body.splitlines(), start=2):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: malformed record: {exc}") from None
-        try:
-            answers = {}
-            for key in ("train_answers", "valid_answers", "test_answers"):
-                ids = obj[key]
-                if any(ids[i] >= ids[i + 1] for i in range(len(ids) - 1)):
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: {key} not sorted strictly ascending"
-                    )
-                answers[key] = frozenset(ids)
-            record = GroundedQueryRecord(
-                type_formula=obj["type"],
-                query=parse_grounded(obj["query"]),
-                train_answers=answers["train_answers"],
-                valid_answers=answers["valid_answers"],
-                test_answers=answers["test_answers"],
-            )
-        except KeyError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: missing field {exc}") from None
+        record = _read_record(line, dataset, f"{path}:{lineno}")
         dataset.records.setdefault(record.type_formula, []).append(record)
     if len(dataset) != header.get("num_records"):
         raise DatasetFormatError(
             f"{path}: record count {len(dataset)} != header {header.get('num_records')}"
         )
     return dataset
+
+
+def _read_record(line: str, dataset: Dataset, where: str) -> GroundedQueryRecord:
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise DatasetFormatError(f"{where}: malformed record: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(f"{where}: record is not a JSON object")
+    for key in ("type", "query"):
+        if not isinstance(obj.get(key), str):
+            raise DatasetFormatError(f"{where}: missing string field {key!r}")
+    answers = []
+    for key in ("train_answers", "valid_answers", "test_answers"):
+        ids = obj.get(key)
+        if not isinstance(ids, list) or not set(map(type, ids)) <= {int}:
+            raise DatasetFormatError(f"{where}: {key} is not a list of integer entity ids")
+        # -1 < ids[0] < ... < ids[-1] < num_entities
+        if not all(map(operator.lt, [-1] + ids, ids + [dataset.num_entities])):
+            raise DatasetFormatError(
+                f"{where}: {key} not sorted strictly ascending inside [0, {dataset.num_entities})"
+            )
+        answers.append(frozenset(ids))
+    try:
+        query = parse_grounded(obj["query"], dataset)  # ids checked against the header universe
+    except (QuerySyntaxError, QueryStructureError, RecursionError) as exc:
+        raise DatasetFormatError(f"{where}: bad query: {exc}") from None
+    return GroundedQueryRecord(obj["type"], query, *answers)

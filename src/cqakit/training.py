@@ -16,7 +16,15 @@ from typing import Callable
 
 import numpy as np
 
-from .encoders import CheckpointError, QueryModel, new_model
+from .encoders import (
+    CheckpointError,
+    EmbeddingTable,
+    QueryModel,
+    load_checkpoint,
+    make_encoder,
+    new_model,
+    save_checkpoint,
+)
 from .linearize import Vocabulary
 from .rng import make_rng
 from .sampler import Dataset
@@ -65,12 +73,25 @@ class TrainConfig:
     def dtype(self):
         return np.float64 if self.precision == "double" else np.float32
 
+    def encoder_options(self) -> dict:
+        """The sizes and dtype ``new_model``/``make_encoder`` take besides arch and d."""
+        return dict(
+            layers=self.layers,
+            heads=self.heads,
+            max_len=self.max_len,
+            rpe_clip=self.rpe_clip,
+            dtype=self.dtype,
+        )
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
 def config_from_mapping(mapping: dict) -> TrainConfig:
-    """Build a TrainConfig from string-valued keys, coercing field types."""
+    """Build a TrainConfig from string- or JSON-valued keys, coercing field types."""
     kwargs = {}
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
     for key, value in mapping.items():
@@ -82,6 +103,8 @@ def config_from_mapping(mapping: dict) -> TrainConfig:
                 value = int(value)
             elif target == "float":
                 value = float(value)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[target]):
+            raise ValueError(f"config key {key!r} expects {target}, found {value!r}")
         kwargs[key] = value
     return TrainConfig(**kwargs)
 
@@ -185,8 +208,19 @@ class Adam:
             params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+# the checkpoint meta holds exactly what loading reads
+_META_TYPES = dict(num_entities=int, num_relations=int, vocab_hash=str, train_config=dict, step=int)
+_MOMENT_PREFIXES = ("adam.m.", "adam.v.")
+
+
 @dataclass
 class Checkpoint:
+    """A trained model with its config, Adam moments and step count.
+
+    ``save``/``load`` are the only writer and reader of checkpoint files,
+    which hold each parameter and its Adam moments ('adam.m.'/'adam.v.' + name).
+    """
+
     model: QueryModel
     config: TrainConfig
     moments: Adam
@@ -194,37 +228,60 @@ class Checkpoint:
     history: list = field(default_factory=list)
 
     def save(self, path):
-        extra_tensors = {}
-        for name, arr in self.moments.m.items():
-            extra_tensors[f"adam.m.{name}"] = arr
-        for name, arr in self.moments.v.items():
-            extra_tensors[f"adam.v.{name}"] = arr
-        self.model.save(
-            path,
-            extra_meta={"train_config": self.config.to_dict(), "step": self.step},
-            extra_tensors=extra_tensors,
-        )
+        tensors = dict(self.model.parameters())
+        for prefix, moments in zip(_MOMENT_PREFIXES, (self.moments.m, self.moments.v)):
+            tensors.update({prefix + name: arr for name, arr in moments.items()})
+        vocab = self.model.vocab
+        meta = {
+            "num_entities": vocab.num_entities,
+            "num_relations": vocab.num_relations,
+            "vocab_hash": vocab.layout_hash(),
+            "train_config": self.config.to_dict(),
+            "step": self.step,
+        }
+        save_checkpoint(path, meta, tensors)
 
     @staticmethod
     def load(path) -> "Checkpoint":
-        model, meta, leftover = QueryModel.load(path)
-        config = config_from_mapping(meta.get("train_config", {}))
-        adam = Adam(
-            model.parameters(),
-            config.learning_rate,
-            config.adam_beta1,
-            config.adam_beta2,
-            config.adam_eps,
-        )
-        for moments, prefix in ((adam.m, "adam.m."), (adam.v, "adam.v.")):
-            for name, zeros in moments.items():
-                arr = leftover.get(prefix + name)
-                if arr is None or arr.shape != zeros.shape:
-                    found = "missing" if arr is None else arr.shape
-                    raise CheckpointError(f"{prefix}{name}: expected shape {zeros.shape}, found {found}")
-                moments[name] = arr
-        adam.step_count = meta.get("step", 0)
-        return Checkpoint(model, config, adam, meta.get("step", 0))
+        """Rebuild a checkpoint, raising :class:`CheckpointError` for any file it refuses.
+
+        The encoder is rebuilt from ``train_config``; the file must hold exactly its
+        parameters and their Adam moments, in the shapes it defines and the config's dtype.
+        """
+        meta, tensors = load_checkpoint(path)
+        for key, kind in _META_TYPES.items():
+            if not isinstance(meta.get(key), kind) or isinstance(meta.get(key), bool):
+                raise CheckpointError(f"{path}: meta needs {key!r} of type {kind.__name__}")
+        vocab = Vocabulary(meta["num_relations"], meta["num_entities"])
+        if vocab.layout_hash() != meta["vocab_hash"]:
+            raise CheckpointError(f"{path}: vocabulary layout hash mismatch (another universe)")
+        try:
+            config = config_from_mapping(meta["train_config"])
+            # the random init only fixes the shapes: every parameter is replaced below
+            rng = np.random.default_rng(0)
+            encoder = make_encoder(config.arch, config.d, rng, **config.encoder_options())
+        except (ValueError, ArithmeticError) as exc:
+            raise CheckpointError(f"{path}: train_config does not describe a model: {exc}") from None
+
+        shapes = {"table": (vocab.size, config.d)}
+        shapes.update({f"enc.{k}": v.shape for k, v in encoder.params.items()})
+        expected = {p + name: shape for p in ("",) + _MOMENT_PREFIXES for name, shape in shapes.items()}
+        if tensors.keys() != expected.keys():
+            missing = sorted(expected.keys() - tensors.keys())
+            unexpected = sorted(tensors.keys() - expected.keys())
+            raise CheckpointError(f"{path}: missing tensors {missing}, unexpected tensors {unexpected}")
+        dtype = np.dtype(config.dtype)
+        for name, arr in tensors.items():
+            if arr.shape != expected[name] or arr.dtype != dtype:
+                raise CheckpointError(
+                    f"{path}: {name}: expected {expected[name]} {dtype}, found {arr.shape} {arr.dtype}"
+                )
+        encoder.params = {k: tensors[f"enc.{k}"] for k in encoder.params}
+        model = QueryModel(vocab, EmbeddingTable(vocab, tensors["table"]), encoder)
+        adam = Adam({}, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
+        adam.m, adam.v = ({n: tensors[prefix + n] for n in shapes} for prefix in _MOMENT_PREFIXES)
+        adam.step_count = meta["step"]
+        return Checkpoint(model, config, adam, meta["step"])
 
 
 def _batches(pairs: list[Pair], order: np.ndarray, batch_size: int, group_types: bool):
@@ -267,17 +324,7 @@ def train(
     given together with ``cfg.eval_every``, is called periodically (the
     validation-swap metric hook) and its value lands in the history log.
     """
-    model = new_model(
-        vocab,
-        cfg.arch,
-        cfg.d,
-        cfg.seed,
-        layers=cfg.layers,
-        heads=cfg.heads,
-        max_len=cfg.max_len,
-        rpe_clip=cfg.rpe_clip,
-        dtype=cfg.dtype,
-    )
+    model = new_model(vocab, cfg.arch, cfg.d, cfg.seed, **cfg.encoder_options())
     params = model.parameters()
     adam = Adam(params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     pairs, _ = make_pairs(dataset, model)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from cqakit.graph import split_edges, synthetic_graph
@@ -31,3 +34,51 @@ def desk_dataset(desk_layers):
 @pytest.fixture(scope="session")
 def desk_vocab(desk_layers):
     return build_vocabulary(desk_layers.test)
+
+
+
+def _merged(default: dict, edit):
+    if isinstance(edit, dict):
+        return {**default, **edit}
+    return default if edit is None else edit
+
+
+@pytest.fixture
+def handmade_dataset(tmp_path):
+    """Write a one-record dataset file whose header checksum and count match.
+
+    ``record`` and ``header`` replace fields of a valid record and header,
+    or the whole line when they are not dicts.
+    """
+
+    def write(record=None, header=None):
+        record = _merged(
+            {
+                "type": "(p,(e))",
+                "query": "(p,(0),(e,(2)))",
+                "train_answers": [4],
+                "valid_answers": [4, 7],
+                "test_answers": [4, 7, 9],
+            },
+            record,
+        )
+        body = json.dumps(record, sort_keys=True) + "\n"
+        header = _merged(
+            {
+                "format": "cqakit-dataset",
+                "version": 1,
+                "kg": "hand",
+                "seed": 0,
+                "config_hash": "deadbeef",
+                "num_entities": 10,
+                "num_relations": 1,
+                "checksum": hashlib.sha256(body.encode()).hexdigest(),
+                "num_records": 1,
+            },
+            header,
+        )
+        path = tmp_path / "hand.jsonl"
+        path.write_text(json.dumps(header, sort_keys=True) + "\n" + body)
+        return path
+
+    return write

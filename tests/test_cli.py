@@ -3,7 +3,11 @@ import json
 import pytest
 
 from cqakit.cli import main
+from cqakit.encoders import load_checkpoint, save_checkpoint
 from cqakit.graph import split_edges, synthetic_graph
+from cqakit.linearize import Vocabulary
+from cqakit.sampler import Dataset
+from cqakit.training import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +163,6 @@ def test_threads_flag_rejected(capsys):
 
 
 def test_eval_checkpoint_without_table_exits_two(capsys, kg_dir, tmp_path):
-    from cqakit.encoders import load_checkpoint, save_checkpoint
-
     data, ckpt = tmp_path / "d.jsonl", tmp_path / "m.ckpt"
     assert main(["generate", "--kg", str(kg_dir), "--types", "conj", "--count", "1",
                  "--seed", "3", "--out", str(data)]) == 0
@@ -183,3 +185,77 @@ def test_negative_id_in_triple_file_exits_two(tmp_path, capsys):
     assert code == 2
     assert "negative entity id -3" in err
     assert "Traceback" not in err
+
+
+def untrained_checkpoint(path, num_relations, num_entities):
+    train(TrainConfig(d=8, epochs=0), Dataset(), Vocabulary(num_relations, num_entities)).save(path)
+    return path
+
+
+def test_eval_checkpoint_without_train_config_exits_two(capsys, handmade_dataset, tmp_path):
+    ckpt = untrained_checkpoint(tmp_path / "m.ckpt", 1, 10)
+    meta, tensors = load_checkpoint(ckpt)
+    del meta["train_config"]
+    save_checkpoint(ckpt, meta, tensors)
+    code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(handmade_dataset()))
+    assert code == 2
+    assert "train_config" in err
+    assert "Traceback" not in err and "mean_over_types" not in out
+
+
+def test_eval_universe_mismatch_exits_two(capsys, kg_dir, tmp_path):
+    data = tmp_path / "d.jsonl"
+    assert main(["generate", "--kg", str(kg_dir), "--types", "conj", "--count", "1",
+                 "--seed", "3", "--out", str(data)]) == 0
+    header = json.loads(data.read_text().splitlines()[0])
+    assert header["num_entities"] == 60
+    ckpt = untrained_checkpoint(tmp_path / "m.ckpt", header["num_relations"], 100)
+    capsys.readouterr()
+    code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))
+    assert code == 2
+    assert "dataset universe (60 entities" in err and "(100 entities" in err
+    assert "Traceback" not in err and "mean_over_types" not in out
+
+
+@pytest.mark.parametrize("command,record,header", [
+    ("eval", {"test_answers": [4, 100000]}, None),
+    ("eval", {"test_answers": 5}, None),
+    ("train", {"test_answers": 5}, None),
+    ("eval", ["a", "b"], None),
+    ("eval", None, [1, 2]),
+], ids=["answer-id-too-large", "answers-not-a-list", "train-answers-not-a-list", "record-not-object",
+        "header-not-object"])
+def test_malformed_dataset_exits_two(command, record, header, capsys, handmade_dataset, tmp_path):
+    data = handmade_dataset(record, header)
+    ckpt = tmp_path / "m.ckpt"
+    if command == "eval":
+        untrained_checkpoint(ckpt, 1, 10)
+        argv = ["eval", "--ckpt", str(ckpt), "--data", str(data)]
+    else:
+        argv = ["train", "--data", str(data), "--out", str(ckpt), "--set", "epochs=1", "--set", "d=8"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert f"{data}:" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_eval_damaged_files_exit_two(capsys, handmade_dataset, tmp_path):
+    data = handmade_dataset()
+    ckpt = untrained_checkpoint(tmp_path / "m.ckpt", 1, 10)
+    assert run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))[0] == 0
+    good_ckpt, good_data = ckpt.read_bytes(), data.read_bytes()
+    magic, manifest, payload = good_ckpt.split(b"\n", 2)
+    entry = b'{"name":"table","offset":0}'
+    for damaged_ckpt, damaged_data in (
+        (good_ckpt[: len(good_ckpt) // 2], good_data),  # truncated checkpoint
+        (b"\n".join([magic, b"5", payload]), good_data),  # manifest not an object
+        (b"\n".join([magic, manifest.replace(b'"tensors":[', b'"tensors":[' + entry + b","), payload]),
+         good_data),  # tensor entry without dtype, shape and size
+        (good_ckpt, b"[1,2]\n"),  # dataset header not an object
+        (good_ckpt, b"\xfe\xff garbage \x00\n"),  # dataset that is not UTF-8
+    ):
+        ckpt.write_bytes(damaged_ckpt)
+        data.write_bytes(damaged_data)
+        code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))
+        assert code == 2, err
+        assert err.count("error: ") == 1 and "Traceback" not in err and out == ""

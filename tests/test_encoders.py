@@ -1,12 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from cqakit.encoders import (
-    DESK_SCALE,
-    FULL_SCALE,
     CheckpointError,
     EmbeddingTable,
-    QueryModel,
     grad_check,
     load_checkpoint,
     new_model,
@@ -15,10 +14,13 @@ from cqakit.encoders import (
     save_checkpoint,
     score_all,
 )
+from cqakit.encoders.checkpoint import MAGIC
 from cqakit.encoders.gradcheck import NonFiniteLossError
 from cqakit.linearize import PAD, Vocabulary, linearize
 from cqakit.queries import anchor, parse_grounded
 from cqakit.rng import make_rng
+from cqakit.sampler import Dataset
+from cqakit.training import Checkpoint, TrainConfig, train
 
 VOCAB = Vocabulary(num_relations=5, num_entities=20)
 GRAPHS = [
@@ -144,8 +146,6 @@ def test_architecture_names():
     assert normalize_arch("transformer-rpe") == "Transformer-RPE"
     with pytest.raises(ValueError):
         normalize_arch("cnn")
-    assert FULL_SCALE == {"d": 400, "layers": 3, "heads": 16}
-    assert DESK_SCALE["d"] == 64
 
 
 # -- gradient verification ---------------------------------------------------
@@ -201,18 +201,36 @@ def test_grad_check_nonfinite_loss():
 # -- checkpoints ---------------------------------------------------------------
 
 
+def saved_checkpoint(path, arch, seed, **config):
+    """Write the untrained (epochs=0) checkpoint of a d=8 model over VOCAB."""
+    ckpt = train(TrainConfig(arch=arch, d=8, epochs=0, seed=seed, **config), Dataset(), VOCAB)
+    ckpt.save(path)
+    return ckpt
+
+
+def tamper(path, edit):
+    """Rewrite a checkpoint after ``edit(meta, tensors)``, with a valid checksum."""
+    meta, tensors = load_checkpoint(path)
+    edit(meta, tensors)
+    save_checkpoint(path, meta, tensors)
+
+
+def assert_same_model(a, b):
+    assert a.arch == b.arch and a.d == b.d
+    for name, arr in a.parameters().items():
+        np.testing.assert_array_equal(arr, b.parameters()[name])
+    out_a, _ = a.encode(a.prepare(GRAPHS))
+    out_b, _ = b.encode(b.prepare(GRAPHS))
+    np.testing.assert_array_equal(out_a, out_b)
+
+
 def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "m.ckpt"
-    model = new_model(VOCAB, "LSTM", d=8, seed=12, layers=2)
-    model.save(path)
-    loaded, meta, leftover = QueryModel.load(path)
-    assert meta["arch"] == "LSTM" and meta["d"] == 8
-    assert not leftover
-    for name, arr in model.parameters().items():
-        np.testing.assert_array_equal(arr, loaded.parameters()[name])
-    out_a, _ = model.encode(model.prepare(GRAPHS))
-    out_b, _ = loaded.encode(loaded.prepare(GRAPHS))
-    np.testing.assert_array_equal(out_a, out_b)
+    saved = saved_checkpoint(path, "LSTM", seed=12)
+    loaded = Checkpoint.load(path)
+    assert loaded.config == saved.config and loaded.step == 0
+    assert loaded.model.arch == "LSTM" and loaded.model.d == 8
+    assert_same_model(saved.model, loaded.model)
 
 
 TREE_PARAM_NAMES = {
@@ -224,60 +242,114 @@ TREE_PARAM_NAMES = {
 @pytest.mark.parametrize("arch", sorted(TREE_PARAM_NAMES))
 def test_tree_checkpoint_round_trip(arch, tmp_path):
     path = tmp_path / "m.ckpt"
-    model = new_model(VOCAB, arch, d=8, seed=15)
-    assert set(model.encoder.params) == TREE_PARAM_NAMES[arch]
-    model.save(path)
+    saved = saved_checkpoint(path, arch, seed=15)
+    assert set(saved.model.encoder.params) == TREE_PARAM_NAMES[arch]
     _, tensors = load_checkpoint(path)
-    assert set(tensors) == {"table"} | {f"enc.{k}" for k in TREE_PARAM_NAMES[arch]}
-    loaded, meta, leftover = QueryModel.load(path)
-    assert meta["arch"] == arch and not leftover
-    out_a, _ = model.encode(model.prepare(GRAPHS))
-    out_b, _ = loaded.encode(loaded.prepare(GRAPHS))
-    np.testing.assert_array_equal(out_a, out_b)
+    names = {"table"} | {f"enc.{k}" for k in TREE_PARAM_NAMES[arch]}
+    assert set(tensors) == {prefix + n for prefix in ("", "adam.m.", "adam.v.") for n in names}
+    assert_same_model(saved.model, Checkpoint.load(path).model)
 
 
 @pytest.mark.parametrize("arch,dropped", [("TreeLSTM", "enc.Wf"), ("LSTM", "table"),
                                           ("TreeLSTM-NoMemoryCell", "table")])
 def test_checkpoint_missing_tensor_rejected(arch, dropped, tmp_path):
     path = tmp_path / "m.ckpt"
-    new_model(VOCAB, arch, d=8, seed=16).save(path)
-    meta, tensors = load_checkpoint(path)
-    del tensors[dropped]
-    save_checkpoint(path, meta, tensors)
+    saved_checkpoint(path, arch, seed=16)
+    tamper(path, lambda meta, tensors: tensors.pop(dropped))
     with pytest.raises(CheckpointError, match=dropped):
-        QueryModel.load(path)
+        Checkpoint.load(path)
 
 
 def test_checkpoint_table_shape_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
-    new_model(VOCAB, "TreeLSTM", d=8, seed=17).save(path)
-    meta, tensors = load_checkpoint(path)
-    tensors["table"] = tensors["table"][:, :4]
-    save_checkpoint(path, meta, tensors)
+    saved_checkpoint(path, "TreeLSTM", seed=17)
+    tamper(path, lambda meta, tensors: tensors.update(table=tensors["table"][:, :4]))
     with pytest.raises(CheckpointError, match="table"):
-        QueryModel.load(path)
+        Checkpoint.load(path)
 
 
 def test_checkpoint_vocab_hash_mismatch(tmp_path):
     path = tmp_path / "m.ckpt"
-    model = new_model(VOCAB, "LSTM", d=8, seed=13)
-    model.save(path)
-    meta, tensors = load_checkpoint(path)
-    meta["num_entities"] = 21  # table no longer matches the recorded layout
-    save_checkpoint(path, meta, tensors)
+    saved_checkpoint(path, "LSTM", seed=13)
+    # the table no longer matches the recorded layout
+    tamper(path, lambda meta, tensors: meta.update(num_entities=21))
     with pytest.raises(CheckpointError, match="vocabulary layout"):
-        QueryModel.load(path)
+        Checkpoint.load(path)
 
 
 def test_checkpoint_detects_corruption(tmp_path):
     path = tmp_path / "m.ckpt"
-    model = new_model(VOCAB, "LSTM", d=8, seed=14)
-    model.save(path)
+    saved_checkpoint(path, "LSTM", seed=14)
     blob = bytearray(path.read_bytes())
     blob[-3] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="checksum"):
+        Checkpoint.load(path)
+
+
+def test_checkpoint_one_dtype(tmp_path):
+    path = tmp_path / "m.ckpt"
+    saved = saved_checkpoint(path, "Transformer-RPE", seed=18, heads=2, precision="single")
+    loaded = Checkpoint.load(path)
+    assert {arr.dtype for arr in loaded.model.parameters().values()} == {np.dtype(np.float32)}
+    assert_same_model(saved.model, loaded.model)
+    saved_checkpoint(path, "LSTM", seed=18)
+    tamper(path, lambda meta, tensors: tensors.update(table=tensors["table"].astype(np.float32)))
+    with pytest.raises(CheckpointError, match="table: expected .* float64, found .* float32"):
+        Checkpoint.load(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda meta, tensors: tensors.update({"enc.extra": np.zeros(3)}), r"unexpected tensors \['enc.extra'\]"),
+    (lambda meta, tensors: meta.pop("train_config"), "meta needs 'train_config' of type dict"),
+    (lambda meta, tensors: meta.update(step="7"), "meta needs 'step' of type int"),
+    (lambda meta, tensors: meta["train_config"].update(arch=5), "config key 'arch' expects str"),
+    (lambda meta, tensors: meta["train_config"].update(arch="CNN"), "unknown architecture"),
+], ids=["extra-tensor", "no-train-config", "string-step", "numeric-arch", "unknown-arch"])
+def test_checkpoint_bad_meta_or_tensors_rejected(edit, match, tmp_path):
+    path = tmp_path / "m.ckpt"
+    saved_checkpoint(path, "TreeLSTM", seed=19)
+    tamper(path, edit)
+    with pytest.raises(CheckpointError, match=match):
+        Checkpoint.load(path)
+
+
+def edit_entry(index, **fields):
+    def edit(manifest):
+        manifest["tensors"][index].update(fields)
+        return json.dumps(manifest)
+
+    return edit
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda manifest: "5", "manifest is not an object"),
+    (lambda manifest: "[" * 100_000 + "]" * 100_000, "bad manifest"),
+    (edit_entry(0, dtype=None), "tensor entry needs 'dtype' of type str"),
+    (edit_entry(0, dtype="<f2"), "unsupported dtype '<f2'"),
+    (edit_entry(0, shape=[-4, 2]), r"bad shape \[-4, 2\]"),
+    (edit_entry(0, nbytes=8), "do not hold shape"),
+    (edit_entry(-1, offset=10**6), "do not hold shape"),
+    (lambda manifest: json.dumps({**manifest, "tensors": manifest["tensors"] * 2}), "listed twice"),
+], ids=["number", "deep-nesting", "entry-without-dtype", "unknown-dtype", "negative-dim", "size-not-shape", "past-payload",
+        "listed-twice"])
+def test_checkpoint_bad_manifest_rejected(edit, match, tmp_path):
+    path = tmp_path / "m.ckpt"
+    saved_checkpoint(path, "LSTM", seed=21)
+    _, manifest, payload = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(MAGIC + edit(json.loads(manifest)).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_older_meta_keys_loads(tmp_path):
+    # earlier writers also recorded the architecture and sizes beside train_config
+    path = tmp_path / "m.ckpt"
+    saved = saved_checkpoint(path, "Transformer-APE", seed=20, heads=2)
+    older = {"arch": "Transformer-APE", "d": 8, "layers": 2, "heads": 2, "max_len": 64,
+             "rpe_clip": 16, "readout": "position0"}
+    tamper(path, lambda meta, tensors: meta.update(older))
+    assert_same_model(saved.model, Checkpoint.load(path).model)
 
 
 def test_positional_schemes_differ():

@@ -1,11 +1,14 @@
-"""Property tests over randomly generated query trees and graphs."""
+"""Property tests over randomly generated query trees, graphs and damaged files."""
 
+import functools
 import os
 import tempfile
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from cqakit.encoders import CheckpointError
+from cqakit.encoders.checkpoint import MAGIC
 from cqakit.graph import KnowledgeGraph, layer_graphs
 from cqakit.linearize import LPAREN, RPAREN, Vocabulary, delinearize, linearize, sequence_length
 from cqakit.queries import (
@@ -18,7 +21,9 @@ from cqakit.queries import (
     serialize_grounded,
     union,
 )
+from cqakit.sampler import Dataset, DatasetFormatError, GroundedQueryRecord, read_dataset, write_dataset
 from cqakit.symbolic import answer, answer_dnf, to_dnf
+from cqakit.training import Checkpoint, TrainConfig, train
 
 NUM_ENTITIES = 24
 NUM_RELATIONS = 4
@@ -131,3 +136,81 @@ def test_layer_builder_matches_naive_reference(data):
 def test_oracle_agreement_on_random_instances(edges, tree):
     kg = KnowledgeGraph.from_edges(edges, NUM_ENTITIES, NUM_RELATIONS)
     assert answer_dnf(kg, to_dnf(tree)) == answer(kg, tree)
+
+
+# -- file readers under damaged input ------------------------------------------
+
+
+def written_bytes(write) -> bytes:
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "file")
+        write(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@functools.cache
+def checkpoint_bytes() -> bytes:
+    cfg = TrainConfig(arch="Transformer-RPE", d=4, layers=1, heads=2, max_len=8, rpe_clip=2, epochs=0)
+    return written_bytes(train(cfg, Dataset(), VOCAB).save)
+
+
+@functools.cache
+def dataset_bytes() -> bytes:
+    dataset = Dataset(num_entities=NUM_ENTITIES, num_relations=NUM_RELATIONS)
+    for text, answers in (("(p,(1),(e,(3)))", {2, 23}), ("(i,(p,(0),(e,(5))),(p,(3),(e,(7))))", {9})):
+        query = parse_grounded(text)
+        record = GroundedQueryRecord(query_type_of(query).formula_text, query, frozenset(answers),
+                                     frozenset(answers), frozenset(answers | {11}))
+        dataset.records.setdefault(record.type_formula, []).append(record)
+    return written_bytes(lambda path: write_dataset(dataset, path))
+
+
+def damaged(blob: bytes, head: int):
+    """Truncations, byte flips (half of them inside the first ``head`` bytes,
+    where the manifest or header sits) and garbage, with or without the
+    original head in front."""
+    position = st.integers(0, head - 1) | st.integers(0, len(blob) - 1)
+
+    def flip(edits):
+        out = bytearray(blob)
+        for i, mask in edits:
+            out[i] ^= mask
+        return bytes(out)
+
+    return st.one_of(
+        st.integers(0, len(blob) - 1).map(lambda n: blob[:n]),
+        st.lists(st.tuples(position, st.integers(1, 255)), min_size=1, max_size=3).map(flip),
+        st.binary(max_size=80),
+        st.binary(max_size=80).map(lambda tail: blob[:head] + tail),
+    )
+
+
+def read_damaged(blob: bytes, read):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "file")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        read(path)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_checkpoint_reader_raises_only_checkpoint_error(data):
+    blob = checkpoint_bytes()
+    damaged_blob = data.draw(damaged(blob, blob.index(b"\n", len(MAGIC)) + 1))
+    try:
+        read_damaged(damaged_blob, Checkpoint.load)
+    except CheckpointError:
+        pass
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_dataset_reader_raises_only_dataset_format_error(data):
+    blob = dataset_bytes()
+    damaged_blob = data.draw(damaged(blob, blob.index(b"\n") + 1))
+    try:
+        read_damaged(damaged_blob, read_dataset)
+    except DatasetFormatError:
+        pass

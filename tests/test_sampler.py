@@ -146,64 +146,14 @@ def test_dataset_round_trip(desk_layers, tmp_path):
     assert read_dataset(path) == ds
 
 
-def test_read_rejects_unsorted_answers(tmp_path):
-    ds = Dataset(provenance=Provenance("k", 0, "h"), num_entities=5, num_relations=1)
-    path = tmp_path / "bad.jsonl"
-    write_dataset(ds, path)
-    header = path.read_text().splitlines()[0]
-    record = json.dumps(
-        {
-            "type": "(p,(e))",
-            "query": "(p,(0),(e,(1)))",
-            "train_answers": [3, 1],
-            "valid_answers": [1, 3],
-            "test_answers": [1, 3],
-        }
-    )
-    doctored = json.loads(header)
-    import hashlib
-
-    body = record + "\n"
-    doctored["checksum"] = hashlib.sha256(body.encode()).hexdigest()
-    doctored["num_records"] = 1
-    path.write_text(json.dumps(doctored, sort_keys=True, separators=(",", ":")) + "\n" + body)
+def test_read_rejects_unsorted_answers(handmade_dataset):
     with pytest.raises(DatasetFormatError, match=":2: train_answers not sorted"):
-        read_dataset(path)
+        read_dataset(handmade_dataset({"train_answers": [3, 1]}))
 
 
-def test_read_handwritten_record(tmp_path):
-    import hashlib
-
-    record = json.dumps(
-        {
-            "type": "(p,(e))",
-            "query": "(p,(0),(e,(2)))",
-            "train_answers": [4],
-            "valid_answers": [4, 7],
-            "test_answers": [4, 7, 9],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    body = record + "\n"
-    header = json.dumps(
-        {
-            "format": "cqakit-dataset",
-            "version": 1,
-            "kg": "hand",
-            "seed": 0,
-            "config_hash": "deadbeef",
-            "num_entities": 10,
-            "num_relations": 1,
-            "checksum": hashlib.sha256(body.encode()).hexdigest(),
-            "num_records": 1,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    path = tmp_path / "hand.jsonl"
-    path.write_text(header + "\n" + body)
-    ds = read_dataset(path)
+def test_read_handwritten_record(handmade_dataset):
+    ds = read_dataset(handmade_dataset())
+    assert (ds.provenance.kg_name, ds.num_entities, ds.num_relations) == ("hand", 10, 1)
     (record_obj,) = list(ds.iter_records())
     assert record_obj == GroundedQueryRecord(
         type_formula="(p,(e))",
@@ -231,6 +181,27 @@ def test_read_rejects_checksum_and_version(tmp_path, desk_layers):
     )
     with pytest.raises(DatasetFormatError, match="version mismatch"):
         read_dataset(tmp_path / "t2.jsonl")
+
+
+@pytest.mark.parametrize("record,header,match", [
+    ({"test_answers": [4, 7, 100000]}, None, r":2: test_answers not sorted strictly ascending inside \[0, 10\)"),
+    ({"valid_answers": [-1, 4]}, None, ":2: valid_answers not sorted strictly ascending"),
+    ({"test_answers": 5}, None, ":2: test_answers is not a list of integer entity ids"),
+    ({"train_answers": [True]}, None, ":2: train_answers is not a list of integer entity ids"),
+    (["a", "b"], None, ":2: record is not a JSON object"),
+    ({"query": 7}, None, ":2: missing string field 'query'"),
+    ({"query": "(p,(0),(e,(10)))"}, None, r":2: bad query: entity id 10 out of range \[0, 10\)"),
+    ({"query": "(p,(1),(e,(2)))"}, None, r":2: bad query: relation id 1 out of range \[0, 1\)"),
+    ({"query": "(p,(0)"}, None, ":2: bad query"),
+    ({"query": "(p,(0)," * 3000 + "(e,(1))" + ")" * 3000}, None, ":2: bad query"),
+    (None, [1, 2], ":1: not a cqakit-dataset file"),
+    (None, {"num_entities": "10"}, ":1: header lacks a non-negative integer 'num_entities'"),
+], ids=["answer-id-too-large", "answer-id-negative", "answers-not-a-list", "answer-bool", "record-not-object",
+        "query-not-a-string", "query-entity-outside", "query-relation-outside", "query-syntax", "query-too-deep",
+        "header-not-object", "header-universe-string"])
+def test_read_rejects_malformed_fields(record, header, match, handmade_dataset):
+    with pytest.raises(DatasetFormatError, match=match):
+        read_dataset(handmade_dataset(record, header))
 
 
 def test_reference_full_scale_counts_recorded():
