@@ -26,6 +26,7 @@ from .queries import (
     builtin_query_types,
     parse_formula,
     parse_grounded,
+    validate_ids,
 )
 from .sampler import (
     DatasetFormatError,
@@ -129,7 +130,7 @@ def cmd_linearize(args) -> int:
     if args.kg:
         layers = _kg_dir(args.kg)
         vocab = build_vocabulary(layers.test)
-        parse_grounded(args.query, layers.test)  # id validation
+        validate_ids(query, vocab.num_entities, vocab.num_relations)
     else:
         max_rel = max((n.relation for n in query.walk() if n.relation is not None), default=-1)
         max_ent = max((n.entity for n in query.walk() if n.entity is not None), default=-1)

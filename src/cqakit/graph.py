@@ -268,22 +268,30 @@ class GraphLayers:
             raise ValueError(f"unknown layer {name!r} (expected train/valid/test)") from None
 
 
+def _lines(path):
+    """``(line number, line)`` for each non-empty line of a UTF-8 text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_dictionary(path) -> dict[str, int]:
     """Read an ``id<TAB>label`` file into a label → id map."""
     mapping: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected 'id<TAB>label'")
-            try:
-                idx = int(parts[0])
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: non-integer id {parts[0]!r}") from None
-            mapping[parts[1]] = idx
+    for lineno, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise GraphFormatError(f"{path}:{lineno}: expected 'id<TAB>label'")
+        try:
+            idx = int(parts[0])
+        except ValueError:
+            raise GraphFormatError(f"{path}:{lineno}: non-integer id {parts[0]!r}") from None
+        mapping[parts[1]] = idx
     return mapping
 
 
@@ -310,21 +318,17 @@ def read_triples(
     ent_size = len(entity_dict) if entity_dict is not None else None
     rel_size = len(relation_dict) if relation_dict is not None else None
     triples: list[EdgeTriple] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            where = f"{path}:{lineno}"
-            if len(parts) != 3:
-                raise GraphFormatError(f"{where}: expected 3 tab-separated fields, got {len(parts)}")
-            if parts[1] == "":
-                raise GraphFormatError(f"{where}: empty relation field")
-            h = _resolve(parts[0], entity_dict, ent_size, "entity", where)
-            r = _resolve(parts[1], relation_dict, rel_size, "relation", where)
-            t = _resolve(parts[2], entity_dict, ent_size, "entity", where)
-            triples.append(EdgeTriple(h, r, t))
+    for lineno, line in _lines(path):
+        parts = line.split("\t")
+        where = f"{path}:{lineno}"
+        if len(parts) != 3:
+            raise GraphFormatError(f"{where}: expected 3 tab-separated fields, got {len(parts)}")
+        if parts[1] == "":
+            raise GraphFormatError(f"{where}: empty relation field")
+        h = _resolve(parts[0], entity_dict, ent_size, "entity", where)
+        r = _resolve(parts[1], relation_dict, rel_size, "relation", where)
+        t = _resolve(parts[2], entity_dict, ent_size, "entity", where)
+        triples.append(EdgeTriple(h, r, t))
     return triples
 
 

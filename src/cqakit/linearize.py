@@ -24,10 +24,6 @@ from .queries import (
     QueryNode,
     QueryStructureError,
     anchor,
-    intersection,
-    negation,
-    projection,
-    union,
 )
 
 PAD = 0
@@ -184,17 +180,7 @@ def delinearize(tokens: TokenSequence, vocab: Vocabulary) -> ComputationGraph:
             fail("unbalanced parentheses: missing '[)]'")
         pos += 1  # consume RPAREN
         try:
-            if kind is OperatorKind.PROJECTION:
-                if len(children) != 1:
-                    raise QueryStructureError(f"projection with {len(children)} children")
-                return projection(relation, children[0])
-            if kind is OperatorKind.NEGATION:
-                if len(children) != 1:
-                    raise QueryStructureError(f"negation with {len(children)} children")
-                return negation(children[0])
-            if kind is OperatorKind.INTERSECTION:
-                return intersection(*children)
-            return union(*children)
+            return QueryNode(kind, relation=relation, children=tuple(children))
         except QueryStructureError as exc:
             raise TokenizationError(str(exc)) from None
 

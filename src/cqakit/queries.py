@@ -8,13 +8,17 @@ nodes. Two textual forms exist:
   anchor ``(e,(<ENT>))``, projection ``(p,(<REL>),<SUB>)``,
   intersection ``(i,<SUB>,<SUB>,...)``, union ``(u,...)``, negation ``(n,<SUB>)``.
 
-Child order is preserved verbatim so serialization and linearization are
-deterministic.
+Both forms are read by one reader, which accepts exactly what the printers
+write plus optional ASCII whitespace (``string.whitespace``) between tokens:
+ids are ASCII decimal integers without leading zeros. Child order is
+preserved verbatim so serialization and linearization are deterministic.
 """
 
 from __future__ import annotations
 
 import enum
+import json
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -56,17 +60,18 @@ class QueryNode:
     def __post_init__(self):
         k, n = self.kind, len(self.children)
         if k is OperatorKind.ANCHOR:
-            ok = n == 0 and self.relation is None
-        elif k is OperatorKind.PROJECTION:
-            ok = n == 1 and self.entity is None
-        elif k is OperatorKind.NEGATION:
-            ok = n == 1 and self.relation is None and self.entity is None
+            rule, ok = "no children", n == 0
+        elif k is OperatorKind.PROJECTION or k is OperatorKind.NEGATION:
+            rule, ok = "exactly 1 child", n == 1
         else:  # intersection / union
-            ok = n >= 2 and self.relation is None and self.entity is None
+            rule, ok = "at least 2 children", n >= 2
         if not ok:
+            raise QueryStructureError(f"{k.name.lower()} takes {rule}, got {n}")
+        if (self.relation is not None and k is not OperatorKind.PROJECTION) or (
+            self.entity is not None and k is not OperatorKind.ANCHOR
+        ):
             raise QueryStructureError(
-                f"{k.name.lower()} node with {n} children"
-                + ("" if k is not OperatorKind.ANCHOR else f", relation={self.relation}")
+                f"{k.name.lower()} node cannot carry relation={self.relation}, entity={self.entity}"
             )
 
     def walk(self) -> Iterator["QueryNode"]:
@@ -137,124 +142,69 @@ class QueryType:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / recursive-descent parsers
+# reader: query text is JSON once brackets and operator letters are rewritten
+
+_OUTSIDE_GRAMMAR = re.compile(r"[^(),0-9epiun \t\n\r\v\f]")
+_TO_JSON = str.maketrans(
+    {"(": "[", ")": "]", "\v": " ", "\f": " ", **{k.value: f'"{k.value}"' for k in OperatorKind}}
+)
+_FROM_JSON = str.maketrans({"[": "(", "]": ")", '"': None})
 
 
-class _Token(NamedTuple):
-    kind: str  # "(", ")", ",", "op", "int"
-    value: str
-    pos: int
+def _decode(text: str) -> object:
+    """Nested lists of the text: ``(p,(3),(e,(5)))`` → ``["p", [3], ["e", [5]]]``."""
+    bad = _OUTSIDE_GRAMMAR.search(text)
+    if bad:
+        what = "unknown operator" if bad.group().isalpha() else "unexpected character"
+        raise QuerySyntaxError(f"{what} {bad.group()!r} at position {bad.start()}")
+    source = text.translate(_TO_JSON)
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        if exc.pos >= len(source):
+            raise QuerySyntaxError("unexpected end of input") from None
+        where = exc.pos - source.count('"', 0, exc.pos)  # each operator letter gained two quotes
+        what = "trailing garbage" if exc.msg == "Extra data" else exc.msg.lower()
+        raise QuerySyntaxError(f"{what} at position {where}") from None
+    except ValueError as exc:  # an id past the interpreter's integer-digit limit
+        raise QuerySyntaxError(str(exc)) from None
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-        elif ch.isalpha():
-            tokens.append(_Token("op", ch, i))
-            i += 1
-        else:
-            raise QuerySyntaxError(f"unexpected character {ch!r} at position {i}")
-    return tokens
+def _build(item: object, grounded: bool) -> QueryNode:
+    """One node from ``[letter, (id group,) child, ...]``; arity is QueryNode's to check."""
+    if type(item) is not list or not item or type(item[0]) is not str:
+        found = json.dumps(item, separators=(",", ":")).translate(_FROM_JSON)
+        raise QuerySyntaxError(f"expected '(<operator>,...)', found {found!r}")
+    kind = _LETTER_TO_KIND[item[0]]
+    rest = item[1:]
+    ident = None
+    if grounded and kind in (OperatorKind.ANCHOR, OperatorKind.PROJECTION):
+        group = rest[0] if rest else None
+        if type(group) is not list or len(group) != 1 or type(group[0]) is not int:
+            raise QuerySyntaxError(f"{kind.name.lower()} needs an id group '(<int>)' after its operator")
+        ident, rest = group[0], rest[1:]
+    children = tuple(_build(child, grounded) for child in rest)
+    if kind is OperatorKind.ANCHOR:
+        return QueryNode(kind, entity=ident, children=children)
+    return QueryNode(kind, relation=ident, children=children)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise QuerySyntaxError(f"unexpected end of input, expected {kind!r}")
-        if tok.kind != kind:
-            raise QuerySyntaxError(f"expected {kind!r} at position {tok.pos}, got {tok.value!r}")
-        self.i += 1
-        return tok
-
-    def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise QuerySyntaxError(f"trailing garbage at position {tok.pos}: {tok.value!r}")
-
-    def operator(self) -> OperatorKind:
-        tok = self.take("op")
-        kind = _LETTER_TO_KIND.get(tok.value)
-        if kind is None:
-            raise QuerySyntaxError(f"unknown operator {tok.value!r} at position {tok.pos}")
-        return kind
-
-    def int_group(self) -> int:
-        # "(<int>)"
-        self.take("(")
-        value = int(self.take("int").value)
-        self.take(")")
-        return value
-
-    def node(self, grounded: bool) -> QueryNode:
-        self.take("(")
-        kind = self.operator()
-        if kind is OperatorKind.ANCHOR:
-            entity = None
-            if grounded:
-                self.take(",")
-                entity = self.int_group()
-            self.take(")")
-            return anchor(entity)
-        if kind is OperatorKind.PROJECTION:
-            relation = None
-            if grounded:
-                self.take(",")
-                relation = self.int_group()
-            self.take(",")
-            child = self.node(grounded)
-            self.take(")")
-            return projection(relation, child)
-        children = []
-        while self.peek() is not None and self.peek().kind == ",":
-            self.take(",")
-            children.append(self.node(grounded))
-        self.take(")")
-        if kind is OperatorKind.NEGATION:
-            if len(children) != 1:
-                raise QueryStructureError(f"negation takes exactly 1 child, got {len(children)}")
-            return negation(children[0])
-        if len(children) < 2:
-            raise QueryStructureError(
-                f"{kind.name.lower()} takes at least 2 children, got {len(children)}"
-            )
-        return QueryNode(kind, children=tuple(children))
+def _read(text: str, grounded: bool) -> QueryNode:
+    try:
+        return _build(_decode(text), grounded)
+    except RecursionError:
+        raise QuerySyntaxError("query nested too deeply") from None
 
 
 def parse_formula(text: str) -> QueryType:
     """Parse an abstract type formula such as ``(p,(i,(p,(e)),(p,(e))))``."""
-    parser = _Parser(text)
-    root = parser.node(grounded=False)
-    parser.done()
+    root = _read(text, grounded=False)
     return QueryType(formula_text=serialize_formula(root), pattern=root)
 
 
 def parse_grounded(text: str, kg=None) -> ComputationGraph:
     """Parse a grounded query; validates ids against ``kg`` when supplied."""
-    parser = _Parser(text)
-    root = parser.node(grounded=True)
-    parser.done()
+    root = _read(text, grounded=True)
     if kg is not None:
         validate_ids(root, kg.num_entities, kg.num_relations)
     return root
@@ -352,27 +302,6 @@ _FOL_OUT_OF_DISTRIBUTION = (
     "(i,(n,(i,(n,(p,(e))),(p,(e)))),(p,(p,(p,(e)))))",
 )
 
-_CONJUNCTIVE_IN_DISTRIBUTION = (
-    "(p,(e))",
-    "(p,(p,(e)))",
-    "(p,(p,(p,(e))))",
-    "(p,(i,(p,(e)),(p,(e))))",
-    "(p,(i,(p,(e)),(p,(p,(e)))))",
-    "(p,(i,(p,(p,(e))),(p,(p,(e)))))",
-    "(i,(p,(e)),(p,(e)))",
-    "(i,(p,(e)),(p,(p,(e))))",
-    "(i,(p,(e)),(p,(p,(p,(e)))))",
-    "(i,(p,(p,(e))),(p,(p,(e))))",
-    "(i,(p,(p,(e))),(p,(p,(p,(e)))))",
-    "(i,(p,(p,(p,(e)))),(p,(p,(p,(e)))))",
-)
-
-_CONJUNCTIVE_OUT_OF_DISTRIBUTION = (
-    "(i,(i,(p,(e)),(p,(p,(p,(e))))),(p,(p,(e))))",
-    "(i,(i,(p,(e)),(p,(p,(e)))),(p,(p,(p,(e)))))",
-    "(i,(i,(p,(p,(e))),(p,(p,(p,(e))))),(p,(p,(e))))",
-)
-
 
 class BuiltinQueryTypes(NamedTuple):
     in_distribution: tuple[QueryType, ...]
@@ -391,13 +320,21 @@ def builtin_query_types() -> BuiltinQueryTypes:
 
     29 in-distribution and 29 out-of-distribution first-order types (58
     total), plus the 12+3 conjunctive subsets used for encoders that support
-    neither union nor negation.
+    neither union nor negation: the union- and negation-free types of each
+    catalog, in catalog order.
     """
+    in_distribution = tuple(parse_formula(f) for f in _FOL_IN_DISTRIBUTION)
+    out_of_distribution = tuple(parse_formula(f) for f in _FOL_OUT_OF_DISTRIBUTION)
+
+    def conjunctive(types):
+        excluded = {OperatorKind.UNION, OperatorKind.NEGATION}
+        return tuple(t for t in types if excluded.isdisjoint(n.kind for n in t.pattern.walk()))
+
     return BuiltinQueryTypes(
-        in_distribution=tuple(parse_formula(f) for f in _FOL_IN_DISTRIBUTION),
-        out_of_distribution=tuple(parse_formula(f) for f in _FOL_OUT_OF_DISTRIBUTION),
-        conjunctive_in=tuple(parse_formula(f) for f in _CONJUNCTIVE_IN_DISTRIBUTION),
-        conjunctive_out=tuple(parse_formula(f) for f in _CONJUNCTIVE_OUT_OF_DISTRIBUTION),
+        in_distribution=in_distribution,
+        out_of_distribution=out_of_distribution,
+        conjunctive_in=conjunctive(in_distribution),
+        conjunctive_out=conjunctive(out_of_distribution),
     )
 
 

@@ -375,6 +375,6 @@ def _read_record(line: str, dataset: Dataset, where: str) -> GroundedQueryRecord
         answers.append(frozenset(ids))
     try:
         query = parse_grounded(obj["query"], dataset)  # ids checked against the header universe
-    except (QuerySyntaxError, QueryStructureError, RecursionError) as exc:
+    except (QuerySyntaxError, QueryStructureError) as exc:
         raise DatasetFormatError(f"{where}: bad query: {exc}") from None
     return GroundedQueryRecord(obj["type"], query, *answers)

@@ -64,6 +64,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size <= 0 or self.d <= 0 or self.epochs < 0:
             raise ValueError("sizes must be positive")
+        for key, low in (("layers", 1), ("heads", 1), ("max_len", 1), ("rpe_clip", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ValueError("adam betas must lie in (0, 1)")
         if self.precision not in ("single", "double"):
@@ -260,7 +263,7 @@ class Checkpoint:
             # the random init only fixes the shapes: every parameter is replaced below
             rng = np.random.default_rng(0)
             encoder = make_encoder(config.arch, config.d, rng, **config.encoder_options())
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             raise CheckpointError(f"{path}: train_config does not describe a model: {exc}") from None
 
         shapes = {"table": (vocab.size, config.d)}

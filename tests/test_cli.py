@@ -259,3 +259,44 @@ def test_eval_damaged_files_exit_two(capsys, handmade_dataset, tmp_path):
         code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))
         assert code == 2, err
         assert err.count("error: ") == 1 and "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (["arch=Transformer-APE", "heads=0"], "heads must be at least 1, got 0"),
+    (["arch=LSTM", "layers=0"], "layers must be at least 1, got 0"),
+], ids=["zero-heads", "zero-layers"])
+def test_train_rejects_out_of_range_sizes(overrides, message, capsys, handmade_dataset, tmp_path):
+    ckpt = tmp_path / "m.ckpt"
+    argv = ["train", "--data", str(handmade_dataset()), "--out", str(ckpt), "--set", "d=8"]
+    for override in overrides:
+        argv += ["--set", override]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert [line for line in err.splitlines() if not line.startswith("config-hash:")] == [f"error: {message}"]
+    assert out == "" and not ckpt.exists()
+
+
+@pytest.mark.parametrize("query", ["(e,(01))", "(e,(١))", "(p,(0),　(e,(1)))"],
+                         ids=["leading-zero", "non-ascii-digit", "non-ascii-space"])
+def test_query_text_outside_grammar_exits_two(query, capsys, kg_dir):
+    for argv in (["linearize", "--query", query], ["answer", "--kg", str(kg_dir), "--query", query]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error:" in err and "Traceback" not in err
+
+
+def test_linearize_validates_ids_against_kg(capsys, kg_dir):
+    code, out, _ = run(capsys, "linearize", "--kg", str(kg_dir), "--query", "(p,(4),(e,(59)))")
+    assert code == 0 and out.strip() == "[(][P][r4][e59][)]"
+    code, out, err = run(capsys, "linearize", "--kg", str(kg_dir), "--query", "(p,(4),(e,(60)))")
+    assert code == 2 and out == ""
+    assert "entity id 60 out of range [0, 60)" in err
+
+
+def test_non_utf8_triple_file_exits_two(tmp_path, capsys):
+    for name, text in (("train.txt", b"0\t0\t1\n\xff\xfe\t0\t1\n"), ("valid.txt", b""), ("test.txt", b"")):
+        (tmp_path / name).write_bytes(text)
+    code, _, err = run(capsys, "answer", "--kg", str(tmp_path), "--query", "(p,(0),(e,(0)))")
+    assert code == 2
+    assert f"{tmp_path / 'train.txt'}: not UTF-8" in err
+    assert "Traceback" not in err

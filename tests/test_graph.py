@@ -72,6 +72,15 @@ def test_negative_ids_rejected(tmp_path):
         KnowledgeGraph.from_edges([(1, 0, -3)])
 
 
+def test_non_utf8_files_rejected(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0\t0\t1\n\xff\xfe\t0\t1\n")
+    with pytest.raises(GraphFormatError, match=f"{bad}: not UTF-8"):
+        load_triples(bad)
+    with pytest.raises(GraphFormatError, match=f"{bad}: not UTF-8"):
+        load_dictionary(bad)
+
+
 def test_ids_too_large_for_edge_keys_rejected():
     with pytest.raises(GraphFormatError, match="overflow int64 edge keys"):
         KnowledgeGraph.from_edges([(0, 0, 2**40)])

@@ -4,6 +4,7 @@ from cqakit.graph import KnowledgeGraph
 from cqakit.linearize import (
     LPAREN,
     OP_I,
+    OP_N,
     OP_P,
     OP_U,
     PAD,
@@ -105,6 +106,11 @@ def test_delinearize_rejects_malformed():
         delinearize(tokens + [vocab.entity_token(0)], vocab)
     with pytest.raises(TokenizationError, match="relation"):
         delinearize([LPAREN, OP_P, vocab.entity_token(0), RPAREN], vocab)
+    # arity is QueryNode's rule, reported as a tokenization error
+    with pytest.raises(TokenizationError, match="negation takes exactly 1 child, got 2"):
+        delinearize([LPAREN, OP_N, vocab.entity_token(0), vocab.entity_token(1), RPAREN], vocab)
+    with pytest.raises(TokenizationError, match="intersection takes at least 2 children, got 1"):
+        delinearize([LPAREN, OP_I, vocab.entity_token(0), RPAREN], vocab)
 
 
 def test_out_of_vocabulary_rejected():

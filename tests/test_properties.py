@@ -2,28 +2,34 @@
 
 import functools
 import os
+import string
 import tempfile
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from cqakit.encoders import CheckpointError
 from cqakit.encoders.checkpoint import MAGIC
-from cqakit.graph import KnowledgeGraph, layer_graphs
+from cqakit.graph import GraphFormatError, KnowledgeGraph, layer_graphs, load_dictionary, read_triples
 from cqakit.linearize import LPAREN, RPAREN, Vocabulary, delinearize, linearize, sequence_length
 from cqakit.queries import (
+    QueryStructureError,
+    QuerySyntaxError,
     anchor,
     intersection,
     negation,
+    parse_formula,
     parse_grounded,
     projection,
     query_type_of,
+    serialize_formula,
     serialize_grounded,
     union,
 )
 from cqakit.sampler import Dataset, DatasetFormatError, GroundedQueryRecord, read_dataset, write_dataset
 from cqakit.symbolic import answer, answer_dnf, to_dnf
-from cqakit.training import Checkpoint, TrainConfig, train
+from cqakit.training import Checkpoint, TrainConfig, config_from_mapping, parse_config_file, train
 
 NUM_ENTITIES = 24
 NUM_RELATIONS = 4
@@ -71,6 +77,48 @@ def test_parentheses_balanced(tree):
 def test_type_erasure_is_stable(tree):
     t = query_type_of(tree)
     assert query_type_of(t.pattern).formula_text == t.formula_text
+
+
+GRAMMAR_CHARS = "(),epiun0123456789" + string.whitespace
+# outside the grammar: letters, JSON number parts, a separator str.isspace counts as space, Unicode space and digit
+OTHER_CHARS = "xE.-\x1c\u00a0\u0661"
+WHITESPACE_REMOVED = str.maketrans("", "", string.whitespace)
+
+
+def single_edits(text: str):
+    """The text and its one-character deletions, insertions and replacements."""
+    chars = st.sampled_from(GRAMMAR_CHARS + OTHER_CHARS)
+    cut = st.integers(0, len(text) - 1)
+    return st.one_of(
+        st.just(text),
+        cut.map(lambda i: text[:i] + text[i + 1 :]),
+        st.tuples(st.integers(0, len(text)), chars).map(lambda ic: text[: ic[0]] + ic[1] + text[ic[0] :]),
+        st.tuples(cut, chars).map(lambda ic: text[: ic[0]] + ic[1] + text[ic[0] + 1 :]),
+    )
+
+
+query_texts = st.one_of(
+    st.text(GRAMMAR_CHARS + OTHER_CHARS, max_size=40),
+    query_trees.flatmap(lambda t: st.sampled_from((serialize_grounded(t), serialize_formula(t)))).flatmap(
+        single_edits
+    ),
+)
+
+
+@settings(max_examples=1000)
+@given(query_texts)
+def test_reader_accepts_exactly_what_the_printer_writes(text):
+    # the canonical printer is the oracle: a text the reader accepts is the
+    # printed form of its tree, up to ASCII whitespace between tokens
+    for read, write in (
+        (parse_grounded, serialize_grounded),
+        (lambda t: parse_formula(t).pattern, serialize_formula),
+    ):
+        try:
+            node = read(text)
+        except (QuerySyntaxError, QueryStructureError):
+            continue
+        assert write(node) == text.translate(WHITESPACE_REMOVED)
 
 
 edge_lists = st.lists(
@@ -213,4 +261,20 @@ def test_dataset_reader_raises_only_dataset_format_error(data):
     try:
         read_damaged(damaged_blob, read_dataset)
     except DatasetFormatError:
+        pass
+
+
+@pytest.mark.parametrize("blob,read,error", [
+    (b"0\t0\t1\n1\t1\t2\n2\t0\t3\n3\t1\t0\n", read_triples, GraphFormatError),
+    (b"0\talice\n1\tbob\n2\tcarol\n", load_dictionary, GraphFormatError),
+    (b"arch = LSTM\nd = 16  # width\nepochs = 2\nlearning_rate = 0.01\n",
+     lambda path: config_from_mapping(parse_config_file(path)), ValueError),
+], ids=["triples", "dictionary", "config"])
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_text_readers_raise_only_documented_errors(blob, read, error, data):
+    damaged_blob = data.draw(damaged(blob, blob.index(b"\n") + 1))
+    try:
+        read_damaged(damaged_blob, read)
+    except error:
         pass

@@ -46,6 +46,37 @@ def test_parse_formula_rejects_malformed():
         parse_formula("(p,(e)))")
 
 
+def test_reader_accepts_ascii_whitespace_between_tokens():
+    assert serialize_grounded(parse_grounded(" (p, (3) ,\t(e,(5))\r\n)\v\f")) == "(p,(3),(e,(5)))"
+    assert parse_formula("( i , (p,(e)) , (p,(e)) )").formula_text == "(i,(p,(e)),(p,(e)))"
+
+
+@pytest.mark.parametrize("text", [
+    "(e,(05))",  # leading zero
+    "(e,(\u0665))",  # ARABIC-INDIC DIGIT FIVE
+    "(p,\u00a0(0),(e,(5)))",  # NO-BREAK SPACE
+    "(p,(0),\x1c(e,(5)))",  # FILE SEPARATOR, which str.isspace counts as whitespace
+    "(e,(-5))",
+    "(e,(5),)",
+    "(e,(5))(e,(5))",
+    "(e,5)",
+    "(p,(e,(5)))",
+], ids=["leading-zero", "non-ascii-digit", "non-ascii-space", "file-separator", "negative-id",
+        "trailing-comma", "two-queries", "bare-id", "missing-relation"])
+def test_reader_rejects_text_the_printer_never_writes(text):
+    with pytest.raises(QuerySyntaxError):
+        parse_grounded(text)
+
+
+def test_arity_messages_name_kind_and_rule():
+    with pytest.raises(QueryStructureError, match="union takes at least 2 children, got 1"):
+        parse_formula("(u,(p,(e)))")
+    with pytest.raises(QueryStructureError, match="projection takes exactly 1 child, got 2"):
+        parse_grounded("(p,(0),(e,(1)),(e,(2)))")
+    with pytest.raises(QueryStructureError, match="anchor takes no children, got 1"):
+        parse_grounded("(e,(0),(e,(1)))")
+
+
 def test_formula_round_trips():
     for text in ("(p,(e))", "(u,(p,(e)),(p,(p,(e))))", "(i,(n,(p,(e))),(p,(e)))"):
         assert parse_formula(text).formula_text == text

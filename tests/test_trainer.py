@@ -257,6 +257,10 @@ def test_train_config_validation():
         TrainConfig(adam_beta1=1.5)
     with pytest.raises(ValueError):
         TrainConfig(precision="half")
+    for key, value in (("layers", 0), ("heads", 0), ("max_len", 0), ("rpe_clip", -1)):
+        with pytest.raises(ValueError, match=f"{key} must be at least"):
+            TrainConfig(**{key: value})
+    TrainConfig(layers=1, heads=1, max_len=1, rpe_clip=0)
 
 
 def test_single_precision_trains(desk_dataset, desk_vocab):
