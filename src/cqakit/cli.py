@@ -26,7 +26,6 @@ from .queries import (
     builtin_query_types,
     parse_formula,
     parse_grounded,
-    validate_ids,
 )
 from .sampler import (
     DatasetFormatError,
@@ -67,14 +66,8 @@ def _kg_dir(path_str: str) -> GraphLayers:
     for f in files:
         if not f.exists():
             raise DataError(f"missing triple file {f}")
-    ent_dict = rel_dict = None
-    ent_path = root / "entities.dict"
-    rel_path = root / "relations.dict"
-    if ent_path.exists():
-        ent_dict = load_dictionary(ent_path)
-    if rel_path.exists():
-        rel_dict = load_dictionary(rel_path)
-    return layer_graphs(*files, entity_dict=ent_dict, relation_dict=rel_dict)
+    dicts = [root / "entities.dict", root / "relations.dict"]
+    return layer_graphs(*files, *(load_dictionary(path) if path.exists() else None for path in dicts))
 
 
 def _print_config_hash(args: argparse.Namespace) -> None:
@@ -126,12 +119,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    query = parse_grounded(args.query)
     if args.kg:
-        layers = _kg_dir(args.kg)
-        vocab = build_vocabulary(layers.test)
-        validate_ids(query, vocab.num_entities, vocab.num_relations)
+        vocab = build_vocabulary(_kg_dir(args.kg).test)
+        query = parse_grounded(args.query, vocab)
     else:
+        query = parse_grounded(args.query)
         max_rel = max((n.relation for n in query.walk() if n.relation is not None), default=-1)
         max_ent = max((n.entity for n in query.walk() if n.entity is not None), default=-1)
         vocab = Vocabulary(num_relations=max_rel + 1, num_entities=max_ent + 1)

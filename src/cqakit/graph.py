@@ -16,6 +16,7 @@ edges are rebuilt, so unchanged tuples are shared between layers.
 from __future__ import annotations
 
 import logging
+import re
 from bisect import bisect_left
 from collections.abc import Set
 from dataclasses import dataclass, field
@@ -268,85 +269,104 @@ class GraphLayers:
             raise ValueError(f"unknown layer {name!r} (expected train/valid/test)") from None
 
 
-def _lines(path):
-    """``(line number, line)`` for each non-empty line of a UTF-8 text file."""
+_ID = re.compile(r"0|[1-9][0-9]*")  # the query reader's ids: ASCII decimal, no sign, no leading zero
+
+
+def _columns(path, width: int) -> tuple[list[str], list[list[str]]]:
+    """Every line of a UTF-8 text file (CRLF reads as LF), and the ``width``
+    TAB-separated columns of its non-blank lines.
+
+    One split reads all fields, with a ``"\\n"`` field between lines: each
+    line has ``width`` fields exactly when every ``width + 1``-th field is one.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if line:
-                    yield lineno, line
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    kept = [line for line in lines if line]
+    n = len(kept)
+    fields = "\t\n\t".join(kept).split("\t") if kept else []
+    if n and (len(fields) != (width + 1) * n - 1 or fields[width :: width + 1].count("\n") < n - 1):
+        row = next(i for i, line in enumerate(kept) if line.count("\t") != width - 1)
+        got = kept[row].count("\t") + 1
+        raise GraphFormatError(f"{_where(path, lines, row)}: expected {width} tab-separated fields, got {got}")
+    return lines, [fields[i :: width + 1] for i in range(width)]
+
+
+def _where(path, lines: list[str], row: int) -> str:
+    """``path:line`` of the ``row``-th non-blank line; error path only."""
+    return f"{path}:{[i for i, line in enumerate(lines, start=1) if line][row]}"
+
+
+def _ids(tokens: list[str], labels: dict[str, int] | None, size: int) -> np.ndarray:
+    """Each token's id: its label's, else the canonical id below ``size``; -1 if neither."""
+    table = dict.fromkeys(tokens, -1)
+    for token in table:
+        if labels is not None and token in labels:
+            table[token] = labels[token]
+        elif _ID.fullmatch(token) and len(token) < 20 and int(token) < size:  # 20 digits exceed int64
+            table[token] = int(token)
+    return np.fromiter(map(table.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+
+
+def _bad_id(token: str, what: str, size: int, labels: bool) -> str:
+    """Why ``token`` names no id below ``size``; error path only."""
+    if not token:
+        return f"empty {what} field"
+    if token[0] == "-" and _ID.fullmatch(token, 1):
+        return f"negative {what} id {token}"
+    if _ID.fullmatch(token):
+        return f"{what} id {token} out of {'dictionary ' if labels else ''}range [0, {size})"
+    return f"{what} {token!r} is not a canonical id{' or a dictionary label' if labels else ''}"
 
 
 def load_dictionary(path) -> dict[str, int]:
-    """Read an ``id<TAB>label`` file into a label → id map."""
-    mapping: dict[str, int] = {}
-    for lineno, line in _lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise GraphFormatError(f"{path}:{lineno}: expected 'id<TAB>label'")
-        try:
-            idx = int(parts[0])
-        except ValueError:
-            raise GraphFormatError(f"{path}:{lineno}: non-integer id {parts[0]!r}") from None
-        mapping[parts[1]] = idx
-    return mapping
+    """Read an ``id<TAB>label`` file into a label → id map.
 
-
-def _resolve(token: str, mapping: dict[str, int] | None, size: int | None, what: str, where: str) -> int:
-    if mapping is not None and token in mapping:
-        return mapping[token]
-    try:
-        idx = int(token)
-    except ValueError:
-        raise GraphFormatError(f"{where}: unknown {what} {token!r}") from None
-    if size is not None and not (0 <= idx < size):
-        raise GraphFormatError(f"{where}: {what} id {idx} out of dictionary range [0, {size})")
-    if idx < 0:
-        raise GraphFormatError(f"{where}: negative {what} id {idx}")
-    return idx
+    Ids are canonical and exactly ``0..n-1`` in any order; labels are
+    non-empty and distinct.
+    """
+    lines, (tokens, labels) = _columns(path, 2)
+    ids = _ids(tokens, None, len(tokens))
+    seen = set()  # ids and labels: an int never equals a str
+    for row, (token, label, idx) in enumerate(zip(tokens, labels, ids.tolist())):
+        reason = (
+            _bad_id(token, "dictionary", len(tokens), False) if idx < 0
+            else "empty label field" if not label
+            else f"id {idx} repeats" if idx in seen
+            else f"label {label!r} repeats" if label in seen
+            else None
+        )
+        if reason:
+            raise GraphFormatError(f"{_where(path, lines, row)}: {reason}")
+        seen |= {idx, label}
+    return dict(zip(labels, ids.tolist()))
 
 
 def read_triples(
     path,
     entity_dict: dict[str, int] | None = None,
     relation_dict: dict[str, int] | None = None,
-) -> list[EdgeTriple]:
-    """Parse a ``head<TAB>relation<TAB>tail`` file into edge triples."""
-    ent_size = len(entity_dict) if entity_dict is not None else None
-    rel_size = len(relation_dict) if relation_dict is not None else None
-    triples: list[EdgeTriple] = []
-    for lineno, line in _lines(path):
-        parts = line.split("\t")
-        where = f"{path}:{lineno}"
-        if len(parts) != 3:
-            raise GraphFormatError(f"{where}: expected 3 tab-separated fields, got {len(parts)}")
-        if parts[1] == "":
-            raise GraphFormatError(f"{where}: empty relation field")
-        h = _resolve(parts[0], entity_dict, ent_size, "entity", where)
-        r = _resolve(parts[1], relation_dict, rel_size, "relation", where)
-        t = _resolve(parts[2], entity_dict, ent_size, "entity", where)
-        triples.append(EdgeTriple(h, r, t))
-    return triples
+) -> np.ndarray:
+    """Parse a ``head<TAB>relation<TAB>tail`` file into ``(n, 3)`` int64 rows.
 
-
-def load_triples(
-    path,
-    entity_dict: dict[str, int] | None = None,
-    relation_dict: dict[str, int] | None = None,
-) -> KnowledgeGraph:
-    """Load one triple file into an indexed graph.
-
-    Entity/relation counts come from the dictionaries when provided,
-    otherwise from the ids seen in the file (which must be dense integers).
-    Duplicate triples are deduplicated; the semantics are set-based.
+    Each field is a dictionary label or else a canonical id (ASCII decimal,
+    no sign, no leading zero) below the dictionary size; blank lines are
+    skipped. Each distinct token is resolved once.
     """
-    triples = read_triples(path, entity_dict, relation_dict)
-    num_entities = len(entity_dict) if entity_dict is not None else None
-    num_relations = len(relation_dict) if relation_dict is not None else None
-    return KnowledgeGraph.from_edges(triples, num_entities, num_relations)
+    lines, columns = _columns(path, 3)
+    n = len(columns[0])
+    labels = (entity_dict, relation_dict, entity_dict)
+    sizes = [len(d) if d is not None else 2**63 for d in labels]  # int64 bounds ids without a dictionary
+    entities = _ids(columns[0] + columns[2], entity_dict, sizes[0])
+    rows = np.stack([entities[:n], _ids(columns[1], relation_dict, sizes[1]), entities[n:]], axis=1)
+    if rows.min(initial=0) < 0:
+        row, col = divmod(int(np.argmax(rows.ravel() < 0)), 3)
+        what = "relation" if col == 1 else "entity"
+        reason = _bad_id(columns[col][row], what, sizes[col], labels[col] is not None)
+        raise GraphFormatError(f"{_where(path, lines, row)}: {reason}")
+    return rows
 
 
 def layer_graphs(
@@ -362,10 +382,7 @@ def layer_graphs(
     edges, and the test layer all edges. Edges in valid/test files that
     duplicate an earlier layer are dropped with a warning.
     """
-    parts = [
-        _as_rows(read_triples(path, entity_dict, relation_dict))
-        for path in (train_file, valid_file, test_file)
-    ]
+    parts = [read_triples(path, entity_dict, relation_dict) for path in (train_file, valid_file, test_file)]
     num_entities = len(entity_dict) if entity_dict is not None else None
     num_relations = len(relation_dict) if relation_dict is not None else None
     layers, repeated = _build_layers(parts, num_entities, num_relations)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 
@@ -116,15 +117,6 @@ def num_anchors(node: QueryNode) -> int:
     return sum(1 for n in node.walk() if n.kind is OperatorKind.ANCHOR)
 
 
-def validate_ids(node: QueryNode, num_entities: int, num_relations: int) -> None:
-    """Check every anchor/relation id against a graph universe."""
-    for n in node.walk():
-        if n.kind is OperatorKind.ANCHOR and not (0 <= (n.entity or 0) < num_entities):
-            raise QueryStructureError(f"entity id {n.entity} out of range [0, {num_entities})")
-        if n.kind is OperatorKind.PROJECTION and not (0 <= (n.relation or 0) < num_relations):
-            raise QueryStructureError(f"relation id {n.relation} out of range [0, {num_relations})")
-
-
 @dataclass(frozen=True)
 class QueryType:
     """Abstract query structure with its canonical formula text."""
@@ -139,6 +131,10 @@ class QueryType:
     @property
     def num_anchors(self) -> int:
         return num_anchors(self.pattern)
+
+    @cached_property
+    def has_negation(self) -> bool:
+        return any(n.kind is OperatorKind.NEGATION for n in self.pattern.walk())
 
 
 # ---------------------------------------------------------------------------
@@ -170,44 +166,47 @@ def _decode(text: str) -> object:
         raise QuerySyntaxError(str(exc)) from None
 
 
-def _build(item: object, grounded: bool) -> QueryNode:
-    """One node from ``[letter, (id group,) child, ...]``; arity is QueryNode's to check."""
+def _build(item: object, universe: tuple[float, float] | None) -> QueryNode:
+    """One node from ``[letter, (id group,) child, ...]``; arity is QueryNode's to check.
+    A grounded query's ids must lie inside ``universe`` (entities, relations)."""
     if type(item) is not list or not item or type(item[0]) is not str:
         found = json.dumps(item, separators=(",", ":")).translate(_FROM_JSON)
         raise QuerySyntaxError(f"expected '(<operator>,...)', found {found!r}")
     kind = _LETTER_TO_KIND[item[0]]
     rest = item[1:]
     ident = None
-    if grounded and kind in (OperatorKind.ANCHOR, OperatorKind.PROJECTION):
+    if universe is not None and kind in (OperatorKind.ANCHOR, OperatorKind.PROJECTION):
         group = rest[0] if rest else None
         if type(group) is not list or len(group) != 1 or type(group[0]) is not int:
             raise QuerySyntaxError(f"{kind.name.lower()} needs an id group '(<int>)' after its operator")
         ident, rest = group[0], rest[1:]
-    children = tuple(_build(child, grounded) for child in rest)
+        size = universe[kind is OperatorKind.PROJECTION]
+        if ident >= size:
+            what = "relation" if kind is OperatorKind.PROJECTION else "entity"
+            raise QueryStructureError(f"{what} id {ident} out of range [0, {size})")
+    children = tuple(_build(child, universe) for child in rest)
     if kind is OperatorKind.ANCHOR:
         return QueryNode(kind, entity=ident, children=children)
     return QueryNode(kind, relation=ident, children=children)
 
 
-def _read(text: str, grounded: bool) -> QueryNode:
+def _read(text: str, universe: tuple[float, float] | None) -> QueryNode:
     try:
-        return _build(_decode(text), grounded)
+        return _build(_decode(text), universe)
     except RecursionError:
         raise QuerySyntaxError("query nested too deeply") from None
 
 
 def parse_formula(text: str) -> QueryType:
     """Parse an abstract type formula such as ``(p,(i,(p,(e)),(p,(e))))``."""
-    root = _read(text, grounded=False)
+    root = _read(text, None)
     return QueryType(formula_text=serialize_formula(root), pattern=root)
 
 
 def parse_grounded(text: str, kg=None) -> ComputationGraph:
-    """Parse a grounded query; validates ids against ``kg`` when supplied."""
-    root = _read(text, grounded=True)
-    if kg is not None:
-        validate_ids(root, kg.num_entities, kg.num_relations)
-    return root
+    """Parse a grounded query; with ``kg`` (anything with ``num_entities`` and
+    ``num_relations``), its ids must lie inside that universe."""
+    return _read(text, (math.inf, math.inf) if kg is None else (kg.num_entities, kg.num_relations))
 
 
 def serialize_grounded(node: QueryNode) -> str:

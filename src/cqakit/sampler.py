@@ -128,19 +128,6 @@ class Dataset:
     def __len__(self) -> int:
         return sum(len(g) for g in self.records.values())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Dataset)
-            and self.provenance == other.provenance
-            and self.num_entities == other.num_entities
-            and self.num_relations == other.num_relations
-            and self.records == other.records
-        )
-
-
-def _has_negation(pattern: QueryNode) -> bool:
-    return any(n.kind is OperatorKind.NEGATION for n in pattern.walk())
-
 
 def ground_type(
     layer: KnowledgeGraph,
@@ -155,7 +142,6 @@ def ground_type(
     """
     if not layer.edges:
         raise GroundingError("cannot ground queries on an empty graph")
-    needs_check = _has_negation(qtype.pattern)
 
     def ground(node: QueryNode, v: int) -> QueryNode:
         k = node.kind
@@ -193,7 +179,7 @@ def ground_type(
             candidate = ground(qtype.pattern, v)
         except _DeadEnd:
             continue
-        if needs_check and v not in answer(layer, candidate):
+        if qtype.has_negation and v not in answer(layer, candidate):
             continue
         return candidate, v
     raise GroundingError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,6 +68,9 @@ class TrainConfig:
         for key, low in (("layers", 1), ("heads", 1), ("max_len", 1), ("rpe_clip", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        for key in ("learning_rate", "adam_eps"):
+            if not 0 < getattr(self, key) < math.inf:  # also refuses NaN
+                raise ValueError(f"{key} must be finite and above 0, got {getattr(self, key)}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ValueError("adam betas must lie in (0, 1)")
         if self.precision not in ("single", "double"):

@@ -187,6 +187,15 @@ def test_negative_id_in_triple_file_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("token", ["\u0663", "+2", "1_0", " 4", "007", "-3"])
+def test_non_canonical_id_in_triple_file_exits_two(tmp_path, capsys, token):
+    for name, text in (("train.txt", f"0\t0\t1\n1\t0\t{token}\n"), ("valid.txt", ""), ("test.txt", "")):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "answer", "--kg", str(tmp_path), "--query", "(p,(0),(e,(0)))")
+    assert code == 2 and out == ""
+    assert f"{tmp_path / 'train.txt'}:2:" in err and "Traceback" not in err
+
+
 def untrained_checkpoint(path, num_relations, num_entities):
     train(TrainConfig(d=8, epochs=0), Dataset(), Vocabulary(num_relations, num_entities)).save(path)
     return path
@@ -264,7 +273,8 @@ def test_eval_damaged_files_exit_two(capsys, handmade_dataset, tmp_path):
 @pytest.mark.parametrize("overrides,message", [
     (["arch=Transformer-APE", "heads=0"], "heads must be at least 1, got 0"),
     (["arch=LSTM", "layers=0"], "layers must be at least 1, got 0"),
-], ids=["zero-heads", "zero-layers"])
+    (["arch=LSTM", "adam_eps=0"], "adam_eps must be finite and above 0, got 0.0"),
+], ids=["zero-heads", "zero-layers", "zero-adam-eps"])
 def test_train_rejects_out_of_range_sizes(overrides, message, capsys, handmade_dataset, tmp_path):
     ckpt = tmp_path / "m.ckpt"
     argv = ["train", "--data", str(handmade_dataset()), "--out", str(ckpt), "--set", "d=8"]

@@ -10,10 +10,11 @@ from cqakit.graph import (
     KnowledgeGraph,
     layer_graphs,
     load_dictionary,
-    load_triples,
+    read_triples,
     split_edges,
     synthetic_graph,
 )
+from cqakit.queries import QuerySyntaxError, parse_grounded
 
 TOY_SIX_LINES = "0\t0\t1\n0\t0\t2\n1\t1\t2\n2\t0\t3\n1\t1\t2\n3\t1\t0\n"
 
@@ -24,9 +25,15 @@ def write(tmp_path, name, text):
     return path
 
 
+def load(tmp_path, text, entity_dict=None, relation_dict=None):
+    """The graph of one triple file: the train layer under empty valid and test files."""
+    empty = write(tmp_path, "empty.txt", "")
+    return layer_graphs(write(tmp_path, "train.txt", text), empty, empty, entity_dict, relation_dict).train
+
+
 def test_toy_file_dedup_and_indexes(tmp_path):
     # hand-enumerated adjacency of the 6-line file (one duplicate)
-    kg = load_triples(write(tmp_path, "toy.txt", TOY_SIX_LINES))
+    kg = load(tmp_path, TOY_SIX_LINES)
     assert len(kg.edges) == 5
     assert kg.num_entities == 4 and kg.num_relations == 2
     assert kg.fwd_index == {
@@ -40,7 +47,7 @@ def test_toy_file_dedup_and_indexes(tmp_path):
 def test_empty_file_with_dictionaries(tmp_path):
     ent = {f"e{i}": i for i in range(5)}
     rel = {f"r{i}": i for i in range(2)}
-    kg = load_triples(write(tmp_path, "empty.txt", ""), ent, rel)
+    kg = load(tmp_path, "", ent, rel)
     assert kg.num_entities == 5 and kg.num_relations == 2
     assert not kg.edges
     assert kg.successors(0, 0) == ()
@@ -49,25 +56,54 @@ def test_empty_file_with_dictionaries(tmp_path):
 def test_dictionary_files_and_labels(tmp_path):
     edict = write(tmp_path, "entities.dict", "0\talice\n1\tbob\n")
     rdict = write(tmp_path, "relations.dict", "0\tknows\n")
-    triples = write(tmp_path, "t.txt", "alice\tknows\tbob\n")
-    kg = load_triples(triples, load_dictionary(edict), load_dictionary(rdict))
+    kg = load(tmp_path, "alice\tknows\tbob\n", load_dictionary(edict), load_dictionary(rdict))
     assert kg.edges == {EdgeTriple(0, 0, 1)}
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("0\talice\n1\talice\n", ":2: label 'alice' repeats"),
+    ("0\talice\n2\tbob\n", ":2: dictionary id 2 out of range"),
+    ("00\talice\n", ":1: dictionary '00' is not a canonical id"),
+    ("0\talice\n\n+1\tbob\n", ":3: dictionary '\\+1' is not a canonical id"),
+    ("0\talice\n\tbob\n", ":2: empty dictionary field"),
+    ("0\t\n", ":1: empty label field"),
+    ("0\talice\tx\n", ":1: expected 2 tab-separated fields, got 3"),
+], ids=["repeated-label", "id-gap", "leading-zero", "sign", "empty-id", "empty-label",
+        "three-fields"])
+def test_malformed_dictionaries_rejected(tmp_path, text, reason):
+    with pytest.raises(GraphFormatError, match=reason):
+        load_dictionary(write(tmp_path, "entities.dict", text))
+
+
+def test_repeated_dictionary_id_is_not_a_self_loop(tmp_path):
+    # alice and bob sharing id 0 would load alice→bob as the self-loop (0, 0, 0)
+    edict = write(tmp_path, "entities.dict", "0\talice\n0\tbob\n")
+    with pytest.raises(GraphFormatError, match="entities.dict:2: id 0 repeats"):
+        load(tmp_path, "alice\tknows\tbob\n", load_dictionary(edict), {"knows": 0})
+
+
+def test_dictionary_ids_in_any_order_and_crlf(tmp_path):
+    path = tmp_path / "entities.dict"
+    path.write_bytes(b"1\tbob\r\n\r\n0\talice\r\n")
+    assert load_dictionary(path) == {"bob": 1, "alice": 0}
 
 
 def test_malformed_lines_report_line_numbers(tmp_path):
     with pytest.raises(GraphFormatError, match=":2:"):
-        load_triples(write(tmp_path, "bad.txt", "0\t0\t1\n0\t0\n"))
+        read_triples(write(tmp_path, "bad.txt", "0\t0\t1\n0\t0\n"))
+    with pytest.raises(GraphFormatError, match=":1: expected 3 tab-separated fields, got 2"):
+        read_triples(write(tmp_path, "short_long.txt", "0\t1\n0\t0\t1\t2\n"))
     with pytest.raises(GraphFormatError, match="empty relation"):
-        load_triples(write(tmp_path, "bad2.txt", "0\t\t1\n"))
+        read_triples(write(tmp_path, "bad2.txt", "0\t\t1\n"))
     with pytest.raises(GraphFormatError, match="out of dictionary range"):
-        load_triples(write(tmp_path, "bad3.txt", "0\t0\t7\n"), {"a": 0}, {"r": 0})
+        read_triples(write(tmp_path, "bad3.txt", "0\t0\t7\n"), {"a": 0}, {"r": 0})
 
 
 def test_negative_ids_rejected(tmp_path):
     with pytest.raises(GraphFormatError, match=":1: negative entity id -3"):
-        load_triples(write(tmp_path, "neg.txt", "1\t0\t-3\n"))
+        read_triples(write(tmp_path, "neg.txt", "1\t0\t-3\n"))
     with pytest.raises(GraphFormatError, match="negative relation id"):
-        load_triples(write(tmp_path, "neg_rel.txt", "1\t-1\t0\n"))
+        read_triples(write(tmp_path, "neg_rel.txt", "1\t-1\t0\n"))
     with pytest.raises(GraphFormatError, match="negative id"):
         KnowledgeGraph.from_edges([(1, 0, -3)])
 
@@ -76,7 +112,7 @@ def test_non_utf8_files_rejected(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"0\t0\t1\n\xff\xfe\t0\t1\n")
     with pytest.raises(GraphFormatError, match=f"{bad}: not UTF-8"):
-        load_triples(bad)
+        read_triples(bad)
     with pytest.raises(GraphFormatError, match=f"{bad}: not UTF-8"):
         load_dictionary(bad)
 
@@ -97,8 +133,31 @@ def test_has_edge_rejects_out_of_range_ids():
 
 
 def test_load_is_idempotent(tmp_path):
-    path = write(tmp_path, "toy.txt", TOY_SIX_LINES)
-    assert load_triples(path) == load_triples(path)
+    assert load(tmp_path, TOY_SIX_LINES) == load(tmp_path, TOY_SIX_LINES)
+
+
+@pytest.mark.parametrize("token", ["\u0663", "+2", "1_0", " 4", "007", "-3", "", "4 ", "x"])
+def test_ids_outside_the_query_grammar_rejected(tmp_path, token):
+    # the triple reader takes ids in the query reader's grammar: ASCII decimal, no sign, no leading zero
+    with pytest.raises(GraphFormatError, match=":3:"):
+        read_triples(write(tmp_path, "t.txt", f"0\t0\t1\n\n1\t0\t{token}\n"))
+    if token and token == token.strip():  # the query grammar allows whitespace between tokens
+        with pytest.raises(QuerySyntaxError):
+            parse_grounded(f"(e,({token}))")
+
+
+def test_crlf_and_blank_lines_load(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"0\t0\t1\r\n\r\n\n10\t1\t0\r\n")
+    assert read_triples(path).tolist() == [[0, 0, 1], [10, 1, 0]]
+    path.write_bytes(b"\n\r\n\n")
+    assert read_triples(path).shape == (0, 3)
+    assert read_triples(write(tmp_path, "empty.txt", "")).shape == (0, 3)
+
+
+def test_labels_take_precedence_over_ids(tmp_path):
+    rows = read_triples(write(tmp_path, "t.txt", "1\tr\t0\n"), {"1": 0, "0": 1}, {"r": 0})
+    assert rows.tolist() == [[0, 0, 1]]
 
 
 def test_index_edge_bijection(toy_kg):

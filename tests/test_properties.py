@@ -6,6 +6,7 @@ import string
 import tempfile
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -177,6 +178,81 @@ def test_layer_builder_matches_naive_reference(data):
         assert all(layer.has_edge(*e) for e in edges)
         assert (layer.fwd_index, layer.in_index) == (fwd, inc)
     assert layers.test.edges - layers.train.edges == frozenset(everything) - frozenset(train)
+
+
+def naive_read_triples(path, entity_dict=None, relation_dict=None) -> list[list[int]]:
+    """The triple file grammar, one line at a time: each field is a dictionary
+    label, else a canonical id (ASCII digits, no sign or leading zero) below the
+    dictionary size, or below 2**63 without one."""
+
+    def resolve(token, labels):
+        if labels is not None and token in labels:
+            return labels[token]
+        limit = 2**63 if labels is None else len(labels)
+        if token.isascii() and token.isdigit() and str(int(token)) == token and int(token) < limit:
+            return int(token)
+        raise GraphFormatError(f"bad field {token!r}")
+
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
+                continue
+            if len(fields) != 3:
+                raise GraphFormatError(f"{len(fields)} fields")
+            head, relation, tail = fields
+            rows.append([resolve(head, entity_dict), resolve(relation, relation_dict), resolve(tail, entity_dict)])
+    return rows
+
+
+GOOD_FIELDS = ["0", "1", "2", "3", "10", "alice", "bob", "knows", "9223372036854775807"]
+BAD_FIELDS = ["007", "00", "+2", "-3", "\u0663", " 4", "4 ", "1_0", "", "9223372036854775808"]
+
+
+def triple_files(fields, field_counts):
+    line = st.one_of(
+        st.just(""),  # a blank line
+        field_counts.flatmap(lambda n: st.lists(fields, min_size=n, max_size=n)).map("\t".join),
+    )
+    ends = st.sampled_from(["\n", "\r\n"])
+    return st.lists(st.tuples(line, ends), max_size=8).map(lambda pairs: "".join(a + b for a, b in pairs))
+
+
+def dictionaries(labels):
+    """None, or some of ``labels`` mapped onto ``0..n-1`` in random order."""
+    return st.none() | st.lists(st.sampled_from(labels), unique=True).flatmap(
+        lambda chosen: st.permutations(range(len(chosen))).map(lambda ids: dict(zip(chosen, ids)))
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        triple_files(st.sampled_from(GOOD_FIELDS), st.just(3)),
+        # a short line and a long one hold as many fields as two good lines
+        triple_files(st.sampled_from(["0", "1", "2"]), st.sampled_from([3, 2, 4])),
+        triple_files(st.sampled_from(GOOD_FIELDS + BAD_FIELDS), st.sampled_from([3, 3, 3, 1, 2, 4])),
+    ),
+    dictionaries(["alice", "bob", "1", "007", "carol"]),
+    dictionaries(["knows", "0", "likes"]),
+)
+def test_triple_reader_matches_per_line_reference(text, entity_dict, relation_dict):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "triples.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        try:
+            expected = naive_read_triples(path, entity_dict, relation_dict)
+        except GraphFormatError:
+            expected = None
+        if expected is None:
+            with pytest.raises(GraphFormatError):
+                read_triples(path, entity_dict, relation_dict)
+        else:
+            rows = read_triples(path, entity_dict, relation_dict)
+            assert rows.dtype == np.int64 and rows.shape == (len(expected), 3)
+            assert rows.tolist() == expected
 
 
 @settings(deadline=2000, max_examples=40)

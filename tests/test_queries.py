@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from cqakit.queries import (
@@ -18,7 +20,6 @@ from cqakit.queries import (
     query_type_of,
     serialize_grounded,
     union,
-    validate_ids,
 )
 
 # depth column for every built-in type, in catalog order
@@ -172,11 +173,12 @@ def test_helpers_on_constructed_tree():
     g = projection(1, union(projection(2, anchor(3)), negation(projection(0, anchor(4)))))
     assert query_depth(g) == 2
     assert num_anchors(g) == 2
-    validate_ids(g, num_entities=5, num_relations=3)
-    with pytest.raises(QueryStructureError):
-        validate_ids(g, num_entities=4, num_relations=3)
-    with pytest.raises(QueryStructureError):
-        validate_ids(g, num_entities=5, num_relations=2)
+    text = serialize_grounded(g)
+    assert parse_grounded(text, SimpleNamespace(num_entities=5, num_relations=3)) == g
+    with pytest.raises(QueryStructureError, match=r"entity id 4 out of range \[0, 4\)"):
+        parse_grounded(text, SimpleNamespace(num_entities=4, num_relations=3))
+    with pytest.raises(QueryStructureError, match=r"relation id 2 out of range \[0, 2\)"):
+        parse_grounded(text, SimpleNamespace(num_entities=5, num_relations=2))
 
 
 def test_intersection_constructor():

@@ -261,6 +261,11 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match=f"{key} must be at least"):
             TrainConfig(**{key: value})
     TrainConfig(layers=1, heads=1, max_len=1, rpe_clip=0)
+    # a zero or NaN step size or epsilon trains without error into NaN parameters
+    for key in ("learning_rate", "adam_eps"):
+        for value in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{key} must be finite and above 0"):
+                TrainConfig(**{key: value})
 
 
 def test_single_precision_trains(desk_dataset, desk_vocab):
