@@ -1,4 +1,4 @@
-"""Knowledge-graph store: triple loading, adjacency indexes, graph layering.
+"""Knowledge-graph store: triple loading, edge indexes, graph layering.
 
 Graphs are immutable after construction and safe to share across readers.
 Entities and relations are dense integer ids; human-readable labels live in
@@ -8,9 +8,11 @@ Every graph comes out of one builder, :func:`_build_layers`. It packs each
 edge ``(h, r, t)`` into the int64 key ``(h·R + r)·V + t``, so sorted keys are
 the edges in ``(head, relation, tail)`` order, and deduplicates the edges of
 all cumulative layers with one ``np.unique``, tagging each edge with the
-first layer that holds it. Layer ``k``'s adjacency dicts start as shallow
-copies of layer ``k-1``'s and only the keys touched by layer ``k``'s new
-edges are rebuilt, so unchanged tuples are shared between layers.
+first layer that holds it. The graphs of one build share one
+:class:`RelationTable`, where each edge carries one bit per layer that holds
+it. Layer ``k``'s incoming index starts as a shallow copy of layer ``k-1``'s
+and only the tails touched by layer ``k``'s new edges are rebuilt, so
+unchanged tuples are shared between layers.
 """
 
 from __future__ import annotations
@@ -113,20 +115,42 @@ class EdgeView(Set):
         return f"EdgeView({len(self)} edges)"
 
 
+@dataclass(frozen=True, eq=False)
+class RelationTable:
+    """The edges of every layer of one build, sorted by ``(relation, head, tail)``.
+
+    Relation ``r``'s edges are ``heads[offsets[r]:offsets[r + 1]]`` and the
+    same slice of ``tails``. ``bits`` is ``0xFF << first_layer`` as
+    ``uint8``, so bit ``k`` of an edge is set exactly when cumulative layer
+    ``k`` holds it. The arrays are read-only; the R + 1 offsets are ints.
+    """
+
+    heads: np.ndarray
+    tails: np.ndarray
+    bits: np.ndarray
+    offsets: tuple[int, ...]
+
+    def __post_init__(self):
+        for array in (self.heads, self.tails, self.bits):
+            array.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """Entity/relation universe plus an indexed edge set.
 
-    ``fwd_index[(head, relation)]`` lists tails sorted ascending;
+    ``table`` holds the edges of every layer built together with this graph,
+    and this graph's edges are those with bit ``layer`` set.
     ``in_index[tail]`` lists all ``(head, relation)`` pairs pointing at
-    ``tail`` (used by the reverse sampler). Lookups on absent keys return
-    the empty tuple.
+    ``tail`` (used by the reverse sampler); absent tails read as the empty
+    tuple.
     """
 
     num_entities: int
     num_relations: int
     edges: EdgeView
-    fwd_index: dict[tuple[int, int], tuple[int, ...]] = field(repr=False, compare=False)
+    table: RelationTable = field(repr=False, compare=False)
+    layer: int = field(compare=False)
     in_index: dict[int, tuple[tuple[int, int], ...]] = field(repr=False, compare=False)
 
     @staticmethod
@@ -135,10 +159,6 @@ class KnowledgeGraph:
     ) -> "KnowledgeGraph":
         """One graph over ``edges``, any iterable of triples; duplicates are dropped."""
         return _build_layers([_as_rows(edges)], num_entities, num_relations)[0][0]
-
-    def successors(self, head: int, relation: int) -> tuple[int, ...]:
-        """Entities reachable from ``head`` via ``relation`` (sorted)."""
-        return self.fwd_index.get((head, relation), ())
 
     def in_edges(self, tail: int) -> tuple[tuple[int, int], ...]:
         """All ``(head, relation)`` pairs with an edge into ``tail``."""
@@ -173,23 +193,15 @@ def _group_ids(group: np.ndarray, order: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _index(positions: np.ndarray, ids: np.ndarray, key_cols, value_cols) -> dict:
-    """``{key: tuple(values)}`` over the edges at ``positions``, sorted by key, then value."""
+def _in_index(positions: np.ndarray, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> dict:
+    """``{tail: ((head, relation), ...)}`` over the edges at ``positions``, sorted by tail."""
     if positions.size == 0:
         return {}
-    group = ids[positions]
+    group = tails[positions]
     starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    first = positions[starts]
-    if len(key_cols) == 1:
-        keys = key_cols[0][first].tolist()
-    else:
-        keys = zip(*(col[first].tolist() for col in key_cols))
-    if len(value_cols) == 1:
-        values = value_cols[0][positions].tolist()
-    else:
-        values = list(zip(*(col[positions].tolist() for col in value_cols)))
+    values = list(zip(heads[positions].tolist(), relations[positions].tolist()))
     bounds = starts.tolist() + [positions.size]
-    return {key: tuple(values[a:b]) for key, a, b in zip(keys, bounds, bounds[1:])}
+    return {key: tuple(values[a:b]) for key, a, b in zip(group[starts].tolist(), bounds, bounds[1:])}
 
 
 def _build_layers(
@@ -197,8 +209,9 @@ def _build_layers(
 ) -> tuple[list[KnowledgeGraph], list[int]]:
     """Cumulative graphs over edge rows: graph ``k`` holds ``parts[0..k]``.
 
-    Universe sizes default to the largest ids seen plus one. Also returns,
-    per part, how many of its rows an earlier part already holds.
+    At most eight parts, one per bit of the relation table. Universe sizes
+    default to the largest ids seen plus one. Also returns, per part, how
+    many of its rows an earlier part already holds.
     """
     rows = np.concatenate(parts)
     tags = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
@@ -222,26 +235,28 @@ def _build_layers(
     repeated = np.bincount(tags[layer[inverse] < tags], minlength=len(parts)).tolist()
 
     heads, relations, tails = _unpack(keys, V, R).T
-    # per index: the edge order that sorts it by key, then value; the dense
-    # id of each edge's key; the key columns; the value columns
-    specs = [
-        (order, _group_ids(group, order), key_cols, value_cols)
-        for group, order, key_cols, value_cols in (
-            (heads * R + relations, np.arange(keys.size), (heads, relations), (tails,)),
-            (tails, np.lexsort((relations, heads, tails)), (tails,), (heads, relations)),
-        )
-    ]
+    # keys sort by (head, relation, tail), so stable sorts give the
+    # (relation, head, tail) order of the table and the (tail, head,
+    # relation) order of the incoming index
+    by_relation = np.argsort(relations, kind="stable")
+    table = RelationTable(
+        heads[by_relation],
+        tails[by_relation],
+        np.left_shift(np.uint8(0xFF), layer[by_relation].astype(np.uint8)),
+        tuple(np.r_[0, np.cumsum(np.bincount(relations, minlength=R))].tolist()),
+    )
+    by_tail = np.argsort(tails, kind="stable")
+    tail_ids = _group_ids(tails, by_tail)
 
     graphs: list[KnowledgeGraph] = []
-    indexes: list[dict] = [{}, {}]
+    in_index: dict = {}
     for k in range(len(parts)):
         held, added = layer <= k, layer == k
-        for i, (order, ids, key_cols, value_cols) in enumerate(specs):
-            touched = np.zeros(keys.size, dtype=bool)
-            touched[ids[added]] = True
-            rebuilt = held & touched[ids]
-            indexes[i] = {**indexes[i], **_index(order[rebuilt[order]], ids, key_cols, value_cols)}
-        graphs.append(KnowledgeGraph(V, R, EdgeView(keys[held], V, R), *indexes))
+        touched = np.zeros(keys.size, dtype=bool)
+        touched[tail_ids[added]] = True
+        rebuilt = held & touched[tail_ids]
+        in_index = {**in_index, **_in_index(by_tail[rebuilt[by_tail]], heads, relations, tails)}
+        graphs.append(KnowledgeGraph(V, R, EdgeView(keys[held], V, R), table, k, in_index))
     return graphs, repeated
 
 

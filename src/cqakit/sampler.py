@@ -37,7 +37,7 @@ from .queries import (
     serialize_grounded,
 )
 from .rng import make_rng
-from .symbolic import answer
+from .symbolic import answer, answer_bits
 
 logger = logging.getLogger(__name__)
 
@@ -73,8 +73,10 @@ class SamplerConfig:
     source_layer: str = "train"
 
     def __post_init__(self):
-        if self.per_type_count < 0 or self.max_retries <= 0:
-            raise ValueError("counts must be positive")
+        if self.per_type_count < 0:
+            raise ValueError(f"per_type_count must be >= 0, got {self.per_type_count}")
+        if self.max_retries < 1:
+            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
         if self.source_layer not in ("train", "test"):
             raise ValueError("source_layer must be 'train' or 'test'")
 
@@ -202,6 +204,7 @@ def sample_dataset(
     independent of scheduling.
     """
     source = layers.layer(cfg.source_layer)
+    graphs = (layers.train, layers.valid, layers.test)
     dataset = Dataset(
         provenance=Provenance(kg_name, cfg.seed, cfg.config_hash()),
         num_entities=source.num_entities,
@@ -223,14 +226,13 @@ def sample_dataset(
                 if key in seen:
                     continue
                 seen.add(key)
-                record = GroundedQueryRecord(
-                    type_formula=qtype.formula_text,
-                    query=query,
-                    train_answers=frozenset(answer(layers.train, query)),
-                    valid_answers=frozenset(answer(layers.valid, query)),
-                    test_answers=frozenset(answer(layers.test, query)),
-                )
-                assert v in record.answers(cfg.source_layer)  # grounding soundness
+                record = GroundedQueryRecord(qtype.formula_text, query, *_layer_answers(graphs, query))
+                if v not in record.answers(cfg.source_layer):
+                    # grounding and the symbolic engine disagree
+                    raise RuntimeError(
+                        f"type {qtype.formula_text}: seed node {v} is not an answer of {key} "
+                        f"on the {cfg.source_layer} layer"
+                    )
                 break
             if record is None:
                 shortfall += 1
@@ -245,6 +247,16 @@ def sample_dataset(
             )
         dataset.records[qtype.formula_text] = group
     return dataset
+
+
+def _layer_answers(graphs, query: ComputationGraph) -> list[frozenset[int]]:
+    """Each graph's answer set, from one :func:`answer_bits` pass per distinct relation table."""
+    passes, out = {}, []
+    for graph in graphs:
+        if graph.table not in passes:
+            passes[graph.table] = answer_bits(graph, query)
+        out.append(frozenset((passes[graph.table] & (1 << graph.layer)).nonzero()[0].tolist()))
+    return out
 
 
 # ---------------------------------------------------------------------------

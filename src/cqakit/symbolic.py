@@ -2,10 +2,14 @@
 
 Two independent routes to an answer set:
 
-* :func:`answer` — recursive evaluation over the computational graph using
-  the graph's adjacency indexes (anchors are singletons, projections follow
-  forward edges, intersection/union are set algebra, negation is the
-  absolute complement over the entity universe);
+* :func:`answer_bits` — evaluates a query on every layer of a graph's
+  relation table at once, as a ``uint8`` array over the entities whose bit
+  ``k`` marks an answer on cumulative layer ``k``. An anchor is ``0xFF`` at
+  its entity; a projection gathers its source's bits at the relation's
+  edge heads, keeps those of layers holding the edge (``& bits``) and ORs
+  them into the tails; intersection, union and negation are ``&``, ``|``
+  and ``~``, so a complement is never materialised as a set.
+  :func:`answer` reads one layer's bit as a set of entity ids.
 * :func:`to_dnf` + :func:`answer_dnf` — convert to disjunctive normal form
   and brute-force variable assignments against the raw edge set.
 
@@ -17,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from .graph import KnowledgeGraph
 from .queries import (
@@ -38,30 +44,51 @@ class BudgetExceededError(RuntimeError):
 def answer(layer: KnowledgeGraph, query: ComputationGraph) -> EntitySet:
     """Evaluate a grounded query on one graph layer, exactly.
 
-    Children are evaluated left-to-right; empty sets are legal results.
+    Empty sets are legal results.
     """
-    k = query.kind
-    if k is OperatorKind.ANCHOR:
-        return {query.entity}
-    if k is OperatorKind.PROJECTION:
-        source = answer(layer, query.children[0])
-        out: EntitySet = set()
-        for a in source:
-            out.update(layer.successors(a, query.relation))
-        return out
-    if k is OperatorKind.INTERSECTION:
-        result = answer(layer, query.children[0])
-        for child in query.children[1:]:
-            result &= answer(layer, child)
+    return set((answer_bits(layer, query) & (1 << layer.layer)).nonzero()[0].tolist())
+
+
+def answer_bits(graph: KnowledgeGraph, query: ComputationGraph) -> np.ndarray:
+    """Answers of a grounded query on every layer of ``graph``'s relation table.
+
+    Returns a ``uint8`` array of length ``num_entities``: bit ``k`` of entry
+    ``v`` is set exactly when ``v`` answers the query on cumulative layer
+    ``k`` (bits past the last layer repeat it).
+    """
+    V, offsets = graph.num_entities, graph.table.offsets
+    all_heads, all_tails, all_bits = graph.table.heads, graph.table.tails, graph.table.bits
+
+    def bits(node: QueryNode) -> np.ndarray:
+        k = node.kind
+        if k is OperatorKind.PROJECTION:
+            lo, hi = offsets[node.relation], offsets[node.relation + 1]
+            out = np.zeros(V, dtype=np.uint8)
+            child = node.children[0]
+            if child.kind is OperatorKind.ANCHOR:
+                # the anchor's edges are one run of distinct tails: assign them
+                a, b = all_heads[lo:hi].searchsorted((child.entity, child.entity + 1)).tolist()
+                out[all_tails[lo + a : lo + b]] = all_bits[lo + a : lo + b]
+                return out
+            vals = bits(child)[all_heads[lo:hi]] & all_bits[lo:hi]
+            nz = vals.nonzero()[0]
+            np.bitwise_or.at(out, all_tails[lo:hi][nz], vals[nz])
+            return out
+        if k is OperatorKind.ANCHOR:
+            out = np.zeros(V, dtype=np.uint8)
+            out[node.entity] = 0xFF
+            return out
+        if k is OperatorKind.NEGATION:
+            return ~bits(node.children[0])
+        result = bits(node.children[0])
+        for child in node.children[1:]:
+            if k is OperatorKind.INTERSECTION:
+                result &= bits(child)
+            else:
+                result |= bits(child)
         return result
-    if k is OperatorKind.UNION:
-        result: EntitySet = set()
-        for child in query.children:
-            result |= answer(layer, child)
-        return result
-    # negation: absolute complement, materialized over the universe
-    child = answer(layer, query.children[0])
-    return set(range(layer.num_entities)) - child
+
+    return bits(query)
 
 
 # ---------------------------------------------------------------------------

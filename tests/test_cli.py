@@ -4,9 +4,11 @@ import pytest
 
 from cqakit.cli import main
 from cqakit.encoders import load_checkpoint, save_checkpoint
-from cqakit.graph import split_edges, synthetic_graph
+from cqakit.graph import layer_graphs, split_edges, synthetic_graph
 from cqakit.linearize import Vocabulary
+from cqakit.queries import parse_grounded
 from cqakit.sampler import Dataset
+from cqakit.symbolic import answer_dnf, to_dnf
 from cqakit.training import TrainConfig, train
 
 
@@ -75,6 +77,51 @@ def test_answer_projection_sorted(capsys, kg_dir):
     ids = [int(x) for x in out.split()]
     assert ids == sorted(ids)
     assert len(ids) == 59 and 5 not in ids
+
+
+@pytest.fixture(scope="module")
+def growing_kg_dir(tmp_path_factory):
+    """Valid and test files that add edges, so answers differ on every layer."""
+    root = tmp_path_factory.mktemp("growing")
+    for name, text in (("train", "0\t0\t1\n1\t1\t2\n"), ("valid", "0\t0\t2\n2\t1\t4\n"),
+                       ("test", "0\t0\t3\n0\t0\t1\n3\t1\t4\n")):
+        (root / f"{name}.txt").write_text(text)
+    return root
+
+
+@pytest.mark.parametrize("query", [
+    "(p,(0),(e,(0)))",
+    "(p,(1),(p,(0),(e,(0))))",
+    "(n,(p,(1),(p,(0),(e,(0)))))",
+    "(i,(p,(0),(e,(0))),(n,(p,(1),(e,(1)))))",
+    "(p,(0),(e,(4)))",
+])
+@pytest.mark.parametrize("layer", ["train", "valid", "test"])
+def test_answer_each_layer_matches_dnf_oracle(capsys, growing_kg_dir, layer, query):
+    layers = layer_graphs(*(growing_kg_dir / f"{name}.txt" for name in ("train", "valid", "test")))
+    expected = answer_dnf(layers.layer(layer), to_dnf(parse_grounded(query)))
+    code, out, _ = run(capsys, "answer", "--kg", str(growing_kg_dir), "--layer", layer, "--query", query)
+    assert code == 0
+    assert [int(x) for x in out.split()] == sorted(expected)
+
+
+def test_answer_layers_differ(growing_kg_dir):
+    # the oracle test above reads each bit: the answers differ on every layer
+    layers = layer_graphs(*(growing_kg_dir / f"{name}.txt" for name in ("train", "valid", "test")))
+    dnf = to_dnf(parse_grounded("(p,(0),(e,(0)))"))
+    assert [answer_dnf(layers.layer(n), dnf) for n in ("train", "valid", "test")] == [{1}, {1, 2}, {1, 2, 3}]
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--count", "-1", "per_type_count must be >= 0, got -1"),
+    ("--max-retries", "0", "max_retries must be >= 1, got 0"),
+])
+def test_generate_bad_sampler_bounds_exit_two(capsys, kg_dir, tmp_path, flag, value, message):
+    argv = ["generate", "--kg", str(kg_dir), "--types", "conj", "--count", "1", "--seed", "0",
+            "--out", str(tmp_path / "d.jsonl"), flag, value]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err and "Traceback" not in err
 
 
 def test_missing_kg_exits_two(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from cqakit.graph import (
@@ -25,6 +26,13 @@ def write(tmp_path, name, text):
     return path
 
 
+def table_rows(kg):
+    """The graph's relation table as ``(relation, head, tail, bits)`` rows, in table order."""
+    table = kg.table
+    relations = np.repeat(np.arange(kg.num_relations), np.diff(table.offsets))
+    return list(zip(relations.tolist(), table.heads.tolist(), table.tails.tolist(), table.bits.tolist()))
+
+
 def load(tmp_path, text, entity_dict=None, relation_dict=None):
     """The graph of one triple file: the train layer under empty valid and test files."""
     empty = write(tmp_path, "empty.txt", "")
@@ -36,12 +44,15 @@ def test_toy_file_dedup_and_indexes(tmp_path):
     kg = load(tmp_path, TOY_SIX_LINES)
     assert len(kg.edges) == 5
     assert kg.num_entities == 4 and kg.num_relations == 2
-    assert kg.fwd_index == {
-        (0, 0): (1, 2),
-        (1, 1): (2,),
-        (2, 0): (3,),
-        (3, 1): (0,),
-    }
+    assert kg.layer == 0 and kg.table.offsets == (0, 3, 5)
+    assert table_rows(kg) == [
+        (0, 0, 1, 0xFF),
+        (0, 0, 2, 0xFF),
+        (0, 2, 3, 0xFF),
+        (1, 1, 2, 0xFF),
+        (1, 3, 0, 0xFF),
+    ]
+    assert kg.in_index == {0: ((3, 1),), 1: ((0, 0),), 2: ((0, 0), (1, 1)), 3: ((2, 0),)}
 
 
 def test_empty_file_with_dictionaries(tmp_path):
@@ -50,7 +61,8 @@ def test_empty_file_with_dictionaries(tmp_path):
     kg = load(tmp_path, "", ent, rel)
     assert kg.num_entities == 5 and kg.num_relations == 2
     assert not kg.edges
-    assert kg.successors(0, 0) == ()
+    assert kg.table.offsets == (0, 0, 0) and table_rows(kg) == []
+    assert kg.in_edges(0) == ()
 
 
 def test_dictionary_files_and_labels(tmp_path):
@@ -161,12 +173,11 @@ def test_labels_take_precedence_over_ids(tmp_path):
 
 
 def test_index_edge_bijection(toy_kg):
-    for h, r, t in toy_kg.edges:
-        assert t in toy_kg.fwd_index[(h, r)]
-    fwd_edges = {
-        (h, r, t) for (h, r), tails in toy_kg.fwd_index.items() for t in tails
-    }
-    assert fwd_edges == set(map(tuple, toy_kg.edges))
+    # one table row per edge, in (relation, head, tail) order, every one on layer 0
+    rows = table_rows(toy_kg)
+    assert rows == sorted(rows) and len(rows) == len(toy_kg.edges)
+    assert {(h, r, t) for r, h, t, _ in rows} == set(map(tuple, toy_kg.edges))
+    assert {bits for *_, bits in rows} == {0xFF}
 
 
 def test_layer_graphs_cumulative(tmp_path):
@@ -176,6 +187,10 @@ def test_layer_graphs_cumulative(tmp_path):
     layers = layer_graphs(train, valid, test)
     assert (len(layers.train.edges), len(layers.valid.edges), len(layers.test.edges)) == (8, 9, 10)
     assert layers.train.edges <= layers.valid.edges <= layers.test.edges
+    # one table for the three layers; bit k of an edge marks layer k
+    assert layers.train.table is layers.valid.table is layers.test.table
+    assert [g.layer for g in (layers.train, layers.valid, layers.test)] == [0, 1, 2]
+    assert table_rows(layers.test)[-2:] == [(0, 8, 9, 0xFE), (0, 9, 0, 0xFC)]
 
 
 def test_layer_graphs_empty_valid_test(tmp_path):

@@ -8,7 +8,7 @@ import tempfile
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from cqakit.encoders import CheckpointError
 from cqakit.encoders.checkpoint import MAGIC
@@ -29,8 +29,9 @@ from cqakit.queries import (
     union,
 )
 from cqakit.sampler import Dataset, DatasetFormatError, GroundedQueryRecord, read_dataset, write_dataset
-from cqakit.symbolic import answer, answer_dnf, to_dnf
+from cqakit.symbolic import answer, answer_bits, answer_dnf, to_dnf
 from cqakit.training import Checkpoint, TrainConfig, config_from_mapping, parse_config_file, train
+from test_graph import table_rows
 
 NUM_ENTITIES = 24
 NUM_RELATIONS = 4
@@ -130,24 +131,29 @@ edge_lists = st.lists(
 @given(edge_lists)
 def test_index_edge_bijection_random_graphs(edges):
     kg = KnowledgeGraph.from_edges(edges, NUM_ENTITIES, NUM_RELATIONS)
-    for h, r, t in kg.edges:
-        assert t in kg.successors(h, r)
-    rebuilt = {(h, r, t) for (h, r), tails in kg.fwd_index.items() for t in tails}
-    assert rebuilt == set(map(tuple, kg.edges))
+    rows = table_rows(kg)
+    assert rows == sorted(rows) and len(rows) == len(kg.edges)
+    assert {(h, r, t) for r, h, t, _ in rows} == set(map(tuple, kg.edges))
+    assert {bits for *_, bits in rows} == {0xFF}
 
 
 def naive_layer(triples):
-    """The edge set and the two indexes, built straight from the triples."""
+    """The edge set and the incoming index, built straight from the triples."""
     edges = frozenset(triples)
-    fwd, inc = {}, {}
+    inc = {}
     for h, r, t in edges:
-        fwd.setdefault((h, r), []).append(t)
         inc.setdefault(t, []).append((h, r))
+    return edges, {k: tuple(sorted(v)) for k, v in inc.items()}
 
-    def sort(index):
-        return {k: tuple(sorted(v)) for k, v in index.items()}
 
-    return edges, sort(fwd), sort(inc)
+def naive_table(files):
+    """Relation table rows straight from the files: every distinct edge once,
+    with ``0xFF << k`` for the first file ``k`` that holds it, sorted."""
+    first = {}
+    for k, rows in enumerate(files):
+        for edge in rows:
+            first.setdefault(edge, k)
+    return sorted((r, h, t, (0xFF << k) & 0xFF) for (h, r, t), k in first.items())
 
 
 triples = st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 6))
@@ -169,14 +175,20 @@ def test_layer_builder_matches_naive_reference(data):
                 fh.write("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows))
         layers = layer_graphs(*paths)
     everything = train + valid + test
-    for layer, held in ((layers.train, train), (layers.valid, train + valid), (layers.test, everything)):
+    rows = naive_table((train, valid, test))
+    held_layers = ((layers.train, train), (layers.valid, train + valid), (layers.test, everything))
+    for k, (layer, held) in enumerate(held_layers):
         assert layer.num_entities == 1 + max(max(h, t) for h, _, t in everything)
         assert layer.num_relations == 1 + max(r for _, r, _ in everything)
-        edges, fwd, inc = naive_layer(held)
+        edges, inc = naive_layer(held)
         assert layer.edges == edges and len(layer.edges) == len(edges)
         assert sorted(layer.edges) == list(layer.edges)
         assert all(layer.has_edge(*e) for e in edges)
-        assert (layer.fwd_index, layer.in_index) == (fwd, inc)
+        assert layer.in_index == inc
+        # the shared table: its rows, and this layer's edges as the rows with bit k
+        assert layer.table is layers.train.table and layer.layer == k
+        assert table_rows(layer) == rows
+        assert {(h, r, t) for r, h, t, bits in rows if bits >> k & 1} == edges
     assert layers.test.edges - layers.train.edges == frozenset(everything) - frozenset(train)
 
 
@@ -260,6 +272,71 @@ def test_triple_reader_matches_per_line_reference(text, entity_dict, relation_di
 def test_oracle_agreement_on_random_instances(edges, tree):
     kg = KnowledgeGraph.from_edges(edges, NUM_ENTITIES, NUM_RELATIONS)
     assert answer_dnf(kg, to_dnf(tree)) == answer(kg, tree)
+
+
+# a universe fixed by dictionaries, so some entities have no edges at all
+SMALL_ENTITIES, SMALL_RELATIONS = 7, 3
+small_entities = st.integers(0, SMALL_ENTITIES - 1)
+small_triples = st.tuples(small_entities, st.integers(0, SMALL_RELATIONS - 1), small_entities)
+small_trees = st.recursive(
+    st.builds(anchor, small_entities),
+    lambda sub: st.one_of(
+        st.builds(projection, st.integers(0, SMALL_RELATIONS - 1), sub),
+        st.builds(negation, sub),
+        st.builds(intersection, sub, sub),
+        st.builds(union, sub, sub),
+        st.builds(union, sub, sub, sub),
+    ),
+    max_leaves=5,
+)
+
+
+@st.composite
+def three_files(draw):
+    """Train, valid and test rows; the later files may be empty, repeat
+    earlier rows or add new ones."""
+    train = draw(st.lists(small_triples, max_size=14))
+    valid = draw(st.lists(small_triples | st.sampled_from(train), max_size=6) if train else st.just([]))
+    earlier = train + valid
+    test = draw(st.lists(small_triples | st.sampled_from(earlier), max_size=6) if earlier else st.just([]))
+    return train, valid, test
+
+
+def small_layers(files):
+    with tempfile.TemporaryDirectory() as root:
+        paths = []
+        for name, rows in zip(("train", "valid", "test"), files):
+            paths.append(os.path.join(root, f"{name}.txt"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows))
+        ids = [{str(i): i for i in range(n)} for n in (SMALL_ENTITIES, SMALL_RELATIONS)]
+        return layer_graphs(*paths, *ids)
+
+
+CHAIN = ([(0, 0, 1)], [(1, 1, 2)], [(0, 0, 1), (2, 2, 3)])
+# tail 2 is reached from 1 on every layer and from 3 from the valid layer on
+MERGE = ([(0, 0, 1), (0, 0, 3), (1, 1, 2)], [(3, 1, 2)], [])
+
+
+@settings(deadline=None, max_examples=200)
+@given(three_files(), small_trees)
+@example(CHAIN, projection(0, anchor(5)))  # an anchor with no out-edges
+@example(CHAIN, negation(projection(1, anchor(6))))  # negation of the empty set: every entity
+@example(CHAIN, negation(anchor(3)))
+@example(CHAIN, projection(2, projection(1, projection(0, anchor(0)))))  # test layer only
+@example(CHAIN, intersection(projection(0, anchor(0)), negation(projection(0, anchor(0)))))  # empty
+@example(([], [], []), negation(projection(0, anchor(0))))  # no edges on any layer
+@example(MERGE, projection(1, projection(0, anchor(0))))  # one tail, edge bits that differ
+def test_bitmask_engine_matches_dnf_oracle_on_every_layer(files, tree):
+    layers = small_layers(files)
+    bits = answer_bits(layers.train, tree)
+    assert bits.dtype == np.uint8 and bits.shape == (SMALL_ENTITIES,)
+    # bits past the last layer repeat it
+    assert np.array_equal(bits >> 3, np.where(bits & 4, 0x1F, 0))
+    for k, layer in enumerate((layers.train, layers.valid, layers.test)):
+        expected = answer_dnf(layer, to_dnf(tree))
+        assert set(np.flatnonzero(bits & (1 << k)).tolist()) == expected
+        assert answer(layer, tree) == expected
 
 
 # -- file readers under damaged input ------------------------------------------

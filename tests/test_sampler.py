@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from cqakit.graph import KnowledgeGraph, split_edges, synthetic_graph
+from cqakit import sampler
+from cqakit.graph import GraphLayers, KnowledgeGraph, split_edges, synthetic_graph
 from cqakit.queries import OperatorKind, builtin_query_types, parse_formula, parse_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import (
@@ -19,7 +20,7 @@ from cqakit.sampler import (
     sample_dataset,
     write_dataset,
 )
-from cqakit.symbolic import answer
+from cqakit.symbolic import answer, answer_bits
 
 
 def test_ground_forced_single_edge():
@@ -122,8 +123,6 @@ def test_sampler_keeps_large_answer_sets():
     # hub node with 40 out-edges: grounded 1p queries over the hub keep all answers
     edges = [(0, 0, t) for t in range(1, 41)] + [(41, 1, 42)]
     kg = KnowledgeGraph.from_edges(edges, 43, 2)
-    from cqakit.graph import GraphLayers
-
     layers = GraphLayers(kg, kg, kg)
     ds = sample_dataset(layers, [parse_formula("(p,(e))")], SamplerConfig(20, seed=0))
     assert max(len(r.train_answers) for r in ds.iter_records()) == 40
@@ -211,10 +210,57 @@ def test_reference_full_scale_counts_recorded():
 
 
 def test_sampler_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="per_type_count must be >= 0, got -1"):
         SamplerConfig(per_type_count=-1, seed=0)
+    with pytest.raises(ValueError, match="max_retries must be >= 1, got 0"):
+        SamplerConfig(per_type_count=1, seed=0, max_retries=0)
     with pytest.raises(ValueError):
         SamplerConfig(per_type_count=1, seed=0, source_layer="valid")
+    assert SamplerConfig(per_type_count=0, seed=0, max_retries=1).per_type_count == 0
+
+
+def test_sampler_raises_when_engine_drops_the_seed(desk_layers, monkeypatch):
+    # the stored answers must hold the node the query was grounded at; an
+    # engine that loses it is caught even under python -O
+    seeds = []
+
+    def ground(*args, **kwargs):
+        query, v = ground_type(*args, **kwargs)
+        seeds.append(v)
+        return query, v
+
+    def dropping_seed(graph, query):
+        bits = answer_bits(graph, query)
+        bits[seeds[-1]] = 0
+        return bits
+
+    monkeypatch.setattr(sampler, "ground_type", ground)
+    monkeypatch.setattr(sampler, "answer_bits", dropping_seed)
+    with pytest.raises(
+        RuntimeError, match=r"type \(p,\(e\)\): seed node \d+ is not an answer of \(p,\(\d+\),\(e,\(\d+\)\)\) on the train layer"
+    ):
+        sample_dataset(desk_layers, [parse_formula("(p,(e))")], SamplerConfig(1, seed=0))
+
+
+def test_one_engine_pass_per_distinct_table(monkeypatch):
+    # hand-built layers: three graphs with a table each, and one graph three times
+    small = KnowledgeGraph.from_edges([(0, 0, 1)], 4, 2)
+    mid = KnowledgeGraph.from_edges([(0, 0, 1), (1, 1, 2)], 4, 2)
+    big = KnowledgeGraph.from_edges([(0, 0, 1), (1, 1, 2), (0, 0, 3)], 4, 2)
+    passes = []
+
+    def counted(graph, query):
+        passes.append(graph.table)
+        return answer_bits(graph, query)
+
+    monkeypatch.setattr(sampler, "answer_bits", counted)
+    cfg = SamplerConfig(per_type_count=1, seed=0, source_layer="test")
+    for layers, tables in ((GraphLayers(small, mid, big), 3), (GraphLayers(big, big, big), 1)):
+        passes.clear()
+        (record,) = sample_dataset(layers, [parse_formula("(p,(e))")], cfg).iter_records()
+        assert len(passes) == len(set(passes)) == tables
+        for name in ("train", "valid", "test"):
+            assert record.answers(name) == frozenset(answer(layers.layer(name), record.query))
 
 
 def test_dataset_bytes_pinned(desk_layers, tmp_path):
@@ -227,3 +273,18 @@ def test_dataset_bytes_pinned(desk_layers, tmp_path):
     write_dataset(ds, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "1a2cae30f0ef849ad466ce74e0a185e546848a8155270778c9057ec79c7554fc"
+
+
+def test_test_layer_dataset_bytes_pinned(desk_layers, tmp_path):
+    # sha256 recorded from the per-layer set walks that the one-pass layer
+    # bitmask engine replaced. Grounded on the test layer, with negation
+    # types, so the negation check reads the test bit and 101 of the 174
+    # records differ between layers.
+    cfg = SamplerConfig(per_type_count=3, seed=31, source_layer="test")
+    ds = sample_dataset(desk_layers, builtin_query_types().all_fol, cfg, kg_name="desk")
+    assert len(ds) == 174
+    assert sum(not (r.train_answers == r.valid_answers == r.test_answers) for r in ds.iter_records()) == 101
+    path = tmp_path / "desk-test.jsonl"
+    write_dataset(ds, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "0c7f19d3ce9d6f34046e65ab8477cb789f8aca8f62933a936e77216ab56e8e3f"
