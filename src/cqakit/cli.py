@@ -91,8 +91,12 @@ def _resolve_types(selector: str, include_ood: bool):
     path = Path(selector)
     if not path.exists():
         raise DataError(f"--types must be 'fol', 'conj', or a formula file; {selector!r} not found")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     types = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

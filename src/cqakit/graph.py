@@ -4,15 +4,15 @@ Graphs are immutable after construction and safe to share across readers.
 Entities and relations are dense integer ids; human-readable labels live in
 optional dictionary sidecar files (``id<TAB>label`` per line).
 
-Every graph comes out of one builder, :func:`_build_layers`. It packs each
+Every build goes through one builder, :func:`_build_table`. It packs each
 edge ``(h, r, t)`` into the int64 key ``(h·R + r)·V + t``, so sorted keys are
 the edges in ``(head, relation, tail)`` order, and deduplicates the edges of
 all cumulative layers with one ``np.unique``, tagging each edge with the
-first layer that holds it. The graphs of one build share one
-:class:`RelationTable`, where each edge carries one bit per layer that holds
-it. Layer ``k``'s incoming index starts as a shallow copy of layer ``k-1``'s
-and only the tails touched by layer ``k``'s new edges are rebuilt, so
-unchanged tuples are shared between layers.
+first layer that holds it. The build is one :class:`RelationTable`, where
+each edge carries one bit per layer that holds it; a
+:class:`KnowledgeGraph` is the view of one layer of it. A layer's incoming
+index is built from its edges on first use; readers that race on that
+first use build equal indexes, and one of them is kept.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import re
 from bisect import bisect_left
 from collections.abc import Set
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -117,48 +118,64 @@ class EdgeView(Set):
 
 @dataclass(frozen=True, eq=False)
 class RelationTable:
-    """The edges of every layer of one build, sorted by ``(relation, head, tail)``.
+    """The universe and the edges of every layer of one build.
 
-    Relation ``r``'s edges are ``heads[offsets[r]:offsets[r + 1]]`` and the
-    same slice of ``tails``. ``bits`` is ``0xFF << first_layer`` as
-    ``uint8``, so bit ``k`` of an edge is set exactly when cumulative layer
-    ``k`` holds it. The arrays are read-only; the R + 1 offsets are ints.
+    ``keys`` are the sorted packed edge keys and ``key_bits`` their layer
+    bits. ``heads``, ``tails`` and ``bits`` hold the same edges sorted by
+    ``(relation, head, tail)``: relation ``r``'s edges are
+    ``heads[offsets[r]:offsets[r + 1]]`` and the same slice of ``tails``.
+    An edge's bits are ``0xFF << first_layer`` as ``uint8``, so bit ``k`` is
+    set exactly when cumulative layer ``k`` holds it. The arrays are
+    read-only; the R + 1 offsets are ints.
     """
 
+    num_entities: int
+    num_relations: int
+    keys: np.ndarray
+    key_bits: np.ndarray
     heads: np.ndarray
     tails: np.ndarray
     bits: np.ndarray
     offsets: tuple[int, ...]
 
     def __post_init__(self):
-        for array in (self.heads, self.tails, self.bits):
+        for array in (self.keys, self.key_bits, self.heads, self.tails, self.bits):
             array.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
-    """Entity/relation universe plus an indexed edge set.
+    """Cumulative layer ``layer`` of a relation table: the table's universe
+    and the edges with bit ``layer`` set.
 
-    ``table`` holds the edges of every layer built together with this graph,
-    and this graph's edges are those with bit ``layer`` set.
+    Graphs are equal when their universes and edge sets are.
     ``in_index[tail]`` lists all ``(head, relation)`` pairs pointing at
-    ``tail`` (used by the reverse sampler); absent tails read as the empty
-    tuple.
+    ``tail`` (used by the reverse sampler), built on first use; absent
+    tails read as the empty tuple.
     """
 
-    num_entities: int
-    num_relations: int
-    edges: EdgeView
     table: RelationTable = field(repr=False, compare=False)
     layer: int = field(compare=False)
-    in_index: dict[int, tuple[tuple[int, int], ...]] = field(repr=False, compare=False)
+    num_entities: int = field(init=False)
+    num_relations: int = field(init=False)
+    edges: EdgeView = field(init=False)
+
+    def __post_init__(self):
+        t, V, R = self.table, self.table.num_entities, self.table.num_relations
+        object.__setattr__(self, "num_entities", V)
+        object.__setattr__(self, "num_relations", R)
+        object.__setattr__(self, "edges", EdgeView(t.keys[t.key_bits & (1 << self.layer) != 0], V, R))
 
     @staticmethod
     def from_edges(
         edges, num_entities: int | None = None, num_relations: int | None = None
     ) -> "KnowledgeGraph":
         """One graph over ``edges``, any iterable of triples; duplicates are dropped."""
-        return _build_layers([_as_rows(edges)], num_entities, num_relations)[0][0]
+        return KnowledgeGraph(_build_table([_as_rows(edges)], num_entities, num_relations)[0], 0)
+
+    @cached_property
+    def in_index(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        return _in_index(self.edges.rows())
 
     def in_edges(self, tail: int) -> tuple[tuple[int, int], ...]:
         """All ``(head, relation)`` pairs with an edge into ``tail``."""
@@ -183,35 +200,29 @@ def _as_rows(edges) -> np.ndarray:
         raise GraphFormatError(f"edges must be (head, relation, tail) integer triples: {exc}") from None
 
 
-def _group_ids(group: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Dense ids of the values of ``group``, which ``order`` sorts."""
-    ordered = group[order]
-    starts = np.ones(ordered.size, dtype=bool)
-    starts[1:] = ordered[1:] != ordered[:-1]
-    ids = np.empty(ordered.size, dtype=np.int64)
-    ids[order] = np.cumsum(starts) - 1
-    return ids
-
-
-def _in_index(positions: np.ndarray, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> dict:
-    """``{tail: ((head, relation), ...)}`` over the edges at ``positions``, sorted by tail."""
-    if positions.size == 0:
+def _in_index(rows: np.ndarray) -> dict:
+    """``{tail: ((head, relation), ...)}`` over edge rows sorted by ``(head, relation, tail)``."""
+    heads, relations, tails = rows.T
+    if tails.size == 0:
         return {}
-    group = tails[positions]
-    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    values = list(zip(heads[positions].tolist(), relations[positions].tolist()))
-    bounds = starts.tolist() + [positions.size]
-    return {key: tuple(values[a:b]) for key, a, b in zip(group[starts].tolist(), bounds, bounds[1:])}
+    # a stable sort by tail gives (tail, head, relation) order
+    by_tail = np.argsort(tails, kind="stable")
+    tails = tails[by_tail]
+    starts = np.flatnonzero(np.r_[True, tails[1:] != tails[:-1]])
+    values = list(zip(heads[by_tail].tolist(), relations[by_tail].tolist()))
+    bounds = starts.tolist() + [len(values)]
+    return {key: tuple(values[a:b]) for key, a, b in zip(tails[starts].tolist(), bounds, bounds[1:])}
 
 
-def _build_layers(
+def _build_table(
     parts: list[np.ndarray], num_entities: int | None, num_relations: int | None
-) -> tuple[list[KnowledgeGraph], list[int]]:
-    """Cumulative graphs over edge rows: graph ``k`` holds ``parts[0..k]``.
+) -> tuple[RelationTable, list[int]]:
+    """The relation table of cumulative layers over edge rows: layer ``k``
+    holds ``parts[0..k]``.
 
-    At most eight parts, one per bit of the relation table. Universe sizes
-    default to the largest ids seen plus one. Also returns, per part, how
-    many of its rows an earlier part already holds.
+    At most eight parts, one per bit of the table. Universe sizes default to
+    the largest ids seen plus one. Also returns, per part, how many of its
+    rows an earlier part already holds.
     """
     rows = np.concatenate(parts)
     tags = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
@@ -233,49 +244,29 @@ def _build_layers(
     )
     layer = tags[first]
     repeated = np.bincount(tags[layer[inverse] < tags], minlength=len(parts)).tolist()
+    bits = np.left_shift(np.uint8(0xFF), layer.astype(np.uint8))
 
     heads, relations, tails = _unpack(keys, V, R).T
-    # keys sort by (head, relation, tail), so stable sorts give the
-    # (relation, head, tail) order of the table and the (tail, head,
-    # relation) order of the incoming index
+    # keys sort by (head, relation, tail), so a stable sort by relation
+    # gives the (relation, head, tail) order of the table
     by_relation = np.argsort(relations, kind="stable")
-    table = RelationTable(
-        heads[by_relation],
-        tails[by_relation],
-        np.left_shift(np.uint8(0xFF), layer[by_relation].astype(np.uint8)),
-        tuple(np.r_[0, np.cumsum(np.bincount(relations, minlength=R))].tolist()),
-    )
-    by_tail = np.argsort(tails, kind="stable")
-    tail_ids = _group_ids(tails, by_tail)
-
-    graphs: list[KnowledgeGraph] = []
-    in_index: dict = {}
-    for k in range(len(parts)):
-        held, added = layer <= k, layer == k
-        touched = np.zeros(keys.size, dtype=bool)
-        touched[tail_ids[added]] = True
-        rebuilt = held & touched[tail_ids]
-        in_index = {**in_index, **_in_index(by_tail[rebuilt[by_tail]], heads, relations, tails)}
-        graphs.append(KnowledgeGraph(V, R, EdgeView(keys[held], V, R), table, k, in_index))
-    return graphs, repeated
+    offsets = tuple(np.r_[0, np.cumsum(np.bincount(relations, minlength=R))].tolist())
+    table = RelationTable(V, R, keys, bits, heads[by_relation], tails[by_relation], bits[by_relation], offsets)
+    return table, repeated
 
 
 @dataclass(frozen=True)
 class GraphLayers:
-    """Cumulative train/valid/test graphs over one shared id space."""
+    """Cumulative train/valid/test graphs: views of layers 0, 1 and 2 of one table."""
 
-    train: KnowledgeGraph
-    valid: KnowledgeGraph
-    test: KnowledgeGraph
+    table: RelationTable = field(repr=False, compare=False)
+    train: KnowledgeGraph = field(init=False)
+    valid: KnowledgeGraph = field(init=False)
+    test: KnowledgeGraph = field(init=False)
 
     def __post_init__(self):
-        if not (self.train.edges <= self.valid.edges <= self.test.edges):
-            raise ValueError("graph layers must be cumulative (train ⊆ valid ⊆ test)")
-        if not (
-            self.train.num_entities == self.valid.num_entities == self.test.num_entities
-            and self.train.num_relations == self.valid.num_relations == self.test.num_relations
-        ):
-            raise ValueError("graph layers must share entity/relation universes")
+        for k, name in enumerate(("train", "valid", "test")):
+            object.__setattr__(self, name, KnowledgeGraph(self.table, k))
 
     def layer(self, name: str) -> KnowledgeGraph:
         try:
@@ -400,14 +391,14 @@ def layer_graphs(
     parts = [read_triples(path, entity_dict, relation_dict) for path in (train_file, valid_file, test_file)]
     num_entities = len(entity_dict) if entity_dict is not None else None
     num_relations = len(relation_dict) if relation_dict is not None else None
-    layers, repeated = _build_layers(parts, num_entities, num_relations)
+    table, repeated = _build_table(parts, num_entities, num_relations)
     if repeated[1] or repeated[2]:
         logger.warning(
             "deduplicated %d valid and %d test edges already present in earlier layers",
             repeated[1],
             repeated[2],
         )
-    return GraphLayers(*layers)
+    return GraphLayers(table)
 
 
 def split_edges(
@@ -430,7 +421,7 @@ def split_edges(
     n1 = total * ratios[0] // s
     n2 = total * (ratios[0] + ratios[1]) // s
     parts = [shuffled[:n1], shuffled[n1:n2], shuffled[n2:]]
-    return GraphLayers(*_build_layers(parts, kg.num_entities, kg.num_relations)[0])
+    return GraphLayers(_build_table(parts, kg.num_entities, kg.num_relations)[0])
 
 
 def synthetic_graph(

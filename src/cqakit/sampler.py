@@ -198,13 +198,13 @@ def sample_dataset(
     """Sample ``cfg.per_type_count`` grounded queries per type with answers.
 
     Queries are grounded on ``cfg.source_layer``; each record stores its
-    answer sets on all three layers. Grounded queries are deduplicated
-    within a type. Record ``i`` of type ``t`` draws from an independent
-    random stream keyed by ``(seed, t, i)``, so output is reproducible and
-    independent of scheduling.
+    answer sets on all three layers, read from one :func:`answer_bits`
+    pass. Grounded queries are deduplicated within a type. Record ``i`` of
+    type ``t`` draws from an independent random stream keyed by
+    ``(seed, t, i)``, so output is reproducible and independent of
+    scheduling.
     """
     source = layers.layer(cfg.source_layer)
-    graphs = (layers.train, layers.valid, layers.test)
     dataset = Dataset(
         provenance=Provenance(kg_name, cfg.seed, cfg.config_hash()),
         num_entities=source.num_entities,
@@ -226,7 +226,9 @@ def sample_dataset(
                 if key in seen:
                     continue
                 seen.add(key)
-                record = GroundedQueryRecord(qtype.formula_text, query, *_layer_answers(graphs, query))
+                bits = answer_bits(source, query)  # bit k: the answers on layer k
+                answers = (frozenset((bits & (1 << k)).nonzero()[0].tolist()) for k in range(3))
+                record = GroundedQueryRecord(qtype.formula_text, query, *answers)
                 if v not in record.answers(cfg.source_layer):
                     # grounding and the symbolic engine disagree
                     raise RuntimeError(
@@ -247,16 +249,6 @@ def sample_dataset(
             )
         dataset.records[qtype.formula_text] = group
     return dataset
-
-
-def _layer_answers(graphs, query: ComputationGraph) -> list[frozenset[int]]:
-    """Each graph's answer set, from one :func:`answer_bits` pass per distinct relation table."""
-    passes, out = {}, []
-    for graph in graphs:
-        if graph.table not in passes:
-            passes[graph.table] = answer_bits(graph, query)
-        out.append(frozenset((passes[graph.table] & (1 << graph.layer)).nonzero()[0].tolist()))
-    return out
 
 
 # ---------------------------------------------------------------------------

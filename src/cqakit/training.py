@@ -63,11 +63,12 @@ class TrainConfig:
     eval_every: int = 0  # epochs between validation-swap evaluations; 0 = off
 
     def __post_init__(self):
-        if self.batch_size <= 0 or self.d <= 0 or self.epochs < 0:
-            raise ValueError("sizes must be positive")
-        for key, low in (("layers", 1), ("heads", 1), ("max_len", 1), ("rpe_clip", 0)):
+        for key, low in (
+            ("d", 1), ("batch_size", 1), ("epochs", 0), ("eval_every", 0),
+            ("layers", 1), ("heads", 1), ("max_len", 1), ("rpe_clip", 0),
+        ):
             if getattr(self, key) < low:
-                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         for key in ("learning_rate", "adam_eps"):
             if not 0 < getattr(self, key) < math.inf:  # also refuses NaN
                 raise ValueError(f"{key} must be finite and above 0, got {getattr(self, key)}")

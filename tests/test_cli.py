@@ -156,6 +156,16 @@ def test_generate_custom_type_file(capsys, kg_dir, tmp_path):
     assert "2 types" in out
 
 
+def test_generate_non_utf8_type_file_exits_two(capsys, kg_dir, tmp_path):
+    tfile = tmp_path / "types.txt"
+    tfile.write_bytes(b"(p,(e))\n\xff(p,(e))\n")
+    code, out, err = run(capsys, "generate", "--kg", str(kg_dir), "--types", str(tfile), "--count", "1",
+                         "--seed", "0", "--out", str(tmp_path / "d.jsonl"))
+    assert code == 2 and out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("config-hash:")]
+    assert len(lines) == 1 and lines[0].startswith(f"error: {tfile}: not UTF-8 text")
+
+
 def test_train_eval_pipeline(capsys, kg_dir, tmp_path):
     data = tmp_path / "d.jsonl"
     ckpt = tmp_path / "m.ckpt"
@@ -318,10 +328,13 @@ def test_eval_damaged_files_exit_two(capsys, handmade_dataset, tmp_path):
 
 
 @pytest.mark.parametrize("overrides,message", [
-    (["arch=Transformer-APE", "heads=0"], "heads must be at least 1, got 0"),
-    (["arch=LSTM", "layers=0"], "layers must be at least 1, got 0"),
+    (["arch=Transformer-APE", "heads=0"], "heads must be >= 1, got 0"),
+    (["arch=LSTM", "layers=0"], "layers must be >= 1, got 0"),
     (["arch=LSTM", "adam_eps=0"], "adam_eps must be finite and above 0, got 0.0"),
-], ids=["zero-heads", "zero-layers", "zero-adam-eps"])
+    (["arch=LSTM", "batch_size=0"], "batch_size must be >= 1, got 0"),
+    # (epoch + 1) % -1 == 0 would run the validation-swap eval every epoch
+    (["arch=LSTM", "eval_every=-1"], "eval_every must be >= 0, got -1"),
+], ids=["zero-heads", "zero-layers", "zero-adam-eps", "zero-batch-size", "negative-eval-every"])
 def test_train_rejects_out_of_range_sizes(overrides, message, capsys, handmade_dataset, tmp_path):
     ckpt = tmp_path / "m.ckpt"
     argv = ["train", "--data", str(handmade_dataset()), "--out", str(ckpt), "--set", "d=8"]

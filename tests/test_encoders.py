@@ -305,7 +305,7 @@ def test_checkpoint_one_dtype(tmp_path):
     (lambda meta, tensors: meta.update(step="7"), "meta needs 'step' of type int"),
     (lambda meta, tensors: meta["train_config"].update(arch=5), "config key 'arch' expects str"),
     (lambda meta, tensors: meta["train_config"].update(arch="CNN"), "unknown architecture"),
-    (lambda meta, tensors: meta["train_config"].update(heads=0), "heads must be at least 1"),
+    (lambda meta, tensors: meta["train_config"].update(heads=0), "heads must be >= 1, got 0"),
 ], ids=["extra-tensor", "no-train-config", "string-step", "numeric-arch", "unknown-arch", "zero-heads"])
 def test_checkpoint_bad_meta_or_tensors_rejected(edit, match, tmp_path):
     path = tmp_path / "m.ckpt"

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from cqakit import sampler
-from cqakit.graph import GraphLayers, KnowledgeGraph, split_edges, synthetic_graph
+from cqakit import graph, sampler
+from cqakit.graph import GraphLayers, KnowledgeGraph, layer_graphs, split_edges, synthetic_graph
 from cqakit.queries import OperatorKind, builtin_query_types, parse_formula, parse_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import (
@@ -123,7 +123,7 @@ def test_sampler_keeps_large_answer_sets():
     # hub node with 40 out-edges: grounded 1p queries over the hub keep all answers
     edges = [(0, 0, t) for t in range(1, 41)] + [(41, 1, 42)]
     kg = KnowledgeGraph.from_edges(edges, 43, 2)
-    layers = GraphLayers(kg, kg, kg)
+    layers = GraphLayers(kg.table)  # one part: the three layers are kg
     ds = sample_dataset(layers, [parse_formula("(p,(e))")], SamplerConfig(20, seed=0))
     assert max(len(r.train_answers) for r in ds.iter_records()) == 40
 
@@ -242,25 +242,45 @@ def test_sampler_raises_when_engine_drops_the_seed(desk_layers, monkeypatch):
         sample_dataset(desk_layers, [parse_formula("(p,(e))")], SamplerConfig(1, seed=0))
 
 
-def test_one_engine_pass_per_distinct_table(monkeypatch):
-    # hand-built layers: three graphs with a table each, and one graph three times
-    small = KnowledgeGraph.from_edges([(0, 0, 1)], 4, 2)
-    mid = KnowledgeGraph.from_edges([(0, 0, 1), (1, 1, 2)], 4, 2)
-    big = KnowledgeGraph.from_edges([(0, 0, 1), (1, 1, 2), (0, 0, 3)], 4, 2)
+def test_one_engine_pass_per_record(desk_layers, monkeypatch):
+    # the record's three answer sets come from one pass on the source layer;
+    # a negation type's grounding check goes through answer, not this binding
     passes = []
 
-    def counted(graph, query):
-        passes.append(graph.table)
-        return answer_bits(graph, query)
+    def counted(layer, query):
+        passes.append(layer)
+        return answer_bits(layer, query)
 
     monkeypatch.setattr(sampler, "answer_bits", counted)
-    cfg = SamplerConfig(per_type_count=1, seed=0, source_layer="test")
-    for layers, tables in ((GraphLayers(small, mid, big), 3), (GraphLayers(big, big, big), 1)):
-        passes.clear()
-        (record,) = sample_dataset(layers, [parse_formula("(p,(e))")], cfg).iter_records()
-        assert len(passes) == len(set(passes)) == tables
+    types = [parse_formula("(p,(e))"), parse_formula("(i,(n,(p,(e))),(p,(e)))")]
+    cfg = SamplerConfig(per_type_count=4, seed=0, source_layer="test")
+    ds = sample_dataset(desk_layers, types, cfg)
+    assert len(ds) == 8 and len(passes) == 8
+    assert all(layer is desk_layers.test for layer in passes)
+    for record in ds.iter_records():
         for name in ("train", "valid", "test"):
-            assert record.answers(name) == frozenset(answer(layers.layer(name), record.query))
+            assert record.answers(name) == frozenset(answer(desk_layers.layer(name), record.query))
+
+
+def test_incoming_index_built_once_on_the_source_layer_only(tmp_path, monkeypatch):
+    rows = synthetic_graph(40, 3, 200, seed=5).edges.rows().tolist()
+    paths = [tmp_path / f"{name}.txt" for name in ("train", "valid", "test")]
+    for path, part in zip(paths, (rows[:160], rows[160:180], rows[180:])):
+        path.write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in part))
+    builds, in_index = [], graph._in_index
+
+    def counted(edge_rows):
+        builds.append(len(edge_rows))
+        return in_index(edge_rows)
+
+    monkeypatch.setattr(graph, "_in_index", counted)
+    layers = layer_graphs(*paths)
+    assert builds == []
+    for seed in (0, 1):
+        sample_dataset(layers, [parse_formula("(p,(p,(e)))")], SamplerConfig(5, seed=seed))
+    assert builds == [160]
+    assert "in_index" in vars(layers.train)
+    assert "in_index" not in vars(layers.valid) and "in_index" not in vars(layers.test)
 
 
 def test_dataset_bytes_pinned(desk_layers, tmp_path):

@@ -252,15 +252,16 @@ def test_config_file_and_overrides(tmp_path):
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
         TrainConfig(adam_beta1=1.5)
     with pytest.raises(ValueError):
         TrainConfig(precision="half")
-    for key, value in (("layers", 0), ("heads", 0), ("max_len", 0), ("rpe_clip", -1)):
-        with pytest.raises(ValueError, match=f"{key} must be at least"):
-            TrainConfig(**{key: value})
-    TrainConfig(layers=1, heads=1, max_len=1, rpe_clip=0)
+    for key, low in (
+        ("d", 1), ("batch_size", 1), ("epochs", 0), ("eval_every", 0),
+        ("layers", 1), ("heads", 1), ("max_len", 1), ("rpe_clip", 0),
+    ):
+        with pytest.raises(ValueError, match=f"^{key} must be >= {low}, got {low - 1}$"):
+            TrainConfig(**{key: low - 1})
+    TrainConfig(d=1, batch_size=1, epochs=0, eval_every=0, layers=1, heads=1, max_len=1, rpe_clip=0)
     # a zero or NaN step size or epsilon trains without error into NaN parameters
     for key in ("learning_rate", "adam_eps"):
         for value in (0.0, -1e-3, float("nan"), float("inf")):
