@@ -29,7 +29,7 @@ from .gradcheck import NonFiniteLossError, grad_check
 from .lstm import BiLSTMEncoder
 from .numerics import softmax
 from .transformer import TransformerEncoder
-from .treelstm import TREE_CELLS, TreeLSTMEncoder
+from .treelstm import TREE_CELLS, TreeLSTMEncoder, tree_token_nodes
 
 ARCHITECTURES = (
     "LSTM",
@@ -84,9 +84,9 @@ class QueryModel:
     """Embedding table + encoder with one encode/backward surface.
 
     Sequence architectures consume linearized token sequences; tree
-    architectures consume the computational graph directly. ``parameters``
-    exposes every learnable tensor under a flat name space ('table' plus
-    'enc.*') for the optimizer and the gradient checker.
+    architectures consume each graph flattened once by ``tree_token_nodes``.
+    ``parameters`` exposes every learnable tensor under a flat name space
+    ('table' plus 'enc.*') for the optimizer and the gradient checker.
     """
 
     vocab: Vocabulary
@@ -111,15 +111,15 @@ class QueryModel:
         return out
 
     def prepare(self, graphs: list[ComputationGraph]):
-        """Per-architecture query representation (token lists or the graphs)."""
+        """Token lists, or each tree's post-order ``(token, child_slots)`` nodes."""
         if self.is_tree:
-            return list(graphs)
+            return [tree_token_nodes(g, self.vocab) for g in graphs]
         return [linearize(g, self.vocab) for g in graphs]
 
     def encode(self, queries) -> tuple[np.ndarray, object]:
         """Encode prepared queries; returns ((B,d) embeddings, cache)."""
         if self.is_tree:
-            out, cache = self.encoder.forward(queries, self.table, self.vocab)
+            out, cache = self.encoder.forward(queries, self.table)
             return out, ("tree", cache)
         ids, mask = pad_batch(queries, dtype=self.table.rows.dtype)
         x = self.table.rows[ids]

@@ -154,13 +154,13 @@ class TreeLSTMEncoder:
         self.d = d
         self.params = cell.init(d, rng, dtype)
 
-    def forward(self, graphs: list[QueryNode], table, vocab: Vocabulary):
-        """Encode each query tree; returns (B,d) readouts and a cache."""
+    def forward(self, trees: list[list[tuple[int, list[int]]]], table):
+        """Encode each tree of ``tree_token_nodes``; returns (B,d) readouts and a cache."""
         outs = []
         tree_caches = []
-        for graph in graphs:
+        for nodes in trees:
             states, steps = [], []
-            for token, child_slots in tree_token_nodes(graph, vocab):
+            for token, child_slots in nodes:
                 x = table.rows[token]
                 children = [states[k] for k in child_slots]
                 h_sum = sum((s[0] for s in children), np.zeros(self.d, dtype=x.dtype))

@@ -32,9 +32,13 @@ def rank(scores: np.ndarray, target: int, filtered: frozenset[int] | set[int]) -
 
     rank = 1 + #{unfiltered v' != target with s(v') > s(target)}
              + 0.5 * #{unfiltered v' != target with s(v') = s(target)}
+
+    A NaN score is read as -inf: it ties with -inf and every other NaN,
+    and a NaN target never ranks above a finite competitor.
     """
     if not 0 <= target < scores.shape[0]:
         raise IndexError(f"target entity {target} out of range")
+    scores = np.where(np.isnan(scores), -np.inf, scores)
     s_t = scores[target]
     keep = np.ones(scores.shape[0], dtype=bool)
     if filtered:
@@ -45,23 +49,25 @@ def rank(scores: np.ndarray, target: int, filtered: frozenset[int] | set[int]) -
     return 1.0 + better + 0.5 * ties
 
 
-def _ranks(scores: np.ndarray, targets: list[int], base) -> list[float]:
+def _ranks(scores: np.ndarray, targets: list[int], base) -> np.ndarray:
     """Filtered ranks of ``targets``, all drawn from the filter ``base``.
 
-    Equal to ``rank(scores, v, base - {v})`` for each target ``v``: every
-    target competes with the same entities, those outside ``base``, so
-    one sort of their scores ranks all targets at once.
+    Equal to ``rank(scores, v, base - {v})`` for each target ``v``, NaN
+    read as -inf likewise: every target competes with the same entities,
+    those outside ``base``, so one sort of their scores ranks all targets
+    at once.
     """
-    if not all(0 <= v < scores.shape[0] for v in targets):
+    t = np.asarray(targets, dtype=np.int64)
+    if ((t < 0) | (t >= scores.shape[0])).any():
         raise IndexError(f"target entity out of range [0, {scores.shape[0]})")
+    scores = np.where(np.isnan(scores), -np.inf, scores)
     keep = np.ones(scores.shape[0], dtype=bool)
     keep[np.fromiter(base, dtype=np.int64, count=len(base))] = False
     others = np.sort(scores[keep])
-    others = others[~np.isnan(others)]  # as in rank(), NaN neither outranks nor ties
-    s_t = scores[targets]
+    s_t = scores[t]
     above = np.searchsorted(others, s_t, side="right")
     ties = above - np.searchsorted(others, s_t, side="left")
-    return (1.0 + (others.size - above) + 0.5 * ties).tolist()
+    return 1.0 + (others.size - above) + 0.5 * ties
 
 
 def _mode_sets(record: GroundedQueryRecord, mode: str):
@@ -73,13 +79,6 @@ def _mode_sets(record: GroundedQueryRecord, mode: str):
     if mode == "validation-swap":
         return record.valid_answers - record.train_answers, record.valid_answers
     raise ValueError(f"unknown mode {mode!r} (expected one of {MODES})")
-
-
-def _metric(r: float, metric: str) -> float:
-    if metric == "MRR":
-        return 1.0 / r
-    k = int(metric.split("@")[1])
-    return 1.0 if r <= k else 0.0
 
 
 METRICS = ("MRR",) + tuple(f"Hit@{k}" for k in HIT_KS)
@@ -136,29 +135,34 @@ class MetricReport:
 
 def evaluate_scores(
     records: list[GroundedQueryRecord],
-    scores: np.ndarray,
+    scores,
     modes=("entailment", "inference"),
 ) -> MetricReport:
-    """Metric computation from precomputed score rows (one per record)."""
-    report = MetricReport()
-    for mode in modes:
-        per_query: list[tuple[str, dict[str, float]]] = []  # (type, metric values)
-        excluded = 0
-        for record, row in zip(records, scores):
+    """Metrics from score rows, one per record, read once in record order.
+
+    ``scores`` is an (N, V) array or any iterable of N rows; a row count
+    that differs from the record count raises ``ValueError``. A query's
+    values are ``MRR = mean(1/r)`` and ``Hit@k = mean(r <= k)`` over its
+    targets' ranks ``r``.
+    """
+    per_query: dict[str, list[tuple[str, list[float]]]] = {mode: [] for mode in modes}
+    excluded = dict.fromkeys(modes, 0)
+    for record, row in zip(records, scores, strict=True):
+        for mode in modes:
             targets, base = _mode_sets(record, mode)
             if not targets:
-                excluded += 1
+                excluded[mode] += 1
                 continue
-            values = {m: 0.0 for m in METRICS}
-            for r in _ranks(row, sorted(targets), base):
-                for m in METRICS:
-                    values[m] += _metric(r, m)
-            for m in METRICS:
-                values[m] /= len(targets)
-            per_query.append((record.type_formula, values))
-        report.excluded[mode] = excluded
-        report.evaluated[mode] = len(per_query)
-        if not per_query:
+            r = _ranks(row, sorted(targets), base)
+            # mean(1/r) and mean(r <= k), without np.mean's per-call cost
+            values = [(1.0 / r).sum() / r.size] + [np.count_nonzero(r <= k) / r.size for k in HIT_KS]
+            per_query[mode].append((record.type_formula, values))
+    report = MetricReport()
+    for mode in modes:
+        queries = per_query[mode]
+        report.excluded[mode] = excluded[mode]
+        report.evaluated[mode] = len(queries)
+        if not queries:
             continue
 
         def add_row(kind, group, metric, value, count):
@@ -173,14 +177,13 @@ def evaluate_scores(
                 }
             )
 
-        by_type: dict[str, list[dict]] = {}
-        for formula, values in per_query:
+        by_type: dict[str, list[list[float]]] = {}
+        for formula, values in queries:
             by_type.setdefault(formula, []).append(values)
-        type_means: dict[str, dict[str, float]] = {}
-        for formula, rows in sorted(by_type.items()):
-            type_means[formula] = {m: float(np.mean([r[m] for r in rows])) for m in METRICS}
-            for m in METRICS:
-                add_row("type", formula, m, type_means[formula][m], len(rows))
+        type_means = {formula: np.mean(rows, axis=0) for formula, rows in sorted(by_type.items())}
+        for formula, means in type_means.items():
+            for m, value in zip(METRICS, means):
+                add_row("type", formula, m, value, len(by_type[formula]))
 
         # grouped breakdowns share the per-type means so each type weighs equally
         def grouped(key_fn, kind):
@@ -189,35 +192,27 @@ def evaluate_scores(
                 buckets.setdefault(key_fn(formula), []).append(formula)
             for group, formulas in sorted(buckets.items()):
                 count = sum(len(by_type[f]) for f in formulas)
-                for m in METRICS:
-                    add_row(kind, group, m, np.mean([type_means[f][m] for f in formulas]), count)
+                for m, value in zip(METRICS, np.mean([type_means[f] for f in formulas], axis=0)):
+                    add_row(kind, group, m, value, count)
 
         grouped(lambda f: str(parse_formula(f).depth), "depth")
         grouped(distribution_of, "distribution")
 
-        for m in METRICS:
-            add_row(
-                "overall",
-                "mean_over_types",
-                m,
-                np.mean([type_means[f][m] for f in type_means]),
-                len(per_query),
-            )
-            add_row(
-                "overall",
-                "mean_over_queries",
-                m,
-                np.mean([values[m] for _, values in per_query]),
-                len(per_query),
-            )
+        over_types = np.mean(list(type_means.values()), axis=0)
+        over_queries = np.mean([values for _, values in queries], axis=0)
+        for m, by_types, by_queries in zip(METRICS, over_types, over_queries):
+            add_row("overall", "mean_over_types", m, by_types, len(queries))
+            add_row("overall", "mean_over_queries", m, by_queries, len(queries))
     return report
 
 
 def evaluate(model, dataset: Dataset, mode: str = "both") -> MetricReport:
-    """Encode and score every record once, then compute the mode's metrics.
+    """Encode, score and rank the records in order, 256 per chunk.
 
     ``mode`` is one of the evaluation modes, or ``both`` for
     entailment+inference. Records already carry their three answer sets.
+    Score rows reach :func:`evaluate_scores` one chunk at a time, so memory
+    stays at O(chunk * num_entities) whatever the record count.
     """
     modes = ("entailment", "inference") if mode == "both" else (mode,)
     for m in modes:
@@ -226,11 +221,13 @@ def evaluate(model, dataset: Dataset, mode: str = "both") -> MetricReport:
     records = list(dataset.iter_records())
     if not records:
         return MetricReport()
-    score_rows = np.zeros((len(records), model.vocab.num_entities))
     # tree encoders walk each graph on its own, so a chunk may mix types;
     # sequence encoders pad each chunk to its longest record
-    for start in range(0, len(records), 256):
-        chunk = records[start : start + 256]
-        e_q = model.encode_graphs([record.query for record in chunk])
-        score_rows[start : start + len(chunk)] = model.entity_scores(e_q)
-    return evaluate_scores(records, score_rows, modes)
+    rows = (
+        row
+        for start in range(0, len(records), 256)
+        for row in model.entity_scores(
+            model.encode_graphs([record.query for record in records[start : start + 256]])
+        )
+    )
+    return evaluate_scores(records, rows, modes)

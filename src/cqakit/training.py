@@ -134,7 +134,7 @@ def parse_config_file(path) -> dict:
 
 @dataclass
 class Pair:
-    query: object  # prepared representation (token list or graph)
+    query: object  # prepared representation (token list or tree nodes)
     target: int
     type_formula: str
 

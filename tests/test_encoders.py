@@ -49,12 +49,12 @@ def test_zero_lstm_is_zero_fixed_point():
 
 def test_treelstm_anchor_locality():
     model = new_model(VOCAB, "TreeLSTM", d=8, seed=2)
-    out1, _ = model.encode([anchor(4)])
+    out1, _ = model.encode(model.prepare([anchor(4)]))
     # permuting every other table row must not change the encoding of (e,(4))
     row = VOCAB.entity_token(4)
     other = [i for i in range(VOCAB.size) if i != row]
     model.table.rows[other] = model.table.rows[other][::-1]
-    out2, _ = model.encode([anchor(4)])
+    out2, _ = model.encode(model.prepare([anchor(4)]))
     np.testing.assert_array_equal(out1, out2)
 
 
@@ -114,8 +114,8 @@ def test_seed_determinism():
 def test_ablation_variants_differ():
     full = new_model(VOCAB, "TreeLSTM", d=8, seed=6)
     ablated = new_model(VOCAB, "TreeLSTM-NoMemoryCell", d=8, seed=6)
-    out_full, _ = full.encode(GRAPHS[:1])
-    out_ablated, _ = ablated.encode(GRAPHS[:1])
+    out_full, _ = full.encode(full.prepare(GRAPHS[:1]))
+    out_ablated, _ = ablated.encode(ablated.prepare(GRAPHS[:1]))
     assert not np.allclose(out_full, out_ablated)
 
 

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
-from cqakit.evaluation import _ranks, evaluate, evaluate_scores, rank
+from cqakit.encoders import new_model
+from cqakit.evaluation import MODES, _ranks, evaluate, evaluate_scores, rank
+from cqakit.linearize import Vocabulary
 from cqakit.queries import parse_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance
@@ -84,7 +88,36 @@ def test_one_sort_ranks_match_rank_oracle(data):
     targets = data.draw(st.sets(st.integers(0, n - 1), min_size=1)) | extremes
     base = targets | data.draw(st.sets(st.integers(0, n - 1)))
     order = sorted(targets)
-    assert _ranks(scores, order, base) == [rank(scores, v, base - {v}) for v in order]
+    assert _ranks(scores, order, base).tolist() == [rank(scores, v, base - {v}) for v in order]
+
+
+def test_nan_scores_rank_as_minus_infinity():
+    # a NaN target sits below a finite score and ties with NaN and -inf
+    row = np.array([np.nan, 0.0, np.nan, -np.inf])
+    assert rank(row, 0, frozenset()) == 3.0
+    assert _ranks(row, [0], {0}).tolist() == [3.0]
+    # in an all-NaN row every unfiltered competitor ties with the target
+    row = np.full(10, np.nan)
+    for rec in fixture_records():
+        base = rec.train_answers
+        want = 1.0 + 0.5 * (10 - len(base))
+        assert [rank(row, v, base - {v}) for v in sorted(base)] == [want] * len(base)
+        assert _ranks(row, sorted(base), base).tolist() == [want] * len(base)
+    report = evaluate_scores(fixture_records(), np.full((3, 10), np.nan), modes=("entailment",))
+    # q1 ranks 1 + 0.5 * 8 = 5, q2 and q3 rank 1 + 0.5 * 9 = 5.5
+    assert report.value("entailment", "Hit@1") == 0.0
+    assert report.value("entailment", "Hit@3") == 0.0
+    assert report.value("entailment", "MRR", group="mean_over_queries") == pytest.approx((0.2 + 2 / 11 * 2) / 3)
+
+
+def test_row_count_must_match_record_count():
+    records, scores = fixture_records(), fixture_scores()
+    with pytest.raises(ValueError):
+        evaluate_scores(records, scores[:2])
+    with pytest.raises(ValueError):
+        evaluate_scores(records[:2], scores)
+    with pytest.raises(ValueError):
+        evaluate_scores(records, iter(scores[:2]))  # a short lazy row stream
 
 
 def test_rank_rejects_bad_target():
@@ -252,3 +285,66 @@ def test_evaluate_supports_tree_architectures():
     assert report.evaluated["entailment"] == 2
     for row in report.rows:
         assert 0.0 <= row["value"] <= 1.0
+
+
+TEMPLATES = {
+    "(p,(e))": "(p,({}),(e,({})))",
+    "(p,(p,(e)))": "(p,({}),(p,({}),(e,({}))))",
+    "(i,(p,(e)),(p,(e)))": "(i,(p,({}),(e,({}))),(p,({}),(e,({}))))",
+    "(i,(p,(e)),(n,(p,(e))))": "(i,(p,({}),(e,({}))),(n,(p,({}),(e,({})))))",
+}
+
+
+def random_dataset(counts: dict[str, int], num_entities: int, num_relations: int, seed: int) -> Dataset:
+    """Random groundings of the template types with nested random answer sets."""
+    rng = make_rng(seed)
+    records = {}
+    for formula, count in counts.items():
+        template = TEMPLATES[formula]
+        group = []
+        for _ in range(count):
+            ids = []
+            for part in template.split("{}")[:-1]:
+                ids.append(int(rng.integers(num_relations if part.endswith("(p,(") else num_entities)))
+            train = set(rng.choice(num_entities, size=rng.integers(0, 4), replace=False).tolist())
+            valid = train | set(rng.choice(num_entities, size=rng.integers(0, 3), replace=False).tolist())
+            test = valid | set(rng.choice(num_entities, size=rng.integers(0, 3), replace=False).tolist())
+            group.append(record(formula, template.format(*ids), train, valid, test))
+        records[formula] = group
+    return Dataset(records, Provenance("random", seed, "h"), num_entities, num_relations)
+
+
+@pytest.mark.parametrize("arch", ("LSTM", "TreeLSTM", "Transformer-RPE"))
+def test_chunked_evaluate_matches_materialised_scores(arch):
+    # 600 records in type groups that do not line up with the 256-record chunks
+    counts = dict(zip(TEMPLATES, (150, 200, 130, 120)))
+    dataset = random_dataset(counts, num_entities=30, num_relations=4, seed=8)
+    records = list(dataset.iter_records())
+    model = new_model(Vocabulary(4, 30), arch, d=8, seed=3, layers=1, heads=2)
+    scores = model.entity_scores(model.encode_graphs([r.query for r in records]))
+    for mode in ("both",) + MODES:
+        modes = ("entailment", "inference") if mode == "both" else (mode,)
+        chunked = evaluate(model, dataset, mode)
+        whole = evaluate_scores(records, scores, modes)
+        assert chunked.evaluated == whole.evaluated and chunked.excluded == whole.excluded
+        assert chunked.evaluated[modes[0]] > 0
+        assert len(chunked.rows) == len(whole.rows)
+        for a, b in zip(chunked.rows, whole.rows):
+            assert {**a, "value": None} == {**b, "value": None}
+            assert a["value"] == pytest.approx(b["value"], rel=1e-12, abs=1e-15)
+
+
+def test_evaluate_memory_stays_flat():
+    # an (N, V) score matrix alone would be 2048 * V * 8 bytes, well above the bound
+    V = 4000
+    dataset = random_dataset({"(p,(e))": 2048}, num_entities=V, num_relations=3, seed=9)
+    model = new_model(Vocabulary(3, V), "LSTM", d=4, seed=1, layers=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        report = evaluate(model, dataset, "both")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.evaluated["entailment"] + report.excluded["entailment"] == 2048
+    assert peak < 3 * 256 * V * 8
