@@ -13,7 +13,9 @@ Positional information comes in one of two flavours:
   logit(i,j) = (q_i . k_j + q_i . rel[clip(j-i)]) / sqrt(d_head).
 
 All gradients are hand-derived; padded key positions are masked out of the
-attention softmax, so PAD tokens cannot influence the readout.
+attention softmax, so PAD tokens cannot influence the readout. Every
+attention contraction, forward and backward, is a batched ``matmul``, so it
+runs on BLAS.
 """
 
 from __future__ import annotations
@@ -86,45 +88,54 @@ class TransformerEncoder:
     def _attention(self, a, mask, l):
         p = self.params
         B, T, d = a.shape
+        H, hd = self.heads, self.head_dim
         q = self._split(a @ p[f"l{l}.Wq"] + p[f"l{l}.bq"])  # (B,H,T,hd)
         k = self._split(a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"])
         v = self._split(a @ p[f"l{l}.Wv"] + p[f"l{l}.bv"])
-        scale = 1.0 / np.sqrt(self.head_dim)
-        logits = np.einsum("bhid,bhjd->bhij", q, k) * scale
-        ridx = None
+        scale = 1.0 / np.sqrt(hd)
+        logits = q @ k.swapaxes(-1, -2)  # (B,H,T,T)
+        rel = None
         if self.relative:
+            # one (B·H, hd) @ (hd, T) matmul per query position i:
+            # q_i . rel[clip(j-i)] for every key j
             ridx = self._rel_index(T)
             rel_k = p["rel"][ridx]  # (T,T,hd)
-            logits = logits + np.einsum("bhid,ijd->bhij", q, rel_k) * scale
+            q_rows = q.transpose(2, 0, 1, 3).reshape(T, B * H, hd)
+            rel_logits = q_rows @ rel_k.swapaxes(-1, -2)  # (T,B·H,T)
+            logits += rel_logits.reshape(T, B, H, T).transpose(1, 2, 0, 3)
+            rel = (ridx, rel_k, q_rows)
         key_mask = mask[:, None, None, :]  # (B,1,1,T)
-        logits = np.where(key_mask > 0, logits, _NEG)
+        logits = np.where(key_mask > 0, logits * scale, _NEG)
         attn = softmax(logits, axis=-1)  # (B,H,T,T)
-        ctx = np.einsum("bhij,bhjd->bhid", attn, v)
-        merged = self._merge(ctx)
+        merged = self._merge(attn @ v)
         out = merged @ p[f"l{l}.Wo"] + p[f"l{l}.bo"]
-        return out, (a, q, k, v, attn, merged, ridx, mask, l)
+        return out, (a, q, k, v, attn, merged, rel, l)
 
     def _attention_backward(self, cache, d_out, grads):
         p = self.params
-        a, q, k, v, attn, merged, ridx, mask, l = cache
-        scale = 1.0 / np.sqrt(self.head_dim)
+        a, q, k, v, attn, merged, rel, l = cache
+        B, H, T, hd = q.shape
 
         grads[f"l{l}.Wo"] += merged.reshape(-1, self.d).T @ d_out.reshape(-1, self.d)
         grads[f"l{l}.bo"] += d_out.sum(axis=(0, 1))
         d_merged = d_out @ p[f"l{l}.Wo"].T
         d_ctx = self._split(d_merged)
 
-        d_attn = np.einsum("bhid,bhjd->bhij", d_ctx, v)
-        dv = np.einsum("bhij,bhid->bhjd", attn, d_ctx)
+        d_attn = d_ctx @ v.swapaxes(-1, -2)
+        dv = attn.swapaxes(-1, -2) @ d_ctx
         d_logits = softmax_backward(attn, d_attn)  # masked keys: attn=0 -> 0
+        d_logits *= 1.0 / np.sqrt(hd)
 
-        dq = np.einsum("bhij,bhjd->bhid", d_logits, k) * scale
-        dk = np.einsum("bhij,bhid->bhjd", d_logits, q) * scale
+        dq = d_logits @ k
+        dk = d_logits.swapaxes(-1, -2) @ q
         if self.relative:
-            rel_k = p["rel"][ridx]
-            dq += np.einsum("bhij,ijd->bhid", d_logits, rel_k) * scale
-            d_rel_pairs = np.einsum("bhij,bhid->ijd", d_logits, q) * scale
-            np.add.at(grads["rel"], ridx, d_rel_pairs)
+            ridx, rel_k, q_rows = rel
+            d_rows = d_logits.transpose(2, 0, 1, 3).reshape(T, B * H, T)
+            dq += (d_rows @ rel_k).reshape(T, B, H, hd).transpose(1, 2, 0, 3)
+            d_rel_pairs = d_rows.swapaxes(-1, -2) @ q_rows  # (T,T,hd)
+            # each bucket sums the pairs (i, j) whose clipped offset it holds
+            buckets = np.arange(p["rel"].shape[0])[:, None] == ridx.reshape(1, -1)
+            grads["rel"] += buckets.astype(d_rel_pairs.dtype) @ d_rel_pairs.reshape(T * T, hd)
 
         da = np.zeros_like(a)
         for name, grad_heads in (("Wq", dq), ("Wk", dk), ("Wv", dv)):

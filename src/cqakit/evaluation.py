@@ -221,13 +221,22 @@ def evaluate(model, dataset: Dataset, mode: str = "both") -> MetricReport:
     records = list(dataset.iter_records())
     if not records:
         return MetricReport()
+    return evaluate_scores(records, _score_rows(model, records), modes)
+
+
+def _score_rows(model, records: list[GroundedQueryRecord]):
+    """Score rows of ``records`` in order, encoded and scored 256 at a time.
+
+    Each row is a copy, and the chunk is dropped before the next one is
+    scored: a row the consumer still holds (``zip`` reuses its result
+    tuple) then cannot keep the previous chunk alive.
+    """
     # tree encoders walk each graph on its own, so a chunk may mix types;
     # sequence encoders pad each chunk to its longest record
-    rows = (
-        row
-        for start in range(0, len(records), 256)
-        for row in model.entity_scores(
+    for start in range(0, len(records), 256):
+        chunk = model.entity_scores(
             model.encode_graphs([record.query for record in records[start : start + 256]])
         )
-    )
-    return evaluate_scores(records, rows, modes)
+        for i in range(chunk.shape[0]):
+            yield chunk[i].copy()
+        del chunk

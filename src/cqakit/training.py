@@ -192,7 +192,11 @@ def loss_and_grads(model: QueryModel, batch: list[Pair]):
 
 
 class Adam:
-    """Adam with bias correction; parameters updated in place in name order."""
+    """Adam with bias correction; parameters updated in place in name order.
+
+    A step computes the bias-corrected moments and the update in two scratch
+    buffers per dtype, sized to its largest tensor and shared by all of them.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
@@ -203,17 +207,27 @@ class Adam:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.step_count += 1
         t = self.step_count
+        sizes: dict[np.dtype, int] = {}
+        for m in self.m.values():
+            sizes[m.dtype] = max(sizes.get(m.dtype, 0), m.size)
+        scratch = {dtype: np.empty((2, size), dtype) for dtype, size in sizes.items()}
         for name in sorted(params):
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
+            update, denom = (buf[: m.size].reshape(m.shape) for buf in scratch[m.dtype])
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(1 - self.beta1, g, out=update)
             v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(1 - self.beta2, g, out=update)
+            v += np.multiply(update, g, out=update)
+            np.divide(m, 1 - self.beta1**t, out=update)  # m_hat
+            np.divide(v, 1 - self.beta2**t, out=denom)  # v_hat
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update *= self.lr
+            update /= denom
+            params[name] -= update
 
 
 # the checkpoint meta holds exactly what loading reads

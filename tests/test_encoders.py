@@ -6,6 +6,7 @@ import pytest
 from cqakit.encoders import (
     CheckpointError,
     EmbeddingTable,
+    TransformerEncoder,
     grad_check,
     load_checkpoint,
     new_model,
@@ -16,6 +17,7 @@ from cqakit.encoders import (
 )
 from cqakit.encoders.checkpoint import MAGIC
 from cqakit.encoders.gradcheck import NonFiniteLossError
+from cqakit.encoders.numerics import softmax, softmax_backward
 from cqakit.linearize import PAD, Vocabulary, linearize
 from cqakit.queries import anchor, parse_grounded
 from cqakit.rng import make_rng
@@ -369,3 +371,101 @@ def test_rpe_shifts_attention_by_distance():
     a, _ = model.encode([[1, 2]])
     b, _ = model.encode([[2, 1]])
     assert not np.allclose(a, b)
+
+
+# -- attention against the einsum reference --------------------------------------
+
+
+class EinsumAttention(TransformerEncoder):
+    """Slow reference: every attention contraction as a 4-D ``np.einsum``."""
+
+    def _attention(self, a, mask, l):
+        p = self.params
+        B, T, d = a.shape
+        q = self._split(a @ p[f"l{l}.Wq"] + p[f"l{l}.bq"])  # (B,H,T,hd)
+        k = self._split(a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"])
+        v = self._split(a @ p[f"l{l}.Wv"] + p[f"l{l}.bv"])
+        scale = 1.0 / np.sqrt(self.head_dim)
+        logits = np.einsum("bhid,bhjd->bhij", q, k) * scale
+        ridx = None
+        if self.relative:
+            ridx = self._rel_index(T)
+            rel_k = p["rel"][ridx]  # (T,T,hd)
+            logits = logits + np.einsum("bhid,ijd->bhij", q, rel_k) * scale
+        key_mask = mask[:, None, None, :]  # (B,1,1,T)
+        logits = np.where(key_mask > 0, logits, -1e9)
+        attn = softmax(logits, axis=-1)  # (B,H,T,T)
+        ctx = np.einsum("bhij,bhjd->bhid", attn, v)
+        merged = self._merge(ctx)
+        out = merged @ p[f"l{l}.Wo"] + p[f"l{l}.bo"]
+        return out, (a, q, k, v, attn, merged, ridx, mask, l)
+
+    def _attention_backward(self, cache, d_out, grads):
+        p = self.params
+        a, q, k, v, attn, merged, ridx, mask, l = cache
+        scale = 1.0 / np.sqrt(self.head_dim)
+
+        grads[f"l{l}.Wo"] += merged.reshape(-1, self.d).T @ d_out.reshape(-1, self.d)
+        grads[f"l{l}.bo"] += d_out.sum(axis=(0, 1))
+        d_merged = d_out @ p[f"l{l}.Wo"].T
+        d_ctx = self._split(d_merged)
+
+        d_attn = np.einsum("bhid,bhjd->bhij", d_ctx, v)
+        dv = np.einsum("bhij,bhid->bhjd", attn, d_ctx)
+        d_logits = softmax_backward(attn, d_attn)
+
+        dq = np.einsum("bhij,bhjd->bhid", d_logits, k) * scale
+        dk = np.einsum("bhij,bhid->bhjd", d_logits, q) * scale
+        if self.relative:
+            rel_k = p["rel"][ridx]
+            dq += np.einsum("bhij,ijd->bhid", d_logits, rel_k) * scale
+            d_rel_pairs = np.einsum("bhij,bhid->ijd", d_logits, q) * scale
+            np.add.at(grads["rel"], ridx, d_rel_pairs)
+
+        da = np.zeros_like(a)
+        for name, grad_heads in (("Wq", dq), ("Wk", dk), ("Wv", dv)):
+            flat = self._merge(grad_heads)  # (B,T,d)
+            grads[f"l{l}.{name}"] += a.reshape(-1, self.d).T @ flat.reshape(-1, self.d)
+            grads[f"l{l}.b{name[1]}"] += flat.sum(axis=(0, 1))
+            da += flat @ p[f"l{l}.{name}"].T
+        return da
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("relative", [False, True], ids=["APE", "RPE"])
+@pytest.mark.parametrize("T, heads", [(1, 2), (5, 1), (9, 8), (11, 2)])
+def test_matmul_attention_matches_einsum_reference(T, heads, relative, dtype, tol):
+    # rpe_clip=2: from T=6 on, the two edge buckets hold several offsets
+    d, B, seed = 8, 6, 100 * T + heads
+    enc = TransformerEncoder(d, 2, heads, make_rng(seed), relative, max_len=16, rpe_clip=2, dtype=dtype)
+    ref = EinsumAttention(d, 2, heads, make_rng(seed), relative, max_len=16, rpe_clip=2, dtype=dtype)
+    rng = make_rng(seed, 1)
+    for name, arr in enc.params.items():  # off the init: nonzero biases, LN gains != 1
+        arr[...] = rng.normal(size=arr.shape)
+        ref.params[name][...] = arr
+    x = rng.normal(size=(B, T, d)).astype(dtype)
+    lengths = rng.integers(1, T + 1, size=B)
+    lengths[0] = T
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(dtype)
+    d_readout = rng.normal(size=(B, d)).astype(dtype)
+
+    out, cache = enc.forward(x, mask)
+    ref_out, ref_cache = ref.forward(x, mask)
+    grads, dx = enc.backward(cache, d_readout)
+    ref_grads, ref_dx = ref.backward(ref_cache, d_readout)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=tol)
+    np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=tol)
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        assert grad.dtype == ref_grads[name].dtype
+        np.testing.assert_allclose(grad, ref_grads[name], rtol=tol, atol=tol, err_msg=name)
+
+
+def test_grad_check_rpe_clipped_buckets():
+    # rpe_clip=2 leaves 5 buckets; the 17-token query puts offsets 3..16 into
+    # the edge buckets, and the one-token query pads the batch
+    model = new_model(VOCAB, "Transformer-RPE", d=8, seed=23, layers=1, heads=2, rpe_clip=2)
+    graphs = [GRAPHS[0], GRAPHS[2]]
+    assert max(len(q) for q in model.prepare(graphs)) >= 6
+    err = grad_check(quadratic_probe(model, graphs), model.parameters(), subsample_threshold=40)
+    assert err < 1e-4

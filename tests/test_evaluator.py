@@ -335,7 +335,8 @@ def test_chunked_evaluate_matches_materialised_scores(arch):
 
 
 def test_evaluate_memory_stays_flat():
-    # an (N, V) score matrix alone would be 2048 * V * 8 bytes, well above the bound
+    # an (N, V) score matrix alone would be 2048 * V * 8 bytes, well above the
+    # bound; so would two (256, V) chunks alive at once
     V = 4000
     dataset = random_dataset({"(p,(e))": 2048}, num_entities=V, num_relations=3, seed=9)
     model = new_model(Vocabulary(3, V), "LSTM", d=4, seed=1, layers=1)
@@ -347,4 +348,4 @@ def test_evaluate_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert report.evaluated["entailment"] + report.excluded["entailment"] == 2048
-    assert peak < 3 * 256 * V * 8
+    assert peak < 1.5 * 256 * V * 8

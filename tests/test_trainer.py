@@ -155,6 +155,39 @@ def test_adam_zero_lr_is_identity():
         np.testing.assert_array_equal(params[name], before[name])
 
 
+def reference_adam_step(params, grads, m, v, t, lr, beta1, beta2, eps):
+    """Adam as the textbook formula, with a fresh temporary for every term."""
+    for name in sorted(params):
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1 - beta2) * g * g
+        m_hat = m[name] / (1 - beta1**t)
+        v_hat = v[name] / (1 - beta2**t)
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_step_is_bit_identical_to_the_formula(dtype):
+    rng = np.random.default_rng(31)
+    shapes = {"table": (37, 6), "enc.b": (6,), "enc.W": (6, 24), "enc.g": (1,)}
+    params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    ref = {k: a.copy() for k, a in params.items()}
+    ref_m = {k: np.zeros_like(a) for k, a in params.items()}
+    ref_v = {k: np.zeros_like(a) for k, a in params.items()}
+    adam = Adam(params, lr=3e-2, beta1=0.8, beta2=0.99, eps=1e-7)
+    for t in range(1, 8):
+        grads = {k: (rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+                 for k, a in params.items()}
+        adam.step(params, grads)
+        reference_adam_step(ref, grads, ref_m, ref_v, t, 3e-2, 0.8, 0.99, 1e-7)
+        for name in params:
+            assert params[name].dtype == np.dtype(dtype)
+            assert np.array_equal(params[name], ref[name]), (t, name)
+            assert np.array_equal(adam.m[name], ref_m[name]) and np.array_equal(adam.v[name], ref_v[name])
+
+
 def test_train_epochs_zero_equals_init(desk_dataset, desk_vocab):
     cfg = TrainConfig(arch="LSTM", d=16, epochs=0, seed=8)
     ckpt = train(cfg, desk_dataset, desk_vocab)
