@@ -1,4 +1,4 @@
-"""Learnable query encoders over the unified token embedding table.
+"""Learnable query encoders over one embedding row per token id.
 
 Architectures (all gradients hand-derived, verified by finite differences):
 
@@ -11,8 +11,9 @@ Architectures (all gradients hand-derived, verified by finite differences):
   learned absolute positions, or relative-distance embeddings inside the
   attention logits.
 
-:class:`QueryModel` bundles vocabulary + embedding table + encoder behind a
-single encode/backward surface used by the trainer and evaluator.
+:class:`QueryModel` bundles the vocabulary, the token embedding rows and an
+encoder behind a single encode/backward surface used by the trainer and
+evaluator.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ import numpy as np
 from ..linearize import PAD, Vocabulary, linearize
 from ..queries import ComputationGraph
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .embedding import EmbeddingTable, score_all
 from .gradcheck import NonFiniteLossError, grad_check
 from .lstm import BiLSTMEncoder
-from .numerics import softmax
+from .numerics import softmax, uniform_init
 from .transformer import TransformerEncoder
 from .treelstm import TREE_CELLS, TreeLSTMEncoder, tree_token_nodes
 
@@ -38,8 +38,6 @@ ARCHITECTURES = (
     "Transformer-APE",
     "Transformer-RPE",
 )
-
-TREE_ARCHS = tuple(TREE_CELLS)
 
 def normalize_arch(name: str) -> str:
     for arch in ARCHITECTURES:
@@ -81,8 +79,11 @@ def pad_batch(sequences: list[list[int]], dtype=np.float64):
 
 @dataclass
 class QueryModel:
-    """Embedding table + encoder with one encode/backward surface.
+    """Token embedding rows + encoder with one encode/backward surface.
 
+    ``rows`` holds one embedding per token id: specials, relations, entities.
+    The entity block doubles as the answer-entity embeddings, so retrieval
+    scores are inner products against the same rows the encoder reads (tied).
     Sequence architectures consume linearized token sequences; tree
     architectures consume each graph flattened once by ``tree_token_nodes``.
     ``parameters`` exposes every learnable tensor under a flat name space
@@ -90,8 +91,12 @@ class QueryModel:
     """
 
     vocab: Vocabulary
-    table: EmbeddingTable
+    rows: np.ndarray
     encoder: object
+
+    def __post_init__(self):
+        if self.rows.shape[0] != self.vocab.size:
+            raise ValueError(f"table has {self.rows.shape[0]} rows, vocabulary needs {self.vocab.size}")
 
     @property
     def arch(self) -> str:
@@ -99,14 +104,19 @@ class QueryModel:
 
     @property
     def is_tree(self) -> bool:
-        return self.arch in TREE_ARCHS
+        return self.arch in TREE_CELLS
 
     @property
     def d(self) -> int:
-        return self.table.d
+        return self.rows.shape[1]
+
+    @property
+    def entity_rows(self) -> np.ndarray:
+        """View of the answer-entity embeddings e_v, in entity-id order."""
+        return self.rows[self.vocab.entity_offset :]
 
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {"table": self.table.rows}
+        out = {"table": self.rows}
         out.update({f"enc.{k}": v for k, v in self.encoder.params.items()})
         return out
 
@@ -119,22 +129,19 @@ class QueryModel:
     def encode(self, queries) -> tuple[np.ndarray, object]:
         """Encode prepared queries; returns ((B,d) embeddings, cache)."""
         if self.is_tree:
-            out, cache = self.encoder.forward(queries, self.table)
-            return out, ("tree", cache)
-        ids, mask = pad_batch(queries, dtype=self.table.rows.dtype)
-        x = self.table.rows[ids]
-        out, enc_cache = self.encoder.forward(x, mask)
-        return out, ("seq", enc_cache, ids, mask)
+            return self.encoder.forward(queries, self.rows)
+        ids, mask = pad_batch(queries, dtype=self.rows.dtype)
+        out, enc_cache = self.encoder.forward(self.rows[ids], mask)
+        return out, (enc_cache, ids, mask)
 
     def backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients for every parameter given d(loss)/d(embeddings)."""
-        d_table = np.zeros_like(self.table.rows)
-        if cache[0] == "tree":
-            enc_grads, tok_ids, tok_dxs = self.encoder.backward(cache[1], d_out)
-            if len(tok_ids):
-                np.add.at(d_table, tok_ids, tok_dxs)
+        d_table = np.zeros_like(self.rows)
+        if self.is_tree:
+            enc_grads, tok_ids, tok_dxs = self.encoder.backward(cache, d_out)
+            np.add.at(d_table, tok_ids, tok_dxs)
         else:
-            _, enc_cache, ids, mask = cache
+            enc_cache, ids, mask = cache
             enc_grads, dx = self.encoder.backward(enc_cache, d_out)
             np.add.at(d_table, ids.reshape(-1), (dx * mask[:, :, None]).reshape(-1, self.d))
         grads = {"table": d_table}
@@ -147,43 +154,33 @@ class QueryModel:
         return out
 
     def entity_scores(self, e_q: np.ndarray) -> np.ndarray:
-        return score_all(e_q, self.table)
+        """Inner product of query embeddings ``(d,)`` or ``(B, d)`` with every entity row."""
+        return e_q @ self.entity_rows.T
 
 
-def new_model(
-    vocab: Vocabulary,
-    arch: str,
-    d: int,
-    seed: int,
-    layers: int = 2,
-    heads: int = 4,
-    max_len: int = 64,
-    rpe_clip: int = 16,
-    dtype=np.float64,
-) -> QueryModel:
-    """Freshly initialized model (seeded uniform init scaled by 1/sqrt(d))."""
+def new_model(vocab: Vocabulary, arch: str, d: int, seed: int, dtype=np.float64, **options) -> QueryModel:
+    """Freshly initialized model (seeded uniform init scaled by 1/sqrt(d)).
+
+    ``options`` are the encoder sizes :func:`make_encoder` takes.
+    """
     from ..rng import make_rng
 
     rng = make_rng(seed, 0)
-    table = EmbeddingTable.create(vocab, d, rng, dtype)
-    encoder = make_encoder(arch, d, rng, layers, heads, max_len, rpe_clip, dtype)
-    return QueryModel(vocab, table, encoder)
+    rows = uniform_init(rng, (vocab.size, d), d, dtype)
+    return QueryModel(vocab, rows, make_encoder(arch, d, rng, dtype=dtype, **options))
 
 
 __all__ = [
     "ARCHITECTURES",
-    "TREE_ARCHS",
     "BiLSTMEncoder",
     "TreeLSTMEncoder",
     "TransformerEncoder",
-    "EmbeddingTable",
     "QueryModel",
     "grad_check",
     "NonFiniteLossError",
     "CheckpointError",
     "save_checkpoint",
     "load_checkpoint",
-    "score_all",
     "softmax",
     "make_encoder",
     "new_model",

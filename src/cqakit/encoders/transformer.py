@@ -20,6 +20,8 @@ runs on BLAS.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numerics import layernorm_backward, layernorm_forward, softmax, softmax_backward, uniform_init
@@ -92,7 +94,7 @@ class TransformerEncoder:
         q = self._split(a @ p[f"l{l}.Wq"] + p[f"l{l}.bq"])  # (B,H,T,hd)
         k = self._split(a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"])
         v = self._split(a @ p[f"l{l}.Wv"] + p[f"l{l}.bv"])
-        scale = 1.0 / np.sqrt(hd)
+        scale = 1.0 / math.sqrt(hd)  # a Python float keeps float32 logits float32
         logits = q @ k.swapaxes(-1, -2)  # (B,H,T,T)
         rel = None
         if self.relative:
@@ -124,7 +126,7 @@ class TransformerEncoder:
         d_attn = d_ctx @ v.swapaxes(-1, -2)
         dv = attn.swapaxes(-1, -2) @ d_ctx
         d_logits = softmax_backward(attn, d_attn)  # masked keys: attn=0 -> 0
-        d_logits *= 1.0 / np.sqrt(hd)
+        d_logits *= 1.0 / math.sqrt(hd)
 
         dq = d_logits @ k
         dk = d_logits.swapaxes(-1, -2) @ q

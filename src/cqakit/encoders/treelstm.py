@@ -154,14 +154,14 @@ class TreeLSTMEncoder:
         self.d = d
         self.params = cell.init(d, rng, dtype)
 
-    def forward(self, trees: list[list[tuple[int, list[int]]]], table):
+    def forward(self, trees: list[list[tuple[int, list[int]]]], rows: np.ndarray):
         """Encode each tree of ``tree_token_nodes``; returns (B,d) readouts and a cache."""
         outs = []
         tree_caches = []
         for nodes in trees:
             states, steps = [], []
             for token, child_slots in nodes:
-                x = table.rows[token]
+                x = rows[token]
                 children = [states[k] for k in child_slots]
                 h_sum = sum((s[0] for s in children), np.zeros(self.d, dtype=x.dtype))
                 state, cell_cache = self.cell.forward(self.params, x, h_sum, children)
@@ -189,6 +189,4 @@ class TreeLSTMEncoder:
                 )
                 tok_ids.append(token)
                 tok_grads.append(dx)
-        ids = np.array(tok_ids, dtype=np.int64)
-        dxs = np.stack(tok_grads) if tok_grads else np.zeros((0, self.d))
-        return grads, ids, dxs
+        return grads, np.array(tok_ids, dtype=np.int64), np.stack(tok_grads)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .encoders import (
     CheckpointError,
-    EmbeddingTable,
     QueryModel,
     load_checkpoint,
     make_encoder,
@@ -168,7 +167,7 @@ def loss_and_grads(model: QueryModel, batch: list[Pair]):
     queries = [p.query for p in batch]
     targets = np.array([p.target for p in batch], dtype=np.int64)
     Q, cache = model.encode(queries)  # (B, d)
-    E = model.table.entity_rows  # (V, d)
+    E = model.entity_rows  # (V, d)
     scores = Q @ E.T  # (B, V)
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -299,7 +298,7 @@ class Checkpoint:
                     f"{path}: {name}: expected {expected[name]} {dtype}, found {arr.shape} {arr.dtype}"
                 )
         encoder.params = {k: tensors[f"enc.{k}"] for k in encoder.params}
-        model = QueryModel(vocab, EmbeddingTable(vocab, tensors["table"]), encoder)
+        model = QueryModel(vocab, tensors["table"], encoder)
         adam = Adam({}, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
         adam.m, adam.v = ({n: tensors[prefix + n] for n in shapes} for prefix in _MOMENT_PREFIXES)
         adam.step_count = meta["step"]

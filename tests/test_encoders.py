@@ -5,7 +5,7 @@ import pytest
 
 from cqakit.encoders import (
     CheckpointError,
-    EmbeddingTable,
+    QueryModel,
     TransformerEncoder,
     grad_check,
     load_checkpoint,
@@ -13,12 +13,11 @@ from cqakit.encoders import (
     normalize_arch,
     pad_batch,
     save_checkpoint,
-    score_all,
 )
 from cqakit.encoders.checkpoint import MAGIC
 from cqakit.encoders.gradcheck import NonFiniteLossError
 from cqakit.encoders.numerics import softmax, softmax_backward
-from cqakit.linearize import PAD, Vocabulary, linearize
+from cqakit.linearize import PAD, Vocabulary
 from cqakit.queries import anchor, parse_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import Dataset
@@ -55,28 +54,19 @@ def test_treelstm_anchor_locality():
     # permuting every other table row must not change the encoding of (e,(4))
     row = VOCAB.entity_token(4)
     other = [i for i in range(VOCAB.size) if i != row]
-    model.table.rows[other] = model.table.rows[other][::-1]
+    model.rows[other] = model.rows[other][::-1]
     out2, _ = model.encode(model.prepare([anchor(4)]))
     np.testing.assert_array_equal(out1, out2)
 
 
-def test_embed_lookup():
-    model = new_model(VOCAB, "LSTM", d=8, seed=0)
-    tokens = linearize(GRAPHS[0], VOCAB)
-    mat = model.table.embed(tokens)
-    assert mat.shape == (len(tokens), 8)
-    single = model.table.embed([tokens[0]])
-    assert single.shape == (1, 8)
-    # shared token -> identical rows
-    t2 = linearize(GRAPHS[1], VOCAB)
-    np.testing.assert_array_equal(model.table.embed([tokens[0]])[0], model.table.embed([t2[0]])[0])
-    with pytest.raises(IndexError):
-        model.table.embed([VOCAB.size])
+def test_query_model_needs_one_row_per_token():
+    with pytest.raises(ValueError, match=f"table has {VOCAB.size - 1} rows, vocabulary needs {VOCAB.size}"):
+        QueryModel(VOCAB, np.zeros((VOCAB.size - 1, 4)), None)
 
 
 def test_score_all_zero_query():
     model = new_model(VOCAB, "LSTM", d=8, seed=3)
-    scores = score_all(np.zeros(8), model.table)
+    scores = model.entity_scores(np.zeros(8))
     assert scores.shape == (20,)
     assert np.all(scores == 0.0)
     probs = np.exp(scores) / np.exp(scores).sum()
@@ -84,10 +74,10 @@ def test_score_all_zero_query():
 
 
 def test_score_all_orthogonal_argmax():
-    table = EmbeddingTable(VOCAB, np.zeros((VOCAB.size, 4)))
-    table.rows[VOCAB.entity_token(7)] = np.array([1.0, 0, 0, 0])
-    table.rows[VOCAB.entity_token(3)] = np.array([0, 1.0, 0, 0])
-    scores = score_all(np.array([1.0, 0, 0, 0]), table)
+    model = QueryModel(VOCAB, np.zeros((VOCAB.size, 4)), None)
+    model.rows[VOCAB.entity_token(7)] = np.array([1.0, 0, 0, 0])
+    model.rows[VOCAB.entity_token(3)] = np.array([0, 1.0, 0, 0])
+    scores = model.entity_scores(np.array([1.0, 0, 0, 0]))
     assert int(np.argmax(scores)) == 7
 
 
@@ -95,9 +85,9 @@ def test_score_all_hand_computed():
     rng = make_rng(44)
     vocab = Vocabulary(num_relations=2, num_entities=10)
     rows = rng.normal(size=(vocab.size, 3))
-    table = EmbeddingTable(vocab, rows)
+    model = QueryModel(vocab, rows, None)
     e_q = rng.normal(size=3)
-    scores = score_all(e_q, table)
+    scores = model.entity_scores(e_q)
     for v in range(10):
         expected = sum(e_q[j] * rows[vocab.entity_token(v), j] for j in range(3))
         assert scores[v] == pytest.approx(expected, rel=1e-12)
@@ -126,7 +116,7 @@ def test_pad_row_inert(arch):
     model = new_model(VOCAB, arch, d=8, seed=7, layers=1, heads=2)
     queries = model.prepare(GRAPHS)  # varying lengths force padding
     out1, _ = model.encode(queries)
-    model.table.rows[PAD] += 123.456
+    model.rows[PAD] += 123.456
     out2, _ = model.encode(queries)
     np.testing.assert_array_equal(out1, out2)
 

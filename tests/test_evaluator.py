@@ -218,7 +218,7 @@ def test_inference_empty_difference_excluded():
 
 def test_evaluate_with_model_perfect_memorizer():
     # a model whose e_q exactly selects the unique answer -> entailment MRR 1.0
-    from cqakit.encoders import EmbeddingTable, QueryModel
+    from cqakit.encoders import QueryModel
     from cqakit.linearize import Vocabulary
 
     vocab = Vocabulary(num_relations=2, num_entities=10)
@@ -241,7 +241,7 @@ def test_evaluate_with_model_perfect_memorizer():
     rows = np.zeros((vocab.size, 10))
     for v in range(10):
         rows[vocab.entity_token(v), v] = 1.0  # orthonormal entity embeddings
-    model = QueryModel(vocab, EmbeddingTable(vocab, rows), AnchorReadout())
+    model = QueryModel(vocab, rows, AnchorReadout())
     report = evaluate(model, dataset, mode="entailment")
     assert report.value("entailment", "MRR") == 1.0
     assert report.value("entailment", "Hit@1") == 1.0

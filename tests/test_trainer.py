@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cqakit.encoders import grad_check, new_model
+from cqakit import training
+from cqakit.encoders import ARCHITECTURES, grad_check, load_checkpoint, new_model
 from cqakit.linearize import PAD, Vocabulary
 from cqakit.queries import parse_grounded
 from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance
@@ -103,7 +104,7 @@ def test_loss_matches_step_by_step_recomputation():
     total = 0.0
     for pair in pairs:
         e_q, _ = model.encode([pair.query])
-        sims = [float(np.dot(e_q[0], model.table.entity_rows[v])) for v in range(10)]
+        sims = [float(np.dot(e_q[0], model.entity_rows[v])) for v in range(10)]
         denom = sum(math.exp(s) for s in sims)
         p = math.exp(sims[pair.target]) / denom
         total += -math.log(p)
@@ -124,7 +125,7 @@ def test_pad_row_does_not_affect_loss():
     prepared = model.prepare(graphs)
     pairs = [Pair(prepared[0], 3, "a"), Pair(prepared[1], 4, "b")]
     loss1, grads1, _ = loss_and_grads(model, pairs)
-    model.table.rows[PAD] += 7.5
+    model.rows[PAD] += 7.5
     loss2, grads2, _ = loss_and_grads(model, pairs)
     assert loss1 == loss2
     np.testing.assert_array_equal(grads1["table"][PAD], 0.0)
@@ -245,10 +246,30 @@ def test_checkpoint_missing_adam_moments_rejected(prefix, desk_dataset, desk_voc
         Checkpoint.load(path)
 
 
-def test_tree_batches_group_by_type(desk_dataset, desk_vocab):
-    cfg = TrainConfig(arch="TreeLSTM-NoMemoryCell", d=16, epochs=1, batch_size=8, seed=12)
-    ckpt = train(cfg, desk_dataset, desk_vocab)
-    assert ckpt.step > 0  # grouped batching executed
+def test_tree_batches_group_by_type(desk_dataset, desk_vocab, monkeypatch):
+    epochs, batch_size = 2, 8
+    per_type: dict[str, int] = {}
+    for record in desk_dataset.iter_records():
+        per_type[record.type_formula] = per_type.get(record.type_formula, 0) + len(record.train_answers)
+    batches = []
+    real = training.loss_and_grads
+
+    def recording(model, batch):
+        batches.append([p.type_formula for p in batch])
+        return real(model, batch)
+
+    monkeypatch.setattr(training, "loss_and_grads", recording)
+    for arch in ("TreeLSTM-NoMemoryCell", "LSTM"):
+        batches.clear()
+        cfg = TrainConfig(arch=arch, d=16, epochs=epochs, batch_size=batch_size, seed=12)
+        ckpt = train(cfg, desk_dataset, desk_vocab)
+        assert ckpt.step == len(batches)
+        if arch == "LSTM":
+            assert len(batches) == epochs * math.ceil(sum(per_type.values()) / batch_size)
+            assert any(len(set(types)) > 1 for types in batches)
+        else:
+            assert all(len(set(types)) == 1 for types in batches)
+            assert len(batches) == epochs * sum(math.ceil(n / batch_size) for n in per_type.values())
 
 
 def test_divergence_detector():
@@ -260,7 +281,7 @@ def test_divergence_detector():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_loss_aborts():
     model = new_model(VOCAB100, "LSTM", d=8, seed=13)
-    model.table.rows[:] = np.inf
+    model.rows[:] = np.inf
     pairs = [Pair(model.prepare([parse_grounded("(p,(0),(e,(1)))")])[0], 2, "t")]
     with pytest.raises(TrainingDivergedError):
         loss_and_grads(model, pairs)
@@ -305,8 +326,29 @@ def test_train_config_validation():
 def test_single_precision_trains(desk_dataset, desk_vocab):
     cfg = TrainConfig(arch="LSTM", d=16, epochs=1, batch_size=32, seed=14, precision="single")
     ckpt = train(cfg, desk_dataset, desk_vocab)
-    assert ckpt.model.table.rows.dtype == np.float32
     assert np.isfinite(ckpt.history[-1]["loss"])
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_single_precision_is_float32_throughout(arch, desk_dataset, desk_vocab, tmp_path):
+    cfg = TrainConfig(arch=arch, d=8, layers=1, heads=2, epochs=1, batch_size=64, seed=15, precision="single")
+    ckpt = train(cfg, desk_dataset, desk_vocab)
+    model = ckpt.model
+    pairs, _ = make_pairs(desk_dataset, model)
+    out, cache = model.encode([p.query for p in pairs[::40]])
+    assert out.dtype == np.float32
+    assert model.entity_scores(out).dtype == np.float32
+    grads = model.backward(cache, np.ones(out.shape, np.float32))
+    assert grads.keys() == model.parameters().keys()
+    assert {name: g.dtype for name, g in grads.items()} == dict.fromkeys(grads, np.float32)
+    for moments in (ckpt.moments.m, ckpt.moments.v):
+        assert {name: m.dtype for name, m in moments.items()} == dict.fromkeys(grads, np.float32)
+    path = tmp_path / "single.ckpt"
+    ckpt.save(path)
+    _, tensors = load_checkpoint(path)
+    assert {name: t.dtype for name, t in tensors.items()} == dict.fromkeys(tensors, np.float32)
+    loaded = training.Checkpoint.load(path)
+    assert loaded.model.encode([p.query for p in pairs[:3]])[0].dtype == np.float32
 
 
 def test_eval_hook_records_validation_swap(desk_dataset, desk_vocab):
