@@ -4,9 +4,9 @@ Architectures (all gradients hand-derived, verified by finite differences):
 
 * ``LSTM`` — stacked bidirectional LSTM over the linearized token sequence,
   readout at position 0;
-* ``TreeLSTM`` / ``TreeLSTM-NoMemoryCell`` — one child-sum recursion over
-  the computational graph itself with either the full cell or the cell
-  without its memory state, readout at the root;
+* ``TreeLSTM`` / ``TreeLSTM-NoMemoryCell`` — one child-sum recursion over the
+  computational graph, run one tree height at a time across the batch, with
+  the full cell or the cell without its memory state, readout at the root;
 * ``Transformer-APE`` / ``Transformer-RPE`` — pre-norm encoder stack with
   learned absolute positions, or relative-distance embeddings inside the
   attention logits.
@@ -121,7 +121,7 @@ class QueryModel:
         return out
 
     def prepare(self, graphs: list[ComputationGraph]):
-        """Token lists, or each tree's post-order ``(token, child_slots)`` nodes."""
+        """Token lists, or each tree's post-order ``(token, child_slots, height)`` nodes."""
         if self.is_tree:
             return [tree_token_nodes(g, self.vocab) for g in graphs]
         return [linearize(g, self.vocab) for g in graphs]

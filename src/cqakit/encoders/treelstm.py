@@ -6,10 +6,10 @@ relation token enters as an extra leaf child. Child-sum composition handles
 the variable arity of intersections and unions; the readout is the root's
 hidden state.
 
-One recursion (:class:`TreeLSTMEncoder`) walks the nodes in post order,
-forms ``h~ = sum_k h_k`` over each node's children and hands it to a cell;
-its backward walk runs in reverse post order and adds each node's state
-gradients into its children. Only the cell equations differ:
+One recursion (:class:`TreeLSTMEncoder`) runs a batch's nodes one height at
+a time, leaves first, as ``(n, d)`` rows: ``h~ = sum_k h_k`` is one scatter-add
+from the ``(m, d)`` child rows into their owners' rows, and backward runs the
+levels top down. Only the cell equations differ:
 
 * ``TreeLSTM`` (:class:`TreeLSTMCell`) — state ``(h, c)``, per-child forget gates,
       i = s(Wi x + Ui h~ + bi),  o = s(Wo x + Uo h~ + bo)
@@ -21,6 +21,8 @@ gradients into its children. Only the cell equations differ:
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 from ..linearize import KIND_TO_OP, Vocabulary
@@ -29,23 +31,23 @@ from .numerics import sigmoid, uniform_init
 
 
 def tree_token_nodes(graph: QueryNode, vocab: Vocabulary):
-    """Flatten a query into post-order ``(token_id, child_slots)`` nodes.
+    """Flatten a query into post-order ``(token_id, child_slots, height)`` nodes.
 
-    Children appear before their parent, so a single forward scan composes
-    leaves upward; ``child_slots`` index into the returned list.
+    ``child_slots`` index into the list; leaves have height 0, parents 1 + their highest child.
     """
-    nodes: list[tuple[int, list[int]]] = []
+    nodes: list[tuple[int, list[int], int]] = []
 
     def visit(node: QueryNode) -> int:
         if node.kind is OperatorKind.ANCHOR:
-            nodes.append((vocab.entity_token(node.entity), []))
+            nodes.append((vocab.entity_token(node.entity), [], 0))
             return len(nodes) - 1
         child_slots = []
         if node.kind is OperatorKind.PROJECTION:
-            nodes.append((vocab.relation_token(node.relation), []))
+            nodes.append((vocab.relation_token(node.relation), [], 0))
             child_slots.append(len(nodes) - 1)
         child_slots.extend(visit(c) for c in node.children)
-        nodes.append((KIND_TO_OP[node.kind], child_slots))
+        height = 1 + max(nodes[k][2] for k in child_slots)
+        nodes.append((KIND_TO_OP[node.kind], child_slots, height))
         return len(nodes) - 1
 
     visit(graph)
@@ -56,6 +58,7 @@ class TreeLSTMCell:
     """Full child-sum cell; state ``(h, c)``."""
 
     arch = "TreeLSTM"
+    num_states = 2
 
     @staticmethod
     def init(d: int, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
@@ -67,126 +70,119 @@ class TreeLSTMCell:
         return p
 
     @staticmethod
-    def forward(p, x, h_sum, children):
-        """One node's state and cache from its input, ``h~`` and child states."""
+    def forward(p, x, h_sum, own, children):
+        """A level's states and backward cache; child row ``k`` is owned by row ``own[k]``."""
+        h_k, c_k = children
         i = sigmoid(x @ p["Wi"] + h_sum @ p["Ui"] + p["bi"])
         o = sigmoid(x @ p["Wo"] + h_sum @ p["Uo"] + p["bo"])
         u = np.tanh(x @ p["Wu"] + h_sum @ p["Uu"] + p["bu"])
-        fks = [sigmoid(x @ p["Wf"] + h_k @ p["Uf"] + p["bf"]) for h_k, _ in children]
-        c = i * u + sum((f * c_k for f, (_, c_k) in zip(fks, children)), np.zeros(x.shape, x.dtype))
-        h = o * np.tanh(c)
-        return (h, c), (i, o, u, fks)
+        f = sigmoid((x @ p["Wf"])[own] + h_k @ p["Uf"] + p["bf"])
+        c = i * u
+        np.add.at(c, own, f * c_k)
+        return (o * np.tanh(c), c), (h_sum, h_k, c_k, i, o, u, f, c)
 
     @staticmethod
-    def backward(p, grads, x, h_sum, children, state, cache, d_state, d_children):
-        """Adds into ``grads`` and each child's ``d_children`` state gradients; returns dx."""
-        i, o, u, fks = cache
-        dh_j, dc_j = d_state
-        tc = np.tanh(state[1])
-        do = dh_j * tc
-        dc_j = dc_j + dh_j * o * (1 - tc * tc)
-        di = dc_j * u
-        du = dc_j * i
-        dzi = di * i * (1 - i)
-        dzo = do * o * (1 - o)
-        dzu = du * (1 - u * u)
-        grads["Wi"] += np.outer(x, dzi)
-        grads["Wo"] += np.outer(x, dzo)
-        grads["Wu"] += np.outer(x, dzu)
-        grads["Ui"] += np.outer(h_sum, dzi)
-        grads["Uo"] += np.outer(h_sum, dzo)
-        grads["Uu"] += np.outer(h_sum, dzu)
-        grads["bi"] += dzi
-        grads["bo"] += dzo
-        grads["bu"] += dzu
-        dx = dzi @ p["Wi"].T + dzo @ p["Wo"].T + dzu @ p["Wu"].T
-        dh_sum = dzi @ p["Ui"].T + dzo @ p["Uo"].T + dzu @ p["Uu"].T
-        for f, (h_k, c_k), (dh_k, dc_k) in zip(fks, children, d_children):
-            dzf = dc_j * c_k * f * (1 - f)
-            grads["Wf"] += np.outer(x, dzf)
-            grads["Uf"] += np.outer(h_k, dzf)
-            grads["bf"] += dzf
-            dx += dzf @ p["Wf"].T
-            dh_k += dh_sum + dzf @ p["Uf"].T
-            dc_k += dc_j * f
-        return dx
+    def backward(p, grads, x, own, cache, d_state):
+        """Adds into ``grads``; returns dx and the child rows' state gradients."""
+        (h_sum, h_k, c_k, i, o, u, f, c), (dh, dc) = cache, d_state
+        tc = np.tanh(c)
+        dc = dc + dh * o * (1 - tc * tc)
+        dzf = dc[own] * c_k * f * (1 - f)
+        dz = {"i": dc * u * i * (1 - i), "f": np.zeros_like(x), "o": dh * tc * o * (1 - o)}
+        dz["u"] = dc * i * (1 - u * u)
+        np.add.at(dz["f"], own, dzf)  # each owner's forget-gate sum over its children
+        for gate, dz_gate in dz.items():
+            grads[f"W{gate}"] += x.T @ dz_gate
+            grads[f"b{gate}"] += dz_gate.sum(axis=0)
+        for gate in "iou":
+            grads[f"U{gate}"] += h_sum.T @ dz[gate]
+        grads["Uf"] += h_k.T @ dzf
+        dx = sum(dz_gate @ p[f"W{gate}"].T for gate, dz_gate in dz.items())
+        dh_sum = sum(dz[gate] @ p[f"U{gate}"].T for gate in "iou")
+        return dx, (dh_sum[own] + dzf @ p["Uf"].T, dc[own] * f)
 
 
 class NoMemoryCell:
     """Ablated cell without the memory state; state ``(h,)``."""
 
     arch = "TreeLSTM-NoMemoryCell"
+    num_states = 1
 
     @staticmethod
     def init(d: int, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
-        return {
-            "W": uniform_init(rng, (d, d), d, dtype),
-            "U": uniform_init(rng, (d, d), d, dtype),
-            "b": np.zeros(d, dtype=dtype),
-        }
+        W, U = (uniform_init(rng, (d, d), d, dtype) for _ in "WU")
+        return {"W": W, "U": U, "b": np.zeros(d, dtype=dtype)}
 
     @staticmethod
-    def forward(p, x, h_sum, children):
-        return (np.tanh(x @ p["W"] + h_sum @ p["U"] + p["b"]),), None
+    def forward(p, x, h_sum, own, children):
+        h = np.tanh(x @ p["W"] + h_sum @ p["U"] + p["b"])
+        return (h,), (h_sum, h)
 
     @staticmethod
-    def backward(p, grads, x, h_sum, children, state, cache, d_state, d_children):
-        h = state[0]
+    def backward(p, grads, x, own, cache, d_state):
+        h_sum, h = cache
         dz = d_state[0] * (1 - h * h)
-        grads["W"] += np.outer(x, dz)
-        grads["U"] += np.outer(h_sum, dz)
-        grads["b"] += dz
-        dh_sum = dz @ p["U"].T
-        for (dh_k,) in d_children:
-            dh_k += dh_sum
-        return dz @ p["W"].T
+        grads["W"] += x.T @ dz
+        grads["U"] += h_sum.T @ dz
+        grads["b"] += dz.sum(axis=0)
+        return dz @ p["W"].T, ((dz @ p["U"].T)[own],)
 
 
 TREE_CELLS = {cell.arch: cell for cell in (TreeLSTMCell, NoMemoryCell)}
 
 
+def _levels(trees):
+    """Lay a batch's nodes out as rows by height, leaves first; returns the row tokens (N,),
+    the root rows (B,) and per height its row slice, child rows and the level row owning each."""
+    order = sorted((n[2], t, i, n) for t, tree in enumerate(trees) for i, n in enumerate(tree))
+    row, tokens, levels = {}, [], []
+    for _, block in groupby(order, key=lambda entry: entry[0]):
+        a, kids, own = len(tokens), [], []
+        for j, (_, t, i, (token, child_slots, _)) in enumerate(block):
+            row[t, i] = a + j
+            tokens.append(token)
+            kids += [row[t, k] for k in child_slots]
+            own += [j] * len(child_slots)
+        levels.append((slice(a, len(tokens)), np.array(kids, np.int64), np.array(own, np.int64)))
+    roots = [row[t, len(tree) - 1] for t, tree in enumerate(trees)]
+    return np.array(tokens, np.int64), roots, levels
+
+
 class TreeLSTMEncoder:
-    """The child-sum recursion around one cell (see the module docstring)."""
+    """The level-wise child-sum recursion around one cell (see the module docstring)."""
 
     def __init__(self, cell, d: int, rng: np.random.Generator, dtype=np.float64):
         self.cell = cell
         self.arch = cell.arch
-        self.d = d
         self.params = cell.init(d, rng, dtype)
 
-    def forward(self, trees: list[list[tuple[int, list[int]]]], rows: np.ndarray):
+    def forward(self, trees: list[list[tuple[int, list[int], int]]], rows: np.ndarray):
         """Encode each tree of ``tree_token_nodes``; returns (B,d) readouts and a cache."""
-        outs = []
-        tree_caches = []
-        for nodes in trees:
-            states, steps = [], []
-            for token, child_slots in nodes:
-                x = rows[token]
-                children = [states[k] for k in child_slots]
-                h_sum = sum((s[0] for s in children), np.zeros(self.d, dtype=x.dtype))
-                state, cell_cache = self.cell.forward(self.params, x, h_sum, children)
-                states.append(state)
-                steps.append((token, child_slots, x, h_sum, cell_cache))
-            outs.append(states[-1][0])
-            tree_caches.append((steps, states))
-        return np.stack(outs), tree_caches
+        tokens, roots, levels = _levels(trees)
+        x = rows[tokens]
+        states = [np.empty_like(x) for _ in range(self.cell.num_states)]
+        steps = []
+        for level, kids, own in levels:
+            children = tuple(s[kids] for s in states)
+            h_sum = np.zeros_like(x[level])
+            np.add.at(h_sum, own, children[0])
+            new, cell_cache = self.cell.forward(self.params, x[level], h_sum, own, children)
+            for s, s_new in zip(states, new):
+                s[level] = s_new
+            steps.append(cell_cache)
+        return states[0][roots], (tokens, roots, levels, x, steps)
 
     def backward(self, cache, d_out: np.ndarray):
         """Returns (param grads, token ids (N,), token grads (N,d))."""
+        tokens, roots, levels, x, steps = cache
         p = self.params
         grads = {k: np.zeros_like(v) for k, v in p.items()}
-        tok_ids: list[int] = []
-        tok_grads: list[np.ndarray] = []
-        for (steps, states), droot in zip(cache, d_out):
-            d_states = [[np.zeros(self.d, dtype=droot.dtype) for _ in s] for s in states]
-            d_states[-1][0] = droot.copy()
-            for idx in range(len(steps) - 1, -1, -1):
-                token, child_slots, x, h_sum, cell_cache = steps[idx]
-                children = [states[k] for k in child_slots]
-                d_children = [d_states[k] for k in child_slots]
-                dx = self.cell.backward(
-                    p, grads, x, h_sum, children, states[idx], cell_cache, d_states[idx], d_children
-                )
-                tok_ids.append(token)
-                tok_grads.append(dx)
-        return grads, np.array(tok_ids, dtype=np.int64), np.stack(tok_grads)
+        d_states = [np.zeros_like(x) for _ in range(self.cell.num_states)]
+        d_states[0][roots] = d_out
+        dx = np.empty_like(x)
+        for (level, kids, own), cell_cache in zip(levels[::-1], steps[::-1]):
+            d_level = [g[level] for g in d_states]
+            dx[level], d_children = self.cell.backward(p, grads, x[level], own, cell_cache, d_level)
+            for g, d_child in zip(d_states, d_children):
+                g[kids] = d_child  # a node's parent is its only gradient source
+        return grads, tokens, dx

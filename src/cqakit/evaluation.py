@@ -231,8 +231,8 @@ def _score_rows(model, records: list[GroundedQueryRecord]):
     scored: a row the consumer still holds (``zip`` reuses its result
     tuple) then cannot keep the previous chunk alive.
     """
-    # tree encoders walk each graph on its own, so a chunk may mix types;
-    # sequence encoders pad each chunk to its longest record
+    # a chunk may mix types: tree encoders batch any shapes level by level,
+    # and sequence encoders pad each chunk to its longest record
     for start in range(0, len(records), 256):
         chunk = model.entity_scores(
             model.encode_graphs([record.query for record in records[start : start + 256]])

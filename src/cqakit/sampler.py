@@ -202,8 +202,12 @@ def sample_dataset(
     pass. Grounded queries are deduplicated within a type. Record ``i`` of
     type ``t`` draws from an independent random stream keyed by
     ``(seed, t, i)``, so output is reproducible and independent of
-    scheduling.
+    scheduling. A type listed twice raises ``ValueError``.
     """
+    formulas = [qtype.formula_text for qtype in types]
+    for i, formula in enumerate(formulas):
+        if formula in formulas[:i]:
+            raise ValueError(f"query type {formula} is listed more than once")
     source = layers.layer(cfg.source_layer)
     dataset = Dataset(
         provenance=Provenance(kg_name, cfg.seed, cfg.config_hash()),

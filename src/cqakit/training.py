@@ -33,13 +33,10 @@ logger = logging.getLogger(__name__)
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss exploded (divergence guard tripped); carries the loss history."""
+    """A divergence guard tripped; the message names it, ``history`` carries the losses."""
 
-    def __init__(self, history):
-        super().__init__(
-            f"training diverged: loss exceeded 10x the initial value for 3 consecutive "
-            f"epochs (last losses: {[round(h['loss'], 4) for h in history[-3:]]})"
-        )
+    def __init__(self, history, guard: str):
+        super().__init__(f"training diverged: {guard}")
         self.history = history
 
 
@@ -177,7 +174,7 @@ def loss_and_grads(model: QueryModel, batch: list[Pair]):
     log_p = shifted[np.arange(B), targets] - np.log(Z[:, 0])
     loss = float(-np.mean(log_p))
     if not np.isfinite(loss):
-        raise TrainingDivergedError([{"loss": loss}])
+        raise TrainingDivergedError([{"loss": loss}], f"non-finite batch loss {loss}")
 
     d_scores = probs.copy()
     d_scores[np.arange(B), targets] -= 1.0
@@ -308,8 +305,8 @@ class Checkpoint:
 def _batches(pairs: list[Pair], order: np.ndarray, batch_size: int, group_types: bool):
     """Slice a shuffled pair list into batches.
 
-    Tree encoders get batches grouped by query type so tree shapes align
-    within a batch; sequence encoders just take consecutive slices.
+    Sequence encoders take consecutive slices. Tree encoders batch any shapes but keep one
+    query type per batch, which fixes the step count per epoch that the bench checks recompute.
     """
     shuffled = [pairs[i] for i in order]
     if not group_types:
@@ -366,6 +363,8 @@ def train(
             entry["val_swap_mrr"] = float(eval_fn(model))
         history.append(entry)
         if _diverged(history):
-            raise TrainingDivergedError(history)
+            last = [round(h["loss"], 4) for h in history[-3:]]
+            why = f"loss exceeded 10x the initial value for 3 consecutive epochs (last losses: {last})"
+            raise TrainingDivergedError(history, why)
     ckpt.step = adam.step_count
     return ckpt

@@ -156,6 +156,17 @@ def test_generate_custom_type_file(capsys, kg_dir, tmp_path):
     assert "2 types" in out
 
 
+def test_generate_repeated_type_exits_two(capsys, kg_dir, tmp_path):
+    tfile = tmp_path / "types.txt"
+    tfile.write_text("(p,(e))\n(u,(p,(e)),(p,(e)))\n(p, (e))\n")
+    out_file = tmp_path / "d.jsonl"
+    code, out, err = run(capsys, "generate", "--kg", str(kg_dir), "--types", str(tfile), "--count", "5",
+                         "--seed", "0", "--out", str(out_file))
+    assert code == 2 and out == "" and not out_file.exists()
+    lines = [line for line in err.splitlines() if not line.startswith("config-hash:")]
+    assert lines == ["error: query type (p,(e)) is listed more than once"]
+
+
 def test_generate_non_utf8_type_file_exits_two(capsys, kg_dir, tmp_path):
     tfile = tmp_path / "types.txt"
     tfile.write_bytes(b"(p,(e))\n\xff(p,(e))\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,9 +17,9 @@ from cqakit.encoders import (
 )
 from cqakit.encoders.checkpoint import MAGIC
 from cqakit.encoders.gradcheck import NonFiniteLossError
-from cqakit.encoders.numerics import softmax, softmax_backward
+from cqakit.encoders.numerics import sigmoid, softmax, softmax_backward
 from cqakit.linearize import PAD, Vocabulary
-from cqakit.queries import anchor, parse_grounded
+from cqakit.queries import OperatorKind, anchor, builtin_query_types, parse_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import Dataset
 from cqakit.training import Checkpoint, TrainConfig, train
@@ -459,3 +460,168 @@ def test_grad_check_rpe_clipped_buckets():
     assert max(len(q) for q in model.prepare(graphs)) >= 6
     err = grad_check(quadratic_probe(model, graphs), model.parameters(), subsample_threshold=40)
     assert err < 1e-4
+
+
+# -- level-wise tree recursion against the per-node reference --------------------
+
+
+class PerNodeTreeLSTMCell:
+    """Slow reference: the full child-sum cell on one node, with per-child loops."""
+
+    @staticmethod
+    def forward(p, x, h_sum, children):
+        i = sigmoid(x @ p["Wi"] + h_sum @ p["Ui"] + p["bi"])
+        o = sigmoid(x @ p["Wo"] + h_sum @ p["Uo"] + p["bo"])
+        u = np.tanh(x @ p["Wu"] + h_sum @ p["Uu"] + p["bu"])
+        fks = [sigmoid(x @ p["Wf"] + h_k @ p["Uf"] + p["bf"]) for h_k, _ in children]
+        c = i * u + sum((f * c_k for f, (_, c_k) in zip(fks, children)), np.zeros(x.shape, x.dtype))
+        h = o * np.tanh(c)
+        return (h, c), (i, o, u, fks)
+
+    @staticmethod
+    def backward(p, grads, x, h_sum, children, state, cache, d_state, d_children):
+        i, o, u, fks = cache
+        dh_j, dc_j = d_state
+        tc = np.tanh(state[1])
+        do = dh_j * tc
+        dc_j = dc_j + dh_j * o * (1 - tc * tc)
+        di = dc_j * u
+        du = dc_j * i
+        dzi = di * i * (1 - i)
+        dzo = do * o * (1 - o)
+        dzu = du * (1 - u * u)
+        grads["Wi"] += np.outer(x, dzi)
+        grads["Wo"] += np.outer(x, dzo)
+        grads["Wu"] += np.outer(x, dzu)
+        grads["Ui"] += np.outer(h_sum, dzi)
+        grads["Uo"] += np.outer(h_sum, dzo)
+        grads["Uu"] += np.outer(h_sum, dzu)
+        grads["bi"] += dzi
+        grads["bo"] += dzo
+        grads["bu"] += dzu
+        dx = dzi @ p["Wi"].T + dzo @ p["Wo"].T + dzu @ p["Wu"].T
+        dh_sum = dzi @ p["Ui"].T + dzo @ p["Uo"].T + dzu @ p["Uu"].T
+        for f, (h_k, c_k), (dh_k, dc_k) in zip(fks, children, d_children):
+            dzf = dc_j * c_k * f * (1 - f)
+            grads["Wf"] += np.outer(x, dzf)
+            grads["Uf"] += np.outer(h_k, dzf)
+            grads["bf"] += dzf
+            dx += dzf @ p["Wf"].T
+            dh_k += dh_sum + dzf @ p["Uf"].T
+            dc_k += dc_j * f
+        return dx
+
+
+class PerNodeNoMemoryCell:
+    """Slow reference: the ablated cell on one node."""
+
+    @staticmethod
+    def forward(p, x, h_sum, children):
+        return (np.tanh(x @ p["W"] + h_sum @ p["U"] + p["b"]),), None
+
+    @staticmethod
+    def backward(p, grads, x, h_sum, children, state, cache, d_state, d_children):
+        h = state[0]
+        dz = d_state[0] * (1 - h * h)
+        grads["W"] += np.outer(x, dz)
+        grads["U"] += np.outer(h_sum, dz)
+        grads["b"] += dz
+        dh_sum = dz @ p["U"].T
+        for (dh_k,) in d_children:
+            dh_k += dh_sum
+        return dz @ p["W"].T
+
+
+PER_NODE_CELLS = {"TreeLSTM": PerNodeTreeLSTMCell, "TreeLSTM-NoMemoryCell": PerNodeNoMemoryCell}
+
+
+def per_node_forward(cell, p, trees, rows):
+    """Walk each tree in post order; returns (B,d) readouts and per-tree steps."""
+    outs, tree_caches = [], []
+    for nodes in trees:
+        states, steps = [], []
+        for token, child_slots, _ in nodes:
+            x = rows[token]
+            children = [states[k] for k in child_slots]
+            h_sum = sum((s[0] for s in children), np.zeros(x.shape, x.dtype))
+            state, cell_cache = cell.forward(p, x, h_sum, children)
+            states.append(state)
+            steps.append((token, child_slots, x, h_sum, cell_cache))
+        outs.append(states[-1][0])
+        tree_caches.append((steps, states))
+    return np.stack(outs), tree_caches
+
+
+def per_node_backward(cell, p, tree_caches, d_out, num_rows):
+    """Walk each tree in reverse post order; returns (param grads, (num_rows,d) row grads)."""
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    d_rows = np.zeros((num_rows, d_out.shape[1]), d_out.dtype)
+    for (steps, states), droot in zip(tree_caches, d_out):
+        d_states = [[np.zeros_like(droot) for _ in s] for s in states]
+        d_states[-1][0] = droot.copy()
+        for idx in range(len(steps) - 1, -1, -1):
+            token, child_slots, x, h_sum, cell_cache = steps[idx]
+            children = [states[k] for k in child_slots]
+            d_children = [d_states[k] for k in child_slots]
+            d_rows[token] += cell.backward(
+                p, grads, x, h_sum, children, states[idx], cell_cache, d_states[idx], d_children
+            )
+    return grads, d_rows
+
+
+def random_grounding(node, rng):
+    """Ground a type pattern with uniformly drawn VOCAB relations and entities."""
+    children = tuple(random_grounding(c, rng) for c in node.children)
+    if node.kind is OperatorKind.ANCHOR:
+        return dataclasses.replace(node, entity=int(rng.integers(VOCAB.num_entities)))
+    if node.kind is OperatorKind.PROJECTION:
+        return dataclasses.replace(node, relation=int(rng.integers(VOCAB.num_relations)), children=children)
+    return dataclasses.replace(node, children=children)
+
+
+def tree_batches():
+    """Mixed batches of every built-in type, plus the shapes a level layout can trip on."""
+    builtin = builtin_query_types()
+    patterns = [t.pattern for t in builtin.in_distribution + builtin.out_of_distribution]
+    assert len(patterns) == 58
+    rng = make_rng(31)
+    mixed = [random_grounding(patterns[i], rng) for i in rng.permutation(58)]
+    return {
+        "all-58-types": mixed,
+        "shuffled-with-repeats": [mixed[i] for i in rng.integers(58, size=40)] + [anchor(3)],
+        "anchor-alone": [anchor(7)],
+        "one-deep-tree": [parse_grounded("(i,(p,(1),(p,(2),(p,(3),(e,(4))))),(n,(p,(0),(e,(9)))))")],
+        "unequal-unions": [
+            anchor(2),
+            parse_grounded("(u,(p,(0),(e,(1))),(p,(1),(p,(2),(p,(3),(e,(4))))))"),
+            parse_grounded("(u,(e,(5)),(p,(4),(e,(6))),(n,(p,(2),(p,(1),(e,(8))))))"),
+            GRAPHS[0],
+        ],
+    }
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("arch", sorted(PER_NODE_CELLS))
+@pytest.mark.parametrize("batch", sorted(tree_batches()))
+def test_level_wise_tree_matches_per_node_reference(batch, arch, dtype, tol):
+    model = new_model(VOCAB, arch, d=8, seed=41, dtype=dtype)
+    rng = make_rng(42)
+    for arr in model.parameters().values():  # off the init: nonzero biases
+        arr[...] = rng.normal(scale=0.5, size=arr.shape)
+    graphs = tree_batches()[batch]
+    trees = model.prepare(graphs)
+    d_out = rng.normal(size=(len(graphs), model.d)).astype(dtype)
+
+    out, cache = model.encode(trees)
+    grads = model.backward(cache, d_out)
+    cell, p = PER_NODE_CELLS[arch], model.encoder.params
+    ref_out, ref_cache = per_node_forward(cell, p, trees, model.rows)
+    ref_grads, ref_rows = per_node_backward(cell, p, ref_cache, d_out, VOCAB.size)
+
+    assert out.dtype == dtype and grads["table"].dtype == dtype
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=tol)
+    np.testing.assert_allclose(grads["table"], ref_rows, rtol=tol, atol=tol, err_msg="table")
+    assert grads.keys() == {"table"} | {f"enc.{k}" for k in ref_grads}
+    for name, grad in ref_grads.items():
+        assert grads[f"enc.{name}"].dtype == dtype
+        np.testing.assert_allclose(grads[f"enc.{name}"], grad, rtol=tol, atol=tol, err_msg=name)

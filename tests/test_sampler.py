@@ -103,6 +103,17 @@ def test_sample_dataset_dedup_within_type():
     assert len(keys) == len(set(keys))
 
 
+def test_sample_dataset_rejects_a_repeated_type(desk_layers):
+    cfg = SamplerConfig(per_type_count=5, seed=0)
+    t = parse_formula("(p,(e))")
+    with pytest.raises(ValueError, match=r"^query type \(p,\(e\)\) is listed more than once$"):
+        sample_dataset(desk_layers, [t, t], cfg)
+    # spellings that differ only in whitespace name the same type
+    spaced = [parse_formula("(i,(p,(e)),(p,(e)))"), parse_formula("(i, (p,(e)), (p, (e)))")]
+    with pytest.raises(ValueError, match=r"^query type \(i,\(p,\(e\)\),\(p,\(e\)\)\) is listed"):
+        sample_dataset(desk_layers, [t] + spaced, cfg)
+
+
 def test_sample_dataset_desk_scale_all_29_types(desk_layers):
     bt = builtin_query_types()
     ds = sample_dataset(desk_layers, bt.in_distribution, SamplerConfig(20, seed=7), kg_name="desk")

@@ -278,12 +278,26 @@ def test_divergence_detector():
     assert _diverged([{"loss": 1.0}, {"loss": 11.0}, {"loss": 12.0}, {"loss": 13.0}])
 
 
+def test_loss_explosion_names_its_guard(monkeypatch):
+    losses = iter([1.0, 20.0, 30.0, 40.0, 50.0])
+
+    def exploding(model, batch):
+        return next(losses), {k: np.zeros_like(v) for k, v in model.parameters().items()}, {}
+
+    monkeypatch.setattr(training, "loss_and_grads", exploding)
+    cfg = TrainConfig(arch="LSTM", d=8, epochs=5, seed=0)
+    guard = r"loss exceeded 10x the initial value for 3 consecutive epochs \(last losses: \[20.0, 30.0, 40.0\]\)"
+    with pytest.raises(TrainingDivergedError, match=f"^training diverged: {guard}$") as info:
+        train(cfg, tiny_dataset(), VOCAB100)
+    assert [h["loss"] for h in info.value.history] == [1.0, 20.0, 30.0, 40.0]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_loss_aborts():
     model = new_model(VOCAB100, "LSTM", d=8, seed=13)
     model.rows[:] = np.inf
     pairs = [Pair(model.prepare([parse_grounded("(p,(0),(e,(1)))")])[0], 2, "t")]
-    with pytest.raises(TrainingDivergedError):
+    with pytest.raises(TrainingDivergedError, match=r"^training diverged: non-finite batch loss nan$"):
         loss_and_grads(model, pairs)
 
 
