@@ -6,13 +6,11 @@ import numpy as np
 
 
 def sigmoid(z):
-    # numerically stable piecewise form
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # numerically stable: 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below 0,
+    # with one exp that never overflows; min(z, -z) rather than -|z| keeps
+    # a NaN's sign bit, so the bits match the two-branch form exactly
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(z, axis=-1):

@@ -16,6 +16,12 @@ All gradients are hand-derived; padded key positions are masked out of the
 attention softmax, so PAD tokens cannot influence the readout. Every
 attention contraction, forward and backward, is a batched ``matmul``, so it
 runs on BLAS.
+
+Only position 0 of the last block reaches the readout, so that block takes
+its queries from position 0 alone: its keys and values still cover all T
+positions, but its logits are ``(B, H, 1, T)`` and its residual stream,
+feed-forward network and the final LayerNorm run on one row per sequence.
+Lower blocks compute every position.
 """
 
 from __future__ import annotations
@@ -87,36 +93,39 @@ class TransformerEncoder:
         B, H, T, hd = x.shape
         return x.transpose(0, 2, 1, 3).reshape(B, T, H * hd)
 
-    def _attention(self, a, mask, l):
+    def _attention(self, a, mask, l, n_q):
+        """Attention of the first ``n_q`` positions of ``a`` over all T keys."""
         p = self.params
         B, T, d = a.shape
         H, hd = self.heads, self.head_dim
-        q = self._split(a @ p[f"l{l}.Wq"] + p[f"l{l}.bq"])  # (B,H,T,hd)
-        k = self._split(a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"])
+        q = self._split(a[:, :n_q] @ p[f"l{l}.Wq"] + p[f"l{l}.bq"])  # (B,H,n_q,hd)
+        k = self._split(a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"])  # (B,H,T,hd)
         v = self._split(a @ p[f"l{l}.Wv"] + p[f"l{l}.bv"])
         scale = 1.0 / math.sqrt(hd)  # a Python float keeps float32 logits float32
-        logits = q @ k.swapaxes(-1, -2)  # (B,H,T,T)
+        logits = q @ k.swapaxes(-1, -2)  # (B,H,n_q,T)
         rel = None
         if self.relative:
             # one (B·H, hd) @ (hd, T) matmul per query position i:
             # q_i . rel[clip(j-i)] for every key j
-            ridx = self._rel_index(T)
-            rel_k = p["rel"][ridx]  # (T,T,hd)
-            q_rows = q.transpose(2, 0, 1, 3).reshape(T, B * H, hd)
-            rel_logits = q_rows @ rel_k.swapaxes(-1, -2)  # (T,B·H,T)
-            logits += rel_logits.reshape(T, B, H, T).transpose(1, 2, 0, 3)
+            ridx = self._rel_index(T)[:n_q]
+            rel_k = p["rel"][ridx]  # (n_q,T,hd)
+            q_rows = q.transpose(2, 0, 1, 3).reshape(n_q, B * H, hd)
+            rel_logits = q_rows @ rel_k.swapaxes(-1, -2)  # (n_q,B·H,T)
+            logits += rel_logits.reshape(n_q, B, H, T).transpose(1, 2, 0, 3)
             rel = (ridx, rel_k, q_rows)
         key_mask = mask[:, None, None, :]  # (B,1,1,T)
         logits = np.where(key_mask > 0, logits * scale, _NEG)
-        attn = softmax(logits, axis=-1)  # (B,H,T,T)
+        attn = softmax(logits, axis=-1)  # (B,H,n_q,T)
         merged = self._merge(attn @ v)
         out = merged @ p[f"l{l}.Wo"] + p[f"l{l}.bo"]
         return out, (a, q, k, v, attn, merged, rel, l)
 
     def _attention_backward(self, cache, d_out, grads):
+        """d_out: (B,n_q,d). Returns the (B,T,d) gradient on ``a``."""
         p = self.params
         a, q, k, v, attn, merged, rel, l = cache
-        B, H, T, hd = q.shape
+        B, H, n_q, hd = q.shape
+        T = k.shape[2]
 
         grads[f"l{l}.Wo"] += merged.reshape(-1, self.d).T @ d_out.reshape(-1, self.d)
         grads[f"l{l}.bo"] += d_out.sum(axis=(0, 1))
@@ -132,19 +141,20 @@ class TransformerEncoder:
         dk = d_logits.swapaxes(-1, -2) @ q
         if self.relative:
             ridx, rel_k, q_rows = rel
-            d_rows = d_logits.transpose(2, 0, 1, 3).reshape(T, B * H, T)
-            dq += (d_rows @ rel_k).reshape(T, B, H, hd).transpose(1, 2, 0, 3)
-            d_rel_pairs = d_rows.swapaxes(-1, -2) @ q_rows  # (T,T,hd)
+            d_rows = d_logits.transpose(2, 0, 1, 3).reshape(n_q, B * H, T)
+            dq += (d_rows @ rel_k).reshape(n_q, B, H, hd).transpose(1, 2, 0, 3)
+            d_rel_pairs = d_rows.swapaxes(-1, -2) @ q_rows  # (n_q,T,hd)
             # each bucket sums the pairs (i, j) whose clipped offset it holds
             buckets = np.arange(p["rel"].shape[0])[:, None] == ridx.reshape(1, -1)
-            grads["rel"] += buckets.astype(d_rel_pairs.dtype) @ d_rel_pairs.reshape(T * T, hd)
+            grads["rel"] += buckets.astype(d_rel_pairs.dtype) @ d_rel_pairs.reshape(n_q * T, hd)
 
         da = np.zeros_like(a)
         for name, grad_heads in (("Wq", dq), ("Wk", dk), ("Wv", dv)):
-            flat = self._merge(grad_heads)  # (B,T,d)
-            grads[f"l{l}.{name}"] += a.reshape(-1, self.d).T @ flat.reshape(-1, self.d)
+            flat = self._merge(grad_heads)  # (B,n_q,d) for Wq, (B,T,d) for Wk and Wv
+            rows = flat.shape[1]
+            grads[f"l{l}.{name}"] += a[:, :rows].reshape(-1, self.d).T @ flat.reshape(-1, self.d)
             grads[f"l{l}.b{name[1]}"] += flat.sum(axis=(0, 1))
-            da += flat @ p[f"l{l}.{name}"].T
+            da[:, :rows] += flat @ p[f"l{l}.{name}"].T
         return da
 
     def forward(self, x: np.ndarray, mask: np.ndarray):
@@ -160,16 +170,18 @@ class TransformerEncoder:
             h = x
         blocks = []
         for l in range(self.layers):
+            # the readout reads position 0 only, so the last block queries from it alone
+            n_q = 1 if l == self.layers - 1 else T
             a, ln1_cache = layernorm_forward(h, p[f"l{l}.ln1.g"], p[f"l{l}.ln1.b"])
-            attn_out, attn_cache = self._attention(a, mask, l)
-            h1 = h + attn_out
+            attn_out, attn_cache = self._attention(a, mask, l, n_q)
+            h1 = h[:, :n_q] + attn_out
             f, ln2_cache = layernorm_forward(h1, p[f"l{l}.ln2.g"], p[f"l{l}.ln2.b"])
             z1 = f @ p[f"l{l}.W1"] + p[f"l{l}.b1"]
             relu = np.maximum(z1, 0.0)
             ffn_out = relu @ p[f"l{l}.W2"] + p[f"l{l}.b2"]
             h = h1 + ffn_out
             blocks.append((ln1_cache, attn_cache, ln2_cache, f, z1, relu))
-        y, lnf_cache = layernorm_forward(h, p["lnf.g"], p["lnf.b"])
+        y, lnf_cache = layernorm_forward(h, p["lnf.g"], p["lnf.b"])  # (B,1,d)
         readout = y[:, 0]
         return readout, (x.shape, blocks, lnf_cache)
 
@@ -178,8 +190,7 @@ class TransformerEncoder:
         (B, T, d), blocks, lnf_cache = cache
         grads = {k: np.zeros_like(v) for k, v in p.items()}
 
-        dy = np.zeros((B, T, d), dtype=d_readout.dtype)
-        dy[:, 0] = d_readout
+        dy = d_readout[:, None]
         dh, dg, db = layernorm_backward(dy, lnf_cache, p["lnf.g"])
         grads["lnf.g"] += dg
         grads["lnf.b"] += db
@@ -204,7 +215,7 @@ class TransformerEncoder:
             dh, dg1, db1 = layernorm_backward(da, ln1_cache, p[f"l{l}.ln1.g"])
             grads[f"l{l}.ln1.g"] += dg1
             grads[f"l{l}.ln1.b"] += db1
-            dh = dh + dh1  # residual
+            dh[:, : dh1.shape[1]] += dh1  # residual, on the rows the block queried from
         if not self.relative:
             grads["pos"][:T] += dh.sum(axis=0)
         return grads, dh

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cqakit.encoders import (
+    BiLSTMEncoder,
     CheckpointError,
     QueryModel,
     TransformerEncoder,
@@ -17,7 +19,14 @@ from cqakit.encoders import (
 )
 from cqakit.encoders.checkpoint import MAGIC
 from cqakit.encoders.gradcheck import NonFiniteLossError
-from cqakit.encoders.numerics import sigmoid, softmax, softmax_backward
+from cqakit.encoders.numerics import (
+    layernorm_backward,
+    layernorm_forward,
+    sigmoid,
+    softmax,
+    softmax_backward,
+)
+from cqakit.encoders.transformer import _NEG
 from cqakit.linearize import PAD, Vocabulary
 from cqakit.queries import OperatorKind, anchor, builtin_query_types, parse_grounded
 from cqakit.rng import make_rng
@@ -364,28 +373,50 @@ def test_rpe_shifts_attention_by_distance():
     assert not np.allclose(a, b)
 
 
+
+def piecewise_sigmoid(z):
+    """Reference: the boolean-mask form, each branch on its own elements."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_bit_identical_to_piecewise_reference(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    edges = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1000 * tiny, -1000 * tiny]
+    rng = make_rng(55)
+    z = np.concatenate([edges, rng.normal(size=4000), rng.normal(scale=40, size=4000)]).astype(dtype)
+    out = sigmoid(z)
+    assert out.dtype == dtype
+    assert np.array_equal(out, piecewise_sigmoid(z), equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(piecewise_sigmoid(z)))
+
 # -- attention against the einsum reference --------------------------------------
 
 
 class EinsumAttention(TransformerEncoder):
     """Slow reference: every attention contraction as a 4-D ``np.einsum``."""
 
-    def _attention(self, a, mask, l):
+    def _attention(self, a, mask, l, n_q):
         p = self.params
         B, T, d = a.shape
-        q = self._split(a @ p[f"l{l}.Wq"] + p[f"l{l}.bq"])  # (B,H,T,hd)
-        k = self._split(a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"])
+        q = self._split(a[:, :n_q] @ p[f"l{l}.Wq"] + p[f"l{l}.bq"])  # (B,H,n_q,hd)
+        k = self._split(a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"])  # (B,H,T,hd)
         v = self._split(a @ p[f"l{l}.Wv"] + p[f"l{l}.bv"])
         scale = 1.0 / np.sqrt(self.head_dim)
-        logits = np.einsum("bhid,bhjd->bhij", q, k) * scale
+        logits = np.einsum("bhid,bhjd->bhij", q, k) * scale  # (B,H,n_q,T)
         ridx = None
         if self.relative:
-            ridx = self._rel_index(T)
-            rel_k = p["rel"][ridx]  # (T,T,hd)
+            ridx = self._rel_index(T)[:n_q]
+            rel_k = p["rel"][ridx]  # (n_q,T,hd)
             logits = logits + np.einsum("bhid,ijd->bhij", q, rel_k) * scale
         key_mask = mask[:, None, None, :]  # (B,1,1,T)
         logits = np.where(key_mask > 0, logits, -1e9)
-        attn = softmax(logits, axis=-1)  # (B,H,T,T)
+        attn = softmax(logits, axis=-1)  # (B,H,n_q,T)
         ctx = np.einsum("bhij,bhjd->bhid", attn, v)
         merged = self._merge(ctx)
         out = merged @ p[f"l{l}.Wo"] + p[f"l{l}.bo"]
@@ -394,6 +425,7 @@ class EinsumAttention(TransformerEncoder):
     def _attention_backward(self, cache, d_out, grads):
         p = self.params
         a, q, k, v, attn, merged, ridx, mask, l = cache
+        n_q = q.shape[2]
         scale = 1.0 / np.sqrt(self.head_dim)
 
         grads[f"l{l}.Wo"] += merged.reshape(-1, self.d).T @ d_out.reshape(-1, self.d)
@@ -414,11 +446,11 @@ class EinsumAttention(TransformerEncoder):
             np.add.at(grads["rel"], ridx, d_rel_pairs)
 
         da = np.zeros_like(a)
-        for name, grad_heads in (("Wq", dq), ("Wk", dk), ("Wv", dv)):
-            flat = self._merge(grad_heads)  # (B,T,d)
-            grads[f"l{l}.{name}"] += a.reshape(-1, self.d).T @ flat.reshape(-1, self.d)
+        for name, grad_heads, rows in (("Wq", dq, a[:, :n_q]), ("Wk", dk, a), ("Wv", dv, a)):
+            flat = self._merge(grad_heads)  # (B,n_q,d) or (B,T,d)
+            grads[f"l{l}.{name}"] += rows.reshape(-1, self.d).T @ flat.reshape(-1, self.d)
             grads[f"l{l}.b{name[1]}"] += flat.sum(axis=(0, 1))
-            da += flat @ p[f"l{l}.{name}"].T
+            da[:, : flat.shape[1]] += flat @ p[f"l{l}.{name}"].T
         return da
 
 
@@ -461,6 +493,329 @@ def test_grad_check_rpe_clipped_buckets():
     err = grad_check(quadratic_probe(model, graphs), model.parameters(), subsample_threshold=40)
     assert err < 1e-4
 
+
+# -- position-0 sequence encoders against the full-sequence references -----------
+
+
+class FullSequenceTransformer(TransformerEncoder):
+    """Slow reference: every block, the last included, at all T positions."""
+
+    def _attention(self, a, mask, l):
+        p = self.params
+        B, T, d = a.shape
+        H, hd = self.heads, self.head_dim
+        q = self._split(a @ p[f"l{l}.Wq"] + p[f"l{l}.bq"])  # (B,H,T,hd)
+        k = self._split(a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"])
+        v = self._split(a @ p[f"l{l}.Wv"] + p[f"l{l}.bv"])
+        scale = 1.0 / math.sqrt(hd)  # a Python float keeps float32 logits float32
+        logits = q @ k.swapaxes(-1, -2)  # (B,H,T,T)
+        rel = None
+        if self.relative:
+            # one (B·H, hd) @ (hd, T) matmul per query position i:
+            # q_i . rel[clip(j-i)] for every key j
+            ridx = self._rel_index(T)
+            rel_k = p["rel"][ridx]  # (T,T,hd)
+            q_rows = q.transpose(2, 0, 1, 3).reshape(T, B * H, hd)
+            rel_logits = q_rows @ rel_k.swapaxes(-1, -2)  # (T,B·H,T)
+            logits += rel_logits.reshape(T, B, H, T).transpose(1, 2, 0, 3)
+            rel = (ridx, rel_k, q_rows)
+        key_mask = mask[:, None, None, :]  # (B,1,1,T)
+        logits = np.where(key_mask > 0, logits * scale, _NEG)
+        attn = softmax(logits, axis=-1)  # (B,H,T,T)
+        merged = self._merge(attn @ v)
+        out = merged @ p[f"l{l}.Wo"] + p[f"l{l}.bo"]
+        return out, (a, q, k, v, attn, merged, rel, l)
+
+    def _attention_backward(self, cache, d_out, grads):
+        p = self.params
+        a, q, k, v, attn, merged, rel, l = cache
+        B, H, T, hd = q.shape
+
+        grads[f"l{l}.Wo"] += merged.reshape(-1, self.d).T @ d_out.reshape(-1, self.d)
+        grads[f"l{l}.bo"] += d_out.sum(axis=(0, 1))
+        d_merged = d_out @ p[f"l{l}.Wo"].T
+        d_ctx = self._split(d_merged)
+
+        d_attn = d_ctx @ v.swapaxes(-1, -2)
+        dv = attn.swapaxes(-1, -2) @ d_ctx
+        d_logits = softmax_backward(attn, d_attn)  # masked keys: attn=0 -> 0
+        d_logits *= 1.0 / math.sqrt(hd)
+
+        dq = d_logits @ k
+        dk = d_logits.swapaxes(-1, -2) @ q
+        if self.relative:
+            ridx, rel_k, q_rows = rel
+            d_rows = d_logits.transpose(2, 0, 1, 3).reshape(T, B * H, T)
+            dq += (d_rows @ rel_k).reshape(T, B, H, hd).transpose(1, 2, 0, 3)
+            d_rel_pairs = d_rows.swapaxes(-1, -2) @ q_rows  # (T,T,hd)
+            # each bucket sums the pairs (i, j) whose clipped offset it holds
+            buckets = np.arange(p["rel"].shape[0])[:, None] == ridx.reshape(1, -1)
+            grads["rel"] += buckets.astype(d_rel_pairs.dtype) @ d_rel_pairs.reshape(T * T, hd)
+
+        da = np.zeros_like(a)
+        for name, grad_heads in (("Wq", dq), ("Wk", dk), ("Wv", dv)):
+            flat = self._merge(grad_heads)  # (B,T,d)
+            grads[f"l{l}.{name}"] += a.reshape(-1, self.d).T @ flat.reshape(-1, self.d)
+            grads[f"l{l}.b{name[1]}"] += flat.sum(axis=(0, 1))
+            da += flat @ p[f"l{l}.{name}"].T
+        return da
+
+    def forward(self, x: np.ndarray, mask: np.ndarray):
+        """x: (B,T,d) embedded tokens; mask: (B,T). Returns ((B,d), cache)."""
+        p = self.params
+        B, T, _ = x.shape
+        mask = mask.astype(x.dtype)
+        if not self.relative:
+            if T > self.max_len:
+                raise ValueError(f"sequence length {T} exceeds position table {self.max_len}")
+            h = x + p["pos"][:T]
+        else:
+            h = x
+        blocks = []
+        for l in range(self.layers):
+            a, ln1_cache = layernorm_forward(h, p[f"l{l}.ln1.g"], p[f"l{l}.ln1.b"])
+            attn_out, attn_cache = self._attention(a, mask, l)
+            h1 = h + attn_out
+            f, ln2_cache = layernorm_forward(h1, p[f"l{l}.ln2.g"], p[f"l{l}.ln2.b"])
+            z1 = f @ p[f"l{l}.W1"] + p[f"l{l}.b1"]
+            relu = np.maximum(z1, 0.0)
+            ffn_out = relu @ p[f"l{l}.W2"] + p[f"l{l}.b2"]
+            h = h1 + ffn_out
+            blocks.append((ln1_cache, attn_cache, ln2_cache, f, z1, relu))
+        y, lnf_cache = layernorm_forward(h, p["lnf.g"], p["lnf.b"])
+        readout = y[:, 0]
+        return readout, (x.shape, blocks, lnf_cache)
+
+    def backward(self, cache, d_readout: np.ndarray):
+        p = self.params
+        (B, T, d), blocks, lnf_cache = cache
+        grads = {k: np.zeros_like(v) for k, v in p.items()}
+
+        dy = np.zeros((B, T, d), dtype=d_readout.dtype)
+        dy[:, 0] = d_readout
+        dh, dg, db = layernorm_backward(dy, lnf_cache, p["lnf.g"])
+        grads["lnf.g"] += dg
+        grads["lnf.b"] += db
+
+        for l in range(self.layers - 1, -1, -1):
+            ln1_cache, attn_cache, ln2_cache, f, z1, relu = blocks[l]
+            # FFN sublayer: h = h1 + W2·relu(W1·LN2(h1))
+            d_ffn = dh
+            grads[f"l{l}.W2"] += relu.reshape(-1, 4 * d).T @ d_ffn.reshape(-1, d)
+            grads[f"l{l}.b2"] += d_ffn.sum(axis=(0, 1))
+            d_relu = d_ffn @ p[f"l{l}.W2"].T
+            dz1 = d_relu * (z1 > 0)
+            grads[f"l{l}.W1"] += f.reshape(-1, d).T @ dz1.reshape(-1, 4 * d)
+            grads[f"l{l}.b1"] += dz1.sum(axis=(0, 1))
+            df = dz1 @ p[f"l{l}.W1"].T
+            dh1, dg2, db2 = layernorm_backward(df, ln2_cache, p[f"l{l}.ln2.g"])
+            grads[f"l{l}.ln2.g"] += dg2
+            grads[f"l{l}.ln2.b"] += db2
+            dh1 = dh1 + dh  # residual
+            # attention sublayer: h1 = h + MHA(LN1(h))
+            da = self._attention_backward(attn_cache, dh1, grads)
+            dh, dg1, db1 = layernorm_backward(da, ln1_cache, p[f"l{l}.ln1.g"])
+            grads[f"l{l}.ln1.g"] += dg1
+            grads[f"l{l}.ln1.b"] += db1
+            dh = dh + dh1  # residual
+        if not self.relative:
+            grads["pos"][:T] += dh.sum(axis=0)
+        return grads, dh
+
+
+class PerStepBiLSTM(BiLSTMEncoder):
+    """Slow reference: both directions of every layer run all T steps, one step at a time."""
+
+    def _run_direction(self, x, mask, l, dir_):
+        """One direction of one layer. x: (B,T,d) layer input, mask: (B,T)."""
+        B, T, _ = x.shape
+        h_dim = self.hidden
+        Wx = self.params[f"l{l}.{dir_}.Wx"]
+        Wh = self.params[f"l{l}.{dir_}.Wh"]
+        b = self.params[f"l{l}.{dir_}.b"]
+        order = range(T) if dir_ == "fwd" else range(T - 1, -1, -1)
+
+        gates = np.zeros((T, B, 4 * h_dim), dtype=x.dtype)  # post-activation
+        tanh_c = np.zeros((T, B, h_dim), dtype=x.dtype)  # tanh(c_new)
+        h_prevs = np.zeros((T, B, h_dim), dtype=x.dtype)
+        c_prevs = np.zeros((T, B, h_dim), dtype=x.dtype)
+        h_out = np.zeros((B, T, h_dim), dtype=x.dtype)  # masked states per position
+
+        h = np.zeros((B, h_dim), dtype=x.dtype)
+        c = np.zeros((B, h_dim), dtype=x.dtype)
+        for t in order:
+            m = mask[:, t : t + 1]
+            z = x[:, t] @ Wx + h @ Wh + b
+            i = sigmoid(z[:, :h_dim])
+            f = sigmoid(z[:, h_dim : 2 * h_dim])
+            o = sigmoid(z[:, 2 * h_dim : 3 * h_dim])
+            g = np.tanh(z[:, 3 * h_dim :])
+            c_new = f * c + i * g
+            tc = np.tanh(c_new)
+            h_new = o * tc
+
+            gates[t] = np.concatenate([i, f, o, g], axis=1)
+            tanh_c[t] = tc
+            h_prevs[t] = h
+            c_prevs[t] = c
+
+            h = m * h_new + (1.0 - m) * h
+            c = m * c_new + (1.0 - m) * c
+            h_out[:, t] = h
+        cache = (x, mask, gates, tanh_c, h_prevs, c_prevs, order, l, dir_)
+        return h_out, cache
+
+    def _run_direction_backward(self, cache, dh_out, grads):
+        """BPTT for one direction. dh_out: (B,T,H) grads on the stored states."""
+        x, mask, gates, tanh_c, h_prevs, c_prevs, order, l, dir_ = cache
+        B, T, _ = x.shape
+        h_dim = self.hidden
+        Wx = self.params[f"l{l}.{dir_}.Wx"]
+        Wh = self.params[f"l{l}.{dir_}.Wh"]
+        dWx = grads[f"l{l}.{dir_}.Wx"]
+        dWh = grads[f"l{l}.{dir_}.Wh"]
+        db = grads[f"l{l}.{dir_}.b"]
+        dx = np.zeros_like(x)
+
+        dh_carry = np.zeros((B, h_dim), dtype=x.dtype)
+        dc_carry = np.zeros((B, h_dim), dtype=x.dtype)
+        for t in reversed(list(order)):
+            m = mask[:, t : t + 1]
+            i = gates[t][:, :h_dim]
+            f = gates[t][:, h_dim : 2 * h_dim]
+            o = gates[t][:, 2 * h_dim : 3 * h_dim]
+            g = gates[t][:, 3 * h_dim :]
+            tc = tanh_c[t]
+
+            dh_total = dh_out[:, t] + dh_carry
+            dc_total = dc_carry
+            # gradient through h_t = m*h_new + (1-m)*h_prev (and same for c)
+            dh_new = m * dh_total
+            dh_prev = (1.0 - m) * dh_total
+            dc_new = m * dc_total
+            dc_prev = (1.0 - m) * dc_total
+
+            do = dh_new * tc
+            dc_new = dc_new + dh_new * o * (1.0 - tc * tc)
+            df = dc_new * c_prevs[t]
+            dc_prev = dc_prev + dc_new * f
+            di = dc_new * g
+            dg = dc_new * i
+
+            dz = np.concatenate(
+                [di * i * (1 - i), df * f * (1 - f), do * o * (1 - o), dg * (1 - g * g)],
+                axis=1,
+            )
+            dx[:, t] = dz @ Wx.T
+            dWx += x[:, t].T @ dz
+            dWh += h_prevs[t].T @ dz
+            db += dz.sum(axis=0)
+            dh_carry = dz @ Wh.T + dh_prev
+            dc_carry = dc_prev
+        return dx
+
+    def forward(self, x: np.ndarray, mask: np.ndarray):
+        """x: (B,T,d) embedded tokens; mask: (B,T) 1.0 at real positions.
+
+        Returns the (B,d) readout (forward/backward states at position 0)
+        and a cache for :meth:`backward`.
+        """
+        mask = mask.astype(x.dtype)
+        caches = []
+        layer_in = x
+        for l in range(self.layers):
+            hf, cf = self._run_direction(layer_in, mask, l, "fwd")
+            hb, cb = self._run_direction(layer_in, mask, l, "bwd")
+            caches.append((cf, cb))
+            layer_in = np.concatenate([hf, hb], axis=2)
+        readout = layer_in[:, 0]  # (B, d): [h_fwd[0] | h_bwd[0]] of the top layer
+        return readout, (caches, x.shape)
+
+    def backward(self, cache, d_readout: np.ndarray):
+        """Returns (param grads, d_input (B,T,d))."""
+        caches, in_shape = cache
+        B, T, d = in_shape
+        h_dim = self.hidden
+        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+
+        d_layer_out = np.zeros((B, T, d), dtype=d_readout.dtype)
+        d_layer_out[:, 0] = d_readout
+        for l in range(self.layers - 1, -1, -1):
+            cf, cb = caches[l]
+            dxf = self._run_direction_backward(cf, d_layer_out[:, :, :h_dim], grads)
+            dxb = self._run_direction_backward(cb, d_layer_out[:, :, h_dim:], grads)
+            d_layer_out = dxf + dxb
+        return grads, d_layer_out
+
+
+# each sequence architecture: (the encoder, its full-sequence reference)
+FULL_SEQUENCE = {
+    "LSTM": (BiLSTMEncoder, PerStepBiLSTM),
+    "Transformer-APE": (TransformerEncoder, FullSequenceTransformer),
+    "Transformer-RPE": (TransformerEncoder, FullSequenceTransformer),
+}
+
+
+def sequence_encoder(cls, arch, layers, heads, dtype):
+    d = 8
+    if arch == "LSTM":
+        return cls(d, layers, make_rng(51), dtype=dtype)
+    return cls(d, layers, heads, make_rng(51), arch == "Transformer-RPE", max_len=12, rpe_clip=2, dtype=dtype)
+
+
+# every case pads a batch of six; d=8, max_len=12 and rpe_clip=2 (so five buckets)
+SEQUENCE_BATCHES = {
+    "one-token": (1, 1, [1, 1, 1, 1, 1, 1]),
+    "padded-to-one": (7, 8, [7, 1, 3, 1, 6, 2]),
+    "max-len": (12, 1, [12, 12, 1, 12, 5, 12]),
+    "long-rpe": (12, 8, [12, 9, 6, 1, 11, 4]),
+}
+
+
+# float32: N(0,1) weights through three layers amplify rounding; the largest
+# elementwise gap over these cases is 1.2e-5, against 1.2e-7 machine epsilon
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 5e-5)])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("arch", sorted(FULL_SEQUENCE))
+@pytest.mark.parametrize("batch", sorted(SEQUENCE_BATCHES))
+def test_position0_encoders_match_full_sequence_reference(batch, arch, layers, dtype, tol):
+    T, heads, lengths = SEQUENCE_BATCHES[batch]
+    enc, ref = (sequence_encoder(cls, arch, layers, heads, dtype) for cls in FULL_SEQUENCE[arch])
+    rng = make_rng(52)
+    for name, arr in enc.params.items():  # off the init: nonzero biases, LN gains != 1
+        arr[...] = rng.normal(size=arr.shape)
+        ref.params[name][...] = arr
+    x = rng.normal(size=(len(lengths), T, 8)).astype(dtype)
+    mask = (np.arange(T)[None, :] < np.array(lengths)[:, None]).astype(dtype)
+    d_readout = rng.normal(size=(len(lengths), 8)).astype(dtype)
+
+    out, cache = enc.forward(x, mask)
+    ref_out, ref_cache = ref.forward(x, mask)
+    grads, dx = enc.backward(cache, d_readout)
+    ref_grads, ref_dx = ref.backward(ref_cache, d_readout)
+    assert out.dtype == ref_out.dtype and dx.dtype == ref_dx.dtype
+    np.testing.assert_allclose(out, ref_out, rtol=tol, atol=tol)
+    np.testing.assert_allclose(dx, ref_dx, rtol=tol, atol=tol)
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        assert grad.dtype == dtype
+        np.testing.assert_allclose(grad, ref_grads[name], rtol=tol, atol=tol, err_msg=name)
+
+
+
+def test_top_layer_computes_position_zero_only():
+    # a silent revert to full-sequence top layers keeps the outputs, so check the shapes
+    B, T, d = 3, 9, 8
+    x = make_rng(53).normal(size=(B, T, d))
+    mask = np.ones((B, T))
+    transformer = TransformerEncoder(d, 2, 2, make_rng(54), relative=True)
+    _, (_, blocks, _) = transformer.forward(x, mask)
+    attn = [attn_cache[4] for _, attn_cache, *_ in blocks]
+    assert [a.shape for a in attn] == [(B, 2, T, T), (B, 2, 1, T)]
+    lstm = BiLSTMEncoder(d, 2, make_rng(54))
+    _, (caches, _) = lstm.forward(x, mask)
+    steps = [[len(direction[6]) for direction in layer] for layer in caches]  # (fwd, bwd) steps run
+    assert steps == [[T, T], [1, T]]
 
 # -- level-wise tree recursion against the per-node reference --------------------
 
