@@ -44,15 +44,6 @@ logger = logging.getLogger(__name__)
 DATASET_FORMAT = "cqakit-dataset"
 DATASET_VERSION = 1
 
-# Full-scale per-type query counts used by the original benchmarks; kept as
-# reference configuration only — desk-scale runs use far smaller counts.
-REFERENCE_FULL_SCALE_COUNTS = {
-    "FB15k": {"train_1p": 273_710, "train_other_types": 821_130, "valid": 8_000, "test": 8_000},
-    "FB15k-237": {"train_1p": 149_689, "train_other_types": 449_067, "valid": 5_000, "test": 5_000},
-    "NELL-995": {"train_1p": 107_982, "train_other_types": 323_946, "valid": 4_000, "test": 4_000},
-}
-
-
 class GroundingError(RuntimeError):
     """A query type could not be grounded within the retry budget."""
 

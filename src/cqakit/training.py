@@ -1,9 +1,10 @@
 """Training: positive query-answer pairs, full-softmax cross-entropy, Adam.
 
 For every training record, each train-layer answer entity yields one
-(query, answer) pair. A batch scores each query embedding against *all*
-entities (no negative sampling); the loss is the mean negative log of the
-softmax probability of the paired answer. Gradients flow into the encoder,
+(query, answer) pair. A batch encodes each distinct query once and scores it
+against *all* entities (no negative sampling), one score row per distinct
+query; the loss is the mean over pairs of the negative log of the softmax
+probability of the paired answer. Gradients flow into the encoder,
 the input-token rows, and the answer-entity rows of the shared table.
 """
 
@@ -158,26 +159,33 @@ def make_pairs(dataset: Dataset, model: QueryModel) -> tuple[list[Pair], int]:
 def loss_and_grads(model: QueryModel, batch: list[Pair]):
     """Full-softmax cross-entropy over a batch of pairs.
 
-    Returns ``(loss, grads, diagnostics)``; diagnostics carry the per-row
-    softmax mass (should be 1 within float tolerance) for invariant checks.
+    The pairs of one record share their prepared query (see :func:`make_pairs`),
+    so the batch's U distinct queries are encoded once each and scored as U rows;
+    a row's gradient is its probabilities times its pair count, minus one at each
+    of its pairs' targets. Returns ``(loss, grads, diagnostics)``; diagnostics
+    carry the softmax mass of each distinct query's row (should be 1 within
+    float tolerance) for invariant checks.
     """
-    queries = [p.query for p in batch]
+    slot: dict[int, int] = {}  # id of a prepared query -> its row, in first-appearance order
+    inverse = np.array([slot.setdefault(id(p.query), len(slot)) for p in batch], dtype=np.int64)
+    queries = list({id(p.query): p.query for p in batch}.values())
     targets = np.array([p.target for p in batch], dtype=np.int64)
-    Q, cache = model.encode(queries)  # (B, d)
+    Q, cache = model.encode(queries)  # (U, d)
     E = model.entity_rows  # (V, d)
-    scores = Q @ E.T  # (B, V)
+    scores = Q @ E.T  # (U, V)
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     Z = exp.sum(axis=1, keepdims=True)
     probs = exp / Z
     B = len(batch)
-    log_p = shifted[np.arange(B), targets] - np.log(Z[:, 0])
+    log_p = shifted[inverse, targets] - np.log(Z[inverse, 0])
     loss = float(-np.mean(log_p))
     if not np.isfinite(loss):
         raise TrainingDivergedError([{"loss": loss}], f"non-finite batch loss {loss}")
 
-    d_scores = probs.copy()
-    d_scores[np.arange(B), targets] -= 1.0
+    counts = np.bincount(inverse).astype(probs.dtype)  # pairs per distinct query
+    d_scores = probs * counts[:, None]
+    np.subtract.at(d_scores, (inverse, targets), 1.0)  # a repeated (query, target) pair counts twice
     d_scores /= B
     dQ = d_scores @ E
     grads = model.backward(cache, dQ)

@@ -8,7 +8,6 @@ from cqakit.graph import GraphLayers, KnowledgeGraph, layer_graphs, split_edges,
 from cqakit.queries import OperatorKind, builtin_query_types, parse_formula, parse_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import (
-    REFERENCE_FULL_SCALE_COUNTS,
     Dataset,
     DatasetFormatError,
     GroundedQueryRecord,
@@ -212,12 +211,6 @@ def test_read_rejects_checksum_and_version(tmp_path, desk_layers):
 def test_read_rejects_malformed_fields(record, header, match, handmade_dataset):
     with pytest.raises(DatasetFormatError, match=match):
         read_dataset(handmade_dataset(record, header))
-
-
-def test_reference_full_scale_counts_recorded():
-    fb = REFERENCE_FULL_SCALE_COUNTS["FB15k"]
-    assert fb["train_1p"] == 273_710
-    assert fb["train_other_types"] == 821_130
 
 
 def test_sampler_config_validation():

@@ -379,3 +379,130 @@ def test_eval_hook_records_validation_swap(desk_dataset, desk_vocab):
     history = train(cfg, desk_dataset, desk_vocab, eval_fn=hook).history
     assert all("val_swap_mrr" in h for h in history)
     assert all(0.0 <= h["val_swap_mrr"] <= 1.0 for h in history)
+
+
+# -- one encoding per distinct query against the per-pair reference -------------
+
+
+def per_pair_loss_and_grads(model, batch):
+    """Reference: the per-pair loss, one encoding and one score row per pair."""
+    queries = [p.query for p in batch]
+    targets = np.array([p.target for p in batch], dtype=np.int64)
+    Q, cache = model.encode(queries)  # (B, d)
+    E = model.entity_rows  # (V, d)
+    scores = Q @ E.T  # (B, V)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    Z = exp.sum(axis=1, keepdims=True)
+    probs = exp / Z
+    B = len(batch)
+    log_p = shifted[np.arange(B), targets] - np.log(Z[:, 0])
+    loss = float(-np.mean(log_p))
+    if not np.isfinite(loss):
+        raise TrainingDivergedError([{"loss": loss}], f"non-finite batch loss {loss}")
+
+    d_scores = probs.copy()
+    d_scores[np.arange(B), targets] -= 1.0
+    d_scores /= B
+    dQ = d_scores @ E
+    grads = model.backward(cache, dQ)
+    # score-side gradient for the (tied) entity rows
+    grads["table"][model.vocab.entity_offset :] += d_scores.T @ Q
+    diagnostics = {"prob_sums": probs.sum(axis=1)}
+    return loss, grads, diagnostics
+
+
+VOCAB12 = Vocabulary(num_relations=4, num_entities=12)
+ORACLE_GRAPHS = [
+    parse_grounded("(p,(1),(u,(p,(2),(e,(3))),(p,(0),(e,(5)))))"),
+    parse_grounded("(i,(p,(0),(e,(2))),(n,(p,(1),(e,(7)))))"),
+    parse_grounded("(p,(3),(e,(4)))"),
+    parse_grounded("(p,(2),(p,(1),(e,(9))))"),
+]
+# (graph, target) per pair; the distinct graphs in first-appearance order
+ORACLE_BATCHES = {
+    "repeated-queries": ([(0, 1), (1, 2), (0, 3), (2, 4), (0, 5), (1, 6), (3, 0), (0, 11)], [0, 1, 2, 3]),
+    "repeated-pair": ([(1, 2), (3, 7), (1, 2), (1, 5), (3, 7), (3, 7)], [1, 3]),
+    "one-query": ([(2, 0), (2, 1), (2, 2)], [2]),
+}
+# float32 tolerance, relative to each array's largest magnitude: summing a query's
+# pairs before the encoder rounds in another order (worst seen 6.8e-6, Transformer-APE)
+F32_TOL = 3e-5
+
+
+def oracle_model(arch, dtype):
+    model = new_model(VOCAB12, arch, d=8, seed=31, layers=2, heads=2, max_len=32, dtype=dtype)
+    rng = np.random.default_rng(32)
+    for arr in model.parameters().values():  # off the init: nonzero biases, sharper softmax
+        arr += (0.5 * rng.normal(size=arr.shape)).astype(dtype)
+    return model
+
+
+def oracle_pairs(model, spec):
+    prepared = model.prepare(ORACLE_GRAPHS)  # one object per graph, as make_pairs shares it
+    return [Pair(prepared[g], t, "t") for g, t in spec]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, F32_TOL)], ids=["f64", "f32"])
+@pytest.mark.parametrize("batch", ORACLE_BATCHES)
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_distinct_query_loss_matches_per_pair_reference(arch, batch, dtype, tol, monkeypatch):
+    spec, distinct = ORACLE_BATCHES[batch]
+    model = oracle_model(arch, dtype)
+    pairs = oracle_pairs(model, spec)
+    ref_loss, ref_grads, _ = per_pair_loss_and_grads(model, pairs)
+
+    encoded = []
+    real_encode = type(model).encode
+
+    def spy(self, queries):
+        encoded.append(list(queries))
+        return real_encode(self, queries)
+
+    monkeypatch.setattr(type(model), "encode", spy)
+    loss, grads, diag = loss_and_grads(model, pairs)
+    prepared = model.prepare(ORACLE_GRAPHS)
+    assert encoded == [[prepared[g] for g in distinct]]  # one encode call, U queries in first-appearance order
+    assert diag["prob_sums"].shape == (len(distinct),)
+    np.testing.assert_allclose(diag["prob_sums"], 1.0, atol=10 * tol)
+
+    assert abs(loss - ref_loss) <= tol * abs(ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        ref = ref_grads[name]
+        assert grad.dtype == ref.dtype == dtype
+        # a tensor outside the readout's reach (the top LSTM layer's forward Wh) is 0 in both;
+        # a Transformer key bias cancels in the softmax, so its gradient is rounding noise on
+        # both sides and is held to the scale of the same layer's Wk gradient instead
+        scale = np.max(np.abs(ref_grads[name[:-2] + "Wk"] if name.endswith(".bk") else ref))
+        assert np.max(np.abs(grad - ref)) <= tol * scale, name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_distinct_queries_only_are_bit_identical_to_per_pair_reference(arch, dtype):
+    model = oracle_model(arch, dtype)
+    pairs = oracle_pairs(model, [(3, 1), (0, 4), (2, 4), (1, 10)])
+    loss, grads, diag = loss_and_grads(model, pairs)
+    ref_loss, ref_grads, ref_diag = per_pair_loss_and_grads(model, pairs)
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
+    assert np.array_equal(diag["prob_sums"], ref_diag["prob_sums"])
+
+
+@pytest.mark.parametrize("arch", ("LSTM", "TreeLSTM"))
+def test_make_pairs_shares_one_prepared_query_per_record(arch, desk_dataset, desk_vocab):
+    model = new_model(desk_vocab, arch, d=8, seed=0)
+    pairs, _ = make_pairs(desk_dataset, model)
+    records = [r for r in desk_dataset.iter_records() if r.train_answers]
+    start = 0
+    for record in records:
+        group = pairs[start : start + len(record.train_answers)]
+        start += len(group)
+        assert [p.target for p in group] == sorted(record.train_answers)
+        assert all(p.query is group[0].query for p in group)
+        assert group[0].query == model.prepare([record.query])[0]
+    assert start == len(pairs)
+    assert len({id(p.query) for p in pairs}) == len(records)
