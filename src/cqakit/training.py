@@ -10,9 +10,11 @@ the input-token rows, and the answer-entity rows of the shared table.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -330,6 +332,39 @@ def _batches(pairs: list[Pair], order: np.ndarray, batch_size: int, group_types:
             yield group[i : i + batch_size]
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_MMAP_THRESHOLD = 32 << 20  # the largest value glibc accepts on 64-bit
+_heap_pinned = False
+
+
+def _retain_freed_memory() -> None:
+    """Let glibc's malloc keep freed memory for the next training step.
+
+    A step allocates and frees the same multi-megabyte arrays each time. By
+    default glibc serves such an array from the heap or from a fresh mmap
+    depending on a threshold that moves with the sizes freed before, and
+    gives the heap top back to the kernel once enough of it is free, so
+    whether a step's arrays land on zero-filled pages that fault in again
+    depends on what the process did earlier. Fixing the mmap threshold and
+    never trimming makes every step after the first reuse the heap. The
+    setting is process-wide and made once.
+    """
+    global _heap_pinned
+    if _heap_pinned or not sys.platform.startswith("linux"):
+        return
+    _heap_pinned = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD) != 1 or mallopt(_M_TRIM_THRESHOLD, 2**31 - 1) != 1:
+        logger.info("mallopt refused a heap setting")
+
+
 def _diverged(history: list[dict]) -> bool:
     if len(history) < 3:
         return False
@@ -350,6 +385,7 @@ def train(
     given together with ``cfg.eval_every``, is called periodically (the
     validation-swap metric hook) and its value lands in the history log.
     """
+    _retain_freed_memory()
     model = new_model(vocab, cfg.arch, cfg.d, cfg.seed, **cfg.encoder_options())
     params = model.parameters()
     adam = Adam(params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)

@@ -1,4 +1,6 @@
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -506,3 +508,32 @@ def test_make_pairs_shares_one_prepared_query_per_record(arch, desk_dataset, des
         assert group[0].query == model.prepare([record.query])[0]
     assert start == len(pairs)
     assert len({id(p.query) for p in pairs}) == len(records)
+
+
+class _FakeMallopt:
+    def __init__(self, calls, accept=1):
+        self.calls, self.accept = calls, accept
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.accept
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="mallopt is only called on Linux")
+def test_train_sets_the_heap_thresholds_once(desk_dataset, desk_vocab, monkeypatch):
+    calls = []
+    monkeypatch.setattr(training, "_heap_pinned", False)
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=_FakeMallopt(calls)))
+    cfg = TrainConfig(arch="LSTM", d=8, epochs=1, seed=3)
+    train(cfg, desk_dataset, desk_vocab)
+    train(cfg, desk_dataset, desk_vocab)
+    assert calls == [(-3, 32 << 20), (-1, 2**31 - 1)]  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="mallopt is only called on Linux")
+@pytest.mark.parametrize("libc", (types.SimpleNamespace(), types.SimpleNamespace(mallopt=_FakeMallopt([], accept=0))))
+def test_train_runs_when_mallopt_is_missing_or_refuses(libc, desk_dataset, desk_vocab, monkeypatch):
+    monkeypatch.setattr(training, "_heap_pinned", False)
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: libc)
+    cfg = TrainConfig(arch="LSTM", d=8, epochs=1, seed=3)
+    assert len(train(cfg, desk_dataset, desk_vocab).history) == 1
