@@ -156,15 +156,7 @@ def cmd_train(args) -> int:
     if dataset.num_entities <= 0 or dataset.num_relations <= 0:
         raise DataError(f"{args.data}: header lacks the entity/relation universe")
     vocab = Vocabulary(dataset.num_relations, dataset.num_entities)
-    eval_fn = None
-    if cfg.eval_every:
-        def eval_fn(model):
-            report = evaluate(model, dataset, mode="validation-swap")
-            try:
-                return report.value("validation-swap", "MRR")
-            except KeyError:
-                return float("nan")
-    ckpt = train(cfg, dataset, vocab, eval_fn=eval_fn)
+    ckpt = train(cfg, dataset, vocab)
     ckpt.save(args.out)
     if args.log:
         with open(args.log, "w", encoding="utf-8", newline="\n") as fh:

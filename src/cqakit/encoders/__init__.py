@@ -54,26 +54,26 @@ def make_encoder(
     heads: int = 4,
     max_len: int = 64,
     rpe_clip: int = 16,
-    dtype=np.float64,
 ):
+    """A float64 encoder; :func:`new_model` casts it to the model's dtype."""
     arch = normalize_arch(arch)
     if arch == "LSTM":
-        return BiLSTMEncoder(d, layers, rng, dtype)
+        return BiLSTMEncoder(d, layers, rng)
     if arch in TREE_CELLS:
-        return TreeLSTMEncoder(TREE_CELLS[arch], d, rng, dtype)
+        return TreeLSTMEncoder(TREE_CELLS[arch], d, rng)
     relative = arch == "Transformer-RPE"
-    return TransformerEncoder(d, layers, heads, rng, relative, max_len, rpe_clip, dtype)
+    return TransformerEncoder(d, layers, heads, rng, relative, max_len, rpe_clip)
 
 
-def pad_batch(sequences: list[list[int]], dtype=np.float64):
-    """Right-pad token sequences with PAD; returns (ids (B,T), mask (B,T))."""
+def pad_batch(sequences: list[list[int]]):
+    """Right-pad token sequences with PAD; returns (ids (B,T), bool mask (B,T)) whose rows are prefixes."""
     B = len(sequences)
     T = max((len(s) for s in sequences), default=1)
     ids = np.full((B, max(T, 1)), PAD, dtype=np.int64)
-    mask = np.zeros((B, max(T, 1)), dtype=dtype)
+    mask = np.zeros((B, max(T, 1)), dtype=bool)
     for row, seq in enumerate(sequences):
         ids[row, : len(seq)] = seq
-        mask[row, : len(seq)] = 1.0
+        mask[row, : len(seq)] = True
     return ids, mask
 
 
@@ -130,7 +130,7 @@ class QueryModel:
         """Encode prepared queries; returns ((B,d) embeddings, cache)."""
         if self.is_tree:
             return self.encoder.forward(queries, self.rows)
-        ids, mask = pad_batch(queries, dtype=self.rows.dtype)
+        ids, mask = pad_batch(queries)
         out, enc_cache = self.encoder.forward(self.rows[ids], mask)
         return out, (enc_cache, ids, mask)
 
@@ -143,7 +143,7 @@ class QueryModel:
         else:
             enc_cache, ids, mask = cache
             enc_grads, dx = self.encoder.backward(enc_cache, d_out)
-            np.add.at(d_table, ids.reshape(-1), (dx * mask[:, :, None]).reshape(-1, self.d))
+            np.add.at(d_table, ids[mask], dx[mask])
         grads = {"table": d_table}
         grads.update({f"enc.{k}": v for k, v in enc_grads.items()})
         return grads
@@ -161,13 +161,16 @@ class QueryModel:
 def new_model(vocab: Vocabulary, arch: str, d: int, seed: int, dtype=np.float64, **options) -> QueryModel:
     """Freshly initialized model (seeded uniform init scaled by 1/sqrt(d)).
 
-    ``options`` are the encoder sizes :func:`make_encoder` takes.
+    ``options`` are the encoder sizes :func:`make_encoder` takes. The table and every
+    encoder parameter are cast to ``dtype`` here, the one place a parameter dtype is chosen.
     """
     from ..rng import make_rng
 
     rng = make_rng(seed, 0)
-    rows = uniform_init(rng, (vocab.size, d), d, dtype)
-    return QueryModel(vocab, rows, make_encoder(arch, d, rng, dtype=dtype, **options))
+    rows = uniform_init(rng, (vocab.size, d), d).astype(dtype, copy=False)
+    encoder = make_encoder(arch, d, rng, **options)
+    encoder.params = {k: v.astype(dtype, copy=False) for k, v in encoder.params.items()}
+    return QueryModel(vocab, rows, encoder)
 
 
 __all__ = [

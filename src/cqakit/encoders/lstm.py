@@ -3,8 +3,12 @@
 Forward and backward passes are written out by hand over numpy arrays
 (no autodiff). Each direction owns half the hidden width, so the
 concatenated state read off at sequence position 0 is exactly ``d`` wide.
-Padded positions never update the recurrent state (update gating by the
-mask), so PAD tokens contribute nothing to the readout or to gradients.
+Batches are right-padded, so each row's real positions are a prefix, and a
+padded step holds zero state (``h = m * h_new``, ``c = m * c_new``): the
+forward direction reaches padding only after a row's last token, and the
+backward direction crosses it before the first one and leaves it in its
+zero start state. PAD tokens thus contribute nothing to the readout or to
+gradients.
 
 The readout is ``[h_fwd[0] | h_bwd[0]]`` of the top layer, so the top
 layer's forward direction runs one step; lower layers and every backward
@@ -38,7 +42,7 @@ class BiLSTMEncoder:
 
     arch = "LSTM"
 
-    def __init__(self, d: int, layers: int, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, d: int, layers: int, rng: np.random.Generator):
         if d % 2 != 0:
             raise ValueError("LSTM width d must be even (d/2 per direction)")
         self.d = d
@@ -48,15 +52,16 @@ class BiLSTMEncoder:
         for l in range(layers):
             for dir_ in ("fwd", "bwd"):
                 h = self.hidden
-                self.params[f"l{l}.{dir_}.Wx"] = uniform_init(rng, (d, 4 * h), d, dtype)
-                self.params[f"l{l}.{dir_}.Wh"] = uniform_init(rng, (h, 4 * h), d, dtype)
-                self.params[f"l{l}.{dir_}.b"] = np.zeros(4 * h, dtype=dtype)
+                self.params[f"l{l}.{dir_}.Wx"] = uniform_init(rng, (d, 4 * h), d)
+                self.params[f"l{l}.{dir_}.Wh"] = uniform_init(rng, (h, 4 * h), d)
+                self.params[f"l{l}.{dir_}.b"] = np.zeros(4 * h)
 
     def _run_direction(self, xs, mask, l, dir_, n):
         """One direction of one layer over positions ``0..n-1``.
 
-        xs: (T,B,d) layer input, mask: (T,B,1). Returns the (n,B,H) masked
-        states and a cache. The backward direction needs n = T.
+        xs: (T,B,d) layer input, mask: (T,B,1) right-padded. Returns the
+        (n,B,H) states, zero at padded steps, and a cache. The backward
+        direction needs n = T.
         """
         B, d = xs.shape[1:]
         h_dim = self.hidden
@@ -71,7 +76,7 @@ class BiLSTMEncoder:
         tanh_c = np.empty((n, B, h_dim), dtype=xs.dtype)  # tanh(c_new)
         h_prevs = np.empty((n, B, h_dim), dtype=xs.dtype)
         c_prevs = np.empty((n, B, h_dim), dtype=xs.dtype)
-        h_out = np.empty((n, B, h_dim), dtype=xs.dtype)  # masked states per position
+        h_out = np.empty((n, B, h_dim), dtype=xs.dtype)  # states per position
 
         h = np.zeros((B, h_dim), dtype=xs.dtype)
         c = np.zeros((B, h_dim), dtype=xs.dtype)
@@ -93,8 +98,8 @@ class BiLSTMEncoder:
             h_prevs[t] = h
             c_prevs[t] = c
 
-            h = m * h_new + (1.0 - m) * h
-            c = m * c_new + (1.0 - m) * c
+            h = m * h_new
+            c = m * c_new
             h_out[t] = h
         cache = (xs, mask, gates, tanh_c, h_prevs, c_prevs, order, l, dir_)
         return h_out, cache
@@ -122,18 +127,13 @@ class BiLSTMEncoder:
             g = gates[t][:, 3 * h_dim :]
             tc = tanh_c[t]
 
-            dh_total = dh_out[t] + dh_carry
-            dc_total = dc_carry
-            # gradient through h_t = m*h_new + (1-m)*h_prev (and same for c)
-            dh_new = m * dh_total
-            dh_prev = (1.0 - m) * dh_total
-            dc_new = m * dc_total
-            dc_prev = (1.0 - m) * dc_total
+            # gradient through h_t = m*h_new and c_t = m*c_new
+            dh_new = m * (dh_out[t] + dh_carry)
+            dc_new = m * dc_carry
 
             do = dh_new * tc
             dc_new = dc_new + dh_new * o * (1.0 - tc * tc)
             df = dc_new * c_prevs[t]
-            dc_prev = dc_prev + dc_new * f
             di = dc_new * g
             dg = dc_new * i
 
@@ -142,8 +142,8 @@ class BiLSTMEncoder:
             dz[:, h_dim : 2 * h_dim] = df * f * (1 - f)
             dz[:, 2 * h_dim : 3 * h_dim] = do * o * (1 - o)
             dz[:, 3 * h_dim :] = dg * (1 - g * g)
-            dh_carry = dz @ Wh.T + dh_prev
-            dc_carry = dc_prev
+            dh_carry = dz @ Wh.T
+            dc_carry = dc_new * f
 
         dz_rows = dZ.reshape(n * B, 4 * h_dim)
         grads[f"l{l}.{dir_}.Wx"] += xs[:n].reshape(n * B, d).T @ dz_rows
@@ -154,7 +154,7 @@ class BiLSTMEncoder:
         return dx
 
     def forward(self, x: np.ndarray, mask: np.ndarray):
-        """x: (B,T,d) embedded tokens; mask: (B,T) 1.0 at real positions.
+        """x: (B,T,d) embedded tokens; mask: (B,T) True at real positions.
 
         Returns the (B,d) readout (forward/backward states at position 0)
         and a cache for :meth:`backward`.

@@ -45,7 +45,7 @@ def layernorm_backward(dy, cache, gamma):
     return dx, dgamma, dbeta
 
 
-def uniform_init(rng: np.random.Generator, shape, d: int, dtype=np.float64):
-    """Seeded uniform init scaled by 1/sqrt(d)."""
+def uniform_init(rng: np.random.Generator, shape, d: int):
+    """Seeded float64 uniform init scaled by 1/sqrt(d)."""
     bound = 1.0 / np.sqrt(d)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)

@@ -45,7 +45,6 @@ class TransformerEncoder:
         relative: bool = False,
         max_len: int = 64,
         rpe_clip: int = 16,
-        dtype=np.float64,
     ):
         if d % heads != 0:
             raise ValueError(f"width {d} not divisible by {heads} heads")
@@ -60,24 +59,24 @@ class TransformerEncoder:
 
         p: dict[str, np.ndarray] = {}
         if relative:
-            p["rel"] = uniform_init(rng, (2 * rpe_clip + 1, self.head_dim), d, dtype)
+            p["rel"] = uniform_init(rng, (2 * rpe_clip + 1, self.head_dim), d)
         else:
-            p["pos"] = uniform_init(rng, (max_len, d), d, dtype)
+            p["pos"] = uniform_init(rng, (max_len, d), d)
         for l in range(layers):
             for w in ("Wq", "Wk", "Wv", "Wo"):
-                p[f"l{l}.{w}"] = uniform_init(rng, (d, d), d, dtype)
+                p[f"l{l}.{w}"] = uniform_init(rng, (d, d), d)
             for b in ("bq", "bk", "bv", "bo"):
-                p[f"l{l}.{b}"] = np.zeros(d, dtype=dtype)
-            p[f"l{l}.ln1.g"] = np.ones(d, dtype=dtype)
-            p[f"l{l}.ln1.b"] = np.zeros(d, dtype=dtype)
-            p[f"l{l}.ln2.g"] = np.ones(d, dtype=dtype)
-            p[f"l{l}.ln2.b"] = np.zeros(d, dtype=dtype)
-            p[f"l{l}.W1"] = uniform_init(rng, (d, 4 * d), d, dtype)
-            p[f"l{l}.b1"] = np.zeros(4 * d, dtype=dtype)
-            p[f"l{l}.W2"] = uniform_init(rng, (4 * d, d), d, dtype)
-            p[f"l{l}.b2"] = np.zeros(d, dtype=dtype)
-        p["lnf.g"] = np.ones(d, dtype=dtype)
-        p["lnf.b"] = np.zeros(d, dtype=dtype)
+                p[f"l{l}.{b}"] = np.zeros(d)
+            p[f"l{l}.ln1.g"] = np.ones(d)
+            p[f"l{l}.ln1.b"] = np.zeros(d)
+            p[f"l{l}.ln2.g"] = np.ones(d)
+            p[f"l{l}.ln2.b"] = np.zeros(d)
+            p[f"l{l}.W1"] = uniform_init(rng, (d, 4 * d), d)
+            p[f"l{l}.b1"] = np.zeros(4 * d)
+            p[f"l{l}.W2"] = uniform_init(rng, (4 * d, d), d)
+            p[f"l{l}.b2"] = np.zeros(d)
+        p["lnf.g"] = np.ones(d)
+        p["lnf.b"] = np.zeros(d)
         self.params = p
 
     def _rel_index(self, T: int) -> np.ndarray:
@@ -114,7 +113,7 @@ class TransformerEncoder:
             logits += rel_logits.reshape(n_q, B, H, T).transpose(1, 2, 0, 3)
             rel = (ridx, rel_k, q_rows)
         key_mask = mask[:, None, None, :]  # (B,1,1,T)
-        logits = np.where(key_mask > 0, logits * scale, _NEG)
+        logits = np.where(key_mask, logits * scale, _NEG)
         attn = softmax(logits, axis=-1)  # (B,H,n_q,T)
         merged = self._merge(attn @ v)
         out = merged @ p[f"l{l}.Wo"] + p[f"l{l}.bo"]
@@ -158,10 +157,9 @@ class TransformerEncoder:
         return da
 
     def forward(self, x: np.ndarray, mask: np.ndarray):
-        """x: (B,T,d) embedded tokens; mask: (B,T). Returns ((B,d), cache)."""
+        """x: (B,T,d) embedded tokens; mask: (B,T) True at real positions. Returns ((B,d), cache)."""
         p = self.params
         B, T, _ = x.shape
-        mask = mask.astype(x.dtype)
         if not self.relative:
             if T > self.max_len:
                 raise ValueError(f"sequence length {T} exceeds position table {self.max_len}")

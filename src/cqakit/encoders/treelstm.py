@@ -61,12 +61,12 @@ class TreeLSTMCell:
     num_states = 2
 
     @staticmethod
-    def init(d: int, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
+    def init(d: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
         p = {}
         for gate in ("i", "f", "o", "u"):
-            p[f"W{gate}"] = uniform_init(rng, (d, d), d, dtype)
-            p[f"U{gate}"] = uniform_init(rng, (d, d), d, dtype)
-            p[f"b{gate}"] = np.zeros(d, dtype=dtype)
+            p[f"W{gate}"] = uniform_init(rng, (d, d), d)
+            p[f"U{gate}"] = uniform_init(rng, (d, d), d)
+            p[f"b{gate}"] = np.zeros(d)
         return p
 
     @staticmethod
@@ -109,9 +109,9 @@ class NoMemoryCell:
     num_states = 1
 
     @staticmethod
-    def init(d: int, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
-        W, U = (uniform_init(rng, (d, d), d, dtype) for _ in "WU")
-        return {"W": W, "U": U, "b": np.zeros(d, dtype=dtype)}
+    def init(d: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        W, U = (uniform_init(rng, (d, d), d) for _ in "WU")
+        return {"W": W, "U": U, "b": np.zeros(d)}
 
     @staticmethod
     def forward(p, x, h_sum, own, children):
@@ -151,10 +151,10 @@ def _levels(trees):
 class TreeLSTMEncoder:
     """The level-wise child-sum recursion around one cell (see the module docstring)."""
 
-    def __init__(self, cell, d: int, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cell, d: int, rng: np.random.Generator):
         self.cell = cell
         self.arch = cell.arch
-        self.params = cell.init(d, rng, dtype)
+        self.params = cell.init(d, rng)
 
     def forward(self, trees: list[list[tuple[int, list[int], int]]], rows: np.ndarray):
         """Encode each tree of ``tree_token_nodes``; returns (B,d) readouts and a cache."""

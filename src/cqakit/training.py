@@ -16,7 +16,6 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .encoders import (
     new_model,
     save_checkpoint,
 )
+from .evaluation import evaluate
 from .linearize import Vocabulary
 from .rng import make_rng
 from .sampler import Dataset
@@ -81,14 +81,8 @@ class TrainConfig:
         return np.float64 if self.precision == "double" else np.float32
 
     def encoder_options(self) -> dict:
-        """The sizes and dtype ``new_model``/``make_encoder`` take besides arch and d."""
-        return dict(
-            layers=self.layers,
-            heads=self.heads,
-            max_len=self.max_len,
-            rpe_clip=self.rpe_clip,
-            dtype=self.dtype,
-        )
+        """The sizes ``new_model``/``make_encoder`` take besides arch and d."""
+        return dict(layers=self.layers, heads=self.heads, max_len=self.max_len, rpe_clip=self.rpe_clip)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -201,7 +195,7 @@ class Adam:
     """Adam with bias correction; parameters updated in place in name order.
 
     A step computes the bias-corrected moments and the update in two scratch
-    buffers per dtype, sized to its largest tensor and shared by all of them.
+    buffers of the parameters' dtype, sized to the largest tensor and shared by all.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -213,15 +207,13 @@ class Adam:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.step_count += 1
         t = self.step_count
-        sizes: dict[np.dtype, int] = {}
-        for m in self.m.values():
-            sizes[m.dtype] = max(sizes.get(m.dtype, 0), m.size)
-        scratch = {dtype: np.empty((2, size), dtype) for dtype, size in sizes.items()}
+        moments = list(self.m.values())
+        scratch = np.empty((2, max(m.size for m in moments)), moments[0].dtype)
         for name in sorted(params):
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            update, denom = (buf[: m.size].reshape(m.shape) for buf in scratch[m.dtype])
+            update, denom = (buf[: m.size].reshape(m.shape) for buf in scratch)
             m *= self.beta1
             m += np.multiply(1 - self.beta1, g, out=update)
             v *= self.beta2
@@ -243,7 +235,7 @@ _MOMENT_PREFIXES = ("adam.m.", "adam.v.")
 
 @dataclass
 class Checkpoint:
-    """A trained model with its config, Adam moments and step count.
+    """A trained model with its config and Adam moments.
 
     ``save``/``load`` are the only writer and reader of checkpoint files,
     which hold each parameter and its Adam moments ('adam.m.'/'adam.v.' + name).
@@ -252,8 +244,12 @@ class Checkpoint:
     model: QueryModel
     config: TrainConfig
     moments: Adam
-    step: int
     history: list = field(default_factory=list)
+
+    @property
+    def step(self) -> int:
+        """Adam steps taken so far."""
+        return self.moments.step_count
 
     def save(self, path):
         tensors = dict(self.model.parameters())
@@ -309,7 +305,7 @@ class Checkpoint:
         adam = Adam({}, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
         adam.m, adam.v = ({n: tensors[prefix + n] for n in shapes} for prefix in _MOMENT_PREFIXES)
         adam.step_count = meta["step"]
-        return Checkpoint(model, config, adam, meta["step"])
+        return Checkpoint(model, config, adam)
 
 
 def _batches(pairs: list[Pair], order: np.ndarray, batch_size: int, group_types: bool):
@@ -372,26 +368,29 @@ def _diverged(history: list[dict]) -> bool:
     return all(h["loss"] > 10.0 * initial for h in history[-3:])
 
 
-def train(
-    cfg: TrainConfig,
-    dataset: Dataset,
-    vocab: Vocabulary,
-    eval_fn: Callable[[QueryModel], float] | None = None,
-) -> Checkpoint:
+def _validation_swap_mrr(model: QueryModel, dataset: Dataset) -> float:
+    report = evaluate(model, dataset, mode="validation-swap")
+    try:
+        return float(report.value("validation-swap", "MRR"))
+    except KeyError:  # no record has a validation-swap target
+        return float("nan")
+
+
+def train(cfg: TrainConfig, dataset: Dataset, vocab: Vocabulary) -> Checkpoint:
     """Optimize a fresh model on the dataset's train-layer pairs.
 
     Deterministic given the seed: initialization, per-epoch shuffles, and
-    the fixed parameter-update order all derive from it. ``eval_fn``, when
-    given together with ``cfg.eval_every``, is called periodically (the
-    validation-swap metric hook) and its value lands in the history log.
+    the fixed parameter-update order all derive from it. Every
+    ``cfg.eval_every`` epochs (when set) the validation-swap MRR on
+    ``dataset`` lands in that epoch's history entry.
     """
     _retain_freed_memory()
-    model = new_model(vocab, cfg.arch, cfg.d, cfg.seed, **cfg.encoder_options())
+    model = new_model(vocab, cfg.arch, cfg.d, cfg.seed, cfg.dtype, **cfg.encoder_options())
     params = model.parameters()
     adam = Adam(params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     pairs, _ = make_pairs(dataset, model)
     history: list[dict] = []
-    ckpt = Checkpoint(model, cfg, adam, 0, history)
+    ckpt = Checkpoint(model, cfg, adam, history)
     if not pairs or cfg.epochs == 0:
         return ckpt
 
@@ -403,12 +402,11 @@ def train(
             adam.step(params, grads)
             losses.append(loss)
         entry = {"epoch": epoch, "loss": float(np.mean(losses))}
-        if eval_fn is not None and cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            entry["val_swap_mrr"] = float(eval_fn(model))
+        if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
+            entry["val_swap_mrr"] = _validation_swap_mrr(model, dataset)
         history.append(entry)
         if _diverged(history):
             last = [round(h["loss"], 4) for h in history[-3:]]
             why = f"loss exceeded 10x the initial value for 3 consecutive epochs (last losses: {last})"
             raise TrainingDivergedError(history, why)
-    ckpt.step = adam.step_count
     return ckpt

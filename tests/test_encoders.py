@@ -42,6 +42,12 @@ GRAPHS = [
 ALL_ARCHS = ("LSTM", "TreeLSTM", "TreeLSTM-NoMemoryCell", "Transformer-APE", "Transformer-RPE")
 
 
+def cast_params(encoder, dtype):
+    """Cast a directly built encoder's float64 parameters to ``dtype``, as ``new_model`` does."""
+    encoder.params = {k: v.astype(dtype) for k, v in encoder.params.items()}
+    return encoder
+
+
 @pytest.mark.parametrize("arch", ALL_ARCHS)
 def test_shape_law(arch):
     model = new_model(VOCAB, arch, d=8, seed=1, layers=2, heads=2)
@@ -135,6 +141,39 @@ def test_pad_batch_shapes():
     ids, mask = pad_batch([[1, 2, 3], [4]])
     assert ids.shape == (2, 3) and mask.shape == (2, 3)
     assert ids[1, 1] == PAD and mask[1, 1] == 0.0
+
+
+# float32: the batch and each lone sequence sum their products over other
+# shapes; the largest gap seen is 4.5e-7 of an array's largest value
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 2e-6)], ids=["f64", "f32"])
+@pytest.mark.parametrize("arch", ("LSTM", "Transformer-APE", "Transformer-RPE"))
+def test_padded_batch_matches_sequences_alone(arch, dtype, tol):
+    model = new_model(VOCAB, arch, d=8, seed=9, layers=2, heads=2, dtype=dtype)
+    rng = make_rng(10)
+    for arr in model.parameters().values():  # off the init: nonzero biases, LN gains != 1
+        arr += (0.5 * rng.normal(size=arr.shape)).astype(dtype)
+    queries = model.prepare(GRAPHS)
+    assert len({len(q) for q in queries}) == len(queries)  # every row but the longest is padded
+    d_out = rng.normal(size=(len(queries), model.d)).astype(dtype)
+
+    def assert_close(got, want, name, scale):
+        assert got.dtype == want.dtype == dtype, name
+        assert np.abs(got - want).max() <= tol * np.abs(scale).max(), name
+
+    out, cache = model.encode(queries)
+    grads = model.backward(cache, d_out)
+    summed = {}
+    for i, query in enumerate(queries):
+        alone, alone_cache = model.encode([query])
+        assert_close(out[i], alone[0], f"readout {i}", alone[0])
+        for name, grad in model.backward(alone_cache, d_out[i : i + 1]).items():
+            summed[name] = summed[name] + grad if name in summed else grad
+    assert grads.keys() == summed.keys()
+    for name, grad in grads.items():
+        # q_i . bk is the same for every key j, so the key bias's exact gradient is 0 and
+        # both sides hold rounding noise: bound it by its layer's key-weight gradient
+        scale = summed[name.replace(".bk", ".Wk")] if name.endswith(".bk") else summed[name]
+        assert_close(grad, summed[name], name, scale)
 
 
 def test_transformer_length_limit():
@@ -407,7 +446,7 @@ class EinsumAttention(TransformerEncoder):
         q = self._split(a[:, :n_q] @ p[f"l{l}.Wq"] + p[f"l{l}.bq"])  # (B,H,n_q,hd)
         k = self._split(a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"])  # (B,H,T,hd)
         v = self._split(a @ p[f"l{l}.Wv"] + p[f"l{l}.bv"])
-        scale = 1.0 / np.sqrt(self.head_dim)
+        scale = 1.0 / math.sqrt(self.head_dim)  # a Python float keeps float32 logits float32
         logits = np.einsum("bhid,bhjd->bhij", q, k) * scale  # (B,H,n_q,T)
         ridx = None
         if self.relative:
@@ -426,7 +465,7 @@ class EinsumAttention(TransformerEncoder):
         p = self.params
         a, q, k, v, attn, merged, ridx, mask, l = cache
         n_q = q.shape[2]
-        scale = 1.0 / np.sqrt(self.head_dim)
+        scale = 1.0 / math.sqrt(self.head_dim)  # a Python float keeps float32 logits float32
 
         grads[f"l{l}.Wo"] += merged.reshape(-1, self.d).T @ d_out.reshape(-1, self.d)
         grads[f"l{l}.bo"] += d_out.sum(axis=(0, 1))
@@ -460,12 +499,14 @@ class EinsumAttention(TransformerEncoder):
 def test_matmul_attention_matches_einsum_reference(T, heads, relative, dtype, tol):
     # rpe_clip=2: from T=6 on, the two edge buckets hold several offsets
     d, B, seed = 8, 6, 100 * T + heads
-    enc = TransformerEncoder(d, 2, heads, make_rng(seed), relative, max_len=16, rpe_clip=2, dtype=dtype)
-    ref = EinsumAttention(d, 2, heads, make_rng(seed), relative, max_len=16, rpe_clip=2, dtype=dtype)
+    enc = TransformerEncoder(d, 2, heads, make_rng(seed), relative, max_len=16, rpe_clip=2)
+    ref = EinsumAttention(d, 2, heads, make_rng(seed), relative, max_len=16, rpe_clip=2)
     rng = make_rng(seed, 1)
     for name, arr in enc.params.items():  # off the init: nonzero biases, LN gains != 1
         arr[...] = rng.normal(size=arr.shape)
         ref.params[name][...] = arr
+    cast_params(enc, dtype)
+    cast_params(ref, dtype)
     x = rng.normal(size=(B, T, d)).astype(dtype)
     lengths = rng.integers(1, T + 1, size=B)
     lengths[0] = T
@@ -476,6 +517,7 @@ def test_matmul_attention_matches_einsum_reference(T, heads, relative, dtype, to
     ref_out, ref_cache = ref.forward(x, mask)
     grads, dx = enc.backward(cache, d_readout)
     ref_grads, ref_dx = ref.backward(ref_cache, d_readout)
+    assert out.dtype == ref_out.dtype == dx.dtype == ref_dx.dtype == dtype
     np.testing.assert_allclose(out, ref_out, rtol=0, atol=tol)
     np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=tol)
     assert grads.keys() == ref_grads.keys()
@@ -759,8 +801,9 @@ FULL_SEQUENCE = {
 def sequence_encoder(cls, arch, layers, heads, dtype):
     d = 8
     if arch == "LSTM":
-        return cls(d, layers, make_rng(51), dtype=dtype)
-    return cls(d, layers, heads, make_rng(51), arch == "Transformer-RPE", max_len=12, rpe_clip=2, dtype=dtype)
+        return cast_params(cls(d, layers, make_rng(51)), dtype)
+    relative = arch == "Transformer-RPE"
+    return cast_params(cls(d, layers, heads, make_rng(51), relative, max_len=12, rpe_clip=2), dtype)
 
 
 # every case pads a batch of six; d=8, max_len=12 and rpe_clip=2 (so five buckets)
