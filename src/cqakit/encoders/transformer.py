@@ -12,27 +12,63 @@ Positional information comes in one of two flavours:
   across heads, added to the attention logits only (values untouched):
   logit(i,j) = (q_i . k_j + q_i . rel[clip(j-i)]) / sqrt(d_head).
 
-All gradients are hand-derived; padded key positions are masked out of the
-attention softmax, so PAD tokens cannot influence the readout. Every
-attention contraction, forward and backward, is a batched ``matmul``, so it
-runs on BLAS.
+All gradients are hand-derived, and no work touches a padded position. The
+batch's rows are stable-sorted by length and their real tokens packed into
+one ``(N, d)`` block, each sequence contiguous and sequences of equal length
+side by side. The position add, both LayerNorms, the Q/K/V/O projections and
+the feed-forward network run on those N rows. Attention runs once per group
+of equal length L, over ``(n, H, L, hd)`` views with no key mask, so PAD
+tokens cannot reach the readout. Every attention contraction, forward and
+backward, is a batched ``matmul``, so it runs on BLAS. The readout and the
+input gradient come back in the caller's row order, and the input gradient
+is zero at padded positions.
 
 Only position 0 of the last block reaches the readout, so that block takes
-its queries from position 0 alone: its keys and values still cover all T
-positions, but its logits are ``(B, H, 1, T)`` and its residual stream,
-feed-forward network and the final LayerNorm run on one row per sequence.
-Lower blocks compute every position.
+its queries from each sequence's first token alone: its keys and values
+still cover every token, but its logits are ``(n, H, 1, L)`` and its
+residual stream, feed-forward network and the final LayerNorm run on one
+``(B, 1, d)`` row per sequence. Lower blocks compute every token.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .numerics import layernorm_backward, layernorm_forward, softmax, softmax_backward, uniform_init
 
-_NEG = -1e9  # finite mask value: exp(-1e9) underflows to exactly 0.0
+
+class _Packing(NamedTuple):
+    """Where the real tokens of a right-padded (B,T) batch sit once packed into N rows."""
+
+    order: np.ndarray  # (B,) batch rows, stable-sorted by length
+    flat: np.ndarray  # (N,) each packed token's row in the (B·T, d) padded batch
+    pos: np.ndarray  # (N,) each packed token's position in its sequence
+    starts: np.ndarray  # (B,) packed row of each sorted sequence's first token
+    groups: list  # (L, slice of sorted sequences, slice of packed rows) per length L
+
+
+def _pack(mask) -> _Packing:
+    """Sort a batch's rows by length and lay their real tokens out back to back."""
+    mask = np.asarray(mask) != 0
+    B, T = mask.shape
+    lengths = mask.sum(axis=1)
+    if (lengths == 0).any() or not np.array_equal(mask, np.arange(T) < lengths[:, None]):
+        raise ValueError("every mask row must be a non-empty prefix")
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    pos = np.arange(ends[-1] if B else 0) - np.repeat(starts, lengths)
+    flat = np.repeat(order * T, lengths) + pos
+    firsts = np.flatnonzero(np.diff(lengths, prepend=0)).tolist()  # first row of each length
+    groups = [
+        (int(lengths[s]), slice(s, e), slice(int(starts[s]), int(ends[e - 1])))
+        for s, e in zip(firsts, firsts[1:] + [B])
+    ]
+    return _Packing(order, flat, pos, starts, groups)
 
 
 class TransformerEncoder:
@@ -84,111 +120,144 @@ class TransformerEncoder:
         idx = np.arange(T)[None, :] - np.arange(T)[:, None]
         return np.clip(idx, -self.rpe_clip, self.rpe_clip) + self.rpe_clip
 
-    def _split(self, x):
-        B, T, _ = x.shape
-        return x.reshape(B, T, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+    def _heads(self, rows, n):
+        """The rows of ``n`` sequences, ``(n·L, d)`` or ``(n, L, d)``, as ``(n, H, L, hd)``."""
+        return rows.reshape(n, -1, self.heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def _merge(self, x):
-        B, H, T, hd = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(B, T, H * hd)
+    def _attend(self, q, k, v):
+        """Attention of q (n,H,Lq,hd) over keys k and values v (n,H,L,hd), all of them real.
 
-    def _attention(self, a, mask, l, n_q):
-        """Attention of the first ``n_q`` positions of ``a`` over all T keys."""
-        p = self.params
-        B, T, d = a.shape
-        H, hd = self.heads, self.head_dim
-        q = self._split(a[:, :n_q] @ p[f"l{l}.Wq"] + p[f"l{l}.bq"])  # (B,H,n_q,hd)
-        k = self._split(a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"])  # (B,H,T,hd)
-        v = self._split(a @ p[f"l{l}.Wv"] + p[f"l{l}.bv"])
-        scale = 1.0 / math.sqrt(hd)  # a Python float keeps float32 logits float32
-        logits = q @ k.swapaxes(-1, -2)  # (B,H,n_q,T)
+        ``Lq`` is L in a lower block and 1 (each sequence's first token) in the top one.
+        """
+        n, H, Lq, hd = q.shape
+        L = k.shape[2]
+        logits = q @ k.swapaxes(-1, -2)  # (n,H,Lq,L)
         rel = None
         if self.relative:
-            # one (B·H, hd) @ (hd, T) matmul per query position i:
+            # one (n·H, hd) @ (hd, L) matmul per query position i:
             # q_i . rel[clip(j-i)] for every key j
-            ridx = self._rel_index(T)[:n_q]
-            rel_k = p["rel"][ridx]  # (n_q,T,hd)
-            q_rows = q.transpose(2, 0, 1, 3).reshape(n_q, B * H, hd)
-            rel_logits = q_rows @ rel_k.swapaxes(-1, -2)  # (n_q,B·H,T)
-            logits += rel_logits.reshape(n_q, B, H, T).transpose(1, 2, 0, 3)
+            ridx = self._rel_index(L)[:Lq]
+            rel_k = self.params["rel"][ridx]  # (Lq,L,hd)
+            q_rows = q.transpose(2, 0, 1, 3).reshape(Lq, n * H, hd)
+            rel_logits = q_rows @ rel_k.swapaxes(-1, -2)  # (Lq,n·H,L)
+            logits += rel_logits.reshape(Lq, n, H, L).transpose(1, 2, 0, 3)
             rel = (ridx, rel_k, q_rows)
-        key_mask = mask[:, None, None, :]  # (B,1,1,T)
-        logits = np.where(key_mask, logits * scale, _NEG)
-        attn = softmax(logits, axis=-1)  # (B,H,n_q,T)
-        merged = self._merge(attn @ v)
-        out = merged @ p[f"l{l}.Wo"] + p[f"l{l}.bo"]
-        return out, (a, q, k, v, attn, merged, rel, l)
+        logits *= 1.0 / math.sqrt(hd)  # a Python float keeps float32 logits float32
+        attn = softmax(logits, axis=-1)
+        return attn @ v, (q, k, v, attn, rel)
 
-    def _attention_backward(self, cache, d_out, grads):
-        """d_out: (B,n_q,d). Returns the (B,T,d) gradient on ``a``."""
-        p = self.params
-        a, q, k, v, attn, merged, rel, l = cache
-        B, H, n_q, hd = q.shape
-        T = k.shape[2]
-
-        grads[f"l{l}.Wo"] += merged.reshape(-1, self.d).T @ d_out.reshape(-1, self.d)
-        grads[f"l{l}.bo"] += d_out.sum(axis=(0, 1))
-        d_merged = d_out @ p[f"l{l}.Wo"].T
-        d_ctx = self._split(d_merged)
-
+    def _attend_backward(self, cache, d_ctx, grads):
+        """d_ctx: (n,H,Lq,hd). Returns (dq, dk, dv) and adds the RPE table's gradient to ``grads``."""
+        q, k, v, attn, rel = cache
+        n, H, Lq, hd = q.shape
+        L = k.shape[2]
         d_attn = d_ctx @ v.swapaxes(-1, -2)
         dv = attn.swapaxes(-1, -2) @ d_ctx
-        d_logits = softmax_backward(attn, d_attn)  # masked keys: attn=0 -> 0
+        d_logits = softmax_backward(attn, d_attn)
         d_logits *= 1.0 / math.sqrt(hd)
-
         dq = d_logits @ k
         dk = d_logits.swapaxes(-1, -2) @ q
         if self.relative:
             ridx, rel_k, q_rows = rel
-            d_rows = d_logits.transpose(2, 0, 1, 3).reshape(n_q, B * H, T)
-            dq += (d_rows @ rel_k).reshape(n_q, B, H, hd).transpose(1, 2, 0, 3)
-            d_rel_pairs = d_rows.swapaxes(-1, -2) @ q_rows  # (n_q,T,hd)
+            d_rows = d_logits.transpose(2, 0, 1, 3).reshape(Lq, n * H, L)
+            dq += (d_rows @ rel_k).reshape(Lq, n, H, hd).transpose(1, 2, 0, 3)
+            d_rel_pairs = d_rows.swapaxes(-1, -2) @ q_rows  # (Lq,L,hd)
             # each bucket sums the pairs (i, j) whose clipped offset it holds
-            buckets = np.arange(p["rel"].shape[0])[:, None] == ridx.reshape(1, -1)
-            grads["rel"] += buckets.astype(d_rel_pairs.dtype) @ d_rel_pairs.reshape(n_q * T, hd)
+            buckets = np.arange(self.params["rel"].shape[0])[:, None] == ridx.reshape(1, -1)
+            grads["rel"] += buckets.astype(d_rel_pairs.dtype) @ d_rel_pairs.reshape(Lq * L, hd)
+        return dq, dk, dv
+
+    def _attention(self, a, l, pack):
+        """Each packed token of ``a`` (N,d) attends over its own sequence.
+
+        The top block queries from each sequence's first token alone, as (B,1,d) rows.
+        """
+        p = self.params
+        top = l == self.layers - 1
+        a_q = a[pack.starts][:, None] if top else a
+        q = a_q @ p[f"l{l}.Wq"] + p[f"l{l}.bq"]
+        k = a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"]
+        v = a @ p[f"l{l}.Wv"] + p[f"l{l}.bv"]
+        merged = np.empty_like(q)
+        cores = []
+        for _, seqs, toks in pack.groups:
+            n = seqs.stop - seqs.start
+            rows = seqs if top else toks
+            heads = [self._heads(z, n) for z in (q[rows], k[toks], v[toks])]
+            ctx, core = self._attend(*heads)
+            merged[rows] = ctx.transpose(0, 2, 1, 3).reshape(merged[rows].shape)
+            cores.append(core)
+        out = merged @ p[f"l{l}.Wo"] + p[f"l{l}.bo"]
+        return out, (a, a_q, merged, cores, l)
+
+    def _attention_backward(self, cache, d_out, pack, grads):
+        """d_out: one row per query of the block. Returns the (N,d) gradient on ``a``."""
+        p = self.params
+        a, a_q, merged, cores, l = cache
+        d = self.d
+        top = l == self.layers - 1
+
+        grads[f"l{l}.Wo"] += merged.reshape(-1, d).T @ d_out.reshape(-1, d)
+        grads[f"l{l}.bo"] += d_out.reshape(-1, d).sum(axis=0)
+        d_merged = d_out @ p[f"l{l}.Wo"].T
+        dq, dk, dv = np.empty_like(d_merged), np.empty_like(a), np.empty_like(a)
+        for (_, seqs, toks), core in zip(pack.groups, cores):
+            n = seqs.stop - seqs.start
+            rows = seqs if top else toks
+            grads_g = self._attend_backward(core, self._heads(d_merged[rows], n), grads)
+            for full, at, grad in zip((dq, dk, dv), (rows, toks, toks), grads_g):
+                full[at] = grad.transpose(0, 2, 1, 3).reshape(full[at].shape)
 
         da = np.zeros_like(a)
-        for name, grad_heads in (("Wq", dq), ("Wk", dk), ("Wv", dv)):
-            flat = self._merge(grad_heads)  # (B,n_q,d) for Wq, (B,T,d) for Wk and Wv
-            rows = flat.shape[1]
-            grads[f"l{l}.{name}"] += a[:, :rows].reshape(-1, self.d).T @ flat.reshape(-1, self.d)
-            grads[f"l{l}.b{name[1]}"] += flat.sum(axis=(0, 1))
-            da[:, :rows] += flat @ p[f"l{l}.{name}"].T
+        for name, flat, inputs in (("Wq", dq, a_q), ("Wk", dk, a), ("Wv", dv, a)):
+            grads[f"l{l}.{name}"] += inputs.reshape(-1, d).T @ flat.reshape(-1, d)
+            grads[f"l{l}.b{name[1]}"] += flat.reshape(-1, d).sum(axis=0)
+            back = flat @ p[f"l{l}.{name}"].T
+            if top and name == "Wq":  # one query row per sequence, at its first token
+                da[pack.starts] += back[:, 0]
+            else:
+                da += back
         return da
 
     def forward(self, x: np.ndarray, mask: np.ndarray):
-        """x: (B,T,d) embedded tokens; mask: (B,T) True at real positions. Returns ((B,d), cache)."""
+        """x: (B,T,d) embedded tokens; mask: (B,T), each row a non-empty prefix of real positions.
+
+        Returns ((B,d), cache).
+        """
         p = self.params
-        B, T, _ = x.shape
+        B, T, d = x.shape
+        pack = _pack(mask)
+        h = x.reshape(B * T, d)[pack.flat]  # (N,d): the real tokens, sorted by length
         if not self.relative:
-            if T > self.max_len:
-                raise ValueError(f"sequence length {T} exceeds position table {self.max_len}")
-            h = x + p["pos"][:T]
-        else:
-            h = x
+            longest = pack.groups[-1][0] if pack.groups else 0
+            if longest > self.max_len:
+                raise ValueError(f"sequence length {longest} exceeds position table {self.max_len}")
+            h += p["pos"][pack.pos]
         blocks = []
         for l in range(self.layers):
-            # the readout reads position 0 only, so the last block queries from it alone
-            n_q = 1 if l == self.layers - 1 else T
+            # the readout reads position 0 only, so the last block keeps one row per sequence
+            top = l == self.layers - 1
             a, ln1_cache = layernorm_forward(h, p[f"l{l}.ln1.g"], p[f"l{l}.ln1.b"])
-            attn_out, attn_cache = self._attention(a, mask, l, n_q)
-            h1 = h[:, :n_q] + attn_out
+            attn_out, attn_cache = self._attention(a, l, pack)
+            h1 = (h[pack.starts][:, None] if top else h) + attn_out
             f, ln2_cache = layernorm_forward(h1, p[f"l{l}.ln2.g"], p[f"l{l}.ln2.b"])
             z1 = f @ p[f"l{l}.W1"] + p[f"l{l}.b1"]
             relu = np.maximum(z1, 0.0)
             ffn_out = relu @ p[f"l{l}.W2"] + p[f"l{l}.b2"]
             h = h1 + ffn_out
             blocks.append((ln1_cache, attn_cache, ln2_cache, f, z1, relu))
-        y, lnf_cache = layernorm_forward(h, p["lnf.g"], p["lnf.b"])  # (B,1,d)
-        readout = y[:, 0]
-        return readout, (x.shape, blocks, lnf_cache)
+        y, lnf_cache = layernorm_forward(h, p["lnf.g"], p["lnf.b"])  # (B,1,d), sorted by length
+        readout = np.empty_like(y[:, 0])
+        readout[pack.order] = y[:, 0]
+        return readout, ((B, T, d), pack, blocks, lnf_cache)
 
     def backward(self, cache, d_readout: np.ndarray):
+        """Returns (param grads, d_input (B,T,d)), the latter zero at padded positions."""
         p = self.params
-        (B, T, d), blocks, lnf_cache = cache
+        (B, T, d), pack, blocks, lnf_cache = cache
         grads = {k: np.zeros_like(v) for k, v in p.items()}
 
-        dy = d_readout[:, None]
+        dy = d_readout[pack.order][:, None]
         dh, dg, db = layernorm_backward(dy, lnf_cache, p["lnf.g"])
         grads["lnf.g"] += dg
         grads["lnf.b"] += db
@@ -198,22 +267,29 @@ class TransformerEncoder:
             # FFN sublayer: h = h1 + W2·relu(W1·LN2(h1))
             d_ffn = dh
             grads[f"l{l}.W2"] += relu.reshape(-1, 4 * d).T @ d_ffn.reshape(-1, d)
-            grads[f"l{l}.b2"] += d_ffn.sum(axis=(0, 1))
+            grads[f"l{l}.b2"] += d_ffn.reshape(-1, d).sum(axis=0)
             d_relu = d_ffn @ p[f"l{l}.W2"].T
             dz1 = d_relu * (z1 > 0)
             grads[f"l{l}.W1"] += f.reshape(-1, d).T @ dz1.reshape(-1, 4 * d)
-            grads[f"l{l}.b1"] += dz1.sum(axis=(0, 1))
+            grads[f"l{l}.b1"] += dz1.reshape(-1, 4 * d).sum(axis=0)
             df = dz1 @ p[f"l{l}.W1"].T
             dh1, dg2, db2 = layernorm_backward(df, ln2_cache, p[f"l{l}.ln2.g"])
             grads[f"l{l}.ln2.g"] += dg2
             grads[f"l{l}.ln2.b"] += db2
-            dh1 = dh1 + dh  # residual
+            dh1 += dh  # residual
             # attention sublayer: h1 = h + MHA(LN1(h))
-            da = self._attention_backward(attn_cache, dh1, grads)
+            da = self._attention_backward(attn_cache, dh1, pack, grads)
             dh, dg1, db1 = layernorm_backward(da, ln1_cache, p[f"l{l}.ln1.g"])
             grads[f"l{l}.ln1.g"] += dg1
             grads[f"l{l}.ln1.b"] += db1
-            dh[:, : dh1.shape[1]] += dh1  # residual, on the rows the block queried from
+            if l == self.layers - 1:
+                dh[pack.starts] += dh1[:, 0]  # residual, on the rows the block queried from
+            else:
+                dh += dh1
         if not self.relative:
-            grads["pos"][:T] += dh.sum(axis=0)
-        return grads, dh
+            for L, _, toks in pack.groups:
+                grads["pos"][:L] += dh[toks].reshape(-1, L, d).sum(axis=0)
+        dx = np.zeros((B * T, d), dtype=dh.dtype)
+        dx[pack.flat] = dh
+        return grads, dx.reshape(B, T, d)
+

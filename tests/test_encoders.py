@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from cqakit.encoders import (
     BiLSTMEncoder,
@@ -26,7 +28,6 @@ from cqakit.encoders.numerics import (
     softmax,
     softmax_backward,
 )
-from cqakit.encoders.transformer import _NEG
 from cqakit.linearize import PAD, Vocabulary
 from cqakit.queries import OperatorKind, anchor, builtin_query_types, parse_grounded
 from cqakit.rng import make_rng
@@ -438,39 +439,25 @@ def test_sigmoid_bit_identical_to_piecewise_reference(dtype):
 
 
 class EinsumAttention(TransformerEncoder):
-    """Slow reference: every attention contraction as a 4-D ``np.einsum``."""
+    """Slow reference: every contraction of the attention core as a 4-D ``np.einsum``."""
 
-    def _attention(self, a, mask, l, n_q):
+    def _attend(self, q, k, v):
         p = self.params
-        B, T, d = a.shape
-        q = self._split(a[:, :n_q] @ p[f"l{l}.Wq"] + p[f"l{l}.bq"])  # (B,H,n_q,hd)
-        k = self._split(a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"])  # (B,H,T,hd)
-        v = self._split(a @ p[f"l{l}.Wv"] + p[f"l{l}.bv"])
         scale = 1.0 / math.sqrt(self.head_dim)  # a Python float keeps float32 logits float32
-        logits = np.einsum("bhid,bhjd->bhij", q, k) * scale  # (B,H,n_q,T)
+        logits = np.einsum("bhid,bhjd->bhij", q, k) * scale  # (n,H,Lq,L)
         ridx = None
         if self.relative:
-            ridx = self._rel_index(T)[:n_q]
-            rel_k = p["rel"][ridx]  # (n_q,T,hd)
+            ridx = self._rel_index(k.shape[2])[: q.shape[2]]
+            rel_k = p["rel"][ridx]  # (Lq,L,hd)
             logits = logits + np.einsum("bhid,ijd->bhij", q, rel_k) * scale
-        key_mask = mask[:, None, None, :]  # (B,1,1,T)
-        logits = np.where(key_mask > 0, logits, -1e9)
-        attn = softmax(logits, axis=-1)  # (B,H,n_q,T)
+        attn = softmax(logits, axis=-1)  # (n,H,Lq,L)
         ctx = np.einsum("bhij,bhjd->bhid", attn, v)
-        merged = self._merge(ctx)
-        out = merged @ p[f"l{l}.Wo"] + p[f"l{l}.bo"]
-        return out, (a, q, k, v, attn, merged, ridx, mask, l)
+        return ctx, (q, k, v, attn, ridx)
 
-    def _attention_backward(self, cache, d_out, grads):
+    def _attend_backward(self, cache, d_ctx, grads):
         p = self.params
-        a, q, k, v, attn, merged, ridx, mask, l = cache
-        n_q = q.shape[2]
+        q, k, v, attn, ridx = cache
         scale = 1.0 / math.sqrt(self.head_dim)  # a Python float keeps float32 logits float32
-
-        grads[f"l{l}.Wo"] += merged.reshape(-1, self.d).T @ d_out.reshape(-1, self.d)
-        grads[f"l{l}.bo"] += d_out.sum(axis=(0, 1))
-        d_merged = d_out @ p[f"l{l}.Wo"].T
-        d_ctx = self._split(d_merged)
 
         d_attn = np.einsum("bhid,bhjd->bhij", d_ctx, v)
         dv = np.einsum("bhij,bhid->bhjd", attn, d_ctx)
@@ -483,14 +470,7 @@ class EinsumAttention(TransformerEncoder):
             dq += np.einsum("bhij,ijd->bhid", d_logits, rel_k) * scale
             d_rel_pairs = np.einsum("bhij,bhid->ijd", d_logits, q) * scale
             np.add.at(grads["rel"], ridx, d_rel_pairs)
-
-        da = np.zeros_like(a)
-        for name, grad_heads, rows in (("Wq", dq, a[:, :n_q]), ("Wk", dk, a), ("Wv", dv, a)):
-            flat = self._merge(grad_heads)  # (B,n_q,d) or (B,T,d)
-            grads[f"l{l}.{name}"] += rows.reshape(-1, self.d).T @ flat.reshape(-1, self.d)
-            grads[f"l{l}.b{name[1]}"] += flat.sum(axis=(0, 1))
-            da[:, : flat.shape[1]] += flat @ p[f"l{l}.{name}"].T
-        return da
+        return dq, dk, dv
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -540,7 +520,15 @@ def test_grad_check_rpe_clipped_buckets():
 
 
 class FullSequenceTransformer(TransformerEncoder):
-    """Slow reference: every block, the last included, at all T positions."""
+    """Slow reference: every block, the last included, at all T positions, padded keys masked."""
+
+    def _split(self, x):
+        B, T, _ = x.shape
+        return x.reshape(B, T, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+
+    def _merge(self, x):
+        B, H, T, hd = x.shape
+        return x.transpose(0, 2, 1, 3).reshape(B, T, H * hd)
 
     def _attention(self, a, mask, l):
         p = self.params
@@ -562,7 +550,8 @@ class FullSequenceTransformer(TransformerEncoder):
             logits += rel_logits.reshape(T, B, H, T).transpose(1, 2, 0, 3)
             rel = (ridx, rel_k, q_rows)
         key_mask = mask[:, None, None, :]  # (B,1,1,T)
-        logits = np.where(key_mask > 0, logits * scale, _NEG)
+        # finite mask value: exp(-1e9) underflows to exactly 0.0
+        logits = np.where(key_mask > 0, logits * scale, -1e9)
         attn = softmax(logits, axis=-1)  # (B,H,T,T)
         merged = self._merge(attn @ v)
         out = merged @ p[f"l{l}.Wo"] + p[f"l{l}.bo"]
@@ -847,18 +836,102 @@ def test_position0_encoders_match_full_sequence_reference(batch, arch, layers, d
 
 
 def test_top_layer_computes_position_zero_only():
-    # a silent revert to full-sequence top layers keeps the outputs, so check the shapes
+    # a silent revert to padded attention or to full-sequence top layers keeps the outputs,
+    # so count attention cells: each length-L row holds H·L² in a lower block, H·L in the top one
     B, T, d = 3, 9, 8
+    lengths, heads = [9, 4, 1, 4, 9, 6, 4], 2
+    tokens = make_rng(53).normal(size=(len(lengths), T, d))
+    prefixes = np.arange(T)[None, :] < np.array(lengths)[:, None]
+    transformer = TransformerEncoder(d, 3, heads, make_rng(54), relative=True)
+    _, (_, _, blocks, _) = transformer.forward(tokens, prefixes)
+    cells = [sum(core[3].size for core in attn_cache[3]) for _, attn_cache, *_ in blocks]
+    assert cells == [heads * sum(L * L for L in lengths)] * 2 + [heads * sum(lengths)]
     x = make_rng(53).normal(size=(B, T, d))
     mask = np.ones((B, T))
-    transformer = TransformerEncoder(d, 2, 2, make_rng(54), relative=True)
-    _, (_, blocks, _) = transformer.forward(x, mask)
-    attn = [attn_cache[4] for _, attn_cache, *_ in blocks]
-    assert [a.shape for a in attn] == [(B, 2, T, T), (B, 2, 1, T)]
     lstm = BiLSTMEncoder(d, 2, make_rng(54))
     _, (caches, _) = lstm.forward(x, mask)
     steps = [[len(direction[6]) for direction in layer] for layer in caches]  # (fwd, bwd) steps run
     assert steps == [[T, T], [1, T]]
+
+
+# -- packed Transformer: padding does no work -------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("relative", [False, True], ids=["APE", "RPE"])
+def test_transformer_padding_does_no_work(relative, dtype):
+    lengths = [7, 3, 7, 1, 5, 3]
+    B, T, d = len(lengths), max(lengths), 8
+    enc = cast_params(TransformerEncoder(d, 2, 2, make_rng(56), relative, max_len=16, rpe_clip=2), dtype)
+    rng = make_rng(57)
+    for arr in enc.params.values():  # off the init: nonzero biases, LN gains != 1
+        arr[...] = rng.normal(size=arr.shape)
+    x = rng.normal(size=(B, T + 5, d)).astype(dtype)  # padded positions hold noise, not PAD rows
+    mask = np.arange(T + 5)[None, :] < np.array(lengths)[:, None]
+    d_readout = rng.normal(size=(B, d)).astype(dtype)
+
+    out, cache = enc.forward(x[:, :T], mask[:, :T])
+    grads, dx = enc.backward(cache, d_readout)
+    wide_out, wide_cache = enc.forward(x, mask)
+    wide_grads, wide_dx = enc.backward(wide_cache, d_readout)
+    assert np.array_equal(out, wide_out)
+    assert grads.keys() == wide_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, wide_grads[name]), name
+    assert np.array_equal(dx[mask[:, :T]], wide_dx[mask])
+    assert not dx[~mask[:, :T]].any() and not wide_dx[~mask].any()
+
+
+@pytest.mark.parametrize(
+    "mask", [[[1, 0, 1]], [[0, 0, 0]], [[1, 1, 0], [0, 0, 0]]], ids=["gap", "empty", "empty-row"]
+)
+def test_transformer_mask_rows_must_be_nonempty_prefixes(mask):
+    enc = TransformerEncoder(8, 1, 2, make_rng(59))
+    mask = np.array(mask, dtype=bool)
+    with pytest.raises(ValueError, match="non-empty prefix"):
+        enc.forward(np.zeros(mask.shape + (8,)), mask)
+
+
+# a few distinct lengths drawn with repeats, so length groups hold several rows, or any lengths
+length_mixes = st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=9)
+) | st.lists(st.integers(1, 12), min_size=1, max_size=9)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    lengths=length_mixes, extra=st.integers(0, 3), layers=st.integers(1, 3), heads=st.sampled_from([1, 2, 8])
+)
+@example(lengths=[5] * 6, extra=0, layers=2, heads=2)  # one group, no padding
+@example(lengths=[12, 1, 7, 1, 12, 7, 7], extra=0, layers=3, heads=8)  # length-1 rows
+@pytest.mark.parametrize("arch", ["Transformer-APE", "Transformer-RPE"])
+def test_packed_transformer_matches_padded_reference(arch, lengths, extra, layers, heads):
+    # the position-0 test's encoders and float64 tolerance, over random length mixes; its
+    # float32 bound holds for its fixed batches only: on random mixes, rounding alone
+    # through these N(0,1) weights reaches up to 3x that bound
+    dtype, tol = np.float64, 1e-12
+    T = min(max(lengths) + extra, 12)
+    enc, ref = (sequence_encoder(cls, arch, layers, heads, dtype) for cls in FULL_SEQUENCE[arch])
+    rng = make_rng(58, len(lengths), T)
+    for name, arr in enc.params.items():  # off the init: nonzero biases, LN gains != 1
+        arr[...] = rng.normal(size=arr.shape)
+        ref.params[name][...] = arr
+    x = rng.normal(size=(len(lengths), T, 8)).astype(dtype)
+    mask = np.arange(T)[None, :] < np.array(lengths)[:, None]
+    d_readout = rng.normal(size=(len(lengths), 8)).astype(dtype)
+
+    out, cache = enc.forward(x, mask)
+    grads, dx = enc.backward(cache, d_readout)
+    ref_out, ref_cache = ref.forward(x, mask)
+    ref_grads, ref_dx = ref.backward(ref_cache, d_readout)
+    assert out.dtype == dx.dtype == dtype
+    np.testing.assert_allclose(out, ref_out, rtol=tol, atol=tol)
+    np.testing.assert_allclose(dx, ref_dx, rtol=tol, atol=tol)
+    assert not dx[~mask].any()
+    for name, grad in grads.items():
+        assert grad.dtype == dtype
+        np.testing.assert_allclose(grad, ref_grads[name], rtol=tol, atol=tol, err_msg=name)
+
 
 # -- level-wise tree recursion against the per-node reference --------------------
 
