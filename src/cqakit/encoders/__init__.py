@@ -13,7 +13,9 @@ Architectures (all gradients hand-derived, verified by finite differences):
 
 :class:`QueryModel` bundles the vocabulary, the token embedding rows and an
 encoder behind a single encode/backward surface used by the trainer and
-evaluator.
+evaluator. Every encoder has ``forward(queries, rows) -> ((B,d), cache)`` and
+``backward(cache, d_out) -> (param grads, token ids (N,), token grads (N,d))``,
+one gradient row per token it read from ``rows``. Nothing is padded.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..linearize import PAD, Vocabulary, linearize
+from ..linearize import Vocabulary, linearize
 from ..queries import ComputationGraph
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .gradcheck import NonFiniteLossError, grad_check
@@ -65,18 +67,6 @@ def make_encoder(
     return TransformerEncoder(d, layers, heads, rng, relative, max_len, rpe_clip)
 
 
-def pad_batch(sequences: list[list[int]]):
-    """Right-pad token sequences with PAD; returns (ids (B,T), bool mask (B,T)) whose rows are prefixes."""
-    B = len(sequences)
-    T = max((len(s) for s in sequences), default=1)
-    ids = np.full((B, max(T, 1)), PAD, dtype=np.int64)
-    mask = np.zeros((B, max(T, 1)), dtype=bool)
-    for row, seq in enumerate(sequences):
-        ids[row, : len(seq)] = seq
-        mask[row, : len(seq)] = True
-    return ids, mask
-
-
 @dataclass
 class QueryModel:
     """Token embedding rows + encoder with one encode/backward surface.
@@ -84,8 +74,9 @@ class QueryModel:
     ``rows`` holds one embedding per token id: specials, relations, entities.
     The entity block doubles as the answer-entity embeddings, so retrieval
     scores are inner products against the same rows the encoder reads (tied).
-    Sequence architectures consume linearized token sequences; tree
-    architectures consume each graph flattened once by ``tree_token_nodes``.
+    Sequence architectures consume linearized token sequences, which must not
+    be empty; tree architectures consume each graph flattened once by
+    ``tree_token_nodes``.
     ``parameters`` exposes every learnable tensor under a flat name space
     ('table' plus 'enc.*') for the optimizer and the gradient checker.
     """
@@ -128,22 +119,13 @@ class QueryModel:
 
     def encode(self, queries) -> tuple[np.ndarray, object]:
         """Encode prepared queries; returns ((B,d) embeddings, cache)."""
-        if self.is_tree:
-            return self.encoder.forward(queries, self.rows)
-        ids, mask = pad_batch(queries)
-        out, enc_cache = self.encoder.forward(self.rows[ids], mask)
-        return out, (enc_cache, ids, mask)
+        return self.encoder.forward(queries, self.rows)
 
     def backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients for every parameter given d(loss)/d(embeddings)."""
+        enc_grads, token_ids, token_grads = self.encoder.backward(cache, d_out)
         d_table = np.zeros_like(self.rows)
-        if self.is_tree:
-            enc_grads, tok_ids, tok_dxs = self.encoder.backward(cache, d_out)
-            np.add.at(d_table, tok_ids, tok_dxs)
-        else:
-            enc_cache, ids, mask = cache
-            enc_grads, dx = self.encoder.backward(enc_cache, d_out)
-            np.add.at(d_table, ids[mask], dx[mask])
+        np.add.at(d_table, token_ids, token_grads)
         grads = {"table": d_table}
         grads.update({f"enc.{k}": v for k, v in enc_grads.items()})
         return grads
@@ -188,5 +170,4 @@ __all__ = [
     "make_encoder",
     "new_model",
     "normalize_arch",
-    "pad_batch",
 ]

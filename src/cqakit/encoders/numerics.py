@@ -1,6 +1,9 @@
-"""Shared numeric primitives for the hand-rolled encoders."""
+"""Shared primitives for the hand-rolled encoders, the packed token layout included."""
 
 from __future__ import annotations
+
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,3 +52,29 @@ def uniform_init(rng: np.random.Generator, shape, d: int):
     """Seeded float64 uniform init scaled by 1/sqrt(d)."""
     bound = 1.0 / np.sqrt(d)
     return rng.uniform(-bound, bound, size=shape)
+
+
+class Packing(NamedTuple):
+    """A batch's tokens, packed: its rows stable-sorted by length, each sequence contiguous."""
+
+    tokens: np.ndarray  # (N,) token ids, the batch's sequences back to back in batch order
+    order: np.ndarray  # (B,) batch rows, stable-sorted by length
+    lengths: np.ndarray  # (B,) length of each sorted sequence, ascending
+    starts: np.ndarray  # (B,) packed row of each sorted sequence's first token
+    pos: np.ndarray  # (N,) each packed row's position in its sequence
+    flat: np.ndarray  # (N,) each packed row's index into ``tokens``
+
+
+def pack_tokens(queries: list[list[int]]) -> Packing:
+    """Concatenate a batch's token lists and sort its rows by length; empty lists are refused."""
+    lengths = np.fromiter(map(len, queries), np.int64, len(queries))
+    if not lengths.all():
+        raise ValueError("cannot encode an empty token sequence")
+    tokens = np.fromiter(chain.from_iterable(queries), np.int64, int(lengths.sum()))
+    order = np.argsort(lengths, kind="stable")
+    offsets = np.cumsum(lengths) - lengths  # each batch row's first token in ``tokens``
+    lengths = lengths[order]
+    starts = np.cumsum(lengths) - lengths
+    pos = np.arange(len(tokens)) - np.repeat(starts, lengths)
+    flat = np.repeat(offsets[order], lengths) + pos
+    return Packing(tokens, order, lengths, starts, pos, flat)

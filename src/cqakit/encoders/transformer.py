@@ -12,16 +12,15 @@ Positional information comes in one of two flavours:
   across heads, added to the attention logits only (values untouched):
   logit(i,j) = (q_i . k_j + q_i . rel[clip(j-i)]) / sqrt(d_head).
 
-All gradients are hand-derived, and no work touches a padded position. The
-batch's rows are stable-sorted by length and their real tokens packed into
-one ``(N, d)`` block, each sequence contiguous and sequences of equal length
-side by side. The position add, both LayerNorms, the Q/K/V/O projections and
-the feed-forward network run on those N rows. Attention runs once per group
-of equal length L, over ``(n, H, L, hd)`` views with no key mask, so PAD
-tokens cannot reach the readout. Every attention contraction, forward and
-backward, is a batched ``matmul``, so it runs on BLAS. The readout and the
-input gradient come back in the caller's row order, and the input gradient
-is zero at padded positions.
+All gradients are hand-derived. A batch runs packed: its rows are
+stable-sorted by length and their N tokens laid out as one ``(N, d)`` block,
+each sequence contiguous and sequences of equal length side by side, with no
+padding. The position add, both LayerNorms, the Q/K/V/O projections and the
+feed-forward network run on those N rows. Attention runs once per group of
+equal length L, over ``(n, H, L, hd)`` views with no key mask. Every
+attention contraction, forward and backward, is a batched ``matmul``, so it
+runs on BLAS. The readout comes back in the caller's row order, and the
+token gradients in batch order, one row per token.
 
 Only position 0 of the last block reaches the readout, so that block takes
 its queries from each sequence's first token alone: its keys and values
@@ -33,42 +32,22 @@ residual stream, feed-forward network and the final LayerNorm run on one
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import layernorm_backward, layernorm_forward, softmax, softmax_backward, uniform_init
+from .numerics import (
+    layernorm_backward, layernorm_forward, pack_tokens, softmax, softmax_backward, uniform_init
+)
 
 
-class _Packing(NamedTuple):
-    """Where the real tokens of a right-padded (B,T) batch sit once packed into N rows."""
-
-    order: np.ndarray  # (B,) batch rows, stable-sorted by length
-    flat: np.ndarray  # (N,) each packed token's row in the (B·T, d) padded batch
-    pos: np.ndarray  # (N,) each packed token's position in its sequence
-    starts: np.ndarray  # (B,) packed row of each sorted sequence's first token
-    groups: list  # (L, slice of sorted sequences, slice of packed rows) per length L
-
-
-def _pack(mask) -> _Packing:
-    """Sort a batch's rows by length and lay their real tokens out back to back."""
-    mask = np.asarray(mask) != 0
-    B, T = mask.shape
-    lengths = mask.sum(axis=1)
-    if (lengths == 0).any() or not np.array_equal(mask, np.arange(T) < lengths[:, None]):
-        raise ValueError("every mask row must be a non-empty prefix")
-    order = np.argsort(lengths, kind="stable")
-    lengths = lengths[order]
+def _groups(lengths) -> list:
+    """``(L, slice of sorted sequences, slice of packed rows)`` per length L of ascending ``lengths``."""
     ends = np.cumsum(lengths)
-    starts = ends - lengths
-    pos = np.arange(ends[-1] if B else 0) - np.repeat(starts, lengths)
-    flat = np.repeat(order * T, lengths) + pos
     firsts = np.flatnonzero(np.diff(lengths, prepend=0)).tolist()  # first row of each length
-    groups = [
-        (int(lengths[s]), slice(s, e), slice(int(starts[s]), int(ends[e - 1])))
-        for s, e in zip(firsts, firsts[1:] + [B])
+    return [
+        (int(lengths[s]), slice(s, e), slice(int(ends[s] - lengths[s]), int(ends[e - 1])))
+        for s, e in zip(firsts, firsts[1:] + [len(lengths)])
     ]
-    return _Packing(order, flat, pos, starts, groups)
 
 
 class TransformerEncoder:
@@ -167,20 +146,20 @@ class TransformerEncoder:
             grads["rel"] += buckets.astype(d_rel_pairs.dtype) @ d_rel_pairs.reshape(Lq * L, hd)
         return dq, dk, dv
 
-    def _attention(self, a, l, pack):
+    def _attention(self, a, l, starts, groups):
         """Each packed token of ``a`` (N,d) attends over its own sequence.
 
         The top block queries from each sequence's first token alone, as (B,1,d) rows.
         """
         p = self.params
         top = l == self.layers - 1
-        a_q = a[pack.starts][:, None] if top else a
+        a_q = a[starts][:, None] if top else a
         q = a_q @ p[f"l{l}.Wq"] + p[f"l{l}.bq"]
         k = a @ p[f"l{l}.Wk"] + p[f"l{l}.bk"]
         v = a @ p[f"l{l}.Wv"] + p[f"l{l}.bv"]
         merged = np.empty_like(q)
         cores = []
-        for _, seqs, toks in pack.groups:
+        for _, seqs, toks in groups:
             n = seqs.stop - seqs.start
             rows = seqs if top else toks
             heads = [self._heads(z, n) for z in (q[rows], k[toks], v[toks])]
@@ -190,7 +169,7 @@ class TransformerEncoder:
         out = merged @ p[f"l{l}.Wo"] + p[f"l{l}.bo"]
         return out, (a, a_q, merged, cores, l)
 
-    def _attention_backward(self, cache, d_out, pack, grads):
+    def _attention_backward(self, cache, d_out, starts, groups, grads):
         """d_out: one row per query of the block. Returns the (N,d) gradient on ``a``."""
         p = self.params
         a, a_q, merged, cores, l = cache
@@ -201,7 +180,7 @@ class TransformerEncoder:
         grads[f"l{l}.bo"] += d_out.reshape(-1, d).sum(axis=0)
         d_merged = d_out @ p[f"l{l}.Wo"].T
         dq, dk, dv = np.empty_like(d_merged), np.empty_like(a), np.empty_like(a)
-        for (_, seqs, toks), core in zip(pack.groups, cores):
+        for (_, seqs, toks), core in zip(groups, cores):
             n = seqs.stop - seqs.start
             rows = seqs if top else toks
             grads_g = self._attend_backward(core, self._heads(d_merged[rows], n), grads)
@@ -214,22 +193,19 @@ class TransformerEncoder:
             grads[f"l{l}.b{name[1]}"] += flat.reshape(-1, d).sum(axis=0)
             back = flat @ p[f"l{l}.{name}"].T
             if top and name == "Wq":  # one query row per sequence, at its first token
-                da[pack.starts] += back[:, 0]
+                da[starts] += back[:, 0]
             else:
                 da += back
         return da
 
-    def forward(self, x: np.ndarray, mask: np.ndarray):
-        """x: (B,T,d) embedded tokens; mask: (B,T), each row a non-empty prefix of real positions.
-
-        Returns ((B,d), cache).
-        """
+    def forward(self, queries: list[list[int]], rows: np.ndarray):
+        """Encode token lists over the embedding ``rows``; returns ((B,d), cache)."""
         p = self.params
-        B, T, d = x.shape
-        pack = _pack(mask)
-        h = x.reshape(B * T, d)[pack.flat]  # (N,d): the real tokens, sorted by length
+        pack = pack_tokens(queries)
+        groups = _groups(pack.lengths)
+        h = rows[pack.tokens[pack.flat]]  # (N,d): the tokens, sorted by length
         if not self.relative:
-            longest = pack.groups[-1][0] if pack.groups else 0
+            longest = pack.lengths[-1] if len(queries) else 0
             if longest > self.max_len:
                 raise ValueError(f"sequence length {longest} exceeds position table {self.max_len}")
             h += p["pos"][pack.pos]
@@ -238,7 +214,7 @@ class TransformerEncoder:
             # the readout reads position 0 only, so the last block keeps one row per sequence
             top = l == self.layers - 1
             a, ln1_cache = layernorm_forward(h, p[f"l{l}.ln1.g"], p[f"l{l}.ln1.b"])
-            attn_out, attn_cache = self._attention(a, l, pack)
+            attn_out, attn_cache = self._attention(a, l, pack.starts, groups)
             h1 = (h[pack.starts][:, None] if top else h) + attn_out
             f, ln2_cache = layernorm_forward(h1, p[f"l{l}.ln2.g"], p[f"l{l}.ln2.b"])
             z1 = f @ p[f"l{l}.W1"] + p[f"l{l}.b1"]
@@ -249,12 +225,13 @@ class TransformerEncoder:
         y, lnf_cache = layernorm_forward(h, p["lnf.g"], p["lnf.b"])  # (B,1,d), sorted by length
         readout = np.empty_like(y[:, 0])
         readout[pack.order] = y[:, 0]
-        return readout, ((B, T, d), pack, blocks, lnf_cache)
+        return readout, (pack, groups, blocks, lnf_cache)
 
     def backward(self, cache, d_readout: np.ndarray):
-        """Returns (param grads, d_input (B,T,d)), the latter zero at padded positions."""
+        """Returns (param grads, token ids (N,), token grads (N,d)), the tokens in batch order."""
         p = self.params
-        (B, T, d), pack, blocks, lnf_cache = cache
+        pack, groups, blocks, lnf_cache = cache
+        d = self.d
         grads = {k: np.zeros_like(v) for k, v in p.items()}
 
         dy = d_readout[pack.order][:, None]
@@ -278,7 +255,7 @@ class TransformerEncoder:
             grads[f"l{l}.ln2.b"] += db2
             dh1 += dh  # residual
             # attention sublayer: h1 = h + MHA(LN1(h))
-            da = self._attention_backward(attn_cache, dh1, pack, grads)
+            da = self._attention_backward(attn_cache, dh1, pack.starts, groups, grads)
             dh, dg1, db1 = layernorm_backward(da, ln1_cache, p[f"l{l}.ln1.g"])
             grads[f"l{l}.ln1.g"] += dg1
             grads[f"l{l}.ln1.b"] += db1
@@ -287,9 +264,9 @@ class TransformerEncoder:
             else:
                 dh += dh1
         if not self.relative:
-            for L, _, toks in pack.groups:
+            for L, _, toks in groups:
                 grads["pos"][:L] += dh[toks].reshape(-1, L, d).sum(axis=0)
-        dx = np.zeros((B * T, d), dtype=dh.dtype)
+        dx = np.empty_like(dh)
         dx[pack.flat] = dh
-        return grads, dx.reshape(B, T, d)
+        return grads, pack.tokens, dx
 

@@ -232,7 +232,7 @@ def _score_rows(model, records: list[GroundedQueryRecord]):
     tuple) then cannot keep the previous chunk alive.
     """
     # a chunk may mix types: tree encoders batch any shapes level by level,
-    # and sequence encoders pad each chunk to its longest record
+    # and sequence encoders pack each chunk's tokens back to back
     for start in range(0, len(records), 256):
         chunk = model.entity_scores(
             model.encode_graphs([record.query for record in records[start : start + 256]])

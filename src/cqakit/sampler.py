@@ -34,6 +34,7 @@ from .queries import (
     negation,
     parse_grounded,
     projection,
+    serialize_formula,
     serialize_grounded,
 )
 from .rng import make_rng
@@ -362,4 +363,7 @@ def _read_record(line: str, dataset: Dataset, where: str) -> GroundedQueryRecord
         query = parse_grounded(obj["query"], dataset)  # ids checked against the header universe
     except (QuerySyntaxError, QueryStructureError) as exc:
         raise DatasetFormatError(f"{where}: bad query: {exc}") from None
+    formula = serialize_formula(query)
+    if formula != obj["type"]:
+        raise DatasetFormatError(f"{where}: type {obj['type']!r} is not the query's type {formula}")
     return GroundedQueryRecord(obj["type"], query, *answers)

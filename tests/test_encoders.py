@@ -16,7 +16,6 @@ from cqakit.encoders import (
     load_checkpoint,
     new_model,
     normalize_arch,
-    pad_batch,
     save_checkpoint,
 )
 from cqakit.encoders.checkpoint import MAGIC
@@ -47,6 +46,21 @@ def cast_params(encoder, dtype):
     """Cast a directly built encoder's float64 parameters to ``dtype``, as ``new_model`` does."""
     encoder.params = {k: v.astype(dtype) for k, v in encoder.params.items()}
     return encoder
+
+
+def packed_run(enc, x, lengths, d_readout):
+    """Run an encoder on the first ``lengths`` tokens of each row of a padded ``x`` (B,T,d).
+
+    Each token is its own embedding row. Returns the readout, the parameter gradients and
+    the token gradients laid out like ``x``, zero at padding, as the padded references give them.
+    """
+    B, T, d = x.shape
+    rows = x.reshape(B * T, d)
+    out, cache = enc.forward([list(range(b * T, b * T + n)) for b, n in enumerate(lengths)], rows)
+    grads, token_ids, token_grads = enc.backward(cache, d_readout)
+    dx = np.zeros_like(rows)
+    np.add.at(dx, token_ids, token_grads)
+    return out, grads, dx.reshape(B, T, d)
 
 
 @pytest.mark.parametrize("arch", ALL_ARCHS)
@@ -136,12 +150,6 @@ def test_pad_row_inert(arch):
     model.rows[PAD] += 123.456
     out2, _ = model.encode(queries)
     np.testing.assert_array_equal(out1, out2)
-
-
-def test_pad_batch_shapes():
-    ids, mask = pad_batch([[1, 2, 3], [4]])
-    assert ids.shape == (2, 3) and mask.shape == (2, 3)
-    assert ids[1, 1] == PAD and mask[1, 1] == 0.0
 
 
 # float32: the batch and each lone sequence sum their products over other
@@ -490,13 +498,10 @@ def test_matmul_attention_matches_einsum_reference(T, heads, relative, dtype, to
     x = rng.normal(size=(B, T, d)).astype(dtype)
     lengths = rng.integers(1, T + 1, size=B)
     lengths[0] = T
-    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(dtype)
     d_readout = rng.normal(size=(B, d)).astype(dtype)
 
-    out, cache = enc.forward(x, mask)
-    ref_out, ref_cache = ref.forward(x, mask)
-    grads, dx = enc.backward(cache, d_readout)
-    ref_grads, ref_dx = ref.backward(ref_cache, d_readout)
+    out, grads, dx = packed_run(enc, x, lengths, d_readout)
+    ref_out, ref_grads, ref_dx = packed_run(ref, x, lengths, d_readout)
     assert out.dtype == ref_out.dtype == dx.dtype == ref_dx.dtype == dtype
     np.testing.assert_allclose(out, ref_out, rtol=0, atol=tol)
     np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=tol)
@@ -655,14 +660,18 @@ class FullSequenceTransformer(TransformerEncoder):
 
 
 class PerStepBiLSTM(BiLSTMEncoder):
-    """Slow reference: both directions of every layer run all T steps, one step at a time."""
+    """Slow reference: both directions of every layer run all T steps, one step at a time.
+
+    The top forward direction has no ``Wh``: its state at position 0, the one the readout
+    reads, comes from h = 0. Its later steps, which reach nothing, run with a zero ``Wh``.
+    """
 
     def _run_direction(self, x, mask, l, dir_):
         """One direction of one layer. x: (B,T,d) layer input, mask: (B,T)."""
         B, T, _ = x.shape
         h_dim = self.hidden
         Wx = self.params[f"l{l}.{dir_}.Wx"]
-        Wh = self.params[f"l{l}.{dir_}.Wh"]
+        Wh = self.params.get(f"l{l}.{dir_}.Wh", np.zeros((h_dim, 4 * h_dim), dtype=x.dtype))
         b = self.params[f"l{l}.{dir_}.b"]
         order = range(T) if dir_ == "fwd" else range(T - 1, -1, -1)
 
@@ -702,9 +711,9 @@ class PerStepBiLSTM(BiLSTMEncoder):
         B, T, _ = x.shape
         h_dim = self.hidden
         Wx = self.params[f"l{l}.{dir_}.Wx"]
-        Wh = self.params[f"l{l}.{dir_}.Wh"]
+        Wh = self.params.get(f"l{l}.{dir_}.Wh", np.zeros((h_dim, 4 * h_dim), dtype=x.dtype))
         dWx = grads[f"l{l}.{dir_}.Wx"]
-        dWh = grads[f"l{l}.{dir_}.Wh"]
+        dWh = grads.get(f"l{l}.{dir_}.Wh", np.zeros_like(Wh))
         db = grads[f"l{l}.{dir_}.b"]
         dx = np.zeros_like(x)
 
@@ -821,9 +830,8 @@ def test_position0_encoders_match_full_sequence_reference(batch, arch, layers, d
     mask = (np.arange(T)[None, :] < np.array(lengths)[:, None]).astype(dtype)
     d_readout = rng.normal(size=(len(lengths), 8)).astype(dtype)
 
-    out, cache = enc.forward(x, mask)
+    out, grads, dx = packed_run(enc, x, lengths, d_readout)
     ref_out, ref_cache = ref.forward(x, mask)
-    grads, dx = enc.backward(cache, d_readout)
     ref_grads, ref_dx = ref.backward(ref_cache, d_readout)
     assert out.dtype == ref_out.dtype and dx.dtype == ref_dx.dtype
     np.testing.assert_allclose(out, ref_out, rtol=tol, atol=tol)
@@ -836,60 +844,43 @@ def test_position0_encoders_match_full_sequence_reference(batch, arch, layers, d
 
 
 def test_top_layer_computes_position_zero_only():
-    # a silent revert to padded attention or to full-sequence top layers keeps the outputs,
-    # so count attention cells: each length-L row holds H·L² in a lower block, H·L in the top one
-    B, T, d = 3, 9, 8
-    lengths, heads = [9, 4, 1, 4, 9, 6, 4], 2
-    tokens = make_rng(53).normal(size=(len(lengths), T, d))
-    prefixes = np.arange(T)[None, :] < np.array(lengths)[:, None]
+    # a silent revert to padded work or to full-sequence top layers keeps the outputs,
+    # so count the work. Attention cells: each length-L row holds H·L² in a lower block,
+    # H·L in the top one. LSTM rows: step t runs the n_t rows still longer than t, so a
+    # direction over every step runs Σ lengths rows, and the top forward direction runs B
+    lengths, heads, d = [9, 4, 1, 4, 9, 6, 4], 2, 8
+    B, T, N = len(lengths), max(lengths), sum(lengths)
+    rows = make_rng(53).normal(size=(N, d))
+    queries = [list(range(a, a + L)) for a, L in zip(np.cumsum([0] + lengths[:-1]).tolist(), lengths)]
     transformer = TransformerEncoder(d, 3, heads, make_rng(54), relative=True)
-    _, (_, _, blocks, _) = transformer.forward(tokens, prefixes)
+    _, (_, _, blocks, _) = transformer.forward(queries, rows)
     cells = [sum(core[3].size for core in attn_cache[3]) for _, attn_cache, *_ in blocks]
     assert cells == [heads * sum(L * L for L in lengths)] * 2 + [heads * sum(lengths)]
-    x = make_rng(53).normal(size=(B, T, d))
-    mask = np.ones((B, T))
-    lstm = BiLSTMEncoder(d, 2, make_rng(54))
-    _, (caches, _) = lstm.forward(x, mask)
-    steps = [[len(direction[6]) for direction in layer] for layer in caches]  # (fwd, bwd) steps run
-    assert steps == [[T, T], [1, T]]
+    lstm = BiLSTMEncoder(d, 3, make_rng(54))
+    _, (caches, _, _) = lstm.forward(queries, rows)
+    per_step = [sum(L > t for L in lengths) for t in range(T)]  # n_t, in time order
+    steps = [[[k for _, k in direction[5]] for direction in layer] for layer in caches]
+    assert steps == [[per_step, per_step[::-1]]] * 2 + [[[B], per_step[::-1]]]
+    gate_rows = [[direction[1].shape[0] for direction in layer] for layer in caches]
+    assert gate_rows == [[N, N]] * 2 + [[B, N]]
 
 
-# -- packed Transformer: padding does no work -------------------------------------
+@pytest.mark.parametrize("arch", sorted(FULL_SEQUENCE))
+@pytest.mark.parametrize("queries", [[[]], [[1, 2, 3], []]], ids=["empty", "empty-row"])
+def test_sequence_encoders_refuse_empty_sequences(arch, queries):
+    model = new_model(VOCAB, arch, d=8, seed=59, layers=1, heads=2)
+    with pytest.raises(ValueError, match="empty token sequence"):
+        model.encode(queries)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
-@pytest.mark.parametrize("relative", [False, True], ids=["APE", "RPE"])
-def test_transformer_padding_does_no_work(relative, dtype):
-    lengths = [7, 3, 7, 1, 5, 3]
-    B, T, d = len(lengths), max(lengths), 8
-    enc = cast_params(TransformerEncoder(d, 2, 2, make_rng(56), relative, max_len=16, rpe_clip=2), dtype)
-    rng = make_rng(57)
-    for arr in enc.params.values():  # off the init: nonzero biases, LN gains != 1
-        arr[...] = rng.normal(size=arr.shape)
-    x = rng.normal(size=(B, T + 5, d)).astype(dtype)  # padded positions hold noise, not PAD rows
-    mask = np.arange(T + 5)[None, :] < np.array(lengths)[:, None]
-    d_readout = rng.normal(size=(B, d)).astype(dtype)
-
-    out, cache = enc.forward(x[:, :T], mask[:, :T])
-    grads, dx = enc.backward(cache, d_readout)
-    wide_out, wide_cache = enc.forward(x, mask)
-    wide_grads, wide_dx = enc.backward(wide_cache, d_readout)
-    assert np.array_equal(out, wide_out)
-    assert grads.keys() == wide_grads.keys()
-    for name, grad in grads.items():
-        assert np.array_equal(grad, wide_grads[name]), name
-    assert np.array_equal(dx[mask[:, :T]], wide_dx[mask])
-    assert not dx[~mask[:, :T]].any() and not wide_dx[~mask].any()
-
-
-@pytest.mark.parametrize(
-    "mask", [[[1, 0, 1]], [[0, 0, 0]], [[1, 1, 0], [0, 0, 0]]], ids=["gap", "empty", "empty-row"]
-)
-def test_transformer_mask_rows_must_be_nonempty_prefixes(mask):
-    enc = TransformerEncoder(8, 1, 2, make_rng(59))
-    mask = np.array(mask, dtype=bool)
-    with pytest.raises(ValueError, match="non-empty prefix"):
-        enc.forward(np.zeros(mask.shape + (8,)), mask)
+@pytest.mark.parametrize("arch", ALL_ARCHS)
+def test_empty_batch_encodes_to_no_rows(arch):
+    model = new_model(VOCAB, arch, d=8, seed=60, layers=2, heads=2)
+    out, cache = model.encode([])
+    assert out.shape == (0, 8)
+    grads = model.backward(cache, out)
+    assert grads.keys() == model.parameters().keys()
+    assert not any(grad.any() for grad in grads.values())
 
 
 # a few distinct lengths drawn with repeats, so length groups hold several rows, or any lengths
@@ -904,8 +895,8 @@ length_mixes = st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True)
 )
 @example(lengths=[5] * 6, extra=0, layers=2, heads=2)  # one group, no padding
 @example(lengths=[12, 1, 7, 1, 12, 7, 7], extra=0, layers=3, heads=8)  # length-1 rows
-@pytest.mark.parametrize("arch", ["Transformer-APE", "Transformer-RPE"])
-def test_packed_transformer_matches_padded_reference(arch, lengths, extra, layers, heads):
+@pytest.mark.parametrize("arch", sorted(FULL_SEQUENCE))
+def test_packed_encoders_match_padded_reference(arch, lengths, extra, layers, heads):
     # the position-0 test's encoders and float64 tolerance, over random length mixes; its
     # float32 bound holds for its fixed batches only: on random mixes, rounding alone
     # through these N(0,1) weights reaches up to 3x that bound
@@ -920,14 +911,13 @@ def test_packed_transformer_matches_padded_reference(arch, lengths, extra, layer
     mask = np.arange(T)[None, :] < np.array(lengths)[:, None]
     d_readout = rng.normal(size=(len(lengths), 8)).astype(dtype)
 
-    out, cache = enc.forward(x, mask)
-    grads, dx = enc.backward(cache, d_readout)
+    out, grads, dx = packed_run(enc, x, lengths, d_readout)
     ref_out, ref_cache = ref.forward(x, mask)
     ref_grads, ref_dx = ref.backward(ref_cache, d_readout)
     assert out.dtype == dx.dtype == dtype
     np.testing.assert_allclose(out, ref_out, rtol=tol, atol=tol)
     np.testing.assert_allclose(dx, ref_dx, rtol=tol, atol=tol)
-    assert not dx[~mask].any()
+    assert grads.keys() == ref_grads.keys()
     for name, grad in grads.items():
         assert grad.dtype == dtype
         np.testing.assert_allclose(grad, ref_grads[name], rtol=tol, atol=tol, err_msg=name)

@@ -173,6 +173,13 @@ def test_read_handwritten_record(handmade_dataset):
     )
 
 
+@pytest.mark.parametrize("formula", ["not a formula at all", "(p,(p,(e)))", ""])
+def test_read_rejects_a_record_whose_type_is_not_its_query_type(formula, handmade_dataset):
+    # the fixture fixes the header checksum, so only the type check can refuse the record
+    with pytest.raises(DatasetFormatError, match=r":2: type .* is not the query's type \(p,\(e\)\)"):
+        read_dataset(handmade_dataset({"type": formula}))
+
+
 def test_read_rejects_checksum_and_version(tmp_path, desk_layers):
     ds = sample_dataset(desk_layers, [parse_formula("(p,(e))")], SamplerConfig(2, seed=0))
     path = tmp_path / "c.jsonl"

@@ -464,7 +464,6 @@ def test_distinct_query_loss_matches_per_pair_reference(arch, batch, dtype, tol,
     for name, grad in grads.items():
         ref = ref_grads[name]
         assert grad.dtype == ref.dtype == dtype
-        # a tensor outside the readout's reach (the top LSTM layer's forward Wh) is 0 in both;
         # a Transformer key bias cancels in the softmax, so its gradient is rounding noise on
         # both sides and is held to the scale of the same layer's Wk gradient instead
         scale = np.max(np.abs(ref_grads[name[:-2] + "Wk"] if name.endswith(".bk") else ref))
