@@ -9,6 +9,8 @@ metric is the mean over its mode's target set:
 * ``inference``       targets = test \\ valid answers, filter base = test answers
 * ``validation-swap`` targets = valid \\ train answers, filter base = valid answers
 
+A record's answer sets are sorted id arrays (:class:`~cqakit.sampler.AnswerSet`),
+and so are the targets and filter bases taken from them.
 Queries whose target set is empty are excluded from that mode's averages
 and counted. Per-type values average over queries; the headline averages
 per-type values with equal weight (a mean over queries is also emitted).
@@ -21,48 +23,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .queries import distribution_of, parse_formula
-from .sampler import Dataset, GroundedQueryRecord
+from .sampler import AnswerSet, Dataset, GroundedQueryRecord
 
 HIT_KS = (1, 3, 10)
 MODES = ("entailment", "inference", "validation-swap")
 
 
-def rank(scores: np.ndarray, target: int, filtered: frozenset[int] | set[int]) -> float:
-    """Filtered rank of ``target`` with tie averaging.
-
-    rank = 1 + #{unfiltered v' != target with s(v') > s(target)}
-             + 0.5 * #{unfiltered v' != target with s(v') = s(target)}
-
-    A NaN score is read as -inf: it ties with -inf and every other NaN,
-    and a NaN target never ranks above a finite competitor.
-    """
-    if not 0 <= target < scores.shape[0]:
-        raise IndexError(f"target entity {target} out of range")
-    scores = np.where(np.isnan(scores), -np.inf, scores)
-    s_t = scores[target]
-    keep = np.ones(scores.shape[0], dtype=bool)
-    if filtered:
-        keep[np.fromiter(filtered, dtype=np.int64)] = False
-    keep[target] = False
-    better = int(np.count_nonzero(scores[keep] > s_t))
-    ties = int(np.count_nonzero(scores[keep] == s_t))
-    return 1.0 + better + 0.5 * ties
-
-
-def _ranks(scores: np.ndarray, targets: list[int], base) -> np.ndarray:
+def _ranks(scores: np.ndarray, targets, base) -> np.ndarray:
     """Filtered ranks of ``targets``, all drawn from the filter ``base``.
 
-    Equal to ``rank(scores, v, base - {v})`` for each target ``v``, NaN
-    read as -inf likewise: every target competes with the same entities,
-    those outside ``base``, so one sort of their scores ranks all targets
-    at once.
+    Both hold entity ids. A target's rivals are the entities outside
+    ``base``, and its rank is ``1 + #{rivals above} + 0.5 * #{rivals tied}``,
+    a NaN score read as -inf. Every target has the same rivals, so one sort
+    of their scores ranks all targets at once.
     """
     t = np.asarray(targets, dtype=np.int64)
     if ((t < 0) | (t >= scores.shape[0])).any():
         raise IndexError(f"target entity out of range [0, {scores.shape[0]})")
     scores = np.where(np.isnan(scores), -np.inf, scores)
     keep = np.ones(scores.shape[0], dtype=bool)
-    keep[np.fromiter(base, dtype=np.int64, count=len(base))] = False
+    keep[base] = False
     others = np.sort(scores[keep])
     s_t = scores[t]
     above = np.searchsorted(others, s_t, side="right")
@@ -70,7 +50,12 @@ def _ranks(scores: np.ndarray, targets: list[int], base) -> np.ndarray:
     return 1.0 + (others.size - above) + 0.5 * ties
 
 
-def _mode_sets(record: GroundedQueryRecord, mode: str):
+def rank(scores: np.ndarray, target: int, filtered) -> float:
+    """Filtered rank of one ``target``: :func:`_ranks` with base ``filtered`` plus the target."""
+    return float(_ranks(scores, [target], sorted({target, *filtered}))[0])
+
+
+def _mode_sets(record: GroundedQueryRecord, mode: str) -> tuple[AnswerSet, AnswerSet]:
     """(targets, filter base) for one record under an evaluation mode."""
     if mode == "entailment":
         return record.train_answers, record.train_answers
@@ -153,7 +138,7 @@ def evaluate_scores(
             if not targets:
                 excluded[mode] += 1
                 continue
-            r = _ranks(row, sorted(targets), base)
+            r = _ranks(row, targets.ids, base.ids)
             # mean(1/r) and mean(r <= k), without np.mean's per-call cost
             values = [(1.0 / r).sum() / r.size] + [np.count_nonzero(r <= k) / r.size for k in HIT_KS]
             per_query[mode].append((record.type_formula, values))

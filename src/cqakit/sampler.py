@@ -8,7 +8,9 @@ independently sampled node and the whole query is then verified against the
 symbolic engine (reject/retry), so every emitted query is guaranteed to have
 the seed node among its answers.
 
-Queries with large answer sets are never filtered out.
+Queries with large answer sets are never filtered out. A record holds its
+answers on each layer as an :class:`AnswerSet`: sorted ``int64`` entity ids
+behind a read-only set.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import hashlib
 import json
 import logging
 import operator
+from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -44,6 +47,8 @@ logger = logging.getLogger(__name__)
 
 DATASET_FORMAT = "cqakit-dataset"
 DATASET_VERSION = 1
+
+_LAYER_BITS = np.array([[1], [2], [4]], dtype=np.uint8)  # the train, valid and test bits
 
 class GroundingError(RuntimeError):
     """A query type could not be grounded within the retry budget."""
@@ -85,15 +90,101 @@ class SamplerConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+class AnswerSet(Set):
+    """Read-only set of entity ids over one sorted, duplicate-free ``int64`` array.
+
+    ``ids`` is that array; iteration yields its ids as ints in ascending
+    order. ``==``, ``<=`` and ``-`` against another answer set work on the
+    arrays; other set algebra falls back to the generic implementation,
+    whose results are frozensets. The hash is that of the frozenset of the
+    same ids.
+    """
+
+    __slots__ = ("ids",)
+
+    def __init__(self, ids: Iterable[int]):
+        self.ids = np.unique(np.fromiter(ids, dtype=np.int64))
+        self.ids.setflags(write=False)
+
+    @classmethod
+    def _of(cls, ids: np.ndarray) -> AnswerSet:
+        """Wrap ``ids``, already sorted and duplicate-free ``int64``, with no copy or check.
+
+        The array is made read-only.
+        """
+        answers = object.__new__(cls)
+        ids.setflags(write=False)
+        answers.ids = ids
+        return answers
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __contains__(self, value) -> bool:
+        try:
+            value = operator.index(value)
+        except TypeError:
+            return False
+        ids = self.ids
+        # the bounds keep the search inside int64
+        if not ids.size or not ids.item(0) <= value <= ids.item(-1):
+            return False
+        return ids.item(ids.searchsorted(value)) == value
+
+    def __eq__(self, other):
+        if isinstance(other, AnswerSet):
+            return self.ids.size == other.ids.size and bool((self.ids == other.ids).all())
+        return super().__eq__(other)
+
+    def __le__(self, other):
+        if isinstance(other, AnswerSet):
+            return self.ids.size <= other.ids.size and not self - other
+        return super().__le__(other)
+
+    def __sub__(self, other):
+        if isinstance(other, AnswerSet):
+            a, b = self.ids, other.ids
+            if not b.size:
+                return self
+            # an id of a is in b exactly when b holds it where a would insert it
+            return AnswerSet._of(a[b.take(b.searchsorted(a), mode="clip") != a])
+        return super().__sub__(other)
+
+    def __hash__(self):
+        return hash(frozenset(self.ids.tolist()))
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"AnswerSet({self.ids.tolist()})"
+
+
 @dataclass(frozen=True)
 class GroundedQueryRecord:
+    """One grounded query with its answers on the train, valid and test layers.
+
+    Each answer field may be given as any set of ints; it is stored as an
+    :class:`AnswerSet`.
+    """
+
     type_formula: str
     query: ComputationGraph
-    train_answers: frozenset[int]
-    valid_answers: frozenset[int]
-    test_answers: frozenset[int]
+    train_answers: AnswerSet
+    valid_answers: AnswerSet
+    test_answers: AnswerSet
 
-    def answers(self, layer_name: str) -> frozenset[int]:
+    def __post_init__(self):
+        for name in ("train_answers", "valid_answers", "test_answers"):
+            value = getattr(self, name)
+            if not isinstance(value, AnswerSet):
+                object.__setattr__(self, name, AnswerSet(value))
+
+    def answers(self, layer_name: str) -> AnswerSet:
         return {
             "train": self.train_answers,
             "valid": self.valid_answers,
@@ -190,17 +281,18 @@ def sample_dataset(
     """Sample ``cfg.per_type_count`` grounded queries per type with answers.
 
     Queries are grounded on ``cfg.source_layer``; each record stores its
-    answer sets on all three layers, read from one :func:`answer_bits`
-    pass. Grounded queries are deduplicated within a type. Record ``i`` of
-    type ``t`` draws from an independent random stream keyed by
-    ``(seed, t, i)``, so output is reproducible and independent of
-    scheduling. A type listed twice raises ``ValueError``.
+    answer sets on all three layers, each read from its own bit of one
+    :func:`answer_bits` pass. Grounded queries are deduplicated within a
+    type. Record ``i`` of type ``t`` draws from an independent random
+    stream keyed by ``(seed, t, i)``, so output is reproducible and
+    independent of scheduling. A type listed twice raises ``ValueError``.
     """
     formulas = [qtype.formula_text for qtype in types]
     for i, formula in enumerate(formulas):
         if formula in formulas[:i]:
             raise ValueError(f"query type {formula} is listed more than once")
     source = layers.layer(cfg.source_layer)
+    source_bit = 1 << source.layer
     dataset = Dataset(
         provenance=Provenance(kg_name, cfg.seed, cfg.config_hash()),
         num_entities=source.num_entities,
@@ -223,14 +315,15 @@ def sample_dataset(
                     continue
                 seen.add(key)
                 bits = answer_bits(source, query)  # bit k: the answers on layer k
-                answers = (frozenset((bits & (1 << k)).nonzero()[0].tolist()) for k in range(3))
-                record = GroundedQueryRecord(qtype.formula_text, query, *answers)
-                if v not in record.answers(cfg.source_layer):
+                if not bits.item(v) & source_bit:
                     # grounding and the symbolic engine disagree
                     raise RuntimeError(
                         f"type {qtype.formula_text}: seed node {v} is not an answer of {key} "
                         f"on the {cfg.source_layer} layer"
                     )
+                # one boolean row per layer: nonzero is several times faster on bools
+                answers = [AnswerSet._of(row.nonzero()[0]) for row in (bits & _LAYER_BITS) != 0]
+                record = GroundedQueryRecord(qtype.formula_text, query, *answers)
                 break
             if record is None:
                 shortfall += 1
@@ -261,9 +354,9 @@ def _record_line(record: GroundedQueryRecord) -> str:
         {
             "type": record.type_formula,
             "query": serialize_grounded(record.query),
-            "train_answers": sorted(record.train_answers),
-            "valid_answers": sorted(record.valid_answers),
-            "test_answers": sorted(record.test_answers),
+            "train_answers": record.train_answers.ids.tolist(),
+            "valid_answers": record.valid_answers.ids.tolist(),
+            "test_answers": record.test_answers.ids.tolist(),
         }
     )
 
@@ -358,7 +451,11 @@ def _read_record(line: str, dataset: Dataset, where: str) -> GroundedQueryRecord
             raise DatasetFormatError(
                 f"{where}: {key} not sorted strictly ascending inside [0, {dataset.num_entities})"
             )
-        answers.append(frozenset(ids))
+        # only after both checks: int64 would take a bool, and overflow at 2**63
+        try:
+            answers.append(AnswerSet._of(np.array(ids, dtype=np.int64)))
+        except OverflowError:
+            raise DatasetFormatError(f"{where}: {key} holds an entity id beyond int64") from None
     try:
         query = parse_grounded(obj["query"], dataset)  # ids checked against the header universe
     except (QuerySyntaxError, QueryStructureError) as exc:

@@ -145,7 +145,7 @@ def make_pairs(dataset: Dataset, model: QueryModel) -> tuple[list[Pair], int]:
             skipped += 1
             continue
         prepared = model.prepare([record.query])[0]
-        for v in sorted(record.train_answers):
+        for v in record.train_answers.ids.tolist():
             pairs.append(Pair(prepared, v, record.type_formula))
     if skipped:
         logger.info("make_pairs: skipped %d records with empty train answer sets", skipped)

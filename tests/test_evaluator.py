@@ -6,11 +6,35 @@ import pytest
 from hypothesis import given
 
 from cqakit.encoders import new_model
-from cqakit.evaluation import MODES, _ranks, evaluate, evaluate_scores, rank
+from cqakit import evaluation
+from cqakit.evaluation import MODES, _ranks, evaluate, evaluate_scores
 from cqakit.linearize import Vocabulary
 from cqakit.queries import parse_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance
+
+
+def rank(scores: np.ndarray, target: int, filtered: frozenset[int] | set[int]) -> float:
+    """Filtered rank of ``target`` with tie averaging, one target at a time.
+
+    rank = 1 + #{unfiltered v' != target with s(v') > s(target)}
+             + 0.5 * #{unfiltered v' != target with s(v') = s(target)}
+
+    A NaN score is read as -inf: it ties with -inf and every other NaN,
+    and a NaN target never ranks above a finite competitor. This is the
+    oracle for the evaluator's one-sort ``_ranks`` and ``evaluation.rank``.
+    """
+    if not 0 <= target < scores.shape[0]:
+        raise IndexError(f"target entity {target} out of range")
+    scores = np.where(np.isnan(scores), -np.inf, scores)
+    s_t = scores[target]
+    keep = np.ones(scores.shape[0], dtype=bool)
+    if filtered:
+        keep[np.fromiter(filtered, dtype=np.int64)] = False
+    keep[target] = False
+    better = int(np.count_nonzero(scores[keep] > s_t))
+    ties = int(np.count_nonzero(scores[keep] == s_t))
+    return 1.0 + better + 0.5 * ties
 
 
 def record(formula, query, train, valid, test):
@@ -88,21 +112,23 @@ def test_one_sort_ranks_match_rank_oracle(data):
     targets = data.draw(st.sets(st.integers(0, n - 1), min_size=1)) | extremes
     base = targets | data.draw(st.sets(st.integers(0, n - 1)))
     order = sorted(targets)
-    assert _ranks(scores, order, base).tolist() == [rank(scores, v, base - {v}) for v in order]
+    want = [rank(scores, v, base - {v}) for v in order]
+    assert _ranks(scores, order, sorted(base)).tolist() == want
+    assert [evaluation.rank(scores, v, base - {v}) for v in order] == want
 
 
 def test_nan_scores_rank_as_minus_infinity():
     # a NaN target sits below a finite score and ties with NaN and -inf
     row = np.array([np.nan, 0.0, np.nan, -np.inf])
     assert rank(row, 0, frozenset()) == 3.0
-    assert _ranks(row, [0], {0}).tolist() == [3.0]
+    assert _ranks(row, [0], [0]).tolist() == [3.0]
     # in an all-NaN row every unfiltered competitor ties with the target
     row = np.full(10, np.nan)
     for rec in fixture_records():
         base = rec.train_answers
         want = 1.0 + 0.5 * (10 - len(base))
         assert [rank(row, v, base - {v}) for v in sorted(base)] == [want] * len(base)
-        assert _ranks(row, sorted(base), base).tolist() == [want] * len(base)
+        assert _ranks(row, base.ids, base.ids).tolist() == [want] * len(base)
     report = evaluate_scores(fixture_records(), np.full((3, 10), np.nan), modes=("entailment",))
     # q1 ranks 1 + 0.5 * 8 = 5, q2 and q3 rank 1 + 0.5 * 9 = 5.5
     assert report.value("entailment", "Hit@1") == 0.0
@@ -123,6 +149,8 @@ def test_row_count_must_match_record_count():
 def test_rank_rejects_bad_target():
     with pytest.raises(IndexError):
         rank(np.zeros(3), 5, frozenset())
+    with pytest.raises(IndexError):
+        evaluation.rank(np.zeros(3), 5, frozenset())
 
 
 def test_fixture_entailment_values():

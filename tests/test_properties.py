@@ -28,7 +28,7 @@ from cqakit.queries import (
     serialize_grounded,
     union,
 )
-from cqakit.sampler import Dataset, DatasetFormatError, GroundedQueryRecord, read_dataset, write_dataset
+from cqakit.sampler import AnswerSet, Dataset, DatasetFormatError, GroundedQueryRecord, read_dataset, write_dataset
 from cqakit.symbolic import answer, answer_bits, answer_dnf, to_dnf
 from cqakit.training import Checkpoint, TrainConfig, config_from_mapping, parse_config_file, train
 from test_graph import table_rows
@@ -431,3 +431,27 @@ def test_text_readers_raise_only_documented_errors(blob, read, error, data):
         read_damaged(damaged_blob, read)
     except error:
         pass
+
+
+id_sets = st.frozensets(st.integers(0, 40), max_size=20)
+
+
+@given(id_sets, id_sets, st.integers(-3, 45))
+def test_answer_set_behaves_as_its_frozenset(a, b, probe):
+    A = AnswerSet(a)
+    assert A.ids.dtype == np.int64 and not A.ids.flags.writeable
+    assert len(A) == len(a)
+    assert list(A) == sorted(a) and all(type(v) is int for v in A)
+    # a negative id, ids past any answer or past int64, and non-ints are never members
+    for value in (probe, -1, 41, 2**63, 2**70, "3", None, 0.5, (1,)):
+        assert (value in A) == (value in a)
+    assert hash(A) == hash(a)
+    # b, a subset of a and a itself, as answer sets and as frozensets on either side
+    for c in (b, a & b, a):
+        C = AnswerSet(c)
+        for x, y in ((A, C), (A, c), (a, C)):
+            assert (x == y) == (a == c) and (y == x) == (a == c)
+            assert (x <= y) == (a <= c) and (y <= x) == (c <= a)
+            assert x - y == a - c and y - x == c - a
+        difference = A - C
+        assert isinstance(difference, AnswerSet) and list(difference) == sorted(a - c)

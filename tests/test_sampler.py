@@ -147,6 +147,18 @@ def test_test_split_sampling_grounds_on_test_layer(desk_layers):
         assert record.test_answers  # grounding guarantees at least the seed node
 
 
+def test_negation_layers_are_not_nested():
+    # a negated branch that gains test edges loses answers there, so a train
+    # answer need not be a test answer: no layer is a mask of another's ids
+    layers = split_edges(synthetic_graph(100, 3, 1500, seed=11), (8, 1, 1), seed=11)
+    types = [qtype for qtype in builtin_query_types().all_fol if qtype.has_negation]
+    ds = sample_dataset(layers, types, SamplerConfig(3, seed=0, source_layer="test"))
+    assert any(record.train_answers - record.test_answers for record in ds.iter_records())
+    for record in ds.iter_records():
+        for name in ("train", "valid", "test"):
+            assert record.answers(name) == frozenset(answer(layers.layer(name), record.query))
+
+
 def test_dataset_round_trip(desk_layers, tmp_path):
     types = [parse_formula(f) for f in ("(p,(e))", "(u,(p,(e)),(p,(e)))")]
     ds = sample_dataset(desk_layers, types, SamplerConfig(6, seed=4), kg_name="rt")
@@ -204,6 +216,10 @@ def test_read_rejects_checksum_and_version(tmp_path, desk_layers):
     ({"valid_answers": [-1, 4]}, None, ":2: valid_answers not sorted strictly ascending"),
     ({"test_answers": 5}, None, ":2: test_answers is not a list of integer entity ids"),
     ({"train_answers": [True]}, None, ":2: train_answers is not a list of integer entity ids"),
+    ({"train_answers": [1, True]}, None, ":2: train_answers is not a list of integer entity ids"),
+    ({"valid_answers": [1.0, 2]}, None, ":2: valid_answers is not a list of integer entity ids"),
+    ({"test_answers": [2**63]}, None, r":2: test_answers not sorted strictly ascending inside \[0, 10\)"),
+    ({"test_answers": [2**63]}, {"num_entities": 2**64}, ":2: test_answers holds an entity id beyond int64"),
     (["a", "b"], None, ":2: record is not a JSON object"),
     ({"query": 7}, None, ":2: missing string field 'query'"),
     ({"query": "(p,(0),(e,(10)))"}, None, r":2: bad query: entity id 10 out of range \[0, 10\)"),
@@ -212,7 +228,8 @@ def test_read_rejects_checksum_and_version(tmp_path, desk_layers):
     ({"query": "(p,(0)," * 3000 + "(e,(1))" + ")" * 3000}, None, ":2: bad query"),
     (None, [1, 2], ":1: not a cqakit-dataset file"),
     (None, {"num_entities": "10"}, ":1: header lacks a non-negative integer 'num_entities'"),
-], ids=["answer-id-too-large", "answer-id-negative", "answers-not-a-list", "answer-bool", "record-not-object",
+], ids=["answer-id-too-large", "answer-id-negative", "answers-not-a-list", "answer-bool", "answer-int-then-bool",
+        "answer-float", "answer-id-past-int64", "answer-id-past-int64-inside-universe", "record-not-object",
         "query-not-a-string", "query-entity-outside", "query-relation-outside", "query-syntax", "query-too-deep",
         "header-not-object", "header-universe-string"])
 def test_read_rejects_malformed_fields(record, header, match, handmade_dataset):
