@@ -19,7 +19,7 @@ import hashlib
 import json
 import logging
 import operator
-from collections.abc import Iterable, Set
+from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -94,7 +94,8 @@ class AnswerSet(Set):
     """Read-only set of entity ids over one sorted, duplicate-free ``int64`` array.
 
     ``ids`` is that array; iteration yields its ids as ints in ascending
-    order. ``==``, ``<=`` and ``-`` against another answer set work on the
+    order, and a number equal to an id, such as ``1.0``, is a member as in a
+    frozenset. ``==`` and ``-`` against another answer set work on the
     arrays; other set algebra falls back to the generic implementation,
     whose results are frozensets. The hash is that of the frozenset of the
     same ids.
@@ -102,20 +103,13 @@ class AnswerSet(Set):
 
     __slots__ = ("ids",)
 
-    def __init__(self, ids: Iterable[int]):
-        self.ids = np.unique(np.fromiter(ids, dtype=np.int64))
-        self.ids.setflags(write=False)
-
-    @classmethod
-    def _of(cls, ids: np.ndarray) -> AnswerSet:
+    def __init__(self, ids: np.ndarray):
         """Wrap ``ids``, already sorted and duplicate-free ``int64``, with no copy or check.
 
         The array is made read-only.
         """
-        answers = object.__new__(cls)
         ids.setflags(write=False)
-        answers.ids = ids
-        return answers
+        self.ids = ids
 
     def __len__(self) -> int:
         return self.ids.size
@@ -127,7 +121,13 @@ class AnswerSet(Set):
         try:
             value = operator.index(value)
         except TypeError:
-            return False
+            try:
+                integral = int(value)
+            except (TypeError, ValueError, OverflowError):
+                return False
+            if integral != value:
+                return False
+            value = integral
         ids = self.ids
         # the bounds keep the search inside int64
         if not ids.size or not ids.item(0) <= value <= ids.item(-1):
@@ -139,18 +139,13 @@ class AnswerSet(Set):
             return self.ids.size == other.ids.size and bool((self.ids == other.ids).all())
         return super().__eq__(other)
 
-    def __le__(self, other):
-        if isinstance(other, AnswerSet):
-            return self.ids.size <= other.ids.size and not self - other
-        return super().__le__(other)
-
     def __sub__(self, other):
         if isinstance(other, AnswerSet):
             a, b = self.ids, other.ids
             if not b.size:
                 return self
             # an id of a is in b exactly when b holds it where a would insert it
-            return AnswerSet._of(a[b.take(b.searchsorted(a), mode="clip") != a])
+            return AnswerSet(a[b.take(b.searchsorted(a), mode="clip") != a])
         return super().__sub__(other)
 
     def __hash__(self):
@@ -166,23 +161,13 @@ class AnswerSet(Set):
 
 @dataclass(frozen=True)
 class GroundedQueryRecord:
-    """One grounded query with its answers on the train, valid and test layers.
-
-    Each answer field may be given as any set of ints; it is stored as an
-    :class:`AnswerSet`.
-    """
+    """One grounded query with its answers on the train, valid and test layers."""
 
     type_formula: str
     query: ComputationGraph
     train_answers: AnswerSet
     valid_answers: AnswerSet
     test_answers: AnswerSet
-
-    def __post_init__(self):
-        for name in ("train_answers", "valid_answers", "test_answers"):
-            value = getattr(self, name)
-            if not isinstance(value, AnswerSet):
-                object.__setattr__(self, name, AnswerSet(value))
 
     def answers(self, layer_name: str) -> AnswerSet:
         return {
@@ -322,7 +307,7 @@ def sample_dataset(
                         f"on the {cfg.source_layer} layer"
                     )
                 # one boolean row per layer: nonzero is several times faster on bools
-                answers = [AnswerSet._of(row.nonzero()[0]) for row in (bits & _LAYER_BITS) != 0]
+                answers = [AnswerSet(row.nonzero()[0]) for row in (bits & _LAYER_BITS) != 0]
                 record = GroundedQueryRecord(qtype.formula_text, query, *answers)
                 break
             if record is None:
@@ -453,7 +438,7 @@ def _read_record(line: str, dataset: Dataset, where: str) -> GroundedQueryRecord
             )
         # only after both checks: int64 would take a bool, and overflow at 2**63
         try:
-            answers.append(AnswerSet._of(np.array(ids, dtype=np.int64)))
+            answers.append(AnswerSet(np.array(ids, dtype=np.int64)))
         except OverflowError:
             raise DatasetFormatError(f"{where}: {key} holds an entity id beyond int64") from None
     try:

@@ -1,12 +1,18 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from cqakit.graph import split_edges, synthetic_graph
 from cqakit.linearize import build_vocabulary
 from cqakit.queries import parse_formula
-from cqakit.sampler import SamplerConfig, sample_dataset
+from cqakit.sampler import AnswerSet, SamplerConfig, sample_dataset
+
+
+def answer_set(ids) -> AnswerSet:
+    """The answer set of any collection of int entity ids."""
+    return AnswerSet(np.unique(np.fromiter(ids, dtype=np.int64)))
 
 
 @pytest.fixture(scope="session")

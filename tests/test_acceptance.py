@@ -18,6 +18,7 @@ from cqakit.rng import make_rng
 from cqakit.sampler import GroundedQueryRecord, ground_type
 from cqakit.symbolic import answer, answer_dnf, to_dnf
 from cqakit.training import Pair, TrainConfig, loss_and_grads, train
+from conftest import answer_set
 
 
 def report(num: int, name: str, ok: bool, detail: str):
@@ -190,7 +191,7 @@ def test_08_ablation_trend(desk_dataset, desk_vocab):
 def test_09_metrics_oracle():
     def record(formula, query, train, valid, test):
         return GroundedQueryRecord(
-            formula, parse_grounded(query), frozenset(train), frozenset(valid), frozenset(test)
+            formula, parse_grounded(query), answer_set(train), answer_set(valid), answer_set(test)
         )
 
     records = [

@@ -12,6 +12,7 @@ from cqakit.linearize import Vocabulary
 from cqakit.queries import parse_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance
+from conftest import answer_set
 
 
 def rank(scores: np.ndarray, target: int, filtered: frozenset[int] | set[int]) -> float:
@@ -39,7 +40,7 @@ def rank(scores: np.ndarray, target: int, filtered: frozenset[int] | set[int]) -
 
 def record(formula, query, train, valid, test):
     return GroundedQueryRecord(
-        formula, parse_grounded(query), frozenset(train), frozenset(valid), frozenset(test)
+        formula, parse_grounded(query), answer_set(train), answer_set(valid), answer_set(test)
     )
 
 

@@ -31,6 +31,7 @@ from cqakit.queries import (
 from cqakit.sampler import AnswerSet, Dataset, DatasetFormatError, GroundedQueryRecord, read_dataset, write_dataset
 from cqakit.symbolic import answer, answer_bits, answer_dnf, to_dnf
 from cqakit.training import Checkpoint, TrainConfig, config_from_mapping, parse_config_file, train
+from conftest import answer_set
 from test_graph import table_rows
 
 NUM_ENTITIES = 24
@@ -361,8 +362,8 @@ def dataset_bytes() -> bytes:
     dataset = Dataset(num_entities=NUM_ENTITIES, num_relations=NUM_RELATIONS)
     for text, answers in (("(p,(1),(e,(3)))", {2, 23}), ("(i,(p,(0),(e,(5))),(p,(3),(e,(7))))", {9})):
         query = parse_grounded(text)
-        record = GroundedQueryRecord(query_type_of(query).formula_text, query, frozenset(answers),
-                                     frozenset(answers), frozenset(answers | {11}))
+        record = GroundedQueryRecord(query_type_of(query).formula_text, query, answer_set(answers),
+                                     answer_set(answers), answer_set(answers | {11}))
         dataset.records.setdefault(record.type_formula, []).append(record)
     return written_bytes(lambda path: write_dataset(dataset, path))
 
@@ -438,17 +439,19 @@ id_sets = st.frozensets(st.integers(0, 40), max_size=20)
 
 @given(id_sets, id_sets, st.integers(-3, 45))
 def test_answer_set_behaves_as_its_frozenset(a, b, probe):
-    A = AnswerSet(a)
+    A = answer_set(a)
     assert A.ids.dtype == np.int64 and not A.ids.flags.writeable
     assert len(A) == len(a)
     assert list(A) == sorted(a) and all(type(v) is int for v in A)
-    # a negative id, ids past any answer or past int64, and non-ints are never members
-    for value in (probe, -1, 41, 2**63, 2**70, "3", None, 0.5, (1,)):
+    # a negative id, ids past any answer or past int64, and non-ints are never
+    # members; a number equal to an id is one
+    for value in (probe, -1, 41, 2**63, 2**70, "3", None, 0.5, (1,), float(probe), 1.0,
+                  np.True_, np.float64(probe), np.int32(probe), float("nan"), float("inf")):
         assert (value in A) == (value in a)
     assert hash(A) == hash(a)
     # b, a subset of a and a itself, as answer sets and as frozensets on either side
     for c in (b, a & b, a):
-        C = AnswerSet(c)
+        C = answer_set(c)
         for x, y in ((A, C), (A, c), (a, C)):
             assert (x == y) == (a == c) and (y == x) == (a == c)
             assert (x <= y) == (a <= c) and (y <= x) == (c <= a)

@@ -20,6 +20,7 @@ from cqakit.sampler import (
     write_dataset,
 )
 from cqakit.symbolic import answer, answer_bits
+from conftest import answer_set
 
 
 def test_ground_forced_single_edge():
@@ -147,18 +148,6 @@ def test_test_split_sampling_grounds_on_test_layer(desk_layers):
         assert record.test_answers  # grounding guarantees at least the seed node
 
 
-def test_negation_layers_are_not_nested():
-    # a negated branch that gains test edges loses answers there, so a train
-    # answer need not be a test answer: no layer is a mask of another's ids
-    layers = split_edges(synthetic_graph(100, 3, 1500, seed=11), (8, 1, 1), seed=11)
-    types = [qtype for qtype in builtin_query_types().all_fol if qtype.has_negation]
-    ds = sample_dataset(layers, types, SamplerConfig(3, seed=0, source_layer="test"))
-    assert any(record.train_answers - record.test_answers for record in ds.iter_records())
-    for record in ds.iter_records():
-        for name in ("train", "valid", "test"):
-            assert record.answers(name) == frozenset(answer(layers.layer(name), record.query))
-
-
 def test_dataset_round_trip(desk_layers, tmp_path):
     types = [parse_formula(f) for f in ("(p,(e))", "(u,(p,(e)),(p,(e)))")]
     ds = sample_dataset(desk_layers, types, SamplerConfig(6, seed=4), kg_name="rt")
@@ -179,9 +168,9 @@ def test_read_handwritten_record(handmade_dataset):
     assert record_obj == GroundedQueryRecord(
         type_formula="(p,(e))",
         query=parse_grounded("(p,(0),(e,(2)))"),
-        train_answers=frozenset({4}),
-        valid_answers=frozenset({4, 7}),
-        test_answers=frozenset({4, 7, 9}),
+        train_answers=answer_set({4}),
+        valid_answers=answer_set({4, 7}),
+        test_answers=answer_set({4, 7, 9}),
     )
 
 
@@ -270,9 +259,10 @@ def test_sampler_raises_when_engine_drops_the_seed(desk_layers, monkeypatch):
         sample_dataset(desk_layers, [parse_formula("(p,(e))")], SamplerConfig(1, seed=0))
 
 
-def test_one_engine_pass_per_record(desk_layers, monkeypatch):
+def test_one_engine_pass_per_record(monkeypatch):
     # the record's three answer sets come from one pass on the source layer;
     # a negation type's grounding check goes through answer, not this binding
+    layers = split_edges(synthetic_graph(100, 3, 1500, seed=11), (8, 1, 1), seed=11)
     passes = []
 
     def counted(layer, query):
@@ -280,14 +270,17 @@ def test_one_engine_pass_per_record(desk_layers, monkeypatch):
         return answer_bits(layer, query)
 
     monkeypatch.setattr(sampler, "answer_bits", counted)
-    types = [parse_formula("(p,(e))"), parse_formula("(i,(n,(p,(e))),(p,(e)))")]
+    formulas = ("(p,(e))", "(i,(n,(p,(e))),(p,(e)))", "(i,(n,(p,(p,(e)))),(p,(e)))")
     cfg = SamplerConfig(per_type_count=4, seed=0, source_layer="test")
-    ds = sample_dataset(desk_layers, types, cfg)
-    assert len(ds) == 8 and len(passes) == 8
-    assert all(layer is desk_layers.test for layer in passes)
+    ds = sample_dataset(layers, [parse_formula(f) for f in formulas], cfg)
+    assert len(ds) == 12 and len(passes) == 12
+    assert all(layer is layers.test for layer in passes)
+    # a negated branch that gains test edges loses answers there, so a train
+    # answer need not be a test answer: no layer is a mask of another's ids
+    assert any(record.train_answers - record.test_answers for record in ds.iter_records())
     for record in ds.iter_records():
         for name in ("train", "valid", "test"):
-            assert record.answers(name) == frozenset(answer(desk_layers.layer(name), record.query))
+            assert record.answers(name) == frozenset(answer(layers.layer(name), record.query))
 
 
 def test_incoming_index_built_once_on_the_source_layer_only(tmp_path, monkeypatch):

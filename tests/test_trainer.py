@@ -22,6 +22,7 @@ from cqakit.training import (
     parse_config_file,
     train,
 )
+from conftest import answer_set
 
 VOCAB100 = Vocabulary(num_relations=5, num_entities=100)
 
@@ -32,16 +33,16 @@ def tiny_dataset(num_entities=100):
             GroundedQueryRecord(
                 "(p,(e))",
                 parse_grounded("(p,(0),(e,(1)))"),
-                frozenset({2, 3, 4}),
-                frozenset({2, 3, 4}),
-                frozenset({2, 3, 4, 5}),
+                answer_set({2, 3, 4}),
+                answer_set({2, 3, 4}),
+                answer_set({2, 3, 4, 5}),
             ),
             GroundedQueryRecord(
                 "(p,(e))",
                 parse_grounded("(p,(1),(e,(6)))"),
-                frozenset(),
-                frozenset({7}),
-                frozenset({7}),
+                answer_set(()),
+                answer_set({7}),
+                answer_set({7}),
             ),
         ]
     }
