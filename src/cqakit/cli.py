@@ -2,9 +2,10 @@
 
 Subcommands: generate (benchmark sampling), linearize (token inspection),
 answer (exact symbolic answering), train, eval, inspect (dataset summary).
-Exit codes: 0 success, 1 usage error, 2 data error. Every run prints the
-hash of its resolved configuration to stderr so outputs can be tied back to
-the exact invocation.
+Exit codes: 0 success, 1 usage error, 2 data error (also when a dataset's
+universe is too large to allocate). Every run prints the hash of its
+resolved configuration to stderr so outputs can be tied back to the exact
+invocation.
 """
 
 from __future__ import annotations
@@ -292,6 +293,7 @@ def main(argv=None) -> int:
         TrainingDivergedError,
         ValueError,
         OSError,
+        MemoryError,  # e.g. a dataset header's universe too large for the embedding table
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,16 +5,18 @@ Architectures (all gradients hand-derived, verified by finite differences):
 * ``LSTM`` — stacked bidirectional LSTM over the linearized token sequence,
   readout at position 0;
 * ``TreeLSTM`` / ``TreeLSTM-NoMemoryCell`` — one child-sum recursion over the
-  computational graph, run one tree height at a time across the batch, with
-  the full cell or the cell without its memory state, readout at the root;
+  computational graph that the brackets of the token sequence spell out, run
+  one tree height at a time across the batch, with the full cell or the cell
+  without its memory state, readout at the root;
 * ``Transformer-APE`` / ``Transformer-RPE`` — pre-norm encoder stack with
   learned absolute positions, or relative-distance embeddings inside the
   attention logits.
 
 :class:`QueryModel` bundles the vocabulary, the token embedding rows and an
 encoder behind a single encode/backward surface used by the trainer and
-evaluator. Every encoder has ``forward(queries, rows) -> ((B,d), cache)`` and
-``backward(cache, d_out) -> (param grads, token ids (N,), token grads (N,d))``,
+evaluator. Every encoder reads the same input, the token lists of
+:func:`~cqakit.linearize.linearize`, and has ``forward(queries, rows) -> ((B,d), cache)``
+and ``backward(cache, d_out) -> (param grads, token ids (N,), token grads (N,d))``,
 one gradient row per token it read from ``rows``. Nothing is padded.
 """
 
@@ -31,7 +33,7 @@ from .gradcheck import NonFiniteLossError, grad_check
 from .lstm import BiLSTMEncoder
 from .numerics import softmax, uniform_init
 from .transformer import TransformerEncoder
-from .treelstm import TREE_CELLS, TreeLSTMEncoder, tree_token_nodes
+from .treelstm import TREE_CELLS, TreeLSTMEncoder
 
 ARCHITECTURES = (
     "LSTM",
@@ -74,9 +76,8 @@ class QueryModel:
     ``rows`` holds one embedding per token id: specials, relations, entities.
     The entity block doubles as the answer-entity embeddings, so retrieval
     scores are inner products against the same rows the encoder reads (tied).
-    Sequence architectures consume linearized token sequences, which must not
-    be empty; tree architectures consume each graph flattened once by
-    ``tree_token_nodes``.
+    Every architecture consumes linearized token sequences, which must not be
+    empty; the tree encoders read each query's tree from its brackets.
     ``parameters`` exposes every learnable tensor under a flat name space
     ('table' plus 'enc.*') for the optimizer and the gradient checker.
     """
@@ -112,13 +113,11 @@ class QueryModel:
         return out
 
     def prepare(self, graphs: list[ComputationGraph]):
-        """Token lists, or each tree's post-order ``(token, child_slots, height)`` nodes."""
-        if self.is_tree:
-            return [tree_token_nodes(g, self.vocab) for g in graphs]
+        """Each graph's linearized token list, the one input form of every encoder."""
         return [linearize(g, self.vocab) for g in graphs]
 
     def encode(self, queries) -> tuple[np.ndarray, object]:
-        """Encode prepared queries; returns ((B,d) embeddings, cache)."""
+        """Encode token lists; returns ((B,d) embeddings, cache)."""
         return self.encoder.forward(queries, self.rows)
 
     def backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:

@@ -1,12 +1,15 @@
 """Child-sum tree encoders over query computational graphs.
 
-The tree mirrors the query: every node feeds its operator token embedding
-into the cell, anchors feed their entity token, and a grounded projection's
-relation token enters as an extra leaf child. Child-sum composition handles
-the variable arity of intersections and unions; the readout is the root's
-hidden state.
+The encoders read the same linearized token lists as the sequence encoders;
+the brackets spell out the tree. Each group ``( op [rel] child... )`` is a
+node that feeds its operator token embedding into the cell, with the leaves
+and groups inside it as children: anchors feed their entity token, and a
+grounded projection's relation token enters as an extra leaf child.
+Child-sum composition handles the variable arity of intersections and
+unions; the readout is the root's hidden state.
 
-One recursion (:class:`TreeLSTMEncoder`) runs a batch's nodes one height at
+One recursion (:class:`TreeLSTMEncoder`) parses a batch's brackets once, in
+one pass that gives each node its height, and runs the nodes one height at
 a time, leaves first, as ``(n, d)`` rows: ``h~ = sum_k h_k`` is one scatter-add
 from the ``(m, d)`` child rows into their owners' rows, and backward runs the
 levels top down. Only the cell equations differ:
@@ -21,37 +24,12 @@ levels top down. Only the cell equations differ:
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import accumulate
 
 import numpy as np
 
-from ..linearize import KIND_TO_OP, Vocabulary
-from ..queries import OperatorKind, QueryNode
+from ..linearize import LPAREN, RPAREN
 from .numerics import sigmoid, uniform_init
-
-
-def tree_token_nodes(graph: QueryNode, vocab: Vocabulary):
-    """Flatten a query into post-order ``(token_id, child_slots, height)`` nodes.
-
-    ``child_slots`` index into the list; leaves have height 0, parents 1 + their highest child.
-    """
-    nodes: list[tuple[int, list[int], int]] = []
-
-    def visit(node: QueryNode) -> int:
-        if node.kind is OperatorKind.ANCHOR:
-            nodes.append((vocab.entity_token(node.entity), [], 0))
-            return len(nodes) - 1
-        child_slots = []
-        if node.kind is OperatorKind.PROJECTION:
-            nodes.append((vocab.relation_token(node.relation), [], 0))
-            child_slots.append(len(nodes) - 1)
-        child_slots.extend(visit(c) for c in node.children)
-        height = 1 + max(nodes[k][2] for k in child_slots)
-        nodes.append((KIND_TO_OP[node.kind], child_slots, height))
-        return len(nodes) - 1
-
-    visit(graph)
-    return nodes
 
 
 class TreeLSTMCell:
@@ -131,21 +109,39 @@ class NoMemoryCell:
 TREE_CELLS = {cell.arch: cell for cell in (TreeLSTMCell, NoMemoryCell)}
 
 
-def _levels(trees):
-    """Lay a batch's nodes out as rows by height, leaves first; returns the row tokens (N,),
-    the root rows (B,) and per height its row slice, child rows and the level row owning each."""
-    order = sorted((n[2], t, i, n) for t, tree in enumerate(trees) for i, n in enumerate(tree))
-    row, tokens, levels = {}, [], []
-    for _, block in groupby(order, key=lambda entry: entry[0]):
-        a, kids, own = len(tokens), [], []
-        for j, (_, t, i, (token, child_slots, _)) in enumerate(block):
-            row[t, i] = a + j
-            tokens.append(token)
-            kids += [row[t, k] for k in child_slots]
-            own += [j] * len(child_slots)
-        levels.append((slice(a, len(tokens)), np.array(kids, np.int64), np.array(own, np.int64)))
-    roots = [row[t, len(tree) - 1] for t, tree in enumerate(trees)]
-    return np.array(tokens, np.int64), roots, levels
+def _levels(queries):
+    """Parse a batch's token lists into rows by height, leaves first; returns the row tokens
+    (N,), the root rows (B,) and per height its row slice, child rows and the level row owning
+    each. ``( op [rel] child... )`` is a node with token ``op`` over the leaves and groups inside
+    it, any other token a leaf; a height's rows keep the batch's post order."""
+    if not all(queries):
+        raise ValueError("cannot encode an empty token sequence")
+    by_height = []  # per height: its tokens, its children's (height, slot) and the slot owning each
+    roots = []  # each query's root as (height, slot)
+    for query in queries:
+        groups = []  # per open bracket: its operator token, then its children's (height, slot)
+        for token in query:
+            if token == LPAREN:
+                groups.append([])
+            elif token != RPAREN and groups and not groups[-1]:
+                groups[-1].append(token)
+            else:
+                children, h = (), 0
+                if token == RPAREN:
+                    token, *children = groups.pop()
+                    h = 1 + max(c[0] for c in children)
+                if h == len(by_height):
+                    by_height.append(([], [], []))
+                tokens, kids, own = by_height[h]
+                own += [len(tokens)] * len(children)
+                kids += children
+                (groups[-1] if groups else roots).append((h, len(tokens)))
+                tokens.append(token)
+    starts = list(accumulate((len(level[0]) for level in by_height), initial=0))
+    levels = [(slice(a, b), np.array([starts[h] + j for h, j in kids], np.int64), np.array(own, np.int64))
+              for a, b, (_, kids, own) in zip(starts, starts[1:], by_height)]
+    tokens = np.array([t for level in by_height for t in level[0]], np.int64)
+    return tokens, [starts[h] + j for h, j in roots], levels
 
 
 class TreeLSTMEncoder:
@@ -156,9 +152,9 @@ class TreeLSTMEncoder:
         self.arch = cell.arch
         self.params = cell.init(d, rng)
 
-    def forward(self, trees: list[list[tuple[int, list[int], int]]], rows: np.ndarray):
-        """Encode each tree of ``tree_token_nodes``; returns (B,d) readouts and a cache."""
-        tokens, roots, levels = _levels(trees)
+    def forward(self, queries: list[list[int]], rows: np.ndarray):
+        """Encode linearized queries; returns (B,d) readouts and a cache."""
+        tokens, roots, levels = _levels(queries)
         x = rows[tokens]
         states = [np.empty_like(x) for _ in range(self.cell.num_states)]
         steps = []

@@ -25,6 +25,7 @@ from .encoders import (
     load_checkpoint,
     make_encoder,
     new_model,
+    normalize_arch,
     save_checkpoint,
 )
 from .evaluation import evaluate
@@ -62,6 +63,7 @@ class TrainConfig:
     eval_every: int = 0  # epochs between validation-swap evaluations; 0 = off
 
     def __post_init__(self):
+        normalize_arch(self.arch)  # refuses an unknown name; the spelling given is kept
         for key, low in (
             ("d", 1), ("batch_size", 1), ("epochs", 0), ("eval_every", 0),
             ("layers", 1), ("heads", 1), ("max_len", 1), ("rpe_clip", 0),
@@ -127,7 +129,7 @@ def parse_config_file(path) -> dict:
 
 @dataclass
 class Pair:
-    query: object  # prepared representation (token list or tree nodes)
+    query: list[int]  # the linearized query, shared by the pairs of one record
     target: int
     type_formula: str
 

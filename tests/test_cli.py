@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -354,6 +355,29 @@ def test_train_rejects_out_of_range_sizes(overrides, message, capsys, handmade_d
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert [line for line in err.splitlines() if not line.startswith("config-hash:")] == [f"error: {message}"]
+    assert out == "" and not ckpt.exists()
+
+
+def test_train_unknown_arch_exits_two_before_reading_data(capsys, tmp_path):
+    ckpt = tmp_path / "m.ckpt"
+    code, out, err = run(capsys, "train", "--data", str(tmp_path / "missing.jsonl"), "--out", str(ckpt),
+                         "--set", "arch=nope")
+    assert code == 2
+    assert "unknown architecture 'nope'" in err and "missing.jsonl" not in err
+    assert "Traceback" not in err and out == "" and not ckpt.exists()
+
+
+def test_train_universe_too_large_to_allocate_exits_two(capsys, tmp_path):
+    # 10**15 entities ask for more than any address space holds, so the table's
+    # allocation fails at once without touching memory
+    data, ckpt = tmp_path / "huge.jsonl", tmp_path / "m.ckpt"
+    header = {"format": "cqakit-dataset", "version": 1, "kg": "hand", "seed": 0, "config_hash": "deadbeef",
+              "num_entities": 10**15, "num_relations": 1, "checksum": hashlib.sha256(b"").hexdigest(),
+              "num_records": 0}
+    data.write_text(json.dumps(header) + "\n")
+    code, out, err = run(capsys, "train", "--data", str(data), "--out", str(ckpt), "--set", "d=8")
+    assert code == 2
+    assert err.count("error: ") == 1 and "Traceback" not in err
     assert out == "" and not ckpt.exists()
 
 

@@ -27,7 +27,7 @@ from cqakit.encoders.numerics import (
     softmax,
     softmax_backward,
 )
-from cqakit.linearize import PAD, Vocabulary
+from cqakit.linearize import KIND_TO_OP, PAD, Vocabulary, linearize
 from cqakit.queries import OperatorKind, anchor, builtin_query_types, parse_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import Dataset
@@ -865,8 +865,11 @@ def test_top_layer_computes_position_zero_only():
     assert gate_rows == [[N, N]] * 2 + [[B, N]]
 
 
-@pytest.mark.parametrize("arch", sorted(FULL_SEQUENCE))
-@pytest.mark.parametrize("queries", [[[]], [[1, 2, 3], []]], ids=["empty", "empty-row"])
+# the last case puts a well-formed query beside the empty row, so a tree encoder
+# fails on the empty row and not on the brackets
+@pytest.mark.parametrize("arch", ALL_ARCHS)
+@pytest.mark.parametrize("queries", [[[]], [[1, 2, 3], []], [linearize(GRAPHS[0], VOCAB), []]],
+                         ids=["empty", "empty-row", "query-then-empty"])
 def test_sequence_encoders_refuse_empty_sequences(arch, queries):
     model = new_model(VOCAB, arch, d=8, seed=59, layers=1, heads=2)
     with pytest.raises(ValueError, match="empty token sequence"):
@@ -996,12 +999,33 @@ class PerNodeNoMemoryCell:
 PER_NODE_CELLS = {"TreeLSTM": PerNodeTreeLSTMCell, "TreeLSTM-NoMemoryCell": PerNodeNoMemoryCell}
 
 
+def post_order_nodes(graph, vocab):
+    """Flatten a query into post-order ``(token_id, child_slots)`` nodes by walking its
+    ``QueryNode`` graph; a projection's relation token is a leaf before its child."""
+    nodes = []
+
+    def visit(node):
+        if node.kind is OperatorKind.ANCHOR:
+            nodes.append((vocab.entity_token(node.entity), []))
+            return len(nodes) - 1
+        child_slots = []
+        if node.kind is OperatorKind.PROJECTION:
+            nodes.append((vocab.relation_token(node.relation), []))
+            child_slots.append(len(nodes) - 1)
+        child_slots.extend(visit(c) for c in node.children)
+        nodes.append((KIND_TO_OP[node.kind], child_slots))
+        return len(nodes) - 1
+
+    visit(graph)
+    return nodes
+
+
 def per_node_forward(cell, p, trees, rows):
     """Walk each tree in post order; returns (B,d) readouts and per-tree steps."""
     outs, tree_caches = [], []
     for nodes in trees:
         states, steps = [], []
-        for token, child_slots, _ in nodes:
+        for token, child_slots in nodes:
             x = rows[token]
             children = [states[k] for k in child_slots]
             h_sum = sum((s[0] for s in children), np.zeros(x.shape, x.dtype))
@@ -1040,13 +1064,15 @@ def random_grounding(node, rng):
     return dataclasses.replace(node, children=children)
 
 
+_BUILTIN = builtin_query_types()
+BUILTIN_PATTERNS = [t.pattern for t in _BUILTIN.in_distribution + _BUILTIN.out_of_distribution]
+
+
 def tree_batches():
     """Mixed batches of every built-in type, plus the shapes a level layout can trip on."""
-    builtin = builtin_query_types()
-    patterns = [t.pattern for t in builtin.in_distribution + builtin.out_of_distribution]
-    assert len(patterns) == 58
+    assert len(BUILTIN_PATTERNS) == 58
     rng = make_rng(31)
-    mixed = [random_grounding(patterns[i], rng) for i in rng.permutation(58)]
+    mixed = [random_grounding(BUILTIN_PATTERNS[i], rng) for i in rng.permutation(58)]
     return {
         "all-58-types": mixed,
         "shuffled-with-repeats": [mixed[i] for i in rng.integers(58, size=40)] + [anchor(3)],
@@ -1061,21 +1087,18 @@ def tree_batches():
     }
 
 
-@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-@pytest.mark.parametrize("arch", sorted(PER_NODE_CELLS))
-@pytest.mark.parametrize("batch", sorted(tree_batches()))
-def test_level_wise_tree_matches_per_node_reference(batch, arch, dtype, tol):
+def assert_level_wise_matches_per_node(arch, graphs, dtype, tol):
+    """The encoder on the linearized batch against the per-node walk of each ``QueryNode``."""
     model = new_model(VOCAB, arch, d=8, seed=41, dtype=dtype)
     rng = make_rng(42)
     for arr in model.parameters().values():  # off the init: nonzero biases
         arr[...] = rng.normal(scale=0.5, size=arr.shape)
-    graphs = tree_batches()[batch]
-    trees = model.prepare(graphs)
     d_out = rng.normal(size=(len(graphs), model.d)).astype(dtype)
 
-    out, cache = model.encode(trees)
+    out, cache = model.encode(model.prepare(graphs))
     grads = model.backward(cache, d_out)
     cell, p = PER_NODE_CELLS[arch], model.encoder.params
+    trees = [post_order_nodes(g, VOCAB) for g in graphs]
     ref_out, ref_cache = per_node_forward(cell, p, trees, model.rows)
     ref_grads, ref_rows = per_node_backward(cell, p, ref_cache, d_out, VOCAB.size)
 
@@ -1086,3 +1109,20 @@ def test_level_wise_tree_matches_per_node_reference(batch, arch, dtype, tol):
     for name, grad in ref_grads.items():
         assert grads[f"enc.{name}"].dtype == dtype
         np.testing.assert_allclose(grads[f"enc.{name}"], grad, rtol=tol, atol=tol, err_msg=name)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("arch", sorted(PER_NODE_CELLS))
+@pytest.mark.parametrize("batch", sorted(tree_batches()))
+def test_level_wise_tree_matches_per_node_reference(batch, arch, dtype, tol):
+    assert_level_wise_matches_per_node(arch, tree_batches()[batch], dtype, tol)
+
+
+@settings(deadline=None, max_examples=40)
+@given(kinds=st.lists(st.integers(0, 58), min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("arch", sorted(PER_NODE_CELLS))
+def test_bracket_parse_matches_graph_walk(arch, kinds, seed):
+    # kind 58 is a bare anchor, the others ground that built-in type with random ids
+    rng = make_rng(seed)
+    graphs = [random_grounding((BUILTIN_PATTERNS + [anchor(0)])[k], rng) for k in kinds]
+    assert_level_wise_matches_per_node(arch, graphs, np.float64, 1e-12)

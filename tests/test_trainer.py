@@ -326,6 +326,9 @@ def test_train_config_validation():
         TrainConfig(adam_beta1=1.5)
     with pytest.raises(ValueError):
         TrainConfig(precision="half")
+    with pytest.raises(ValueError, match="unknown architecture 'nope'"):
+        TrainConfig(arch="nope")
+    assert TrainConfig(arch="treelstm").arch == "treelstm"  # kept as given: configs and checkpoints keep their bytes
     for key, low in (
         ("d", 1), ("batch_size", 1), ("epochs", 0), ("eval_every", 0),
         ("layers", 1), ("heads", 1), ("max_len", 1), ("rpe_clip", 0),
