@@ -13,11 +13,17 @@ each edge carries one bit per layer that holds it; a
 :class:`KnowledgeGraph` is the view of one layer of it. A layer's incoming
 index is built from its edges on first use; readers that race on that
 first use build equal indexes, and one of them is kept.
+
+A layer's edge set is an :class:`EdgeView` over its sorted packed keys.
+It is a :class:`SortedIdSet`, the read-only set over one sorted ``int64``
+id array that also holds a dataset record's answers
+(:class:`cqakit.sampler.AnswerSet`).
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 import re
 from bisect import bisect_left
 from collections.abc import Set
@@ -41,33 +47,105 @@ class EdgeTriple(NamedTuple):
     tail: int
 
 
-class EdgeView(Set):
-    """Read-only set of :class:`EdgeTriple` over one layer's sorted packed keys.
+def _integral(value) -> int | None:
+    """The int equal to ``value``, as a frozenset lookup matches ``1.0`` or
+    ``np.True_`` with ``1``; None for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        try:
+            integral = int(value)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        return integral if integral == value else None
 
-    Iteration yields triples in ascending ``(head, relation, tail)`` order.
-    ``<=``, ``==`` and ``-`` against a view over the same universe work on
-    the key arrays; other set algebra falls back to the generic
-    implementation, whose results are frozensets.
+
+class SortedIdSet(Set):
+    """Read-only set over one sorted, duplicate-free ``int64`` array ``ids``.
+
+    By default the ids are the members: iteration yields them as ints in
+    ascending order, and a number equal to an id is a member, as in a
+    frozenset. A subclass whose ids encode other members overrides
+    ``_members`` (all of them, in ascending id order) and ``_key`` (a probe's
+    id, or None). ``_universe`` holds the constructor's arguments after the
+    ids. ``==`` and ``-`` against a set of the same class and universe work
+    on the arrays; other set algebra falls back to the generic
+    implementation, whose results are frozensets. The hash is that of the
+    frozenset of the same members.
     """
 
-    def __init__(self, keys: np.ndarray, num_entities: int, num_relations: int):
-        keys.flags.writeable = False
-        self._keys = keys
-        self._universe = (num_entities, num_relations)
-        self._key_list: list[int] | None = None
+    __slots__ = ("ids", "_universe")
+
+    def __init__(self, ids: np.ndarray, *universe):
+        """Wrap ``ids``, already sorted and duplicate-free ``int64``, with no
+        copy or check; the array is made read-only."""
+        ids.setflags(write=False)
+        self.ids = ids
+        self._universe = universe
+
+    def _members(self):
+        return self.ids.tolist()
+
+    def _key(self, value) -> int | None:
+        return _integral(value)
 
     def __len__(self) -> int:
-        return int(self._keys.size)
+        return self.ids.size
 
     def __iter__(self):
+        return iter(self._members())
+
+    def __contains__(self, value) -> bool:
+        key = self._key(value)
+        ids = self.ids
+        # the bounds keep the search inside int64
+        if key is None or not ids.size or not ids.item(0) <= key <= ids.item(-1):
+            return False
+        return ids.item(ids.searchsorted(key)) == key
+
+    def _like(self, other) -> bool:
+        return type(other) is type(self) and other._universe == self._universe
+
+    def __eq__(self, other):
+        if self._like(other):
+            return self.ids.size == other.ids.size and bool((self.ids == other.ids).all())
+        return super().__eq__(other)
+
+    def __sub__(self, other):
+        if self._like(other):
+            a, b = self.ids, other.ids
+            if not b.size:
+                return self
+            # an id of a is in b exactly when b holds it where a would insert it
+            return type(self)(a[b.take(b.searchsorted(a), mode="clip") != a], *self._universe)
+        return super().__sub__(other)
+
+    def __hash__(self):
+        return hash(frozenset(self))
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+
+class EdgeView(SortedIdSet):
+    """Read-only set of :class:`EdgeTriple` over one layer's sorted packed keys ``ids``.
+
+    Built as ``EdgeView(keys, num_entities, num_relations)``; iteration
+    yields triples in ascending ``(head, relation, tail)`` order.
+    """
+
+    def _members(self):
         return map(EdgeTriple, *(column.tolist() for column in self.rows().T))
 
-    def __contains__(self, edge) -> bool:
-        try:
-            head, relation, tail = edge
-        except (TypeError, ValueError):
-            return False
-        return self.has(head, relation, tail)
+    def _key(self, edge) -> int | None:
+        if not isinstance(edge, tuple) or len(edge) != 3:
+            return None
+        head, relation, tail = map(_integral, edge)
+        V, R = self._universe
+        if None in (head, relation, tail) or not (0 <= head < V and 0 <= relation < R and 0 <= tail < V):
+            return None
+        return (head * R + relation) * V + tail
 
     def has(self, head: int, relation: int, tail: int) -> bool:
         """Binary search of the sorted keys for one edge."""
@@ -76,41 +154,18 @@ class EdgeView(Set):
             return False
         # bisect a list copy: a scalar np.searchsorted costs three times as
         # much per call, and the DNF oracle asks millions of times
-        if self._key_list is None:
-            self._key_list = self._keys.tolist()
         keys = self._key_list
         key = (head * R + relation) * V + tail
         i = bisect_left(keys, key)
         return i < len(keys) and keys[i] == key
 
+    @cached_property
+    def _key_list(self) -> list[int]:
+        return self.ids.tolist()
+
     def rows(self) -> np.ndarray:
         """The edges as sorted ``(n, 3)`` int64 ``head, relation, tail`` rows."""
-        return _unpack(self._keys, *self._universe)
-
-    def _same_universe(self, other) -> bool:
-        return isinstance(other, EdgeView) and other._universe == self._universe
-
-    def __le__(self, other):
-        if self._same_universe(other):
-            return bool(np.isin(self._keys, other._keys, assume_unique=True).all())
-        return super().__le__(other)
-
-    def __eq__(self, other):
-        if self._same_universe(other):
-            return bool(np.array_equal(self._keys, other._keys))
-        return super().__eq__(other)
-
-    def __sub__(self, other):
-        if self._same_universe(other):
-            return EdgeView(np.setdiff1d(self._keys, other._keys, assume_unique=True), *self._universe)
-        return super().__sub__(other)
-
-    def __hash__(self):
-        return self._hash()  # equal to the hash of the frozenset of the same triples
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return frozenset(it)
+        return _unpack(self.ids, *self._universe)
 
     def __repr__(self) -> str:
         return f"EdgeView({len(self)} edges)"

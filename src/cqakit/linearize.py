@@ -131,20 +131,6 @@ def linearize(graph: ComputationGraph, vocab: Vocabulary) -> TokenSequence:
     return out
 
 
-def sequence_length(graph: ComputationGraph) -> int:
-    """Token count from structural counts: one per anchor, four per
-    projection (``( P rel ... )``), three per intersection/union/negation."""
-    n = 0
-    for node in graph.walk():
-        if node.kind is OperatorKind.ANCHOR:
-            n += 1
-        elif node.kind is OperatorKind.PROJECTION:
-            n += 4
-        else:
-            n += 3
-    return n
-
-
 def delinearize(tokens: TokenSequence, vocab: Vocabulary) -> ComputationGraph:
     """Inverse of :func:`linearize`; rejects malformed sequences."""
     pos = 0

@@ -113,10 +113,6 @@ def query_depth(node: QueryNode) -> int:
     return sub + 1 if node.kind is OperatorKind.PROJECTION else sub
 
 
-def num_anchors(node: QueryNode) -> int:
-    return sum(1 for n in node.walk() if n.kind is OperatorKind.ANCHOR)
-
-
 @dataclass(frozen=True)
 class QueryType:
     """Abstract query structure with its canonical formula text."""
@@ -127,10 +123,6 @@ class QueryType:
     @property
     def depth(self) -> int:
         return query_depth(self.pattern)
-
-    @property
-    def num_anchors(self) -> int:
-        return num_anchors(self.pattern)
 
     @cached_property
     def has_negation(self) -> bool:
@@ -227,11 +219,6 @@ def serialize_formula(node: QueryNode) -> str:
         return "(e)"
     inner = ",".join(serialize_formula(c) for c in node.children)
     return f"({k.value},{inner})"
-
-
-def query_type_of(node: QueryNode) -> QueryType:
-    """The unique abstract type obtained by erasing ids from a grounded query."""
-    return parse_formula(serialize_formula(node))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ the seed node among its answers.
 
 Queries with large answer sets are never filtered out. A record holds its
 answers on each layer as an :class:`AnswerSet`: sorted ``int64`` entity ids
-behind a read-only set.
+behind a read-only set, on the same base as the graph's edge sets
+(:class:`~cqakit.graph.SortedIdSet`).
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import hashlib
 import json
 import logging
 import operator
-from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .graph import GraphLayers, KnowledgeGraph
+from .graph import GraphLayers, KnowledgeGraph, SortedIdSet
 from .queries import (
     ComputationGraph,
     OperatorKind,
@@ -90,70 +90,17 @@ class SamplerConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-class AnswerSet(Set):
-    """Read-only set of entity ids over one sorted, duplicate-free ``int64`` array.
+class AnswerSet(SortedIdSet):
+    """Read-only set of entity ids over one sorted, duplicate-free ``int64`` array ``ids``.
 
-    ``ids`` is that array; iteration yields its ids as ints in ascending
-    order, and a number equal to an id, such as ``1.0``, is a member as in a
-    frozenset. ``==`` and ``-`` against another answer set work on the
-    arrays; other set algebra falls back to the generic implementation,
-    whose results are frozensets. The hash is that of the frozenset of the
-    same ids.
+    A :class:`~cqakit.graph.SortedIdSet` whose ids are its members:
+    iteration yields ints in ascending order, a number equal to an id, such
+    as ``1.0``, is a member as in a frozenset, and ``==`` and ``-`` against
+    another answer set work on the arrays. ``AnswerSet(ids)`` wraps the
+    array with no copy or check and makes it read-only.
     """
 
-    __slots__ = ("ids",)
-
-    def __init__(self, ids: np.ndarray):
-        """Wrap ``ids``, already sorted and duplicate-free ``int64``, with no copy or check.
-
-        The array is made read-only.
-        """
-        ids.setflags(write=False)
-        self.ids = ids
-
-    def __len__(self) -> int:
-        return self.ids.size
-
-    def __iter__(self):
-        return iter(self.ids.tolist())
-
-    def __contains__(self, value) -> bool:
-        try:
-            value = operator.index(value)
-        except TypeError:
-            try:
-                integral = int(value)
-            except (TypeError, ValueError, OverflowError):
-                return False
-            if integral != value:
-                return False
-            value = integral
-        ids = self.ids
-        # the bounds keep the search inside int64
-        if not ids.size or not ids.item(0) <= value <= ids.item(-1):
-            return False
-        return ids.item(ids.searchsorted(value)) == value
-
-    def __eq__(self, other):
-        if isinstance(other, AnswerSet):
-            return self.ids.size == other.ids.size and bool((self.ids == other.ids).all())
-        return super().__eq__(other)
-
-    def __sub__(self, other):
-        if isinstance(other, AnswerSet):
-            a, b = self.ids, other.ids
-            if not b.size:
-                return self
-            # an id of a is in b exactly when b holds it where a would insert it
-            return AnswerSet(a[b.take(b.searchsorted(a), mode="clip") != a])
-        return super().__sub__(other)
-
-    def __hash__(self):
-        return hash(frozenset(self.ids.tolist()))
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return frozenset(it)
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"AnswerSet({self.ids.tolist()})"
@@ -426,21 +373,26 @@ def _read_record(line: str, dataset: Dataset, where: str) -> GroundedQueryRecord
     for key in ("type", "query"):
         if not isinstance(obj.get(key), str):
             raise DatasetFormatError(f"{where}: missing string field {key!r}")
-    answers = []
+    answers, n = [], dataset.num_entities
     for key in ("train_answers", "valid_answers", "test_answers"):
         ids = obj.get(key)
         if not isinstance(ids, list) or not set(map(type, ids)) <= {int}:
             raise DatasetFormatError(f"{where}: {key} is not a list of integer entity ids")
-        # -1 < ids[0] < ... < ids[-1] < num_entities
-        if not all(map(operator.lt, [-1] + ids, ids + [dataset.num_entities])):
-            raise DatasetFormatError(
-                f"{where}: {key} not sorted strictly ascending inside [0, {dataset.num_entities})"
-            )
-        # only after both checks: int64 would take a bool, and overflow at 2**63
+        # -1 < ids[0] < ... < ids[-1] < num_entities, on the int64 array once
+        # the type check has refused bools
         try:
-            answers.append(AnswerSet(np.array(ids, dtype=np.int64)))
+            array = np.array(ids, dtype=np.int64)
+            ascending = not array.size or (
+                array.item(0) >= 0 and array.item(-1) < n and not np.count_nonzero(array[1:] <= array[:-1])
+            )
         except OverflowError:
-            raise DatasetFormatError(f"{where}: {key} holds an entity id beyond int64") from None
+            ascending = False
+        if not ascending:
+            # the list check names the failure: order and range before int64
+            if not all(map(operator.lt, [-1] + ids, ids + [n])):
+                raise DatasetFormatError(f"{where}: {key} not sorted strictly ascending inside [0, {n})")
+            raise DatasetFormatError(f"{where}: {key} holds an entity id beyond int64")
+        answers.append(AnswerSet(array))
     try:
         query = parse_grounded(obj["query"], dataset)  # ids checked against the header universe
     except (QuerySyntaxError, QueryStructureError) as exc:

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 
 from cqakit.encoders import CheckpointError
 from cqakit.encoders.checkpoint import MAGIC
-from cqakit.graph import GraphFormatError, KnowledgeGraph, layer_graphs, load_dictionary, read_triples
-from cqakit.linearize import LPAREN, RPAREN, Vocabulary, delinearize, linearize, sequence_length
+from cqakit.graph import EdgeTriple, GraphFormatError, KnowledgeGraph, layer_graphs, load_dictionary, read_triples
+from cqakit.linearize import LPAREN, RPAREN, Vocabulary, delinearize, linearize
 from cqakit.queries import (
     QueryStructureError,
     QuerySyntaxError,
@@ -23,12 +23,11 @@ from cqakit.queries import (
     parse_formula,
     parse_grounded,
     projection,
-    query_type_of,
     serialize_formula,
     serialize_grounded,
     union,
 )
-from cqakit.sampler import AnswerSet, Dataset, DatasetFormatError, GroundedQueryRecord, read_dataset, write_dataset
+from cqakit.sampler import Dataset, DatasetFormatError, GroundedQueryRecord, read_dataset, write_dataset
 from cqakit.symbolic import answer, answer_bits, answer_dnf, to_dnf
 from cqakit.training import Checkpoint, TrainConfig, config_from_mapping, parse_config_file, train
 from conftest import answer_set
@@ -64,7 +63,6 @@ def test_serialize_parse_round_trip(tree):
 def test_linearize_delinearize_round_trip(tree):
     tokens = linearize(tree, VOCAB)
     assert delinearize(tokens, VOCAB) == tree
-    assert len(tokens) == sequence_length(tree)
 
 
 @given(query_trees)
@@ -78,8 +76,8 @@ def test_parentheses_balanced(tree):
 
 @given(query_trees)
 def test_type_erasure_is_stable(tree):
-    t = query_type_of(tree)
-    assert query_type_of(t.pattern).formula_text == t.formula_text
+    t = parse_formula(serialize_formula(tree))
+    assert serialize_formula(t.pattern) == t.formula_text
 
 
 GRAMMAR_CHARS = "(),epiun0123456789" + string.whitespace
@@ -362,7 +360,7 @@ def dataset_bytes() -> bytes:
     dataset = Dataset(num_entities=NUM_ENTITIES, num_relations=NUM_RELATIONS)
     for text, answers in (("(p,(1),(e,(3)))", {2, 23}), ("(i,(p,(0),(e,(5))),(p,(3),(e,(7))))", {9})):
         query = parse_grounded(text)
-        record = GroundedQueryRecord(query_type_of(query).formula_text, query, answer_set(answers),
+        record = GroundedQueryRecord(serialize_formula(query), query, answer_set(answers),
                                      answer_set(answers), answer_set(answers | {11}))
         dataset.records.setdefault(record.type_formula, []).append(record)
     return written_bytes(lambda path: write_dataset(dataset, path))
@@ -434,27 +432,54 @@ def test_text_readers_raise_only_documented_errors(blob, read, error, data):
         pass
 
 
-id_sets = st.frozensets(st.integers(0, 40), max_size=20)
+def edge_views(num_entities, num_relations):
+    return lambda edges: KnowledgeGraph.from_edges(edges, num_entities, num_relations).edges
 
 
-@given(id_sets, id_sets, st.integers(-3, 45))
-def test_answer_set_behaves_as_its_frozenset(a, b, probe):
-    A = answer_set(a)
+# per set type: its members, its builders from a frozenset of them (EdgeView
+# over two universes), a probe strategy, and the probes to ask for a probe
+ID_SET_KINDS = {
+    "AnswerSet": (
+        st.integers(0, 40),
+        [answer_set],
+        st.integers(-3, 45),
+        # a negative id, ids past any answer or past int64, and non-ints are
+        # never members; a number equal to an id is one
+        lambda p: (p, -1, 41, 2**63, 2**70, "3", None, 0.5, (1,), float(p), 1.0,
+                   np.True_, np.float64(p), np.int32(p), float("nan"), float("inf")),
+    ),
+    "EdgeView": (
+        st.builds(EdgeTriple, st.integers(0, 3), st.integers(0, 1), st.integers(0, 3)),
+        [edge_views(4, 2), edge_views(5, 3)],
+        st.tuples(st.integers(-1, 4), st.integers(-1, 2), st.integers(-1, 4)),
+        # ids outside the universe or negative, other arities, non-tuples,
+        # non-int parts; parts equal to ints match as in a frozenset
+        lambda p: (p, (4, 0, 0), (0, 2, 0), (0, 0, 4), (-1, 0, 0), (2**70, 0, 0), p[:2], p + (0,), (), 0,
+                   None, "abc", tuple(map(float, p)), tuple(map(np.int32, p)), (p[0] + 0.5, *p[1:]),
+                   (np.True_, 1, 1), (float("nan"), 0, 0), ("0", 0, 1), ((0,), 0, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ID_SET_KINDS))
+@given(data=st.data())
+def test_id_set_behaves_as_its_frozenset(kind, data):
+    members, builders, probe, probes = ID_SET_KINDS[kind]
+    a, b = (data.draw(st.frozensets(members, max_size=20)) for _ in range(2))
+    A = builders[0](a)
     assert A.ids.dtype == np.int64 and not A.ids.flags.writeable
     assert len(A) == len(a)
-    assert list(A) == sorted(a) and all(type(v) is int for v in A)
-    # a negative id, ids past any answer or past int64, and non-ints are never
-    # members; a number equal to an id is one
-    for value in (probe, -1, 41, 2**63, 2**70, "3", None, 0.5, (1,), float(probe), 1.0,
-                  np.True_, np.float64(probe), np.int32(probe), float("nan"), float("inf")):
+    assert list(A) == sorted(a) and list(map(type, A)) == list(map(type, sorted(a)))
+    for value in probes(data.draw(probe)):
         assert (value in A) == (value in a)
     assert hash(A) == hash(a)
-    # b, a subset of a and a itself, as answer sets and as frozensets on either side
+    # b, a subset of a and a itself, as sets of each universe and as
+    # frozensets, on either side
     for c in (b, a & b, a):
-        C = answer_set(c)
-        for x, y in ((A, C), (A, c), (a, C)):
-            assert (x == y) == (a == c) and (y == x) == (a == c)
-            assert (x <= y) == (a <= c) and (y <= x) == (c <= a)
-            assert x - y == a - c and y - x == c - a
-        difference = A - C
-        assert isinstance(difference, AnswerSet) and list(difference) == sorted(a - c)
+        for C in (build(c) for build in builders):
+            for x, y in ((A, C), (A, c), (a, C)):
+                assert (x == y) == (a == c) and (y == x) == (a == c)
+                assert (x <= y) == (a <= c) and (y <= x) == (c <= a)
+                assert x - y == a - c and y - x == c - a
+        difference = A - builders[0](c)
+        assert type(difference) is type(A) and list(difference) == sorted(a - c)

@@ -12,12 +12,11 @@ from cqakit.queries import (
     distribution_of,
     intersection,
     negation,
-    num_anchors,
     parse_formula,
     parse_grounded,
     projection,
     query_depth,
-    query_type_of,
+    serialize_formula,
     serialize_grounded,
     union,
 )
@@ -31,9 +30,9 @@ CONJ_OUT_DEPTHS = [3, 3, 3]
 
 def test_parse_formula_examples():
     t = parse_formula("(p,(e))")
-    assert t.depth == 1 and t.num_anchors == 1
+    assert t.depth == 1
     t = parse_formula("(i,(n,(p,(e))),(p,(e)))")
-    assert t.depth == 1 and t.num_anchors == 2
+    assert t.depth == 1
 
 
 def test_parse_formula_rejects_malformed():
@@ -156,10 +155,10 @@ def test_depth_columns():
 
 def test_grounded_query_matches_exactly_one_type():
     g = parse_grounded("(i,(n,(p,(2),(e,(4)))),(p,(0),(e,(9))))")
-    t = query_type_of(g)
-    assert t.formula_text == "(i,(n,(p,(e))),(p,(e)))"
+    formula = serialize_formula(g)
+    assert formula == "(i,(n,(p,(e))),(p,(e)))"
     bt = builtin_query_types()
-    matches = [x for x in bt.all_fol if x.formula_text == t.formula_text]
+    matches = [x for x in bt.all_fol if x.formula_text == formula]
     assert len(matches) == 1
 
 
@@ -172,7 +171,6 @@ def test_distribution_of():
 def test_helpers_on_constructed_tree():
     g = projection(1, union(projection(2, anchor(3)), negation(projection(0, anchor(4)))))
     assert query_depth(g) == 2
-    assert num_anchors(g) == 2
     text = serialize_grounded(g)
     assert parse_grounded(text, SimpleNamespace(num_entities=5, num_relations=3)) == g
     with pytest.raises(QueryStructureError, match=r"entity id 4 out of range \[0, 4\)"):

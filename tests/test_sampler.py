@@ -209,6 +209,7 @@ def test_read_rejects_checksum_and_version(tmp_path, desk_layers):
     ({"valid_answers": [1.0, 2]}, None, ":2: valid_answers is not a list of integer entity ids"),
     ({"test_answers": [2**63]}, None, r":2: test_answers not sorted strictly ascending inside \[0, 10\)"),
     ({"test_answers": [2**63]}, {"num_entities": 2**64}, ":2: test_answers holds an entity id beyond int64"),
+    ({"test_answers": [5, 3, 2**63]}, {"num_entities": 2**64}, ":2: test_answers not sorted strictly ascending"),
     (["a", "b"], None, ":2: record is not a JSON object"),
     ({"query": 7}, None, ":2: missing string field 'query'"),
     ({"query": "(p,(0),(e,(10)))"}, None, r":2: bad query: entity id 10 out of range \[0, 10\)"),
@@ -218,7 +219,8 @@ def test_read_rejects_checksum_and_version(tmp_path, desk_layers):
     (None, [1, 2], ":1: not a cqakit-dataset file"),
     (None, {"num_entities": "10"}, ":1: header lacks a non-negative integer 'num_entities'"),
 ], ids=["answer-id-too-large", "answer-id-negative", "answers-not-a-list", "answer-bool", "answer-int-then-bool",
-        "answer-float", "answer-id-past-int64", "answer-id-past-int64-inside-universe", "record-not-object",
+        "answer-float", "answer-id-past-int64", "answer-id-past-int64-inside-universe",
+        "answer-unsorted-past-int64-inside-universe", "record-not-object",
         "query-not-a-string", "query-entity-outside", "query-relation-outside", "query-syntax", "query-too-deep",
         "header-not-object", "header-universe-string"])
 def test_read_rejects_malformed_fields(record, header, match, handmade_dataset):
