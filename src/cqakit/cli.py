@@ -14,12 +14,13 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .encoders import ARCHITECTURES, CheckpointError
+from .encoders import ARCHITECTURES
 from .evaluation import MODES, evaluate
-from .graph import GraphFormatError, GraphLayers, layer_graphs, load_dictionary
+from .graph import GraphLayers, layer_graphs, load_dictionary
 from .linearize import Vocabulary, build_vocabulary, linearize, render_tokens
 from .queries import (
     QuerySyntaxError,
@@ -28,14 +29,7 @@ from .queries import (
     parse_formula,
     parse_grounded,
 )
-from .sampler import (
-    DatasetFormatError,
-    GroundingError,
-    SamplerConfig,
-    read_dataset,
-    sample_dataset,
-    write_dataset,
-)
+from .sampler import GroundingError, SamplerConfig, read_dataset, sample_dataset, write_dataset
 from .symbolic import answer
 from .training import (
     Checkpoint,
@@ -140,8 +134,7 @@ def cmd_answer(args) -> int:
     layers = _kg_dir(args.kg)
     layer = layers.layer(args.layer)
     query = parse_grounded(args.query, layer)
-    result = answer(layer, query)
-    print(" ".join(str(v) for v in sorted(result)))
+    print(" ".join(map(str, answer(layer, query))))  # ascending ids
     return 0
 
 
@@ -194,30 +187,15 @@ def cmd_inspect(args) -> int:
     print(f"dataset {args.data}: {len(dataset)} records, {len(dataset.records)} types, "
           f"kg={dataset.provenance.kg_name} seed={dataset.provenance.seed}")
 
-    def histogram(sizes):
-        # power-of-two buckets: 0, 1, 2-3, 4-7, 8-15, ...
-        buckets: dict[str, int] = {}
-        for s in sizes:
-            if s <= 1:
-                label = str(s)
-            else:
-                lo = 1 << (s.bit_length() - 1)
-                label = f"{lo}-{2 * lo - 1}"
-            buckets[label] = buckets.get(label, 0) + 1
-        return buckets
-
     for formula, group in dataset.records.items():
         print(f"type {formula}: {len(group)} queries")
     for layer_name in ("train", "valid", "test"):
-        sizes = [len(r.answers(layer_name)) for r in dataset.iter_records()]
-        hist = histogram(sizes)
-        line = " ".join(f"{k}:{v}" for k, v in sorted(hist.items(), key=lambda kv: _bucket_key(kv[0])))
+        # power-of-two buckets keyed by their lower bound: 0, 1, 2-3, 4-7, 8-15, ...
+        buckets = Counter((1 << len(r.answers(layer_name)).bit_length()) >> 1 for r in dataset.iter_records())
+        labels = {lo: str(lo) if lo <= 1 else f"{lo}-{2 * lo - 1}" for lo in buckets}
+        line = " ".join(f"{labels[lo]}:{n}" for lo, n in sorted(buckets.items()))
         print(f"answer-size histogram [{layer_name}]: {line}")
     return 0
-
-
-def _bucket_key(label: str) -> int:
-    return int(label.split("-")[0])
 
 
 def build_parser() -> _Parser:
@@ -284,14 +262,9 @@ def main(argv=None) -> int:
         return 1
     except (
         DataError,
-        DatasetFormatError,
-        GraphFormatError,
         GroundingError,
-        CheckpointError,
-        QuerySyntaxError,
-        QueryStructureError,
         TrainingDivergedError,
-        ValueError,
+        ValueError,  # also the package's format, checkpoint and query errors
         OSError,
         MemoryError,  # e.g. a dataset header's universe too large for the embedding table
     ) as exc:

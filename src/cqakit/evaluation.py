@@ -9,7 +9,7 @@ metric is the mean over its mode's target set:
 * ``inference``       targets = test \\ valid answers, filter base = test answers
 * ``validation-swap`` targets = valid \\ train answers, filter base = valid answers
 
-A record's answer sets are sorted id arrays (:class:`~cqakit.sampler.AnswerSet`),
+A record's answer sets are sorted id arrays (:class:`~cqakit.symbolic.AnswerSet`),
 and so are the targets and filter bases taken from them.
 Queries whose target set is empty are excluded from that mode's averages
 and counted. Per-type values average over queries; the headline averages
@@ -50,6 +50,7 @@ def _ranks(scores: np.ndarray, targets, base) -> np.ndarray:
     return 1.0 + (others.size - above) + 0.5 * ties
 
 
+# no package code calls rank; it stays because bench/loop.py wraps it by name
 def rank(scores: np.ndarray, target: int, filtered) -> float:
     """Filtered rank of one ``target``: :func:`_ranks` with base ``filtered`` plus the target."""
     return float(_ranks(scores, [target], sorted({target, *filtered}))[0])

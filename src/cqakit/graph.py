@@ -16,8 +16,8 @@ first use build equal indexes, and one of them is kept.
 
 A layer's edge set is an :class:`EdgeView` over its sorted packed keys.
 It is a :class:`SortedIdSet`, the read-only set over one sorted ``int64``
-id array that also holds a dataset record's answers
-(:class:`cqakit.sampler.AnswerSet`).
+id array that also holds a query's answers
+(:class:`cqakit.symbolic.AnswerSet`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 import operator
 import re
-from bisect import bisect_left
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -147,22 +146,6 @@ class EdgeView(SortedIdSet):
             return None
         return (head * R + relation) * V + tail
 
-    def has(self, head: int, relation: int, tail: int) -> bool:
-        """Binary search of the sorted keys for one edge."""
-        V, R = self._universe
-        if not (0 <= head < V and 0 <= relation < R and 0 <= tail < V):
-            return False
-        # bisect a list copy: a scalar np.searchsorted costs three times as
-        # much per call, and the DNF oracle asks millions of times
-        keys = self._key_list
-        key = (head * R + relation) * V + tail
-        i = bisect_left(keys, key)
-        return i < len(keys) and keys[i] == key
-
-    @cached_property
-    def _key_list(self) -> list[int]:
-        return self.ids.tolist()
-
     def rows(self) -> np.ndarray:
         """The edges as sorted ``(n, 3)`` int64 ``head, relation, tail`` rows."""
         return _unpack(self.ids, *self._universe)
@@ -235,10 +218,6 @@ class KnowledgeGraph:
     def in_edges(self, tail: int) -> tuple[tuple[int, int], ...]:
         """All ``(head, relation)`` pairs with an edge into ``tail``."""
         return self.in_index.get(tail, ())
-
-    def has_edge(self, head: int, relation: int, tail: int) -> bool:
-        """Edge membership from the sorted edge keys; no adjacency dict is read."""
-        return self.edges.has(head, relation, tail)
 
 
 def _unpack(keys: np.ndarray, num_entities: int, num_relations: int) -> np.ndarray:

@@ -9,9 +9,10 @@ symbolic engine (reject/retry), so every emitted query is guaranteed to have
 the seed node among its answers.
 
 Queries with large answer sets are never filtered out. A record holds its
-answers on each layer as an :class:`AnswerSet`: sorted ``int64`` entity ids
-behind a read-only set, on the same base as the graph's edge sets
-(:class:`~cqakit.graph.SortedIdSet`).
+answers on each layer as a :class:`cqakit.symbolic.AnswerSet`, the type
+:func:`~cqakit.symbolic.answer` returns: sorted ``int64`` entity ids behind a
+read-only set, on the same base as the graph's edge sets
+(:class:`~cqakit.graph.SortedIdSet`). This module re-exports it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import GraphLayers, KnowledgeGraph, SortedIdSet
+from .graph import GraphLayers, KnowledgeGraph
 from .queries import (
     ComputationGraph,
     OperatorKind,
@@ -41,7 +42,7 @@ from .queries import (
     serialize_grounded,
 )
 from .rng import make_rng
-from .symbolic import answer, answer_bits
+from .symbolic import AnswerSet, answer, answer_bits
 
 logger = logging.getLogger(__name__)
 
@@ -88,22 +89,6 @@ class SamplerConfig:
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-class AnswerSet(SortedIdSet):
-    """Read-only set of entity ids over one sorted, duplicate-free ``int64`` array ``ids``.
-
-    A :class:`~cqakit.graph.SortedIdSet` whose ids are its members:
-    iteration yields ints in ascending order, a number equal to an id, such
-    as ``1.0``, is a member as in a frozenset, and ``==`` and ``-`` against
-    another answer set work on the arrays. ``AnswerSet(ids)`` wraps the
-    array with no copy or check and makes it read-only.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return f"AnswerSet({self.ids.tolist()})"
 
 
 @dataclass(frozen=True)

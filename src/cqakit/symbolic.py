@@ -9,9 +9,11 @@ Two independent routes to an answer set:
   edge heads, keeps those of layers holding the edge (``& bits``) and ORs
   them into the tails; intersection, union and negation are ``&``, ``|``
   and ``~``, so a complement is never materialised as a set.
-  :func:`answer` reads one layer's bit as a set of entity ids.
+  :func:`answer` reads one layer's bit as an :class:`AnswerSet`, the sorted
+  entity ids a dataset record holds its answers in.
 * :func:`to_dnf` + :func:`answer_dnf` — convert to disjunctive normal form
-  and brute-force variable assignments against the raw edge set.
+  and brute-force variable assignments, testing each edge against a
+  frozenset of the layer's triples.
 
 The second route exists to cross-validate the first; it shares no code with
 it beyond the graph container.
@@ -24,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, SortedIdSet
 from .queries import (
     ComputationGraph,
     OperatorKind,
@@ -41,12 +43,29 @@ class BudgetExceededError(RuntimeError):
     """The brute-force enumerator exceeded its assignment budget."""
 
 
-def answer(layer: KnowledgeGraph, query: ComputationGraph) -> EntitySet:
+class AnswerSet(SortedIdSet):
+    """Read-only set of entity ids over one sorted, duplicate-free ``int64`` array ``ids``.
+
+    A :class:`~cqakit.graph.SortedIdSet` whose ids are its members:
+    iteration yields ints in ascending order, a number equal to an id, such
+    as ``1.0``, is a member as in a frozenset, and ``==`` and ``-`` against
+    another answer set work on the arrays. ``AnswerSet(ids)`` wraps the
+    array with no copy or check and makes it read-only.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"AnswerSet({self.ids.tolist()})"
+
+
+def answer(layer: KnowledgeGraph, query: ComputationGraph) -> AnswerSet:
     """Evaluate a grounded query on one graph layer, exactly.
 
     Empty sets are legal results.
     """
-    return set((answer_bits(layer, query) & (1 << layer.layer)).nonzero()[0].tolist())
+    # nonzero is several times faster on a boolean row
+    return AnswerSet(((answer_bits(layer, query) & (1 << layer.layer)) != 0).nonzero()[0])
 
 
 def answer_bits(graph: KnowledgeGraph, query: ComputationGraph) -> np.ndarray:
@@ -254,13 +273,13 @@ def _term_value(term: Term, assign: dict[int, int]) -> int | None:
     return assign.get(term.index)
 
 
-def _literal_holds(layer: KnowledgeGraph, lit: Literal, assign) -> bool:
+def _literal_holds(edges: frozenset, lit: Literal, assign) -> bool:
     s = _term_value(lit.source, assign)
     t = _term_value(lit.target, assign)
     if lit.relation is None:
         holds = s == t
     else:
-        holds = layer.has_edge(s, lit.relation, t)
+        holds = (s, lit.relation, t) in edges
     return holds != lit.negated
 
 
@@ -275,19 +294,20 @@ def answer_dnf(layer: KnowledgeGraph, dnf: DNF, budget: int = 10_000_000) -> Ent
     it.
     """
     steps = [0]
-    return _answer_dnf(layer, dnf, budget, steps)
+    # a frozenset of the triples is the oracle's only use of the layer's edges
+    return _answer_dnf(frozenset(layer.edges), layer.num_entities, dnf, budget, steps)
 
 
-def _answer_dnf(layer: KnowledgeGraph, dnf: DNF, budget: int, steps: list[int]) -> EntitySet:
+def _answer_dnf(edges: frozenset, n: int, dnf: DNF, budget: int, steps: list[int]) -> EntitySet:
     result: EntitySet = set()
     for clause in dnf.clauses:
-        result |= _clause_targets(layer, clause, budget, steps)
+        result |= _clause_targets(edges, n, clause, budget, steps)
     return result
 
 
-def _clause_targets(layer, clause: Clause, budget, steps) -> EntitySet:
+def _clause_targets(edges, n, clause: Clause, budget, steps) -> EntitySet:
     # complement answer sets do not depend on the assignment: compute once
-    comp_sets = [_answer_dnf(layer, c.subquery, budget, steps) for c in clause.complements]
+    comp_sets = [_answer_dnf(edges, n, c.subquery, budget, steps) for c in clause.complements]
 
     var_ids = {0}
     for lit in clause.literals:
@@ -322,18 +342,17 @@ def _clause_targets(layer, clause: Clause, budget, steps) -> EntitySet:
         for lit in clause.literals
         if not any(isinstance(t, Var) for t in (lit.source, lit.target))
     ]
-    if not all(_literal_holds(layer, lit, {}) for lit in constant_lits):
+    if not all(_literal_holds(edges, lit, {}) for lit in constant_lits):
         return set()
     for comp, cset in zip(clause.complements, comp_sets):
         if isinstance(comp.term, Ent) and comp.term.entity in cset:
             return set()
 
     assign: dict[int, int] = {}
-    n = layer.num_entities
 
     def ok_at(position: int) -> bool:
         lits, comps = checks[position]
-        return all(_literal_holds(layer, lit, assign) for lit in lits) and all(
+        return all(_literal_holds(edges, lit, assign) for lit in lits) and all(
             assign[comp.term.index] not in cset for comp, cset in comps
         )
 

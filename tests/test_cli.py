@@ -8,9 +8,11 @@ from cqakit.encoders import load_checkpoint, save_checkpoint
 from cqakit.graph import layer_graphs, split_edges, synthetic_graph
 from cqakit.linearize import Vocabulary
 from cqakit.queries import parse_grounded
-from cqakit.sampler import Dataset
+from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance, write_dataset
 from cqakit.symbolic import answer_dnf, to_dnf
 from cqakit.training import TrainConfig, train
+
+from conftest import answer_set
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,25 @@ def test_generate_inspect_roundtrip(capsys, kg_dir, tmp_path):
     assert code == 0
     assert out.count("type (") == 29
     assert "answer-size histogram [train]" in out
+
+
+def test_inspect_histogram_buckets(capsys, tmp_path):
+    # answer-set sizes per record on the train, valid and test layers
+    sizes = [(0, 1, 2), (1, 1, 4), (2, 3, 6), (3, 4, 8), (5, 7, 15), (9, 12, 16)]
+    records = [
+        GroundedQueryRecord("(p,(e))", parse_grounded(f"(p,(0),(e,({i})))"),
+                            *(answer_set(range(n)) for n in layer_sizes))
+        for i, layer_sizes in enumerate(sizes)
+    ]
+    path = tmp_path / "ds.jsonl"
+    write_dataset(Dataset({"(p,(e))": records}, Provenance("hist", 0, ""), 20, 1), path)
+    code, out, _ = run(capsys, "inspect", "--data", str(path))
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "answer-size histogram [train]: 0:1 1:1 2-3:2 4-7:1 8-15:1",
+        "answer-size histogram [valid]: 1:2 2-3:1 4-7:2 8-15:1",
+        "answer-size histogram [test]: 2-3:1 4-7:2 8-15:2 16-31:1",
+    ]
 
 
 def test_generate_custom_type_file(capsys, kg_dir, tmp_path):

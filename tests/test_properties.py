@@ -182,7 +182,6 @@ def test_layer_builder_matches_naive_reference(data):
         edges, inc = naive_layer(held)
         assert layer.edges == edges and len(layer.edges) == len(edges)
         assert sorted(layer.edges) == list(layer.edges)
-        assert all(layer.has_edge(*e) for e in edges)
         assert layer.in_index == inc
         # the shared table: its rows, and this layer's edges as the rows with bit k
         assert layer.table is layers.train.table and layer.layer == k

@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
 
+from cqakit import sampler
 from cqakit.graph import KnowledgeGraph, synthetic_graph
 from cqakit.queries import builtin_query_types, negation, parse_grounded, union
 from cqakit.rng import make_rng
-from cqakit.sampler import ground_type
+from cqakit.sampler import SamplerConfig, ground_type, sample_dataset
 from cqakit.symbolic import (
     DNF,
+    AnswerSet,
     BudgetExceededError,
     Clause,
     Ent,
@@ -141,6 +144,21 @@ def test_monotonicity_across_layers(desk_layers):
         a_valid = answer(desk_layers.valid, g)
         a_test = answer(desk_layers.test, g)
         assert a_train <= a_valid <= a_test
+
+
+def test_answer_is_the_records_answer_set(desk_layers):
+    types = builtin_query_types().all_fol
+    dataset = sample_dataset(desk_layers, types, SamplerConfig(per_type_count=2, seed=4))
+    assert len(dataset.records) == len(types) and all(dataset.records.values())
+    assert sampler.AnswerSet is AnswerSet
+    for record in dataset.iter_records():
+        for name in ("train", "valid", "test"):
+            result = answer(desk_layers.layer(name), record.query)
+            assert type(result) is AnswerSet
+            ids = result.ids
+            assert ids.dtype == np.int64 and not ids.flags.writeable
+            assert (ids[1:] > ids[:-1]).all()
+            assert result == record.answers(name)
 
 
 def test_oracle_equivalence_random_sample(toy_kg):
