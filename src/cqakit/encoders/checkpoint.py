@@ -4,6 +4,10 @@ Layout: a magic line, a JSON manifest line (metadata plus a tensor
 directory with dtypes/shapes/offsets and a payload checksum), then the raw
 tensor bytes concatenated in directory order. Tensors are stored as
 little-endian IEEE-754 floats regardless of host byte order.
+
+Files are replaced atomically. The writer hashes and writes each tensor's
+buffer without copying it; the reader reads the payload into one buffer and
+returns the tensors as views of it, so the directory must tile the payload.
 """
 
 from __future__ import annotations
@@ -11,8 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
+
+from ..files import replacing
 
 MAGIC = b"CQAKIT-CKPT v1\n"
 
@@ -26,37 +33,50 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
-    directory = []
-    chunks = []
+    """Write ``meta`` and ``tensors``, replacing ``path`` atomically.
+
+    Each tensor's buffer is hashed and written as it is, with no copy, unless
+    it must be converted to its stored little-endian dtype.
+    """
+    directory, buffers = [], []
+    digest = hashlib.sha256()
     offset = 0
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
         code = "<f8" if arr.dtype == np.float64 else "<f4"
-        raw = arr.astype(code, copy=False).tobytes()
+        arr = arr.astype(code, copy=False)
         directory.append(
-            {"name": name, "dtype": code, "shape": list(arr.shape), "offset": offset, "nbytes": len(raw)}
+            {"name": name, "dtype": code, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes}
         )
-        chunks.append(raw)
-        offset += len(raw)
-    payload = b"".join(chunks)
-    manifest = {
-        "meta": meta,
-        "tensors": directory,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    with open(path, "wb") as fh:
+        digest.update(arr)
+        buffers.append(arr)
+        offset += arr.nbytes
+    manifest = {"meta": meta, "tensors": directory, "payload_sha256": digest.hexdigest()}
+    with replacing(path, "xb") as fh:
         fh.write(MAGIC)
         fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-        fh.write(payload)
+        for arr in buffers:
+            fh.write(arr)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read ``(meta, tensors)``; any malformed part raises :class:`CheckpointError`."""
+    """Read ``(meta, tensors)``; any malformed part raises :class:`CheckpointError`.
+
+    The payload is read into one buffer, and each tensor is a view of it,
+    converted only where the host byte order is not the stored one. The
+    directory must tile the payload: each tensor starts where the one
+    listed before it ends, and the last ends where the payload does.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
         manifest_line = fh.readline()
-        payload = fh.read()
+        size = os.fstat(fh.fileno()).st_size - len(MAGIC) - len(manifest_line)  # 0 or less for a pipe
+        payload = np.empty(max(size, 0), dtype=np.uint8)
+        payload = payload[: fh.readinto(payload)]
+        rest = fh.read()  # a pipe, or a file that grew
+        if rest:
+            payload = np.concatenate([payload, np.frombuffer(rest, dtype=np.uint8)])
     try:
         manifest = json.loads(manifest_line)
     except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not UTF-8, deep nesting
@@ -70,15 +90,24 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     if hashlib.sha256(payload).hexdigest() != manifest.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch")
     tensors = {}
+    end = 0
     for entry in manifest["tensors"]:
-        name, arr = _read_tensor(path, entry, payload)
+        name, offset, arr = _read_tensor(path, entry, payload)
         if name in tensors:
             raise CheckpointError(f"{path}: tensor {name} listed twice")
+        if offset != end:
+            raise CheckpointError(
+                f"{path}: {name}: starts at byte {offset}, not where the tensor before it ends ({end})"
+            )
         tensors[name] = arr
+        end += arr.nbytes
+    if end != payload.size:
+        raise CheckpointError(f"{path}: {payload.size - end} payload bytes follow the last tensor")
     return manifest["meta"], tensors
 
 
-def _read_tensor(path, entry, payload: bytes) -> tuple[str, np.ndarray]:
+def _read_tensor(path, entry, payload: np.ndarray) -> tuple[str, int, np.ndarray]:
+    """An entry's name and offset, and its tensor as a view of ``payload``."""
     if not isinstance(entry, dict):
         raise CheckpointError(f"{path}: tensor entry is not an object")
     for key, kind in _ENTRY_FIELDS.items():
@@ -91,7 +120,9 @@ def _read_tensor(path, entry, payload: bytes) -> tuple[str, np.ndarray]:
     if not all(isinstance(n, int) and n >= 0 for n in shape):
         raise CheckpointError(f"{path}: {name}: bad shape {shape}")
     count = math.prod(shape)
-    if nbytes != count * dtype.itemsize or offset < 0 or offset + nbytes > len(payload):
+    if nbytes != count * dtype.itemsize or offset < 0 or offset + nbytes > payload.size:
         raise CheckpointError(f"{path}: {name}: {nbytes} bytes at {offset} do not hold shape {shape}")
-    stored = np.frombuffer(payload, dtype=entry["dtype"], count=count, offset=offset)
-    return name, stored.astype(dtype).reshape(shape)
+    stored = payload[offset : offset + nbytes].view(entry["dtype"])
+    if not stored.dtype.isnative:
+        stored = stored.astype(dtype)
+    return name, offset, stored.reshape(shape)

@@ -2,7 +2,9 @@
 
 Graphs are immutable after construction and safe to share across readers.
 Entities and relations are dense integer ids; human-readable labels live in
-optional dictionary sidecar files (``id<TAB>label`` per line).
+optional dictionary sidecar files (``id<TAB>label`` per line). A triple file
+in canonical form is parsed in bulk (:func:`_canonical_rows`); every other
+file goes through the general per-token reader, which words every error.
 
 Every build goes through one builder, :func:`_build_table`. It packs each
 edge ``(h, r, t)`` into the int64 key ``(h·R + r)·V + t``, so sorted keys are
@@ -312,16 +314,21 @@ class GraphLayers:
 _ID = re.compile(r"0|[1-9][0-9]*")  # the query reader's ids: ASCII decimal, no sign, no leading zero
 
 
-def _columns(path, width: int) -> tuple[list[str], list[list[str]]]:
-    """Every line of a UTF-8 text file (CRLF reads as LF), and the ``width``
-    TAB-separated columns of its non-blank lines.
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _columns(path, data: bytes, width: int) -> tuple[list[str], list[list[str]]]:
+    """Every line of the UTF-8 text ``data`` read from ``path`` (CRLF and CR
+    read as LF, as in text mode), and the ``width`` TAB-separated columns of
+    its non-blank lines.
 
     One split reads all fields, with a ``"\\n"`` field between lines: each
     line has ``width`` fields exactly when every ``width + 1``-th field is one.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not UTF-8 text: {exc}") from None
     kept = [line for line in lines if line]
@@ -367,7 +374,7 @@ def load_dictionary(path) -> dict[str, int]:
     Ids are canonical and exactly ``0..n-1`` in any order; labels are
     non-empty and distinct.
     """
-    lines, (tokens, labels) = _columns(path, 2)
+    lines, (tokens, labels) = _columns(path, _read(path), 2)
     ids = _ids(tokens, None, len(tokens))
     seen = set()  # ids and labels: an int never equals a str
     for row, (token, label, idx) in enumerate(zip(tokens, labels, ids.tolist())):
@@ -384,6 +391,26 @@ def load_dictionary(path) -> dict[str, int]:
     return dict(zip(labels, ids.tolist()))
 
 
+def _canonical_rows(data: bytes) -> np.ndarray | None:
+    """The rows of a triple file in canonical form, or None.
+
+    That form is non-blank lines of three TAB-separated canonical ids of at
+    most 18 digits (so below int64), each line ending in LF. One text parse
+    reads every id; any other file is the general reader's.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    if not b.size or b[-1] != 10 or b.max() > ord("9"):
+        return None
+    # every byte below "0" ends a field, and must be the TAB, TAB, LF of a line
+    ends = np.flatnonzero(b < ord("0"))
+    if ends.size % 3 or (b[ends].reshape(-1, 3) != (9, 9, 10)).any():
+        return None
+    widths = np.diff(ends, prepend=-1) - 1
+    if widths.min() < 1 or widths.max() > 18 or ((b[ends - widths] == ord("0")) & (widths > 1)).any():
+        return None
+    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 3)
+
+
 def read_triples(
     path,
     entity_dict: dict[str, int] | None = None,
@@ -393,9 +420,16 @@ def read_triples(
 
     Each field is a dictionary label or else a canonical id (ASCII decimal,
     no sign, no leading zero) below the dictionary size; blank lines are
-    skipped. Each distinct token is resolved once.
+    skipped. Each distinct token is resolved once. Without dictionaries, a
+    file in the canonical form of :func:`_canonical_rows` is parsed in bulk;
+    every other file, and every error, goes through the general reader.
     """
-    lines, columns = _columns(path, 3)
+    data = _read(path)
+    if entity_dict is None and relation_dict is None:
+        rows = _canonical_rows(data)
+        if rows is not None:
+            return rows
+    lines, columns = _columns(path, data, 3)
     n = len(columns[0])
     labels = (entity_dict, relation_dict, entity_dict)
     sizes = [len(d) if d is not None else 2**63 for d in labels]  # int64 bounds ids without a dictionary

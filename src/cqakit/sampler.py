@@ -13,6 +13,12 @@ answers on each layer as a :class:`cqakit.symbolic.AnswerSet`, the type
 :func:`~cqakit.symbolic.answer` returns: sorted ``int64`` entity ids behind a
 read-only set, on the same base as the graph's edge sets
 (:class:`~cqakit.graph.SortedIdSet`). This module re-exports it.
+
+Dataset files are written atomically, each line formatted directly. The
+reader takes lines in the writer's canonical form in bulk: a query is
+matched against its type's template, and all answer lists of a file are
+parsed by one text parse. Every other line goes through the per-record
+JSON reader, which words every error.
 """
 
 from __future__ import annotations
@@ -21,11 +27,15 @@ import hashlib
 import json
 import logging
 import operator
+import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from .files import replacing
 from .graph import GraphLayers, KnowledgeGraph
 from .queries import (
     ComputationGraph,
@@ -36,6 +46,7 @@ from .queries import (
     QueryType,
     anchor,
     negation,
+    parse_formula,
     parse_grounded,
     projection,
     serialize_formula,
@@ -266,21 +277,26 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _record_line(record: GroundedQueryRecord) -> str:
-    return _canonical(
-        {
-            "type": record.type_formula,
-            "query": serialize_grounded(record.query),
-            "train_answers": record.train_answers.ids.tolist(),
-            "valid_answers": record.valid_answers.ids.tolist(),
-            "test_answers": record.test_answers.ids.tolist(),
-        }
-    )
-
-
 def write_dataset(dataset: Dataset, path) -> None:
-    lines = [_record_line(r) for r in dataset.iter_records()]
-    body = "".join(line + "\n" for line in lines)
+    """Write ``dataset`` in canonical form, replacing ``path`` atomically.
+
+    Each line is formatted directly, in the bytes ``json.dumps`` gives with
+    sorted keys and no whitespace; answer ids are rendered through one table
+    of their decimal strings.
+    """
+    records = list(dataset.iter_records())
+    answers = [a.ids for r in records for a in (r.train_answers, r.valid_answers, r.test_answers)]
+    digits = _digit_table(answers)
+    if digits is None:
+        texts = (_canonical(ids.tolist())[1:-1] for ids in answers)
+    else:
+        texts = (",".join(digits[ids].tolist()) for ids in answers)
+    # zip takes a record's train, valid and test texts from ``texts`` in turn
+    body = "".join(
+        f'{{"query":{_json_string(serialize_grounded(record.query))},"test_answers":[{test}],'
+        f'"train_answers":[{train}],"type":{_json_string(record.type_formula)},"valid_answers":[{valid}]}}\n'
+        for record, train, valid, test in zip(records, texts, texts, texts)
+    )
     header = _canonical(
         {
             "format": DATASET_FORMAT,
@@ -291,19 +307,35 @@ def write_dataset(dataset: Dataset, path) -> None:
             "num_entities": dataset.num_entities,
             "num_relations": dataset.num_relations,
             "checksum": hashlib.sha256(body.encode()).hexdigest(),
-            "num_records": len(lines),
+            "num_records": len(records),
         }
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path, "x", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         fh.write(body)
+
+
+def _digit_table(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """The decimal strings of ``0..m`` as an object array, where ``m`` is the
+    largest id of ``arrays``; None unless every id is an ``int64`` in that
+    range and the table is no longer than the ids it renders."""
+    every = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+    if every.dtype != np.int64 or not every.size or every.min() < 0 or every.max() >= every.size:
+        return None
+    return np.array(list(map(str, range(every.max() + 1))), dtype=object)
+
+
+# header keys that name where a dataset came from, with their types
+_PROVENANCE = (("kg", str, "unknown"), ("seed", int, 0), ("config_hash", str, ""))
 
 
 def read_dataset(path) -> Dataset:
     """Read a dataset file; any malformed part raises :class:`DatasetFormatError`.
 
     Answer lists must be strictly ascending entity ids and query ids must
-    lie inside the universe the header declares.
+    lie inside the universe the header declares. Lines in the writer's
+    canonical form are read in bulk (:func:`_read_canonical`); every other
+    line, and every error, goes through :func:`_read_record`.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -327,25 +359,143 @@ def read_dataset(path) -> Dataset:
         value = header.get(key)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise DatasetFormatError(f"{path}:1: header lacks a non-negative integer {key!r}")
+    for key, kind, _ in _PROVENANCE:
+        value = header.get(key, kind())
+        if not isinstance(value, kind) or isinstance(value, bool):
+            what = "a string" if kind is str else "an integer"
+            raise DatasetFormatError(f"{path}:1: header {key!r} is not {what}")
     checksum = hashlib.sha256(body.encode()).hexdigest()
     if checksum != header.get("checksum"):
         raise DatasetFormatError(f"{path}: checksum failure (file edited or truncated?)")
 
     dataset = Dataset(
-        provenance=Provenance(
-            header.get("kg", "unknown"), header.get("seed", 0), header.get("config_hash", "")
-        ),
+        provenance=Provenance(*(header.get(key, default) for key, _, default in _PROVENANCE)),
         num_entities=header["num_entities"],
         num_relations=header["num_relations"],
     )
-    for lineno, line in enumerate(body.splitlines(), start=2):
-        record = _read_record(line, dataset, f"{path}:{lineno}")
+    lines = body.splitlines()
+    del body  # not held twice while the records are read
+    for lineno, (line, record) in enumerate(zip(lines, _read_canonical(lines, dataset)), start=2):
+        if record is None:
+            record = _read_record(line, dataset, f"{path}:{lineno}")
         dataset.records.setdefault(record.type_formula, []).append(record)
     if len(dataset) != header.get("num_records"):
         raise DatasetFormatError(
             f"{path}: record count {len(dataset)} != header {header.get('num_records')}"
         )
     return dataset
+
+
+# a record line as the writer prints it: sorted keys, no whitespace, no escapes
+_RECORD_LINE = re.compile(
+    r'\{"query":"([^"\\]*)","test_answers":\[([0-9,]*)\],"train_answers":\[([0-9,]*)\],'
+    r'"type":"([^"\\]*)","valid_answers":\[([0-9,]*)\]\}'
+)
+_ID = r"(0|[1-9][0-9]{0,17})"  # a canonical id below int64
+# answer text parsed at a time: bounds the reader's per-id temporaries
+_PARSE_CHARS = 1 << 20
+
+
+class _Template(NamedTuple):
+    """A type's grounded query text as a regex with one group per id, in
+    print order; whether each id is a relation's; and the builder of the
+    query from an iterator over those ids."""
+
+    text: re.Pattern
+    relations: tuple[bool, ...]
+    build: Callable[[Iterator[int]], QueryNode]
+
+
+def _pattern_template(node: QueryNode) -> tuple[str, tuple[bool, ...], Callable]:
+    """The parts of a :class:`_Template` for the subtree at ``node``, with the regex as text."""
+    k = node.kind
+    if k is OperatorKind.ANCHOR:
+        return rf"\(e,\({_ID}\)\)", (False,), lambda ids: anchor(next(ids))
+    texts, relations, builds = zip(*map(_pattern_template, node.children))
+    inner, relations = ",".join(texts), sum(relations, ())
+    if k is OperatorKind.PROJECTION:
+        (child,) = builds
+        return rf"\(p,\({_ID}\),{inner}\)", (True, *relations), lambda ids: projection(next(ids), child(ids))
+    return rf"\({k.value},{inner}\)", relations, lambda ids: QueryNode(k, children=tuple(b(ids) for b in builds))
+
+
+@lru_cache(maxsize=1024)
+def _type_template(formula: str) -> _Template | None:
+    """The template of a canonical type formula; None for any other text."""
+    try:
+        qtype = parse_formula(formula)
+        if qtype.formula_text != formula:
+            return None
+        text, relations, build = _pattern_template(qtype.pattern)
+        return _Template(re.compile(text), relations, build)
+    except (ValueError, RecursionError, re.error):
+        return None
+
+
+def _read_canonical(lines: list[str], dataset: Dataset) -> list[GroundedQueryRecord | None]:
+    """Each line's record where the line is in the writer's canonical form
+    and valid; None where :func:`_read_record` must read it.
+
+    A query must match the template of the record's ``type``, which is also
+    the type check, with its ids inside the header's universe. All answer
+    lists are parsed together (:func:`_id_lists`).
+    """
+    universe = (dataset.num_entities, dataset.num_relations)
+    queries: list[tuple[str, QueryNode] | None] = []
+    answers: list[np.ndarray | None] = []  # per line: the train, valid and test ids
+    texts: list[str] = []  # their texts, for lines not yet parsed
+    pending = 0
+    for line in lines:
+        found = _RECORD_LINE.fullmatch(line)
+        template = found and _type_template(found[4])
+        match = template and template.text.fullmatch(found[1])
+        ids = list(map(int, match.groups())) if match else ()
+        if not ids or any(i >= universe[r] for i, r in zip(ids, template.relations)):
+            queries.append(None)
+            texts += ("", "", "")
+            continue
+        queries.append((found[4], template.build(iter(ids))))
+        texts += (found[3], found[5], found[2])
+        pending += len(line)
+        if pending > _PARSE_CHARS:
+            answers += _id_lists(texts, dataset.num_entities)
+            texts, pending = [], 0
+    answers += _id_lists(texts, dataset.num_entities)
+    records: list[GroundedQueryRecord | None] = []
+    for i, query in enumerate(queries):
+        arrays = answers[3 * i : 3 * i + 3]
+        if query is None or any(a is None for a in arrays):
+            records.append(None)
+        else:
+            records.append(GroundedQueryRecord(*query, *map(AnswerSet, arrays)))
+    return records
+
+
+def _id_lists(texts: list[str], num_entities: int) -> list[np.ndarray | None]:
+    """Each text's comma-separated ids as an ``int64`` array, or None where
+    they are not canonical ids of at most 18 digits, strictly ascending and
+    below ``num_entities``. One text parse reads all the lists, and the
+    arrays are views of its result."""
+    counts = np.fromiter((t.count(",") + 1 if t else 0 for t in texts), dtype=np.int64, count=len(texts))
+    starts = np.cumsum(counts) - counts  # the index of each list's first id
+    joined = ",".join(filter(None, texts)).encode()
+    b = np.frombuffer(joined + b"," if joined else b"", dtype=np.uint8)
+    ends = np.flatnonzero(b == ord(","))  # the comma after each id
+    widths = np.diff(ends, prepend=-1) - 1
+    bad = (widths < 1) | (widths > 18) | ((b[ends - widths] == ord("0")) & (widths > 1))
+    if bad.any():
+        refused = set((starts.searchsorted(bad.nonzero()[0], "right") - 1).tolist())
+        arrays = _id_lists(["" if i in refused else t for i, t in enumerate(texts)], num_entities)
+        return [None if i in refused else a for i, a in enumerate(arrays)]
+    ids = np.fromstring(joined, dtype=np.int64, sep=",")
+    bad = np.zeros(ids.size, dtype=bool)
+    np.less_equal(ids[1:], ids[:-1], out=bad[1:])
+    bad[starts[counts > 0]] = False  # a list's first id follows no id of its own list
+    if num_entities < 2**63:
+        bad |= ids >= num_entities
+    refused = set((starts.searchsorted(bad.nonzero()[0], "right") - 1).tolist())
+    bounds = zip(starts.tolist(), (starts + counts).tolist())
+    return [None if i in refused else ids[a:z] for i, (a, z) in enumerate(bounds)]
 
 
 def _read_record(line: str, dataset: Dataset, where: str) -> GroundedQueryRecord:
@@ -380,9 +530,11 @@ def _read_record(line: str, dataset: Dataset, where: str) -> GroundedQueryRecord
         answers.append(AnswerSet(array))
     try:
         query = parse_grounded(obj["query"], dataset)  # ids checked against the header universe
+        formula = serialize_formula(query)
     except (QuerySyntaxError, QueryStructureError) as exc:
         raise DatasetFormatError(f"{where}: bad query: {exc}") from None
-    formula = serialize_formula(query)
+    except RecursionError:  # the printer recurses deeper than the reader
+        raise DatasetFormatError(f"{where}: bad query: query nested too deeply") from None
     if formula != obj["type"]:
         raise DatasetFormatError(f"{where}: type {obj['type']!r} is not the query's type {formula}")
     return GroundedQueryRecord(obj["type"], query, *answers)

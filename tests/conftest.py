@@ -54,10 +54,11 @@ def handmade_dataset(tmp_path):
     """Write a one-record dataset file whose header checksum and count match.
 
     ``record`` and ``header`` replace fields of a valid record and header,
-    or the whole line when they are not dicts.
+    or the whole line when they are not dicts. The record is written with
+    spaces after separators, or with ``compact`` in the writer's own form.
     """
 
-    def write(record=None, header=None):
+    def write(record=None, header=None, compact=False):
         record = _merged(
             {
                 "type": "(p,(e))",
@@ -68,7 +69,7 @@ def handmade_dataset(tmp_path):
             },
             record,
         )
-        body = json.dumps(record, sort_keys=True) + "\n"
+        body = json.dumps(record, sort_keys=True, separators=(",", ":") if compact else None) + "\n"
         header = _merged(
             {
                 "format": "cqakit-dataset",

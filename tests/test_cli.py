@@ -166,6 +166,13 @@ def test_inspect_histogram_buckets(capsys, tmp_path):
     ]
 
 
+def test_inspect_refuses_mistyped_provenance(capsys, handmade_dataset):
+    path = handmade_dataset(None, {"kg": ["x"], "seed": {"a": 1}, "config_hash": 7})
+    code, out, err = run(capsys, "inspect", "--data", str(path))
+    assert code == 2
+    assert "header 'kg' is not a string" in err and out == ""
+
+
 def test_generate_custom_type_file(capsys, kg_dir, tmp_path):
     tfile = tmp_path / "types.txt"
     tfile.write_text("(p,(e))\n# comment\n(u,(p,(e)),(p,(e)))\n")

@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import threading
 
 import hypothesis.strategies as st
 import numpy as np
@@ -283,6 +286,23 @@ def test_checkpoint_round_trip(tmp_path):
     assert_same_model(saved.model, loaded.model)
 
 
+@pytest.mark.parametrize("arch,precision,digest", [
+    ("LSTM", "double", "620618874000f02927b98569a7ee3a69cf2086f92e3c5faab51bd108cdc00fa9"),
+    ("LSTM", "single", "5b411ade7ef6eb75a3b1d2de36cd271140f420079ab5f401cf06b093138e7e81"),
+    ("TreeLSTM", "double", "343374e464d6cf89aa2927a8037fae972c172df022af234d0b49a318589bc84b"),
+    ("TreeLSTM", "single", "535f0b15b5480a685cbf6c0bc56d8591d8122b34e9352c2122a7f8c63d18f2f1"),
+    ("Transformer-RPE", "double", "9d9dda390a25f37eb4489ba8f3b2c181b78e2d750fe57ff62d2d0dd0f57d0fe2"),
+    ("Transformer-RPE", "single", "48e1973f39d30bc8996e39350d35772e7069fe489f41cea0f8a159751cdb0dff"),
+])
+def test_checkpoint_bytes_pinned(arch, precision, digest, tmp_path):
+    # sha256 recorded from the writer that joined every tensor's bytes into one
+    # payload before hashing and writing it
+    path = tmp_path / "m.ckpt"
+    heads = {"heads": 2} if arch.startswith("Transformer") else {}
+    saved_checkpoint(path, arch, seed=23, precision=precision, **heads)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 TREE_PARAM_NAMES = {
     "TreeLSTM": {f"{w}{g}" for w in "WUb" for g in "ifou"},
     "TreeLSTM-NoMemoryCell": {"W", "U", "b"},
@@ -391,6 +411,60 @@ def test_checkpoint_bad_manifest_rejected(edit, match, tmp_path):
     path.write_bytes(MAGIC + edit(json.loads(manifest)).encode() + b"\n" + payload)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
+
+
+def swap_offsets(manifest):
+    first, second = manifest["tensors"][:2]
+    first["offset"], second["offset"] = second["offset"], first["offset"]
+    return json.dumps(manifest)
+
+
+def listed_in_reverse(manifest):
+    manifest["tensors"].reverse()
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("edit,tail,match", [
+    (swap_offsets, b"", r"starts at byte \d+, not where the tensor before it ends \(0\)"),
+    (edit_entry(1, offset=0), b"", r"starts at byte 0, not where the tensor before it ends \(\d+\)"),
+    (listed_in_reverse, b"", r"not where the tensor before it ends \(0\)"),
+    (json.dumps, b"\0" * 8, "8 payload bytes follow the last tensor"),
+], ids=["swapped-offsets", "overlapping", "listed-out-of-order", "trailing-bytes"])
+def test_checkpoint_directory_must_tile_the_payload(edit, tail, match, tmp_path):
+    path = tmp_path / "m.ckpt"
+    saved_checkpoint(path, "LSTM", seed=24)
+    _, manifest, payload = path.read_bytes().split(b"\n", 2)
+    manifest = json.loads(manifest)
+    payload += tail
+    manifest["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(MAGIC + edit(manifest).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def test_loaded_tensors_are_views_of_one_buffer(tmp_path):
+    path = tmp_path / "m.ckpt"
+    saved = saved_checkpoint(path, "TreeLSTM", seed=25)
+    _, tensors = load_checkpoint(path)
+    assert len({id(arr.base) for arr in tensors.values()}) == 1
+    assert all(arr.flags.writeable and arr.flags.aligned for arr in tensors.values())
+    loaded = Checkpoint.load(path)
+    assert_same_model(saved.model, loaded.model)
+
+
+def test_checkpoint_loads_from_a_pipe(tmp_path):
+    # a pipe has no size to preallocate from, so the payload comes from the read after it
+    path, pipe = tmp_path / "m.ckpt", tmp_path / "pipe"
+    saved = saved_checkpoint(path, "LSTM", seed=26)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    try:
+        loaded = Checkpoint.load(pipe)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_same_model(saved.model, loaded.model)
 
 
 def test_checkpoint_with_older_meta_keys_loads(tmp_path):

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from cqakit import graph
 from cqakit.graph import (
     EdgeTriple,
     GraphFormatError,
@@ -165,6 +166,78 @@ def test_crlf_and_blank_lines_load(tmp_path):
     path.write_bytes(b"\n\r\n\n")
     assert read_triples(path).shape == (0, 3)
     assert read_triples(write(tmp_path, "empty.txt", "")).shape == (0, 3)
+
+
+def general_read(monkeypatch, path, entity_dict=None, relation_dict=None):
+    """The rows, or the error text, of ``read_triples`` with the bulk path turned off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(graph, "_canonical_rows", lambda data: None)
+        return outcome(read_triples, path, entity_dict, relation_dict)
+
+
+def outcome(read, *args):
+    try:
+        rows = read(*args)
+    except GraphFormatError as exc:
+        return str(exc)
+    assert rows.dtype == np.int64 and rows.shape[1:] == (3,) and rows.flags.c_contiguous
+    return rows.tolist()
+
+
+@pytest.mark.parametrize("blob,bulk", [
+    (b"0\t0\t1\n10\t1\t0\n", True),
+    (b"0\t0\t1\r\n10\t1\t0\r\n", False),
+    (b"0\t0\t1\r10\t1\t0\r", False),
+    (b"0\t0\t1\n\n10\t1\t0\n", False),
+    (b"\n0\t0\t1\n", False),
+    (b"0\t0\t1\n10\t1\t0", False),
+    (b"0\t0\t1\n5", False),
+    (b"0\t0\t01\n", False),
+    (b"00\t0\t1\n", False),
+    (b"999999999999999999\t0\t1\n", True),
+    (b"1000000000000000000\t0\t1\n", False),
+    (b"9223372036854775807\t0\t1\n", False),
+    (b"9223372036854775808\t0\t1\n", False),
+    (b"0\t1\n", False),
+    (b"0\t1\t2\t3\n", False),
+    (b"0\t1\n2\t3\t4\t5\n", False),
+    (b"0\t\t2\n", False),
+    (b"\t1\t2\n", False),
+    (b"0\t1\t2\t\n", False),
+    (b"", False),
+    (b"\n", False),
+    (b"0\t1\t2 \n", False),
+    (b"0\t1\t-2\n", False),
+], ids=["canonical", "crlf", "lone-cr", "blank-line", "leading-blank-line", "no-final-newline", "trailing-digits",
+        "leading-zero", "double-zero", "18-digits", "19-digits", "int64-max", "int64-max-plus-one",
+        "two-fields", "four-fields", "two-then-four-fields", "empty-field", "empty-first-field",
+        "trailing-tab", "empty-file", "newline-only", "trailing-space", "negative"])
+def test_bulk_triple_reader_matches_the_general_reader(blob, bulk, tmp_path, monkeypatch):
+    path = tmp_path / "t.txt"
+    path.write_bytes(blob)
+    assert (graph._canonical_rows(blob) is not None) == bulk
+    assert outcome(read_triples, path) == general_read(monkeypatch, path)
+
+
+def test_digit_labels_take_the_general_reader(tmp_path, monkeypatch):
+    # with dictionaries every token is looked up as a label first
+    path = write(tmp_path, "t.txt", "1\t0\t0\n0\t0\t2\n")
+    edict, rdict = {"0": 2, "1": 0, "2": 1}, {"0": 0}
+    rows = outcome(read_triples, path, edict, rdict)
+    assert rows == [[0, 0, 2], [2, 0, 1]]
+    assert rows == general_read(monkeypatch, path, edict, rdict)
+
+
+def test_bench_shaped_triple_files_never_reach_the_general_reader(tmp_path, monkeypatch):
+    rows = synthetic_graph(50, 4, 300, seed=9).edges.rows()
+    paths = [tmp_path / f"{name}.txt" for name in ("train", "valid", "test")]
+    for path, part in zip(paths, np.split(rows[np.random.default_rng(0).permutation(len(rows))], [240, 270])):
+        path.write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in part.tolist()))
+    calls, columns = [], graph._columns
+    monkeypatch.setattr(graph, "_columns", lambda *args: calls.append(args) or columns(*args))
+    layers = layer_graphs(*paths)
+    assert calls == []
+    assert layers.test.edges == KnowledgeGraph.from_edges(rows.tolist(), 50, 4).edges
 
 
 def test_labels_take_precedence_over_ids(tmp_path):

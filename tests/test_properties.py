@@ -1,9 +1,13 @@
 """Property tests over randomly generated query trees, graphs and damaged files."""
 
 import functools
+import hashlib
+import json
 import os
+import re
 import string
 import tempfile
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -27,7 +31,17 @@ from cqakit.queries import (
     serialize_grounded,
     union,
 )
-from cqakit.sampler import Dataset, DatasetFormatError, GroundedQueryRecord, read_dataset, write_dataset
+from cqakit import sampler
+from cqakit.queries import builtin_query_types
+from cqakit.sampler import (
+    Dataset,
+    DatasetFormatError,
+    GroundedQueryRecord,
+    SamplerConfig,
+    read_dataset,
+    sample_dataset,
+    write_dataset,
+)
 from cqakit.symbolic import answer, answer_bits, answer_dnf, to_dnf
 from cqakit.training import Checkpoint, TrainConfig, config_from_mapping, parse_config_file, train
 from conftest import answer_set
@@ -413,6 +427,100 @@ def test_dataset_reader_raises_only_dataset_format_error(data):
         read_damaged(damaged_blob, read_dataset)
     except DatasetFormatError:
         pass
+
+
+# -- the bulk dataset reader against the record reader --------------------------
+
+RECORD_KEYS = ("query", "test_answers", "train_answers", "type", "valid_answers")
+ANSWER_KEYS = ("test_answers", "train_answers", "valid_answers")
+
+
+@pytest.fixture(scope="module")
+def desk_records(desk_layers, tmp_path_factory):
+    """The header of a file of every built-in type on the desk graph, and its
+    records as fields: query and type texts, answer lists as id tokens."""
+    cfg = SamplerConfig(per_type_count=2, seed=41, source_layer="test")
+    path = tmp_path_factory.mktemp("desk") / "desk.jsonl"
+    write_dataset(sample_dataset(desk_layers, builtin_query_types().all_fol, cfg, kg_name="desk"), path)
+    header, *lines = path.read_text().splitlines()
+    records = []
+    for line in lines:
+        fields = json.loads(line)
+        records.append({k: v if isinstance(v, str) else list(map(str, v)) for k, v in fields.items()})
+    return json.loads(header), records
+
+
+def render(fields, keys=RECORD_KEYS, space=""):
+    """A record line; the writer's own when ``keys`` are sorted and ``space`` is empty."""
+    text = {k: json.dumps(v) if isinstance(v, str) else "[" + ",".join(v) + "]" for k, v in fields.items()}
+    return "{" + ("," + space).join(f'"{k}":{space}{text[k]}' for k in keys) + "}"
+
+
+def mutated_line(data, fields) -> str:
+    """One record's line: as written, or with one edit that the bulk reader must
+    refuse or read exactly as the record reader does."""
+    fields = {k: list(v) if isinstance(v, list) else v for k, v in fields.items()}
+    edit = data.draw(st.sampled_from(
+        ["none", "leading-zero", "empty-element", "unsorted", "id-past-universe", "long-id", "space",
+         "reordered-keys", "wrong-type", "query-id"]
+    ))
+    ids = fields[data.draw(st.sampled_from(ANSWER_KEYS))]
+    at = data.draw(st.integers(0, len(ids)))
+    if edit == "leading-zero" and ids:
+        ids[at % len(ids)] = "0" + ids[at % len(ids)]
+    elif edit == "empty-element":
+        ids.insert(at, "")
+    elif edit == "unsorted" and ids:
+        ids.insert(at, ids[data.draw(st.integers(0, len(ids) - 1))])
+    elif edit == "id-past-universe":
+        ids.insert(at, str(100 + data.draw(st.integers(0, 3))))
+    elif edit == "long-id":
+        big = data.draw(st.sampled_from([10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19]))
+        ids.insert(at, str(big))
+    elif edit == "space":
+        line = render(fields)
+        at = data.draw(st.integers(0, len(line)))
+        return line[:at] + data.draw(st.sampled_from([" ", "\t", "  "])) + line[at:]
+    elif edit == "reordered-keys":
+        keys = data.draw(st.permutations(RECORD_KEYS))
+        return render(fields, keys, data.draw(st.sampled_from(["", " "])))
+    elif edit == "wrong-type":
+        formulas = [t.formula_text for t in builtin_query_types().all_fol]
+        fields["type"] = data.draw(st.sampled_from(formulas + ["(p, (e))", "(e)", "(p,(e)) ", ""]))
+    elif edit == "query-id":
+        spans = [m.span() for m in re.finditer("[0-9]+", fields["query"])]
+        start, end = data.draw(st.sampled_from(spans))
+        new = data.draw(st.sampled_from(["0" + fields["query"][start:end], "10", "100", str(10**18), str(2**63)]))
+        fields["query"] = fields["query"][:start] + new + fields["query"][end:]
+    return render(fields)
+
+
+def read_outcome(path):
+    try:
+        return read_dataset(path)
+    except DatasetFormatError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_bulk_dataset_reader_matches_the_record_reader(desk_records, data):
+    header, records = desk_records
+    chosen = data.draw(st.lists(st.sampled_from(records), min_size=1, max_size=3))
+    body = "".join(mutated_line(data, fields) + "\n" for fields in chosen)
+    header = {**header, "checksum": hashlib.sha256(body.encode()).hexdigest(), "num_records": len(chosen)}
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "d.jsonl")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(header) + "\n" + body)
+        bulk = read_outcome(path)
+        with mock.patch.object(sampler, "_read_canonical", lambda lines, dataset: [None] * len(lines)):
+            oracle = read_outcome(path)
+    assert bulk == oracle
+    if isinstance(bulk, Dataset):
+        for record in bulk.iter_records():
+            for ids in (record.train_answers.ids, record.valid_answers.ids, record.test_answers.ids):
+                assert ids.dtype == np.int64 and not ids.flags.writeable
 
 
 @pytest.mark.parametrize("blob,read,error", [

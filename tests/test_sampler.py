@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from cqakit import graph, sampler
@@ -200,7 +201,7 @@ def test_read_rejects_checksum_and_version(tmp_path, desk_layers):
         read_dataset(tmp_path / "t2.jsonl")
 
 
-@pytest.mark.parametrize("record,header,match", [
+MALFORMED_FIELDS = pytest.mark.parametrize("record,header,match", [
     ({"test_answers": [4, 7, 100000]}, None, r":2: test_answers not sorted strictly ascending inside \[0, 10\)"),
     ({"valid_answers": [-1, 4]}, None, ":2: valid_answers not sorted strictly ascending"),
     ({"test_answers": 5}, None, ":2: test_answers is not a list of integer entity ids"),
@@ -223,9 +224,61 @@ def test_read_rejects_checksum_and_version(tmp_path, desk_layers):
         "answer-unsorted-past-int64-inside-universe", "record-not-object",
         "query-not-a-string", "query-entity-outside", "query-relation-outside", "query-syntax", "query-too-deep",
         "header-not-object", "header-universe-string"])
+
+
+@MALFORMED_FIELDS
 def test_read_rejects_malformed_fields(record, header, match, handmade_dataset):
     with pytest.raises(DatasetFormatError, match=match):
         read_dataset(handmade_dataset(record, header))
+
+
+@MALFORMED_FIELDS
+def test_read_rejects_malformed_fields_in_compact_form(record, header, match, handmade_dataset):
+    # the writer's own separators: the record line is offered to the bulk reader first
+    with pytest.raises(DatasetFormatError, match=match):
+        read_dataset(handmade_dataset(record, header, compact=True))
+
+
+@pytest.mark.parametrize("depth", [300, 450, 480, 495])
+@pytest.mark.parametrize("compact", [False, True])
+def test_deep_queries_load_or_raise_a_dataset_error(depth, compact, handmade_dataset):
+    # near the recursion limit the query reader succeeds where the type printer used to overflow
+    record = {"type": "(p," * depth + "(e)" + ")" * depth, "query": "(p,(0)," * depth + "(e,(2))" + ")" * depth}
+    try:
+        (read,) = read_dataset(handmade_dataset(record, compact=compact)).iter_records()
+    except DatasetFormatError as exc:
+        assert str(exc).endswith(":2: bad query: query nested too deeply")
+    else:
+        assert read.type_formula == record["type"]
+
+
+def test_compact_handwritten_record_takes_the_bulk_reader(handmade_dataset, monkeypatch):
+    monkeypatch.setattr(sampler, "_read_record", lambda *args: pytest.fail("record reader called"))
+    (record,) = read_dataset(handmade_dataset(compact=True)).iter_records()
+    assert record.test_answers == answer_set({4, 7, 9})
+
+
+@pytest.mark.parametrize("header,match", [
+    ({"kg": ["x"]}, ":1: header 'kg' is not a string"),
+    ({"kg": None}, ":1: header 'kg' is not a string"),
+    ({"seed": {"a": 1}}, ":1: header 'seed' is not an integer"),
+    ({"seed": True}, ":1: header 'seed' is not an integer"),
+    ({"seed": 1.0}, ":1: header 'seed' is not an integer"),
+    ({"config_hash": 7}, ":1: header 'config_hash' is not a string"),
+], ids=["kg-list", "kg-null", "seed-object", "seed-bool", "seed-float", "config-hash-number"])
+def test_read_rejects_mistyped_provenance(header, match, handmade_dataset):
+    with pytest.raises(DatasetFormatError, match=match):
+        read_dataset(handmade_dataset(None, header))
+
+
+def test_absent_provenance_keys_keep_their_defaults(handmade_dataset):
+    path = handmade_dataset()
+    header, body = path.read_text().split("\n", 1)
+    header = {k: v for k, v in json.loads(header).items() if k not in ("kg", "seed", "config_hash")}
+    path.write_text(json.dumps(header) + "\n" + body)
+    provenance = read_dataset(path).provenance
+    assert provenance == Provenance("unknown", 0, "")
+    hash(provenance)  # a frozen dataclass of hashable fields
 
 
 def test_sampler_config_validation():
@@ -331,3 +384,20 @@ def test_test_layer_dataset_bytes_pinned(desk_layers, tmp_path):
     write_dataset(ds, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "0c7f19d3ce9d6f34046e65ab8477cb789f8aca8f62933a936e77216ab56e8e3f"
+
+
+@pytest.mark.parametrize("source_layer", ["train", "test"])
+def test_written_datasets_never_reach_the_record_reader(source_layer, desk_layers, tmp_path, monkeypatch):
+    cfg = SamplerConfig(per_type_count=3, seed=37, source_layer=source_layer)
+    ds = sample_dataset(desk_layers, builtin_query_types().all_fol, cfg, kg_name="desk")
+    path = tmp_path / "desk.jsonl"
+    write_dataset(ds, path)
+    calls, read_record = [], sampler._read_record
+    monkeypatch.setattr(sampler, "_read_record", lambda *args: calls.append(args) or read_record(*args))
+    read = read_dataset(path)
+    assert calls == []
+    assert read == ds
+    for record in read.iter_records():
+        for layer in ("train", "valid", "test"):
+            ids = record.answers(layer).ids
+            assert ids.dtype == np.int64 and not ids.flags.writeable
