@@ -28,6 +28,7 @@ from .queries import (
     builtin_query_types,
     parse_formula,
     parse_grounded,
+    query_ids,
 )
 from .sampler import GroundingError, SamplerConfig, read_dataset, sample_dataset, write_dataset
 from .symbolic import answer
@@ -134,7 +135,7 @@ def cmd_answer(args) -> int:
     layers = _kg_dir(args.kg)
     layer = layers.layer(args.layer)
     query = parse_grounded(args.query, layer)
-    print(" ".join(map(str, answer(layer, query))))  # ascending ids
+    print(" ".join(map(str, answer(layer, query, query_ids(query)))))  # ascending ids
     return 0
 
 

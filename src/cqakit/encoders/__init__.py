@@ -130,7 +130,8 @@ class QueryModel:
         return grads
 
     def encode_graphs(self, graphs: list[ComputationGraph]) -> np.ndarray:
-        """Convenience: embeddings only, no cache (evaluation path)."""
+        """Embeddings of query trees, no cache. The evaluator encodes the
+        token lists of :func:`~cqakit.sampler.query_tokens` instead."""
         out, _ = self.encode(self.prepare(graphs))
         return out
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .queries import distribution_of, parse_formula
-from .sampler import AnswerSet, Dataset, GroundedQueryRecord
+from .sampler import AnswerSet, Dataset, GroundedQueryRecord, query_tokens
 
 HIT_KS = (1, 3, 10)
 MODES = ("entailment", "inference", "validation-swap")
@@ -219,10 +219,10 @@ def _score_rows(model, records: list[GroundedQueryRecord]):
     """
     # a chunk may mix types: tree encoders batch any shapes level by level,
     # and sequence encoders pack each chunk's tokens back to back
+    tokens = query_tokens(records, model.vocab)
     for start in range(0, len(records), 256):
-        chunk = model.entity_scores(
-            model.encode_graphs([record.query for record in records[start : start + 256]])
-        )
+        encoded, _ = model.encode(tokens[start : start + 256])
+        chunk = model.entity_scores(encoded)
         for i in range(chunk.shape[0]):
             yield chunk[i].copy()
         del chunk

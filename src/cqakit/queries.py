@@ -8,6 +8,10 @@ nodes. Two textual forms exist:
   anchor ``(e,(<ENT>))``, projection ``(p,(<REL>),<SUB>)``,
   intersection ``(i,<SUB>,<SUB>,...)``, union ``(u,...)``, negation ``(n,<SUB>)``.
 
+A grounded query is also its type's pattern plus its id vector: each
+projection's relation, then its child's ids, and each anchor's entity, in
+print order (:func:`query_ids`; :func:`fill_pattern` builds the tree back).
+
 Both forms are read by one reader, which accepts exactly what the printers
 write plus optional ASCII whitespace (``string.whitespace``) between tokens:
 ids are ASCII decimal integers without leading zeros. Child order is
@@ -42,6 +46,7 @@ class OperatorKind(enum.Enum):
 
 
 _LETTER_TO_KIND = {k.value: k for k in OperatorKind}
+_GROUNDED = (OperatorKind.ANCHOR, OperatorKind.PROJECTION)  # the kinds that carry an id
 
 
 @dataclass(frozen=True)
@@ -167,7 +172,7 @@ def _build(item: object, universe: tuple[float, float] | None) -> QueryNode:
     kind = _LETTER_TO_KIND[item[0]]
     rest = item[1:]
     ident = None
-    if universe is not None and kind in (OperatorKind.ANCHOR, OperatorKind.PROJECTION):
+    if universe is not None and kind in _GROUNDED:
         group = rest[0] if rest else None
         if type(group) is not list or len(group) != 1 or type(group[0]) is not int:
             raise QuerySyntaxError(f"{kind.name.lower()} needs an id group '(<int>)' after its operator")
@@ -189,10 +194,17 @@ def _read(text: str, universe: tuple[float, float] | None) -> QueryNode:
         raise QuerySyntaxError("query nested too deeply") from None
 
 
+@lru_cache(maxsize=1024)
 def parse_formula(text: str) -> QueryType:
-    """Parse an abstract type formula such as ``(p,(i,(p,(e)),(p,(e))))``."""
+    """Parse an abstract type formula such as ``(p,(i,(p,(e)),(p,(e))))``.
+
+    A type is immutable, so each text is parsed once and the type shared.
+    """
     root = _read(text, None)
-    return QueryType(formula_text=serialize_formula(root), pattern=root)
+    try:
+        return QueryType(formula_text=serialize_formula(root), pattern=root)
+    except RecursionError:  # the printer recurses deeper than the reader
+        raise QuerySyntaxError("query nested too deeply") from None
 
 
 def parse_grounded(text: str, kg=None) -> ComputationGraph:
@@ -210,6 +222,27 @@ def serialize_grounded(node: QueryNode) -> str:
         return f"(p,({node.relation}),{serialize_grounded(node.children[0])})"
     inner = ",".join(serialize_grounded(c) for c in node.children)
     return f"({k.value},{inner})"
+
+
+def query_ids(node: QueryNode) -> list[int]:
+    """A grounded query's ids in print order: each projection's relation, then
+    its child's ids, and each anchor's entity. With its type's pattern they
+    are the whole query (:func:`fill_pattern` is the inverse)."""
+    return [n.entity if n.kind is OperatorKind.ANCHOR else n.relation for n in node.walk() if n.kind in _GROUNDED]
+
+
+def fill_pattern(pattern: QueryNode, ids) -> ComputationGraph:
+    """The grounded query of a type ``pattern`` with ``ids`` in print order."""
+    it = map(int, ids)
+
+    def fill(node: QueryNode) -> QueryNode:
+        if node.kind is OperatorKind.ANCHOR:
+            return anchor(next(it))
+        if node.kind is OperatorKind.PROJECTION:
+            return projection(next(it), fill(node.children[0]))
+        return QueryNode(node.kind, children=tuple(map(fill, node.children)))
+
+    return fill(pattern)
 
 
 def serialize_formula(node: QueryNode) -> str:

@@ -8,6 +8,19 @@ independently sampled node and the whole query is then verified against the
 symbolic engine (reject/retry), so every emitted query is guaranteed to have
 the seed node among its answers.
 
+A grounded query is its type's pattern plus one ``int64`` id vector, the
+layout of BetaE's query files: each projection's relation, then its child's
+ids, and each anchor's entity, in print order. Grounding appends to that
+vector as it walks the pattern, the symbolic engine reads it, and a record
+keeps it; no query tree is built on the way from sampling to tokens.
+``GroundedQueryRecord.query`` builds the tree on demand for the code that
+walks trees.
+
+One template per type string (:func:`_type_template`) holds what a type
+fixes of its queries: the text the reader matches, the format the writer
+prints, which ids are relations, and the token list with a slot per id
+that :func:`query_tokens` fills for training and evaluation.
+
 Queries with large answer sets are never filtered out. A record holds its
 answers on each layer as a :class:`cqakit.symbolic.AnswerSet`, the type
 :func:`~cqakit.symbolic.answer` returns: sorted ``int64`` entity ids behind a
@@ -16,9 +29,9 @@ read-only set, on the same base as the graph's edge sets
 
 Dataset files are written atomically, each line formatted directly. The
 reader takes lines in the writer's canonical form in bulk: a query is
-matched against its type's template, and all answer lists of a file are
-parsed by one text parse. Every other line goes through the per-record
-JSON reader, which words every error.
+matched against its type's template, which yields its ids, and all answer
+lists of a file are parsed by one text parse. Every other line goes through
+the per-record JSON reader, which words every error.
 """
 
 from __future__ import annotations
@@ -29,14 +42,14 @@ import logging
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _json_string
-from typing import Callable, Iterator, NamedTuple
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .files import replacing
 from .graph import GraphLayers, KnowledgeGraph
+from .linearize import KIND_TO_OP, LPAREN, NUM_SPECIALS, PAD, RPAREN, Vocabulary, linearize
 from .queries import (
     ComputationGraph,
     OperatorKind,
@@ -44,13 +57,11 @@ from .queries import (
     QueryStructureError,
     QuerySyntaxError,
     QueryType,
-    anchor,
-    negation,
+    fill_pattern,
     parse_formula,
     parse_grounded,
-    projection,
+    query_ids,
     serialize_formula,
-    serialize_grounded,
 )
 from .rng import make_rng
 from .symbolic import AnswerSet, answer, answer_bits
@@ -102,15 +113,43 @@ class SamplerConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundedQueryRecord:
-    """One grounded query with its answers on the train, valid and test layers."""
+    """One grounded query with its answers on the train, valid and test layers.
+
+    The query is its type, ``type_formula``, filled with ``ids``: its
+    relation and entity ids in print order
+    (:func:`~cqakit.queries.query_ids`), kept as a read-only ``int64`` array.
+    Records are equal when those four fields are. ``query`` builds the tree
+    on first access, for the code that walks trees: the DNF oracle, the CLI
+    and checks made apart from the program.
+    """
 
     type_formula: str
-    query: ComputationGraph
+    ids: np.ndarray
     train_answers: AnswerSet
     valid_answers: AnswerSet
     test_answers: AnswerSet
+
+    def __post_init__(self):
+        ids = np.asarray(self.ids, dtype=np.int64)
+        ids.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+
+    def _fields(self) -> tuple:
+        return (self.type_formula, self.ids.tobytes(), self.train_answers, self.valid_answers, self.test_answers)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroundedQueryRecord):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    @cached_property
+    def query(self) -> ComputationGraph:
+        return fill_pattern(parse_formula(self.type_formula).pattern, self.ids)
 
     def answers(self, layer_name: str) -> AnswerSet:
         return {
@@ -147,54 +186,61 @@ def ground_type(
     qtype: QueryType,
     rng: np.random.Generator,
     max_retries: int = 64,
-) -> tuple[ComputationGraph, int]:
-    """Ground one query of the given type; returns ``(query, seed_node)``.
+) -> tuple[list[int], int]:
+    """Ground one query of the given type; returns ``(ids, seed_node)``.
 
+    ``ids`` are the query's relation and entity ids in print order, the
+    type's pattern filled as :func:`~cqakit.queries.fill_pattern` reads it.
     The seed node is guaranteed to be an answer of the query on ``layer``.
     Raises :class:`GroundingError` when the retry budget is exhausted.
     """
     if not layer.edges:
         raise GroundingError("cannot ground queries on an empty graph")
+    ids: list[int] = []
 
-    def ground(node: QueryNode, v: int) -> QueryNode:
+    def ground(node: QueryNode, v: int) -> None:
         k = node.kind
         if k is OperatorKind.ANCHOR:
-            return anchor(v)
-        if k is OperatorKind.PROJECTION:
+            ids.append(v)
+        elif k is OperatorKind.PROJECTION:
             incoming = layer.in_edges(v)
             if not incoming:
                 raise _DeadEnd
             u, r = incoming[rng.integers(len(incoming))]
-            return projection(r, ground(node.children[0], u))
-        if k is OperatorKind.INTERSECTION:
-            return QueryNode(k, children=tuple(ground(c, v) for c in node.children))
-        if k is OperatorKind.UNION:
-            grounded = [ground(node.children[0], v)]
+            ids.append(r)
+            ground(node.children[0], u)
+        elif k is OperatorKind.INTERSECTION:
+            for child in node.children:
+                ground(child, v)
+        elif k is OperatorKind.UNION:
+            ground(node.children[0], v)
             for child in node.children[1:]:
+                start = len(ids)
                 for attempt in range(16):
                     w = int(rng.integers(layer.num_entities))
                     try:
-                        grounded.append(ground(child, w))
+                        ground(child, w)
                         break
                     except _DeadEnd:
-                        continue
+                        del ids[start:]  # drop what the failed child appended
                 else:
                     raise _DeadEnd
-            return QueryNode(k, children=tuple(grounded))
-        # negation: ground the negated subtree at an independent node; the
-        # acceptance check below restores the answer guarantee.
-        w = int(rng.integers(layer.num_entities))
-        return negation(ground(node.children[0], w))
+        else:
+            # negation: ground the negated subtree at an independent node; the
+            # acceptance check below restores the answer guarantee.
+            w = int(rng.integers(layer.num_entities))
+            ground(node.children[0], w)
 
     for _ in range(max_retries):
         v = int(rng.integers(layer.num_entities))
+        ids.clear()
         try:
-            candidate = ground(qtype.pattern, v)
+            ground(qtype.pattern, v)
         except _DeadEnd:
             continue
-        if qtype.has_negation and v not in answer(layer, candidate):
+        if qtype.has_negation and v not in answer(layer, qtype.pattern, ids):
             continue
-        return candidate, v
+        return ids, v
     raise GroundingError(
         f"failed to ground type {qtype.formula_text} after {max_retries} attempts"
     )
@@ -211,9 +257,10 @@ def sample_dataset(
     Queries are grounded on ``cfg.source_layer``; each record stores its
     answer sets on all three layers, each read from its own bit of one
     :func:`answer_bits` pass. Grounded queries are deduplicated within a
-    type. Record ``i`` of type ``t`` draws from an independent random
-    stream keyed by ``(seed, t, i)``, so output is reproducible and
-    independent of scheduling. A type listed twice raises ``ValueError``.
+    type, on their id vectors. Record ``i`` of type ``t`` draws from an
+    independent random stream keyed by ``(seed, t, i)``, so output is
+    reproducible and independent of scheduling. A type listed twice raises
+    ``ValueError``.
     """
     formulas = [qtype.formula_text for qtype in types]
     for i, formula in enumerate(formulas):
@@ -228,30 +275,31 @@ def sample_dataset(
     )
     for type_index, qtype in enumerate(types):
         group: list[GroundedQueryRecord] = []
-        seen: set[str] = set()
+        seen: set[tuple[int, ...]] = set()
         shortfall = 0
         for record_index in range(cfg.per_type_count):
             rng = make_rng(cfg.seed, type_index, record_index)
             record = None
             for _ in range(cfg.max_retries):
                 try:
-                    query, v = ground_type(source, qtype, rng, cfg.max_retries)
+                    ids, v = ground_type(source, qtype, rng, cfg.max_retries)
                 except GroundingError:
                     break
-                key = serialize_grounded(query)
+                key = tuple(ids)  # within a type, the ids are the query text
                 if key in seen:
                     continue
                 seen.add(key)
-                bits = answer_bits(source, query)  # bit k: the answers on layer k
+                bits = answer_bits(source, qtype.pattern, ids)  # bit k: the answers on layer k
                 if not bits.item(v) & source_bit:
                     # grounding and the symbolic engine disagree
+                    text = _type_template(qtype.formula_text).text.format(*ids)
                     raise RuntimeError(
-                        f"type {qtype.formula_text}: seed node {v} is not an answer of {key} "
+                        f"type {qtype.formula_text}: seed node {v} is not an answer of {text} "
                         f"on the {cfg.source_layer} layer"
                     )
                 # one boolean row per layer: nonzero is several times faster on bools
                 answers = [AnswerSet(row.nonzero()[0]) for row in (bits & _LAYER_BITS) != 0]
-                record = GroundedQueryRecord(qtype.formula_text, query, *answers)
+                record = GroundedQueryRecord(qtype.formula_text, ids, *answers)
                 break
             if record is None:
                 shortfall += 1
@@ -281,8 +329,10 @@ def write_dataset(dataset: Dataset, path) -> None:
     """Write ``dataset`` in canonical form, replacing ``path`` atomically.
 
     Each line is formatted directly, in the bytes ``json.dumps`` gives with
-    sorted keys and no whitespace; answer ids are rendered through one table
-    of their decimal strings.
+    sorted keys and no whitespace: a query is printed from its type's format
+    and its ids, and answer ids are rendered through one table of their
+    decimal strings. A record whose type is not a canonical formula that its
+    ids fill raises ``ValueError``.
     """
     records = list(dataset.iter_records())
     answers = [a.ids for r in records for a in (r.train_answers, r.valid_answers, r.test_answers)]
@@ -291,11 +341,14 @@ def write_dataset(dataset: Dataset, path) -> None:
         texts = (_canonical(ids.tolist())[1:-1] for ids in answers)
     else:
         texts = (",".join(digits[ids].tolist()) for ids in answers)
-    # zip takes a record's train, valid and test texts from ``texts`` in turn
+    queries = (_template(record).text.format(*record.ids.tolist()) for record in records)
+    # zip takes a record's train, valid and test texts from ``texts`` in
+    # turn; the query and its type are in the query grammar, which JSON
+    # strings hold unescaped
     body = "".join(
-        f'{{"query":{_json_string(serialize_grounded(record.query))},"test_answers":[{test}],'
-        f'"train_answers":[{train}],"type":{_json_string(record.type_formula)},"valid_answers":[{valid}]}}\n'
-        for record, train, valid, test in zip(records, texts, texts, texts)
+        f'{{"query":"{query}","test_answers":[{test}],'
+        f'"train_answers":[{train}],"type":"{record.type_formula}","valid_answers":[{valid}]}}\n'
+        for record, query, train, valid, test in zip(records, queries, texts, texts, texts)
     )
     header = _canonical(
         {
@@ -397,39 +450,99 @@ _PARSE_CHARS = 1 << 20
 
 
 class _Template(NamedTuple):
-    """A type's grounded query text as a regex with one group per id, in
-    print order; whether each id is a relation's; and the builder of the
-    query from an iterator over those ids."""
+    """What a type fixes of its grounded queries, read once per type string.
 
-    text: re.Pattern
+    ``regex`` matches the query's canonical text with one group per id, and
+    ``text`` is that text as a format with one ``{}`` per id, both in print
+    order; ``relations`` says whether each id is a relation's. ``tokens`` is
+    the query's token list (:func:`~cqakit.linearize.linearize`) with each
+    id's token at ``slots``, in the same order, left as PAD.
+    """
+
+    regex: re.Pattern
+    text: str
     relations: tuple[bool, ...]
-    build: Callable[[Iterator[int]], QueryNode]
+    tokens: np.ndarray
+    slots: np.ndarray
 
 
-def _pattern_template(node: QueryNode) -> tuple[str, tuple[bool, ...], Callable]:
-    """The parts of a :class:`_Template` for the subtree at ``node``, with the regex as text."""
-    k = node.kind
-    if k is OperatorKind.ANCHOR:
-        return rf"\(e,\({_ID}\)\)", (False,), lambda ids: anchor(next(ids))
-    texts, relations, builds = zip(*map(_pattern_template, node.children))
-    inner, relations = ",".join(texts), sum(relations, ())
-    if k is OperatorKind.PROJECTION:
-        (child,) = builds
-        return rf"\(p,\({_ID}\),{inner}\)", (True, *relations), lambda ids: projection(next(ids), child(ids))
-    return rf"\({k.value},{inner}\)", relations, lambda ids: QueryNode(k, children=tuple(b(ids) for b in builds))
+# the parts of a canonical type formula that give tokens: an anchor, an
+# operator opening its group, or a group's end
+_FORMULA_PART = re.compile(r"\(e\)|\(([piun])|\)")
+_OP_TOKENS = {kind.value: op for kind, op in KIND_TO_OP.items()}
 
 
 @lru_cache(maxsize=1024)
 def _type_template(formula: str) -> _Template | None:
-    """The template of a canonical type formula; None for any other text."""
+    """The template of a canonical type formula; None for any other text.
+
+    Only the check that ``formula`` is canonical parses it; the template is
+    read off the text with no recursion, so nesting deep enough to overflow
+    the parser gives None, never ``RecursionError``.
+    """
     try:
-        qtype = parse_formula(formula)
-        if qtype.formula_text != formula:
+        if parse_formula(formula).formula_text != formula:
             return None
-        text, relations, build = _pattern_template(qtype.pattern)
-        return _Template(re.compile(text), relations, build)
-    except (ValueError, RecursionError, re.error):
+    except (QuerySyntaxError, QueryStructureError):
         return None
+    text = formula.replace("(e)", "(e,({}))").replace("(p,", "(p,({}),")
+    pieces = text.split("{}")
+    tokens: list[int] = []
+    slots: list[int] = []
+    for part in _FORMULA_PART.finditer(formula):
+        if part[0] == ")":
+            tokens.append(RPAREN)
+            continue
+        if part[1] is not None:
+            tokens += (LPAREN, _OP_TOKENS[part[1]])
+        if part[1] in (None, "p"):  # an anchor's entity or a projection's relation
+            slots.append(len(tokens))
+            tokens.append(PAD)
+    return _Template(
+        regex=re.compile(_ID.join(map(re.escape, pieces))),
+        text=text,
+        relations=tuple(piece.endswith("(p,(") for piece in pieces[:-1]),
+        tokens=np.array(tokens, dtype=np.int64),
+        slots=np.array(slots, dtype=np.int64),
+    )
+
+
+def _template(record: GroundedQueryRecord) -> _Template:
+    """The template of a record's type; ``ValueError`` unless the type is a
+    canonical formula and the record holds one id per slot of it."""
+    template = _type_template(record.type_formula)
+    if template is None or len(record.ids) != len(template.relations):
+        raise ValueError(
+            f"a record of type {record.type_formula!r} with {len(record.ids)} ids "
+            "is not a grounded query of a canonical type"
+        )
+    return template
+
+
+def query_tokens(records: list[GroundedQueryRecord], vocab: Vocabulary) -> list[list[int]]:
+    """Each record's token list, equal to ``linearize(record.query, vocab)``.
+
+    The lists are filled one type at a time: the type's token template
+    takes the records' id vectors at its slots, so no tree is built. An id
+    outside ``vocab`` raises the :class:`~cqakit.queries.QueryStructureError`
+    that :func:`~cqakit.linearize.linearize` raises for the first such record.
+    """
+    out: list[list[int]] = [[] for _ in records]
+    by_type: dict[str, list[int]] = {}
+    for i, record in enumerate(records):
+        by_type.setdefault(record.type_formula, []).append(i)
+    for indices in by_type.values():
+        template = _template(records[indices[0]])
+        ids = np.stack([records[i].ids for i in indices])
+        relations = np.array(template.relations, dtype=bool)
+        if ((ids < 0) | (ids >= np.where(relations, vocab.num_relations, vocab.num_entities))).any():
+            for record in records:  # the reference words the error
+                linearize(record.query, vocab)
+        tokens = np.tile(template.tokens, (len(indices), 1))
+        tokens[:, template.slots] = ids + np.where(relations, NUM_SPECIALS, vocab.entity_offset)
+        for i, row in zip(indices, tokens.tolist()):
+            out[i] = row
+    return out
 
 
 def _read_canonical(lines: list[str], dataset: Dataset) -> list[GroundedQueryRecord | None]:
@@ -437,37 +550,43 @@ def _read_canonical(lines: list[str], dataset: Dataset) -> list[GroundedQueryRec
     and valid; None where :func:`_read_record` must read it.
 
     A query must match the template of the record's ``type``, which is also
-    the type check, with its ids inside the header's universe. All answer
-    lists are parsed together (:func:`_id_lists`).
+    the type check, with its ids inside the header's universe. The ids of
+    all queries are kept in one read-only array, and all answer lists are
+    parsed together (:func:`_id_lists`).
     """
     universe = (dataset.num_entities, dataset.num_relations)
-    queries: list[tuple[str, QueryNode] | None] = []
+    queries: list[tuple[str, int, int] | None] = []  # per line: its type and the span of its ids
+    every: list[int] = []  # the ids of all queries, in line order
     answers: list[np.ndarray | None] = []  # per line: the train, valid and test ids
     texts: list[str] = []  # their texts, for lines not yet parsed
     pending = 0
     for line in lines:
         found = _RECORD_LINE.fullmatch(line)
         template = found and _type_template(found[4])
-        match = template and template.text.fullmatch(found[1])
+        match = template and template.regex.fullmatch(found[1])
         ids = list(map(int, match.groups())) if match else ()
         if not ids or any(i >= universe[r] for i, r in zip(ids, template.relations)):
             queries.append(None)
             texts += ("", "", "")
             continue
-        queries.append((found[4], template.build(iter(ids))))
+        queries.append((found[4], len(every), len(every) + len(ids)))
+        every += ids
         texts += (found[3], found[5], found[2])
         pending += len(line)
         if pending > _PARSE_CHARS:
             answers += _id_lists(texts, dataset.num_entities)
             texts, pending = [], 0
     answers += _id_lists(texts, dataset.num_entities)
+    all_ids = np.array(every, dtype=np.int64)
+    all_ids.flags.writeable = False
     records: list[GroundedQueryRecord | None] = []
     for i, query in enumerate(queries):
         arrays = answers[3 * i : 3 * i + 3]
         if query is None or any(a is None for a in arrays):
             records.append(None)
         else:
-            records.append(GroundedQueryRecord(*query, *map(AnswerSet, arrays)))
+            formula, a, z = query
+            records.append(GroundedQueryRecord(formula, all_ids[a:z], *map(AnswerSet, arrays)))
     return records
 
 
@@ -531,10 +650,11 @@ def _read_record(line: str, dataset: Dataset, where: str) -> GroundedQueryRecord
     try:
         query = parse_grounded(obj["query"], dataset)  # ids checked against the header universe
         formula = serialize_formula(query)
+        ids = query_ids(query)
     except (QuerySyntaxError, QueryStructureError) as exc:
         raise DatasetFormatError(f"{where}: bad query: {exc}") from None
     except RecursionError:  # the printer recurses deeper than the reader
         raise DatasetFormatError(f"{where}: bad query: query nested too deeply") from None
     if formula != obj["type"]:
         raise DatasetFormatError(f"{where}: type {obj['type']!r} is not the query's type {formula}")
-    return GroundedQueryRecord(obj["type"], query, *answers)
+    return GroundedQueryRecord(obj["type"], ids, *answers)

@@ -2,15 +2,20 @@
 
 Two independent routes to an answer set:
 
-* :func:`answer_bits` — evaluates a query on every layer of a graph's
-  relation table at once, as a ``uint8`` array over the entities whose bit
-  ``k`` marks an answer on cumulative layer ``k``. An anchor is ``0xFF`` at
-  its entity; a projection gathers its source's bits at the relation's
-  edge heads, keeps those of layers holding the edge (``& bits``) and ORs
-  them into the tails; intersection, union and negation are ``&``, ``|``
-  and ``~``, so a complement is never materialised as a set.
+* :func:`answer_bits` — evaluates a query, given as its type's pattern and
+  its id vector, on every layer of a graph's relation table at once, as a
+  ``uint8`` array over the entities whose bit ``k`` marks an answer on
+  cumulative layer ``k``. It walks the pattern and takes each projection's
+  relation and each anchor's entity from the vector, in print order, so no
+  grounded tree is built. An anchor is ``0xFF`` at its entity; a
+  projection gathers its source's bits at the relation's edge heads, keeps
+  those of layers holding the edge (``& bits``) and ORs them into the
+  tails; intersection, union and negation are ``&``, ``|`` and ``~``, so a
+  complement is never materialised as a set.
   :func:`answer` reads one layer's bit as an :class:`AnswerSet`, the sorted
-  entity ids a dataset record holds its answers in.
+  entity ids a dataset record holds its answers in. A caller holding a
+  query tree passes the tree as its own pattern, with
+  :func:`~cqakit.queries.query_ids`.
 * :func:`to_dnf` + :func:`answer_dnf` — convert to disjunctive normal form
   and brute-force variable assignments, testing each edge against a
   frozenset of the layer's triples.
@@ -59,34 +64,41 @@ class AnswerSet(SortedIdSet):
         return f"AnswerSet({self.ids.tolist()})"
 
 
-def answer(layer: KnowledgeGraph, query: ComputationGraph) -> AnswerSet:
-    """Evaluate a grounded query on one graph layer, exactly.
+def answer(layer: KnowledgeGraph, pattern: QueryNode, ids) -> AnswerSet:
+    """Evaluate a grounded query, its type's ``pattern`` with ``ids``, on one
+    graph layer, exactly.
 
     Empty sets are legal results.
     """
     # nonzero is several times faster on a boolean row
-    return AnswerSet(((answer_bits(layer, query) & (1 << layer.layer)) != 0).nonzero()[0])
+    return AnswerSet(((answer_bits(layer, pattern, ids) & (1 << layer.layer)) != 0).nonzero()[0])
 
 
-def answer_bits(graph: KnowledgeGraph, query: ComputationGraph) -> np.ndarray:
+def answer_bits(graph: KnowledgeGraph, pattern: QueryNode, ids) -> np.ndarray:
     """Answers of a grounded query on every layer of ``graph``'s relation table.
 
-    Returns a ``uint8`` array of length ``num_entities``: bit ``k`` of entry
-    ``v`` is set exactly when ``v`` answers the query on cumulative layer
-    ``k`` (bits past the last layer repeat it).
+    The query is its type's ``pattern`` (any query tree; only its operators
+    are read) with ``ids``, its relation and entity ids in print order (see
+    :func:`~cqakit.queries.query_ids`). Returns a ``uint8`` array of length
+    ``num_entities``: bit ``k`` of entry ``v`` is set exactly when ``v``
+    answers the query on cumulative layer ``k`` (bits past the last layer
+    repeat it).
     """
     V, offsets = graph.num_entities, graph.table.offsets
     all_heads, all_tails, all_bits = graph.table.heads, graph.table.tails, graph.table.bits
+    it = iter(ids.tolist() if isinstance(ids, np.ndarray) else ids)
 
     def bits(node: QueryNode) -> np.ndarray:
         k = node.kind
         if k is OperatorKind.PROJECTION:
-            lo, hi = offsets[node.relation], offsets[node.relation + 1]
+            r = next(it)
+            lo, hi = offsets[r], offsets[r + 1]
             out = np.zeros(V, dtype=np.uint8)
             child = node.children[0]
             if child.kind is OperatorKind.ANCHOR:
                 # the anchor's edges are one run of distinct tails: assign them
-                a, b = all_heads[lo:hi].searchsorted((child.entity, child.entity + 1)).tolist()
+                e = next(it)
+                a, b = all_heads[lo:hi].searchsorted((e, e + 1)).tolist()
                 out[all_tails[lo + a : lo + b]] = all_bits[lo + a : lo + b]
                 return out
             vals = bits(child)[all_heads[lo:hi]] & all_bits[lo:hi]
@@ -95,7 +107,7 @@ def answer_bits(graph: KnowledgeGraph, query: ComputationGraph) -> np.ndarray:
             return out
         if k is OperatorKind.ANCHOR:
             out = np.zeros(V, dtype=np.uint8)
-            out[node.entity] = 0xFF
+            out[next(it)] = 0xFF
             return out
         if k is OperatorKind.NEGATION:
             return ~bits(node.children[0])
@@ -107,7 +119,13 @@ def answer_bits(graph: KnowledgeGraph, query: ComputationGraph) -> np.ndarray:
                 result |= bits(child)
         return result
 
-    return bits(query)
+    try:
+        out = bits(pattern)
+        if next(it, None) is None:
+            return out
+    except StopIteration:
+        pass
+    raise ValueError("ids do not fill the query pattern: one id per projection and anchor")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .encoders import (
 from .evaluation import evaluate
 from .linearize import Vocabulary
 from .rng import make_rng
-from .sampler import Dataset
+from .sampler import Dataset, query_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -138,15 +138,13 @@ def make_pairs(dataset: Dataset, model: QueryModel) -> tuple[list[Pair], int]:
     """One pair per (query, train-answer) combination, in record order.
 
     Records with an empty train answer set are skipped; the count of skipped
-    records is returned alongside the pairs.
+    records is returned alongside the pairs. A record's token list is filled
+    from its type's template (:func:`~cqakit.sampler.query_tokens`).
     """
     pairs: list[Pair] = []
-    skipped = 0
-    for record in dataset.iter_records():
-        if not record.train_answers:
-            skipped += 1
-            continue
-        prepared = model.prepare([record.query])[0]
+    records = [record for record in dataset.iter_records() if record.train_answers]
+    skipped = len(dataset) - len(records)
+    for record, prepared in zip(records, query_tokens(records, model.vocab)):
         for v in record.train_answers.ids.tolist():
             pairs.append(Pair(prepared, v, record.type_formula))
     if skipped:

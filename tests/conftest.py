@@ -6,13 +6,19 @@ import pytest
 
 from cqakit.graph import split_edges, synthetic_graph
 from cqakit.linearize import build_vocabulary
-from cqakit.queries import parse_formula
+from cqakit.queries import parse_formula, query_ids
 from cqakit.sampler import AnswerSet, SamplerConfig, sample_dataset
+from cqakit.symbolic import answer
 
 
 def answer_set(ids) -> AnswerSet:
     """The answer set of any collection of int entity ids."""
     return AnswerSet(np.unique(np.fromiter(ids, dtype=np.int64)))
+
+
+def answer_tree(layer, query) -> AnswerSet:
+    """The engine's answer to a query tree: the tree is its own pattern."""
+    return answer(layer, query, query_ids(query))
 
 
 @pytest.fixture(scope="session")

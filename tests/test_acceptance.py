@@ -13,7 +13,7 @@ from cqakit.encoders import grad_check, new_model
 from cqakit.evaluation import evaluate, evaluate_scores
 from cqakit.graph import synthetic_graph
 from cqakit.linearize import Vocabulary, build_vocabulary, delinearize, linearize, render_tokens
-from cqakit.queries import builtin_query_types, parse_grounded, serialize_grounded
+from cqakit.queries import builtin_query_types, fill_pattern, parse_grounded, query_ids, serialize_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import GroundedQueryRecord, ground_type
 from cqakit.symbolic import answer, answer_dnf, to_dnf
@@ -60,7 +60,8 @@ def test_02_round_trip_all_types():
     total = failures = 0
     for qtype in types:
         for _ in range(100):
-            g, _v = ground_type(kg, qtype, rng)
+            ids, _v = ground_type(kg, qtype, rng)
+            g = fill_pattern(qtype.pattern, ids)
             total += 1
             if parse_grounded(serialize_grounded(g)) != g:
                 failures += 1
@@ -80,9 +81,9 @@ def test_03_sampler_soundness():
     checked = sound = 0
     for qtype in builtin_query_types().in_distribution:
         for _ in range(50):
-            g, v = ground_type(kg, qtype, rng)
+            ids, v = ground_type(kg, qtype, rng)
             checked += 1
-            if v in answer(kg, g):
+            if v in answer(kg, qtype.pattern, ids):
                 sound += 1
     elapsed = time.perf_counter() - start
     ok = checked == 29 * 50 and sound == checked and elapsed < 30.0
@@ -98,9 +99,9 @@ def test_04_oracle_equivalence_1000():
     total = agree = 0
     while total < 1000:
         qtype = types[total % len(types)]
-        g, _v = ground_type(kg, qtype, rng)
+        ids, _v = ground_type(kg, qtype, rng)
         total += 1
-        if answer(kg, g) == answer_dnf(kg, to_dnf(g)):
+        if answer(kg, qtype.pattern, ids) == answer_dnf(kg, to_dnf(fill_pattern(qtype.pattern, ids))):
             agree += 1
     elapsed = time.perf_counter() - start
     ok = agree == total == 1000 and elapsed < 60.0
@@ -191,7 +192,7 @@ def test_08_ablation_trend(desk_dataset, desk_vocab):
 def test_09_metrics_oracle():
     def record(formula, query, train, valid, test):
         return GroundedQueryRecord(
-            formula, parse_grounded(query), answer_set(train), answer_set(valid), answer_set(test)
+            formula, query_ids(parse_grounded(query)), answer_set(train), answer_set(valid), answer_set(test)
         )
 
     records = [

@@ -31,7 +31,12 @@ def assert_correct(result, lines):
 
 
 def test_traced_desk_loop_runs_correct():
-    assert_correct(*run_bench("--workload", "desk-loop", "--trace", "1"))
+    result, lines = run_bench("--workload", "desk-loop", "--trace", "1")
+    assert_correct(result, lines)
+    # the wrappers these per-layer figures come from still find the functions
+    # the loop calls, by name
+    for name in ("sampler.ground_calls", "sampler.read_s", "sampler.write_s", "symbolic.answer_calls"):
+        assert result["metrics"][name]["value"] > 0, name
 
 
 def test_untraced_fb237_rank_runs_correct():

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,7 +10,7 @@ from cqakit.cli import main
 from cqakit.encoders import load_checkpoint, save_checkpoint
 from cqakit.graph import layer_graphs, split_edges, synthetic_graph
 from cqakit.linearize import Vocabulary
-from cqakit.queries import parse_grounded
+from cqakit.queries import parse_grounded, query_ids
 from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance, write_dataset
 from cqakit.symbolic import answer_dnf, to_dnf
 from cqakit.training import TrainConfig, train
@@ -151,7 +154,7 @@ def test_inspect_histogram_buckets(capsys, tmp_path):
     # answer-set sizes per record on the train, valid and test layers
     sizes = [(0, 1, 2), (1, 1, 4), (2, 3, 6), (3, 4, 8), (5, 7, 15), (9, 12, 16)]
     records = [
-        GroundedQueryRecord("(p,(e))", parse_grounded(f"(p,(0),(e,({i})))"),
+        GroundedQueryRecord("(p,(e))", query_ids(parse_grounded(f"(p,(0),(e,({i})))")),
                             *(answer_set(range(n)) for n in layer_sizes))
         for i, layer_sizes in enumerate(sizes)
     ]
@@ -194,6 +197,23 @@ def test_generate_repeated_type_exits_two(capsys, kg_dir, tmp_path):
     assert code == 2 and out == "" and not out_file.exists()
     lines = [line for line in err.splitlines() if not line.startswith("config-hash:")]
     assert lines == ["error: query type (p,(e)) is listed more than once"]
+
+
+def test_generate_type_file_nested_too_deeply_exits_two(kg_dir, tmp_path):
+    # a fresh process, so the stack is as shallow as a user's: at this depth
+    # the reader succeeds and the type printer used to overflow
+    tfile = tmp_path / "types.txt"
+    tfile.write_text("(p," * 480 + "(e)" + ")" * 480 + "\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cqakit.cli", "generate", "--kg", str(kg_dir), "--types", str(tfile),
+         "--count", "1", "--seed", "0", "--out", str(tmp_path / "d.jsonl")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if not line.startswith("config-hash:")]
+    assert lines == [f"error: {tfile}:1: query nested too deeply"]
 
 
 def test_generate_non_utf8_type_file_exits_two(capsys, kg_dir, tmp_path):

@@ -9,7 +9,7 @@ from cqakit.encoders import new_model
 from cqakit import evaluation
 from cqakit.evaluation import MODES, _ranks, evaluate, evaluate_scores
 from cqakit.linearize import Vocabulary
-from cqakit.queries import parse_grounded
+from cqakit.queries import parse_grounded, query_ids
 from cqakit.rng import make_rng
 from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance
 from conftest import answer_set
@@ -40,7 +40,7 @@ def rank(scores: np.ndarray, target: int, filtered: frozenset[int] | set[int]) -
 
 def record(formula, query, train, valid, test):
     return GroundedQueryRecord(
-        formula, parse_grounded(query), answer_set(train), answer_set(valid), answer_set(test)
+        formula, query_ids(parse_grounded(query)), answer_set(train), answer_set(valid), answer_set(test)
     )
 
 

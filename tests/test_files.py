@@ -8,7 +8,7 @@ import pytest
 
 from cqakit import files
 from cqakit.encoders import load_checkpoint, save_checkpoint
-from cqakit.queries import parse_grounded
+from cqakit.queries import parse_grounded, query_ids
 from cqakit.sampler import Dataset, GroundedQueryRecord, read_dataset, write_dataset
 from conftest import answer_set
 
@@ -38,7 +38,7 @@ def failing_open(allowed):
 
 def small_dataset() -> Dataset:
     query = parse_grounded("(p,(0),(e,(2)))")
-    record = GroundedQueryRecord("(p,(e))", query, answer_set({4}), answer_set({4, 7}), answer_set({4, 7, 9}))
+    record = GroundedQueryRecord("(p,(e))", query_ids(query), answer_set({4}), answer_set({4, 7}), answer_set({4, 7, 9}))
     return Dataset({"(p,(e))": [record]}, num_entities=10, num_relations=1)
 
 

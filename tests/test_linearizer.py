@@ -16,7 +16,7 @@ from cqakit.linearize import (
     linearize,
     render_tokens,
 )
-from cqakit.queries import anchor, builtin_query_types, parse_grounded
+from cqakit.queries import anchor, builtin_query_types, fill_pattern, parse_grounded
 from cqakit.rng import make_rng
 from cqakit.sampler import ground_type
 
@@ -125,7 +125,8 @@ def test_round_trip_and_brackets_over_builtin_types(toy_kg):
     bt = builtin_query_types()
     for qtype in bt.all_fol:
         for _ in range(3):
-            g, _v = ground_type(toy_kg, qtype, rng)
+            ids, _v = ground_type(toy_kg, qtype, rng)
+            g = fill_pattern(qtype.pattern, ids)
             tokens = linearize(g, vocab)
             assert delinearize(tokens, vocab) == g
             # balanced parentheses, never PAD

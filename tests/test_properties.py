@@ -19,32 +19,40 @@ from cqakit.encoders.checkpoint import MAGIC
 from cqakit.graph import EdgeTriple, GraphFormatError, KnowledgeGraph, layer_graphs, load_dictionary, read_triples
 from cqakit.linearize import LPAREN, RPAREN, Vocabulary, delinearize, linearize
 from cqakit.queries import (
+    OperatorKind,
+    QueryNode,
     QueryStructureError,
     QuerySyntaxError,
     anchor,
+    fill_pattern,
     intersection,
     negation,
     parse_formula,
     parse_grounded,
     projection,
+    query_ids,
     serialize_formula,
     serialize_grounded,
     union,
 )
 from cqakit import sampler
 from cqakit.queries import builtin_query_types
+from cqakit.rng import make_rng
 from cqakit.sampler import (
     Dataset,
     DatasetFormatError,
     GroundedQueryRecord,
+    GroundingError,
     SamplerConfig,
+    _DeadEnd,
+    ground_type,
     read_dataset,
     sample_dataset,
     write_dataset,
 )
-from cqakit.symbolic import answer, answer_bits, answer_dnf, to_dnf
+from cqakit.symbolic import answer_bits, answer_dnf, to_dnf
 from cqakit.training import Checkpoint, TrainConfig, config_from_mapping, parse_config_file, train
-from conftest import answer_set
+from conftest import answer_set, answer_tree
 from test_graph import table_rows
 
 NUM_ENTITIES = 24
@@ -283,7 +291,7 @@ def test_triple_reader_matches_per_line_reference(text, entity_dict, relation_di
 @given(edge_lists, query_trees)
 def test_oracle_agreement_on_random_instances(edges, tree):
     kg = KnowledgeGraph.from_edges(edges, NUM_ENTITIES, NUM_RELATIONS)
-    assert answer_dnf(kg, to_dnf(tree)) == answer(kg, tree)
+    assert answer_dnf(kg, to_dnf(tree)) == answer_tree(kg, tree)
 
 
 # a universe fixed by dictionaries, so some entities have no edges at all
@@ -341,14 +349,14 @@ MERGE = ([(0, 0, 1), (0, 0, 3), (1, 1, 2)], [(3, 1, 2)], [])
 @example(MERGE, projection(1, projection(0, anchor(0))))  # one tail, edge bits that differ
 def test_bitmask_engine_matches_dnf_oracle_on_every_layer(files, tree):
     layers = small_layers(files)
-    bits = answer_bits(layers.train, tree)
+    bits = answer_bits(layers.train, tree, query_ids(tree))
     assert bits.dtype == np.uint8 and bits.shape == (SMALL_ENTITIES,)
     # bits past the last layer repeat it
     assert np.array_equal(bits >> 3, np.where(bits & 4, 0x1F, 0))
     for k, layer in enumerate((layers.train, layers.valid, layers.test)):
         expected = answer_dnf(layer, to_dnf(tree))
         assert set(np.flatnonzero(bits & (1 << k)).tolist()) == expected
-        assert answer(layer, tree) == expected
+        assert answer_tree(layer, tree) == expected
 
 
 # -- file readers under damaged input ------------------------------------------
@@ -373,7 +381,7 @@ def dataset_bytes() -> bytes:
     dataset = Dataset(num_entities=NUM_ENTITIES, num_relations=NUM_RELATIONS)
     for text, answers in (("(p,(1),(e,(3)))", {2, 23}), ("(i,(p,(0),(e,(5))),(p,(3),(e,(7))))", {9})):
         query = parse_grounded(text)
-        record = GroundedQueryRecord(serialize_formula(query), query, answer_set(answers),
+        record = GroundedQueryRecord(serialize_formula(query), query_ids(query), answer_set(answers),
                                      answer_set(answers), answer_set(answers | {11}))
         dataset.records.setdefault(record.type_formula, []).append(record)
     return written_bytes(lambda path: write_dataset(dataset, path))
@@ -590,3 +598,131 @@ def test_id_set_behaves_as_its_frozenset(kind, data):
                 assert x - y == a - c and y - x == c - a
         difference = A - builders[0](c)
         assert type(difference) is type(A) and list(difference) == sorted(a - c)
+
+
+# -- id vectors against the tree references --------------------------------------
+
+
+def ground_type_nodes(layer, qtype, rng, max_retries=64):
+    """The sampler's grounding as it was when it built the query tree: the
+    reference that :func:`~cqakit.sampler.ground_type` must follow id for id
+    and draw for draw. Only the engine call of the negation check changed."""
+    if not layer.edges:
+        raise GroundingError("cannot ground queries on an empty graph")
+
+    def ground(node: QueryNode, v: int) -> QueryNode:
+        k = node.kind
+        if k is OperatorKind.ANCHOR:
+            return anchor(v)
+        if k is OperatorKind.PROJECTION:
+            incoming = layer.in_edges(v)
+            if not incoming:
+                raise _DeadEnd
+            u, r = incoming[rng.integers(len(incoming))]
+            return projection(r, ground(node.children[0], u))
+        if k is OperatorKind.INTERSECTION:
+            return QueryNode(k, children=tuple(ground(c, v) for c in node.children))
+        if k is OperatorKind.UNION:
+            grounded = [ground(node.children[0], v)]
+            for child in node.children[1:]:
+                for attempt in range(16):
+                    w = int(rng.integers(layer.num_entities))
+                    try:
+                        grounded.append(ground(child, w))
+                        break
+                    except _DeadEnd:
+                        continue
+                else:
+                    raise _DeadEnd
+            return QueryNode(k, children=tuple(grounded))
+        # negation: ground the negated subtree at an independent node; the
+        # acceptance check below restores the answer guarantee.
+        w = int(rng.integers(layer.num_entities))
+        return negation(ground(node.children[0], w))
+
+    for _ in range(max_retries):
+        v = int(rng.integers(layer.num_entities))
+        try:
+            candidate = ground(qtype.pattern, v)
+        except _DeadEnd:
+            continue
+        if qtype.has_negation and v not in answer_tree(layer, candidate):
+            continue
+        return candidate, v
+    raise GroundingError(
+        f"failed to ground type {qtype.formula_text} after {max_retries} attempts"
+    )
+
+
+BUILTIN_TYPES = builtin_query_types().all_fol
+# (type, seed of its stream, retry budget): small budgets make GroundingError
+# and dead ends in union children common
+groundings = st.tuples(st.sampled_from(BUILTIN_TYPES), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 64]))
+
+
+def grounded(layer, qtype, seed, retries):
+    """``ground_type``'s outcome, ``(ids, seed node)`` or the error text, and the stream after it."""
+    rng = make_rng(seed)
+    try:
+        outcome = ground_type(layer, qtype, rng, retries)
+    except GroundingError as exc:
+        outcome = str(exc)
+    return outcome, rng.bit_generator.state
+
+
+@settings(deadline=None, max_examples=300)
+@given(groundings, st.sampled_from(["train", "test"]))
+def test_id_grounding_matches_the_node_grounding_reference(desk_layers, grounding, layer_name):
+    layer = desk_layers.layer(layer_name)
+    qtype, seed, retries = grounding
+    outcome, state = grounded(layer, qtype, seed, retries)
+    rng = make_rng(seed)
+    try:
+        node, v = ground_type_nodes(layer, qtype, rng, retries)
+        expected = (query_ids(node), v)
+    except GroundingError as exc:
+        expected = str(exc)
+    assert outcome == expected
+    assert state == rng.bit_generator.state  # the same draws, in the same order
+
+
+@settings(deadline=None, max_examples=60)
+@given(groundings)
+def test_id_engine_matches_dnf_oracle_on_every_layer(desk_layers, grounding):
+    qtype, seed, retries = grounding
+    (outcome, _) = grounded(desk_layers.train, qtype, seed, retries)
+    if isinstance(outcome, str):
+        return
+    ids, v = outcome
+    tree = fill_pattern(qtype.pattern, ids)
+    assert query_ids(tree) == ids and serialize_formula(tree) == qtype.formula_text
+    bits = answer_bits(desk_layers.train, qtype.pattern, ids)
+    assert bits.item(v) & 1  # the seed answers on the layer it was grounded on
+    for k, name in enumerate(("train", "valid", "test")):
+        expected = answer_dnf(desk_layers.layer(name), to_dnf(tree))
+        assert set(np.flatnonzero(bits & (1 << k)).tolist()) == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(groundings, min_size=1, max_size=12), st.integers(0, 3), st.integers(0, 3))
+def test_template_tokens_and_text_match_the_tree_references(desk_layers, desk_vocab, picks, cut_r, cut_e):
+    # records of mixed types in any order; vocabularies cut below the graph
+    # make some ids out of vocabulary, and the first failing record words the error
+    records = []
+    for qtype, seed, retries in picks:
+        outcome, _ = grounded(desk_layers.train, qtype, seed, retries)
+        if not isinstance(outcome, str):
+            records.append(GroundedQueryRecord(qtype.formula_text, outcome[0], *[answer_set(())] * 3))
+    vocab = Vocabulary(desk_vocab.num_relations - cut_r, desk_vocab.num_entities - 30 * cut_e)
+    try:
+        expected = [linearize(r.query, vocab) for r in records]
+    except QueryStructureError as exc:
+        expected = str(exc)
+    try:
+        got = sampler.query_tokens(records, vocab)
+    except QueryStructureError as exc:
+        got = str(exc)
+    assert got == expected
+    for record in records:
+        template = sampler._type_template(record.type_formula)
+        assert template.text.format(*record.ids.tolist()) == serialize_grounded(record.query)

@@ -6,7 +6,15 @@ import pytest
 
 from cqakit import graph, sampler
 from cqakit.graph import GraphLayers, KnowledgeGraph, layer_graphs, split_edges, synthetic_graph
-from cqakit.queries import OperatorKind, builtin_query_types, parse_formula, parse_grounded
+from cqakit.queries import (
+    OperatorKind,
+    QueryNode,
+    builtin_query_types,
+    fill_pattern,
+    parse_formula,
+    parse_grounded,
+    query_ids,
+)
 from cqakit.rng import make_rng
 from cqakit.sampler import (
     Dataset,
@@ -27,16 +35,19 @@ from conftest import answer_set
 def test_ground_forced_single_edge():
     # only entity 9 has an in-edge, so grounding (p,(e)) must pick it
     kg = KnowledgeGraph.from_edges([(3, 2, 9)], 10, 3)
-    g, v = ground_type(kg, parse_formula("(p,(e))"), make_rng(0))
+    qtype = parse_formula("(p,(e))")
+    ids, v = ground_type(kg, qtype, make_rng(0))
     assert v == 9
+    g = fill_pattern(qtype.pattern, ids)
     assert g.relation == 2 and g.children[0].entity == 3
-    assert answer(kg, g) == {9}
+    assert answer(kg, qtype.pattern, ids) == {9}
 
 
 def test_ground_intersection_shares_answer(toy_kg):
-    g, v = ground_type(toy_kg, parse_formula("(i,(p,(e)),(p,(e)))"), make_rng(4))
-    assert v in answer(toy_kg, g)
-    assert g.kind is OperatorKind.INTERSECTION
+    qtype = parse_formula("(i,(p,(e)),(p,(e)))")
+    ids, v = ground_type(toy_kg, qtype, make_rng(4))
+    assert v in answer(toy_kg, qtype.pattern, ids)
+    assert fill_pattern(qtype.pattern, ids).kind is OperatorKind.INTERSECTION
 
 
 def test_ground_negation_types_verified(toy_kg):
@@ -44,16 +55,16 @@ def test_ground_negation_types_verified(toy_kg):
     for formula in ("(i,(n,(p,(e))),(p,(e)))", "(i,(n,(p,(p,(e)))),(p,(p,(e))))"):
         qtype = parse_formula(formula)
         for _ in range(10):
-            g, v = ground_type(toy_kg, qtype, rng)
-            assert v in answer(toy_kg, g)
+            ids, v = ground_type(toy_kg, qtype, rng)
+            assert v in answer(toy_kg, qtype.pattern, ids)
 
 
 def test_ground_all_29_types_sound(toy_kg):
     rng = make_rng(8)
     for qtype in builtin_query_types().in_distribution:
         for _ in range(5):
-            g, v = ground_type(toy_kg, qtype, rng)
-            assert v in answer(toy_kg, g)
+            ids, v = ground_type(toy_kg, qtype, rng)
+            assert v in answer(toy_kg, qtype.pattern, ids)
 
 
 def test_ground_unsatisfiable_raises():
@@ -77,9 +88,9 @@ def test_sample_dataset_layer_answers(desk_layers):
     assert ds.num_entities == 100 and ds.num_relations == 10
     for record in ds.iter_records():
         # stored answers equal fresh recomputation on each layer
-        assert record.train_answers == frozenset(answer(desk_layers.train, record.query))
-        assert record.valid_answers == frozenset(answer(desk_layers.valid, record.query))
-        assert record.test_answers == frozenset(answer(desk_layers.test, record.query))
+        assert record.train_answers == frozenset(answer(desk_layers.train, record.query, record.ids))
+        assert record.valid_answers == frozenset(answer(desk_layers.valid, record.query, record.ids))
+        assert record.test_answers == frozenset(answer(desk_layers.test, record.query, record.ids))
         # negation-free types are monotone across layers
         assert record.train_answers <= record.valid_answers <= record.test_answers
 
@@ -121,7 +132,7 @@ def test_sample_dataset_desk_scale_all_29_types(desk_layers):
     assert len(ds) == 580
     for record in ds.iter_records():
         # stored sets always equal a fresh recomputation, negation included
-        assert record.train_answers == frozenset(answer(desk_layers.train, record.query))
+        assert record.train_answers == frozenset(answer(desk_layers.train, record.query, record.ids))
         assert record.train_answers  # sampled on train, so the seed node is in here
 
 
@@ -168,7 +179,7 @@ def test_read_handwritten_record(handmade_dataset):
     (record_obj,) = list(ds.iter_records())
     assert record_obj == GroundedQueryRecord(
         type_formula="(p,(e))",
-        query=parse_grounded("(p,(0),(e,(2)))"),
+        ids=query_ids(parse_grounded("(p,(0),(e,(2)))")),
         train_answers=answer_set({4}),
         valid_answers=answer_set({4, 7}),
         test_answers=answer_set({4, 7, 9}),
@@ -297,12 +308,12 @@ def test_sampler_raises_when_engine_drops_the_seed(desk_layers, monkeypatch):
     seeds = []
 
     def ground(*args, **kwargs):
-        query, v = ground_type(*args, **kwargs)
+        ids, v = ground_type(*args, **kwargs)
         seeds.append(v)
-        return query, v
+        return ids, v
 
-    def dropping_seed(graph, query):
-        bits = answer_bits(graph, query)
+    def dropping_seed(graph, pattern, ids):
+        bits = answer_bits(graph, pattern, ids)
         bits[seeds[-1]] = 0
         return bits
 
@@ -320,9 +331,9 @@ def test_one_engine_pass_per_record(monkeypatch):
     layers = split_edges(synthetic_graph(100, 3, 1500, seed=11), (8, 1, 1), seed=11)
     passes = []
 
-    def counted(layer, query):
+    def counted(layer, pattern, ids):
         passes.append(layer)
-        return answer_bits(layer, query)
+        return answer_bits(layer, pattern, ids)
 
     monkeypatch.setattr(sampler, "answer_bits", counted)
     formulas = ("(p,(e))", "(i,(n,(p,(e))),(p,(e)))", "(i,(n,(p,(p,(e)))),(p,(e)))")
@@ -335,7 +346,7 @@ def test_one_engine_pass_per_record(monkeypatch):
     assert any(record.train_answers - record.test_answers for record in ds.iter_records())
     for record in ds.iter_records():
         for name in ("train", "valid", "test"):
-            assert record.answers(name) == frozenset(answer(layers.layer(name), record.query))
+            assert record.answers(name) == frozenset(answer(layers.layer(name), record.query, record.ids))
 
 
 def test_incoming_index_built_once_on_the_source_layer_only(tmp_path, monkeypatch):
@@ -401,3 +412,36 @@ def test_written_datasets_never_reach_the_record_reader(source_layer, desk_layer
         for layer in ("train", "valid", "test"):
             ids = record.answers(layer).ids
             assert ids.dtype == np.int64 and not ids.flags.writeable
+
+
+def test_the_loop_builds_no_query_trees(desk_layers, desk_vocab, tmp_path, monkeypatch):
+    # sampling, both file directions, training and evaluation work on the
+    # type patterns and the id vectors; a first pass builds each type's
+    # pattern and template, which are kept per type string
+    from cqakit.evaluation import evaluate
+    from cqakit.training import TrainConfig, train
+
+    types = builtin_query_types().all_fol
+
+    def loop(count):
+        pool = sample_dataset(desk_layers, types, SamplerConfig(per_type_count=count, seed=9), kg_name="desk")
+        write_dataset(pool, tmp_path / "pool.jsonl")
+        read = read_dataset(tmp_path / "pool.jsonl")
+        for arch in ("LSTM", "TreeLSTM"):
+            cfg = TrainConfig(arch=arch, d=8, layers=1, heads=2, epochs=1, batch_size=64, seed=0)
+            evaluate(train(cfg, read, desk_vocab).model, read, mode="both")
+        return pool, read
+
+    loop(1)
+    built = []
+    real = QueryNode.__post_init__
+
+    def counted(node):
+        built.append(node.kind)
+        real(node)
+
+    monkeypatch.setattr(QueryNode, "__post_init__", counted)
+    pool, read = loop(4)
+    assert len(pool) == len(read) > len(types) and read == pool
+    assert built == []
+    assert all("query" not in vars(record) for record in [*pool.iter_records(), *read.iter_records()])

@@ -3,7 +3,7 @@ import pytest
 
 from cqakit import sampler
 from cqakit.graph import KnowledgeGraph, synthetic_graph
-from cqakit.queries import builtin_query_types, negation, parse_grounded, union
+from cqakit.queries import builtin_query_types, fill_pattern, negation, parse_grounded, union
 from cqakit.rng import make_rng
 from cqakit.sampler import SamplerConfig, ground_type, sample_dataset
 from cqakit.symbolic import (
@@ -18,6 +18,7 @@ from cqakit.symbolic import (
     answer_dnf,
     to_dnf,
 )
+from conftest import answer_tree
 
 ASSOC, INTERACT = 0, 1
 # figure-style toy: diseases 0-1, proteins 2-4, substances 5-7, bystander 8
@@ -39,11 +40,11 @@ def figure_kg():
 
 
 def test_anchor_answer(figure_kg):
-    assert answer(figure_kg, parse_grounded("(e,(4))")) == {4}
+    assert answer_tree(figure_kg, parse_grounded("(e,(4))")) == {4}
 
 
 def test_complement_answer(figure_kg):
-    result = answer(figure_kg, parse_grounded("(n,(e,(4)))"))
+    result = answer_tree(figure_kg, parse_grounded("(n,(e,(4)))"))
     assert result == set(range(9)) - {4}
     assert len(result) == 8
 
@@ -52,11 +53,11 @@ def test_figure_query_hand_enumerated(figure_kg):
     # substances interacting with proteins associated with either disease:
     # assoc(0) = {2,3}; assoc(1) = {3,4}; union = {2,3,4}; interact -> {5,6,7}
     q = parse_grounded("(p,(1),(u,(p,(0),(e,(0))),(p,(0),(e,(1)))))")
-    assert answer(figure_kg, q) == {5, 6, 7}
+    assert answer_tree(figure_kg, q) == {5, 6, 7}
 
 
 def test_projection_of_empty_is_empty(figure_kg):
-    assert answer(figure_kg, parse_grounded("(p,(0),(e,(5)))")) == set()
+    assert answer_tree(figure_kg, parse_grounded("(p,(0),(e,(5)))")) == set()
 
 
 def test_to_dnf_single_atomic():
@@ -102,14 +103,15 @@ def test_answer_dnf_anchor_pin(figure_kg):
 
 def test_answer_dnf_matches_answer_on_figure(figure_kg):
     q = parse_grounded("(p,(1),(u,(p,(0),(e,(0))),(p,(0),(e,(1)))))")
-    assert answer_dnf(figure_kg, to_dnf(q)) == answer(figure_kg, q)
+    assert answer_dnf(figure_kg, to_dnf(q)) == answer_tree(figure_kg, q)
 
 
 def test_permutation_invariance(toy_kg):
     rng = make_rng(5)
     bt = builtin_query_types()
     for qtype in (bt.in_distribution[3], bt.in_distribution[11], bt.in_distribution[23]):
-        g, _ = ground_type(toy_kg, qtype, rng)
+        ids, _ = ground_type(toy_kg, qtype, rng)
+        g = fill_pattern(qtype.pattern, ids)
 
         def flip(node):
             from cqakit.queries import QueryNode, OperatorKind
@@ -119,7 +121,7 @@ def test_permutation_invariance(toy_kg):
                 children = children[::-1]
             return QueryNode(node.kind, node.relation, node.entity, children)
 
-        assert answer(toy_kg, g) == answer(toy_kg, flip(g))
+        assert answer_tree(toy_kg, g) == answer_tree(toy_kg, flip(g))
 
 
 def test_de_morgan_spot_check(toy_kg):
@@ -129,8 +131,8 @@ def test_de_morgan_spot_check(toy_kg):
     for _ in range(10):
         a = parse_grounded(f"(p,({int(rng.integers(5))}),(e,({int(rng.integers(60))})))")
         b = parse_grounded(f"(p,({int(rng.integers(5))}),(e,({int(rng.integers(60))})))")
-        lhs = answer(toy_kg, negation(union(a, b)))
-        rhs = answer(toy_kg, intersection(negation(a), negation(b)))
+        lhs = answer_tree(toy_kg, negation(union(a, b)))
+        rhs = answer_tree(toy_kg, intersection(negation(a), negation(b)))
         assert lhs == rhs
 
 
@@ -139,10 +141,11 @@ def test_monotonicity_across_layers(desk_layers):
     bt = builtin_query_types()
     negation_free = [t for t in bt.in_distribution if "(n," not in t.formula_text]
     for qtype in negation_free[:8]:
-        g, _ = ground_type(desk_layers.train, qtype, rng)
-        a_train = answer(desk_layers.train, g)
-        a_valid = answer(desk_layers.valid, g)
-        a_test = answer(desk_layers.test, g)
+        ids, _ = ground_type(desk_layers.train, qtype, rng)
+        g = fill_pattern(qtype.pattern, ids)
+        a_train = answer_tree(desk_layers.train, g)
+        a_valid = answer_tree(desk_layers.valid, g)
+        a_test = answer_tree(desk_layers.test, g)
         assert a_train <= a_valid <= a_test
 
 
@@ -153,7 +156,7 @@ def test_answer_is_the_records_answer_set(desk_layers):
     assert sampler.AnswerSet is AnswerSet
     for record in dataset.iter_records():
         for name in ("train", "valid", "test"):
-            result = answer(desk_layers.layer(name), record.query)
+            result = answer(desk_layers.layer(name), record.query, record.ids)
             assert type(result) is AnswerSet
             ids = result.ids
             assert ids.dtype == np.int64 and not ids.flags.writeable
@@ -165,8 +168,9 @@ def test_oracle_equivalence_random_sample(toy_kg):
     rng = make_rng(33)
     bt = builtin_query_types()
     for qtype in bt.all_fol:
-        g, v = ground_type(toy_kg, qtype, rng)
-        expected = answer(toy_kg, g)
+        ids, v = ground_type(toy_kg, qtype, rng)
+        g = fill_pattern(qtype.pattern, ids)
+        expected = answer(toy_kg, qtype.pattern, ids)
         assert v in expected
         assert answer_dnf(toy_kg, to_dnf(g)) == expected
 

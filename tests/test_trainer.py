@@ -8,7 +8,7 @@ import pytest
 from cqakit import training
 from cqakit.encoders import ARCHITECTURES, grad_check, load_checkpoint, new_model
 from cqakit.linearize import PAD, Vocabulary
-from cqakit.queries import parse_grounded
+from cqakit.queries import parse_grounded, query_ids
 from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance
 from cqakit.training import (
     Adam,
@@ -32,14 +32,14 @@ def tiny_dataset(num_entities=100):
         "(p,(e))": [
             GroundedQueryRecord(
                 "(p,(e))",
-                parse_grounded("(p,(0),(e,(1)))"),
+                query_ids(parse_grounded("(p,(0),(e,(1)))")),
                 answer_set({2, 3, 4}),
                 answer_set({2, 3, 4}),
                 answer_set({2, 3, 4, 5}),
             ),
             GroundedQueryRecord(
                 "(p,(e))",
-                parse_grounded("(p,(1),(e,(6)))"),
+                query_ids(parse_grounded("(p,(1),(e,(6)))")),
                 answer_set(()),
                 answer_set({7}),
                 answer_set({7}),
@@ -69,7 +69,7 @@ def test_make_pairs_count_matches_answer_recount(desk_dataset, desk_layers, desk
     model = new_model(desk_vocab, "LSTM", d=8, seed=0)
     pairs, skipped = make_pairs(desk_dataset, model)
     recount = sum(
-        len(answer(desk_layers.train, r.query))
+        len(answer(desk_layers.train, r.query, r.ids))
         for r in desk_dataset.iter_records()
         if r.train_answers
     )
