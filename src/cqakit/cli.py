@@ -104,14 +104,14 @@ def _resolve_types(selector: str, include_ood: bool):
 
 
 def cmd_generate(args) -> int:
-    layers = _kg_dir(args.kg)
-    types = _resolve_types(args.types, args.ood)
-    cfg = SamplerConfig(
+    cfg = SamplerConfig(  # refuses bad bounds before the graph is read
         per_type_count=args.count,
         seed=args.seed,
         max_retries=args.max_retries,
         source_layer=args.source_layer,
     )
+    layers = _kg_dir(args.kg)
+    types = _resolve_types(args.types, args.ood)
     dataset = sample_dataset(layers, types, cfg, kg_name=Path(args.kg).name)
     write_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} records across {len(dataset.records)} types to {args.out}")

@@ -182,6 +182,16 @@ class RelationTable:
         for array in (self.keys, self.key_bits, self.heads, self.tails, self.bits):
             array.flags.writeable = False
 
+    @cached_property
+    def run_keys(self) -> np.ndarray:
+        """``relation * num_entities + head`` of each edge in table order,
+        built on first use: sorted, so the edges of one head under one
+        relation are one run of equal keys. Read-only."""
+        relations = np.repeat(np.arange(self.num_relations, dtype=np.int64), np.diff(self.offsets))
+        keys = relations * self.num_entities + self.heads
+        keys.flags.writeable = False
+        return keys
+
 
 @dataclass(frozen=True)
 class KnowledgeGraph:

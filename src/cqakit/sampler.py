@@ -16,6 +16,11 @@ keeps it; no query tree is built on the way from sampling to tokens.
 ``GroundedQueryRecord.query`` builds the tree on demand for the code that
 walks trees.
 
+A dataset is sampled a type at a time: every record is grounded from its
+own random stream, all streams seeded in one pass (:func:`~cqakit.rng.streams`),
+and the type's accepted queries are then answered by one engine pass whose
+bits give every record's three answer sets.
+
 One template per type string (:func:`_type_template`) holds what a type
 fixes of its queries: the text the reader matches, the format the writer
 prints, which ids are relations, and the token list with a slot per id
@@ -37,6 +42,7 @@ the per-record JSON reader, which words every error.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import operator
@@ -63,8 +69,8 @@ from .queries import (
     query_ids,
     serialize_formula,
 )
-from .rng import make_rng
-from .symbolic import AnswerSet, answer, answer_bits
+from .rng import streams
+from .symbolic import PASS_BYTES, AnswerSet, answer, answer_bits
 
 logger = logging.getLogger(__name__)
 
@@ -95,6 +101,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.per_type_count < 0:
             raise ValueError(f"per_type_count must be >= 0, got {self.per_type_count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_retries < 1:
             raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
         if self.source_layer not in ("train", "test"):
@@ -255,31 +263,32 @@ def sample_dataset(
     """Sample ``cfg.per_type_count`` grounded queries per type with answers.
 
     Queries are grounded on ``cfg.source_layer``; each record stores its
-    answer sets on all three layers, each read from its own bit of one
-    :func:`answer_bits` pass. Grounded queries are deduplicated within a
-    type, on their id vectors. Record ``i`` of type ``t`` draws from an
-    independent random stream keyed by ``(seed, t, i)``, so output is
-    reproducible and independent of scheduling. A type listed twice raises
-    ``ValueError``.
+    answer sets on all three layers, read from the bits of one
+    :func:`answer_bits` pass over the type's records. Grounded queries are
+    deduplicated within a type, on their id vectors. Record ``i`` of type
+    ``t`` draws from an independent random stream keyed by ``(seed, t, i)``,
+    so output is reproducible and independent of scheduling; the states of
+    all streams are computed in one pass (:func:`~cqakit.rng.streams`). A
+    type listed twice raises ``ValueError``.
     """
     formulas = [qtype.formula_text for qtype in types]
     for i, formula in enumerate(formulas):
         if formula in formulas[:i]:
             raise ValueError(f"query type {formula} is listed more than once")
     source = layers.layer(cfg.source_layer)
-    source_bit = 1 << source.layer
     dataset = Dataset(
         provenance=Provenance(kg_name, cfg.seed, cfg.config_hash()),
         num_entities=source.num_entities,
         num_relations=source.num_relations,
     )
-    for type_index, qtype in enumerate(types):
-        group: list[GroundedQueryRecord] = []
+    count = cfg.per_type_count
+    # the stream of record i of type t is keyed (t, i); they are taken in order
+    rngs = streams(cfg.seed, np.indices((len(types), count)).reshape(2, -1).T)
+    for qtype in types:
+        grounded: list[list[int]] = []
+        seeds: list[int] = []
         seen: set[tuple[int, ...]] = set()
-        shortfall = 0
-        for record_index in range(cfg.per_type_count):
-            rng = make_rng(cfg.seed, type_index, record_index)
-            record = None
+        for rng in itertools.islice(rngs, count):
             for _ in range(cfg.max_retries):
                 try:
                     ids, v = ground_type(source, qtype, rng, cfg.max_retries)
@@ -289,31 +298,57 @@ def sample_dataset(
                 if key in seen:
                     continue
                 seen.add(key)
-                bits = answer_bits(source, qtype.pattern, ids)  # bit k: the answers on layer k
-                if not bits.item(v) & source_bit:
-                    # grounding and the symbolic engine disagree
-                    text = _type_template(qtype.formula_text).text.format(*ids)
-                    raise RuntimeError(
-                        f"type {qtype.formula_text}: seed node {v} is not an answer of {text} "
-                        f"on the {cfg.source_layer} layer"
-                    )
-                # one boolean row per layer: nonzero is several times faster on bools
-                answers = [AnswerSet(row.nonzero()[0]) for row in (bits & _LAYER_BITS) != 0]
-                record = GroundedQueryRecord(qtype.formula_text, ids, *answers)
+                grounded.append(ids)
+                seeds.append(v)
                 break
-            if record is None:
-                shortfall += 1
-                continue
-            group.append(record)
-        if shortfall:
+        if len(grounded) < count:
             logger.warning(
                 "type %s: %d of %d records could not be grounded (skipped)",
                 qtype.formula_text,
-                shortfall,
-                cfg.per_type_count,
+                count - len(grounded),
+                count,
             )
-        dataset.records[qtype.formula_text] = group
+        dataset.records[qtype.formula_text] = _records(source, qtype, grounded, seeds, cfg.source_layer)
     return dataset
+
+
+def _records(
+    source: KnowledgeGraph, qtype: QueryType, grounded: list[list[int]], seeds: list[int], layer_name: str
+) -> list[GroundedQueryRecord]:
+    """The records of a type's grounded queries, each grounded at its seed
+    node: :func:`answer_bits` passes of at most ``PASS_BYTES`` of bits, one
+    test that every seed node answers its query on the source layer, and
+    one ``nonzero`` per pass that all answer sets are cut from."""
+    if not grounded:
+        return []
+    ids, V = np.array(grounded, dtype=np.int64), source.num_entities
+    ids.flags.writeable = False
+    step = max(1, PASS_BYTES // V)
+    records = []
+    for start in range(0, len(ids), step):
+        rows = ids[start : start + step]
+        bits = answer_bits(source, qtype.pattern, rows)  # bit k: the answers on layer k
+        at_seed = bits[np.arange(len(rows)), seeds[start : start + step]]
+        missing = (at_seed & (1 << source.layer) == 0).nonzero()[0]
+        if missing.size:
+            # grounding and the symbolic engine disagree
+            n = start + missing.item(0)
+            text = _type_template(qtype.formula_text).text.format(*grounded[n])
+            raise RuntimeError(
+                f"type {qtype.formula_text}: seed node {seeds[n]} is not an answer of {text} "
+                f"on the {layer_name} layer"
+            )
+        # the train, valid and test rows of every record, flattened: one
+        # 1-D nonzero gives each answer's row and, from its offset, entity
+        found = ((bits[:, None, :] & _LAYER_BITS) != 0).reshape(-1).nonzero()[0]
+        entities = found % V
+        ends = np.searchsorted(found, np.arange(1, 3 * len(rows) + 1) * V).tolist()
+        answers = [AnswerSet(entities[a:z]) for a, z in zip([0] + ends[:-1], ends)]
+        records += (
+            GroundedQueryRecord(qtype.formula_text, row, *answers[3 * n : 3 * n + 3])
+            for n, row in enumerate(rows)
+        )
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,23 @@
 
 Two independent routes to an answer set:
 
-* :func:`answer_bits` — evaluates a query, given as its type's pattern and
-  its id vector, on every layer of a graph's relation table at once, as a
-  ``uint8`` array over the entities whose bit ``k`` marks an answer on
-  cumulative layer ``k``. It walks the pattern and takes each projection's
-  relation and each anchor's entity from the vector, in print order, so no
-  grounded tree is built. An anchor is ``0xFF`` at its entity; a
-  projection gathers its source's bits at the relation's edge heads, keeps
-  those of layers holding the edge (``& bits``) and ORs them into the
-  tails; intersection, union and negation are ``&``, ``|`` and ``~``, so a
+* :func:`answer_bits` — evaluates a batch of queries of one type, given as
+  the type's pattern and an ``(N, k)`` matrix of their id vectors, on every
+  layer of a graph's relation table at once, as an ``(N, V)`` ``uint8``
+  array whose bit ``k`` marks an answer on cumulative layer ``k``. It walks
+  the pattern once and takes each projection's relations and each anchor's
+  entities from the matrix's columns, in print order, so no grounded tree
+  is built. An anchor is ``0xFF`` at its entity. A projection from an
+  anchor finds every row's run of edges with one ``searchsorted`` over the
+  table's ``relation·V + head`` keys and assigns it; a projection of a
+  computed source gathers each row's bits at its relation's edge heads,
+  keeps those of layers holding the edge (``& bits``) and ORs them into the
+  tails. Intersection, union and negation are ``&``, ``|`` and ``~``, so a
   complement is never materialised as a set.
-  :func:`answer` reads one layer's bit as an :class:`AnswerSet`, the sorted
-  entity ids a dataset record holds its answers in. A caller holding a
-  query tree passes the tree as its own pattern, with
-  :func:`~cqakit.queries.query_ids`.
+  :func:`answer` is the one-row call: it reads one layer's bit as an
+  :class:`AnswerSet`, the sorted entity ids a dataset record holds its
+  answers in. A caller holding a query tree passes the tree as its own
+  pattern, with :func:`~cqakit.queries.query_ids`.
 * :func:`to_dnf` + :func:`answer_dnf` — convert to disjunctive normal form
   and brute-force variable assignments, testing each edge against a
   frozenset of the layer's triples.
@@ -43,6 +46,9 @@ from .queries import (
 
 EntitySet = set[int]
 
+# the bytes of one (N, V) bits array that a caller's answer_bits pass stays near
+PASS_BYTES = 1 << 21
+
 
 class BudgetExceededError(RuntimeError):
     """The brute-force enumerator exceeded its assignment budget."""
@@ -66,7 +72,7 @@ class AnswerSet(SortedIdSet):
 
 def answer(layer: KnowledgeGraph, pattern: QueryNode, ids) -> AnswerSet:
     """Evaluate a grounded query, its type's ``pattern`` with ``ids``, on one
-    graph layer, exactly.
+    graph layer, exactly: the one-row call of :func:`answer_bits`.
 
     Empty sets are legal results.
     """
@@ -75,39 +81,51 @@ def answer(layer: KnowledgeGraph, pattern: QueryNode, ids) -> AnswerSet:
 
 
 def answer_bits(graph: KnowledgeGraph, pattern: QueryNode, ids) -> np.ndarray:
-    """Answers of a grounded query on every layer of ``graph``'s relation table.
+    """Answers of grounded queries of one type on every layer of ``graph``'s relation table.
 
-    The query is its type's ``pattern`` (any query tree; only its operators
-    are read) with ``ids``, its relation and entity ids in print order (see
-    :func:`~cqakit.queries.query_ids`). Returns a ``uint8`` array of length
-    ``num_entities``: bit ``k`` of entry ``v`` is set exactly when ``v``
-    answers the query on cumulative layer ``k`` (bits past the last layer
-    repeat it).
+    The queries are the type's ``pattern`` (any query tree; only its
+    operators are read) filled with each row of ``ids``, an ``(N, k)``
+    array of the queries' relation and entity ids in print order (see
+    :func:`~cqakit.queries.query_ids`). Returns an ``(N, num_entities)``
+    ``uint8`` array: bit ``k`` of entry ``[n, v]`` is set exactly when ``v``
+    answers query ``n`` on cumulative layer ``k`` (bits past the last layer
+    repeat it). A single id vector gives a single row. A pass holds a few
+    arrays of the result's size, so callers keep ``N`` to about
+    ``PASS_BYTES // num_entities`` rows.
     """
-    V, offsets = graph.num_entities, graph.table.offsets
-    all_heads, all_tails, all_bits = graph.table.heads, graph.table.tails, graph.table.bits
-    it = iter(ids.tolist() if isinstance(ids, np.ndarray) else ids)
+    ids = np.asarray(ids, dtype=np.int64)
+    matrix = ids if ids.ndim == 2 else ids[None]
+    table = graph.table
+    N, V, offsets = len(matrix), table.num_entities, table.offsets
+    all_heads, all_tails, all_bits = table.heads, table.tails, table.bits
+    columns = iter(matrix.T)
 
     def bits(node: QueryNode) -> np.ndarray:
         k = node.kind
         if k is OperatorKind.PROJECTION:
-            r = next(it)
-            lo, hi = offsets[r], offsets[r + 1]
-            out = np.zeros(V, dtype=np.uint8)
+            relations = next(columns)
+            out = np.zeros((N, V), dtype=np.uint8)
             child = node.children[0]
             if child.kind is OperatorKind.ANCHOR:
-                # the anchor's edges are one run of distinct tails: assign them
-                e = next(it)
-                a, b = all_heads[lo:hi].searchsorted((e, e + 1)).tolist()
-                out[all_tails[lo + a : lo + b]] = all_bits[lo + a : lo + b]
+                # each row's edges are one run of distinct tails: assign them
+                # (an id outside the universe raises, never aliases a key)
+                keys = np.ravel_multi_index((relations, next(columns)), (table.num_relations, V))
+                starts = table.run_keys.searchsorted(keys).tolist()
+                ends = table.run_keys.searchsorted(keys, "right").tolist()
+                for row, lo, hi in zip(out, starts, ends):
+                    row[all_tails[lo:hi]] = all_bits[lo:hi]
                 return out
-            vals = bits(child)[all_heads[lo:hi]] & all_bits[lo:hi]
-            nz = vals.nonzero()[0]
-            np.bitwise_or.at(out, all_tails[lo:hi][nz], vals[nz])
+            # gather each row's source bits at the heads of its relation's
+            # edges and OR them into the tails
+            for row, source, r in zip(out, bits(child), relations.tolist()):
+                lo, hi = offsets[r], offsets[r + 1]
+                vals = source[all_heads[lo:hi]] & all_bits[lo:hi]
+                nz = vals.nonzero()[0]
+                np.bitwise_or.at(row, all_tails[lo:hi][nz], vals[nz])
             return out
         if k is OperatorKind.ANCHOR:
-            out = np.zeros(V, dtype=np.uint8)
-            out[next(it)] = 0xFF
+            out = np.zeros((N, V), dtype=np.uint8)
+            out[np.arange(N), next(columns)] = 0xFF
             return out
         if k is OperatorKind.NEGATION:
             return ~bits(node.children[0])
@@ -121,8 +139,8 @@ def answer_bits(graph: KnowledgeGraph, pattern: QueryNode, ids) -> np.ndarray:
 
     try:
         out = bits(pattern)
-        if next(it, None) is None:
-            return out
+        if next(columns, None) is None:
+            return out if ids.ndim == 2 else out[0]
     except StopIteration:
         pass
     raise ValueError("ids do not fill the query pattern: one id per projection and anchor")

@@ -66,7 +66,7 @@ class TrainConfig:
         normalize_arch(self.arch)  # refuses an unknown name; the spelling given is kept
         for key, low in (
             ("d", 1), ("batch_size", 1), ("epochs", 0), ("eval_every", 0),
-            ("layers", 1), ("heads", 1), ("max_len", 1), ("rpe_clip", 0),
+            ("layers", 1), ("heads", 1), ("max_len", 1), ("rpe_clip", 0), ("seed", 0),
         ):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")

@@ -3,12 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cqakit.graph import split_edges, synthetic_graph
 from cqakit.linearize import build_vocabulary
 from cqakit.queries import parse_formula, query_ids
 from cqakit.sampler import AnswerSet, SamplerConfig, sample_dataset
 from cqakit.symbolic import answer
+
+# CI runs the same examples on every run (--hypothesis-profile=ci) and prints
+# the blob that reproduces a failure
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 def answer_set(ids) -> AnswerSet:

@@ -130,6 +130,19 @@ def test_generate_bad_sampler_bounds_exit_two(capsys, kg_dir, tmp_path, flag, va
     assert message in err and "Traceback" not in err
 
 
+def test_negative_seed_exits_two_before_the_input_is_read(capsys, tmp_path):
+    # neither the graph directory nor the dataset exists: the config is refused first
+    code, out, err = run(capsys, "generate", "--kg", str(tmp_path / "absent"), "--types", "conj",
+                         "--count", "1", "--seed", "-1", "--out", str(tmp_path / "d.jsonl"))
+    assert code == 2 and out == ""
+    assert "error: seed must be >= 0, got -1" in err and "Traceback" not in err
+    code, out, err = run(capsys, "train", "--data", str(tmp_path / "absent.jsonl"),
+                         "--out", str(tmp_path / "m.ckpt"), "--set", "seed=-1")
+    assert code == 2 and out == ""
+    assert "error: seed must be >= 0, got -1" in err and "Traceback" not in err
+    assert not (tmp_path / "d.jsonl").exists() and not (tmp_path / "m.ckpt").exists()
+
+
 def test_missing_kg_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "answer", "--kg", str(tmp_path), "--query", "(e,(1))")
     assert code == 2

@@ -16,7 +16,16 @@ from hypothesis import example, given, settings
 
 from cqakit.encoders import CheckpointError
 from cqakit.encoders.checkpoint import MAGIC
-from cqakit.graph import EdgeTriple, GraphFormatError, KnowledgeGraph, layer_graphs, load_dictionary, read_triples
+from cqakit.graph import (
+    EdgeTriple,
+    GraphFormatError,
+    KnowledgeGraph,
+    layer_graphs,
+    load_dictionary,
+    read_triples,
+    split_edges,
+    synthetic_graph,
+)
 from cqakit.linearize import LPAREN, RPAREN, Vocabulary, delinearize, linearize
 from cqakit.queries import (
     OperatorKind,
@@ -50,7 +59,7 @@ from cqakit.sampler import (
     sample_dataset,
     write_dataset,
 )
-from cqakit.symbolic import answer_bits, answer_dnf, to_dnf
+from cqakit.symbolic import answer, answer_bits, answer_dnf, to_dnf
 from cqakit.training import Checkpoint, TrainConfig, config_from_mapping, parse_config_file, train
 from conftest import answer_set, answer_tree
 from test_graph import table_rows
@@ -701,6 +710,55 @@ def test_id_engine_matches_dnf_oracle_on_every_layer(desk_layers, grounding):
     for k, name in enumerate(("train", "valid", "test")):
         expected = answer_dnf(desk_layers.layer(name), to_dnf(tree))
         assert set(np.flatnonzero(bits & (1 << k)).tolist()) == expected
+
+
+@functools.cache
+def batch_layers():
+    """A three-layer graph small enough for the DNF oracle on every built-in type."""
+    return split_edges(synthetic_graph(30, 4, 160, seed=7), (8, 1, 1), seed=7)
+
+
+@st.composite
+def id_batches(draw):
+    """A built-in type and a batch of its id vectors: queries grounded on the
+    train layer, vectors of random ids, which often have no answers, and
+    repeats of earlier rows."""
+    layers = batch_layers()
+    qtype = draw(st.sampled_from(BUILTIN_TYPES))
+    relations = sampler._type_template(qtype.formula_text).relations
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["grounded", "random", "repeat"]), min_size=1, max_size=7)):
+        if kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+            continue
+        if kind == "grounded":
+            try:
+                rows.append(ground_type(layers.train, qtype, make_rng(draw(st.integers(0, 2**32 - 1))))[0])
+                continue
+            except GroundingError:
+                pass
+        universe = [layers.train.num_relations if r else layers.train.num_entities for r in relations]
+        rows.append([draw(st.integers(0, n - 1)) for n in universe])
+    return qtype, rows
+
+
+@settings(deadline=None, max_examples=120)
+@given(id_batches())
+@example((parse_formula("(p,(e))"), [[0, 0]]))  # one row; entity 0 has no relation-0 edge on any layer
+@example((parse_formula("(p,(e))"), [[0, 0], [1, 4], [0, 0], [1, 4]]))  # duplicate rows
+@example((parse_formula("(i,(n,(p,(e))),(p,(p,(e))))"), [[0, 0, 3, 2, 9], [3, 7, 1, 0, 4], [0, 0, 3, 2, 9]]))
+def test_batched_engine_rows_match_the_oracle_and_the_one_row_call(batch):
+    qtype, rows = batch
+    layers = batch_layers()
+    bits = answer_bits(layers.train, qtype.pattern, np.array(rows, dtype=np.int64))
+    assert bits.dtype == np.uint8 and bits.shape == (len(rows), layers.train.num_entities)
+    for row_bits, ids in zip(bits, rows):
+        assert np.array_equal(row_bits, answer_bits(layers.train, qtype.pattern, ids))
+        tree = fill_pattern(qtype.pattern, ids)
+        for k, name in enumerate(("train", "valid", "test")):
+            expected = answer_dnf(layers.layer(name), to_dnf(tree))
+            assert set(np.flatnonzero(row_bits & (1 << k)).tolist()) == expected
+            assert answer(layers.layer(name), qtype.pattern, ids) == expected
 
 
 @settings(deadline=None, max_examples=100)

@@ -297,6 +297,8 @@ def test_sampler_config_validation():
         SamplerConfig(per_type_count=-1, seed=0)
     with pytest.raises(ValueError, match="max_retries must be >= 1, got 0"):
         SamplerConfig(per_type_count=1, seed=0, max_retries=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):  # no SeedSequence stream
+        SamplerConfig(per_type_count=1, seed=-1)
     with pytest.raises(ValueError):
         SamplerConfig(per_type_count=1, seed=0, source_layer="valid")
     assert SamplerConfig(per_type_count=0, seed=0, max_retries=1).per_type_count == 0
@@ -313,8 +315,9 @@ def test_sampler_raises_when_engine_drops_the_seed(desk_layers, monkeypatch):
         return ids, v
 
     def dropping_seed(graph, pattern, ids):
+        # the type's one batched pass: one row, the last query grounded
         bits = answer_bits(graph, pattern, ids)
-        bits[seeds[-1]] = 0
+        bits[:, seeds[-1]] = 0
         return bits
 
     monkeypatch.setattr(sampler, "ground_type", ground)
@@ -325,28 +328,51 @@ def test_sampler_raises_when_engine_drops_the_seed(desk_layers, monkeypatch):
         sample_dataset(desk_layers, [parse_formula("(p,(e))")], SamplerConfig(1, seed=0))
 
 
-def test_one_engine_pass_per_record(monkeypatch):
-    # the record's three answer sets come from one pass on the source layer;
-    # a negation type's grounding check goes through answer, not this binding
+def test_one_engine_pass_per_type(monkeypatch):
+    # the records' three answer sets come from one pass per type on the
+    # source layer, whose rows are that type's records; a negation type's
+    # grounding check goes through answer, not this binding
     layers = split_edges(synthetic_graph(100, 3, 1500, seed=11), (8, 1, 1), seed=11)
     passes = []
 
     def counted(layer, pattern, ids):
-        passes.append(layer)
+        passes.append((layer, pattern, ids.copy()))
         return answer_bits(layer, pattern, ids)
 
     monkeypatch.setattr(sampler, "answer_bits", counted)
     formulas = ("(p,(e))", "(i,(n,(p,(e))),(p,(e)))", "(i,(n,(p,(p,(e)))),(p,(e)))")
+    types = [parse_formula(f) for f in formulas]
     cfg = SamplerConfig(per_type_count=4, seed=0, source_layer="test")
-    ds = sample_dataset(layers, [parse_formula(f) for f in formulas], cfg)
-    assert len(ds) == 12 and len(passes) == 12
-    assert all(layer is layers.test for layer in passes)
+    ds = sample_dataset(layers, types, cfg)
+    assert len(ds) == 12 and len(passes) == 3
+    assert sum(len(ids) for _, _, ids in passes) == 12
+    assert all(layer is layers.test for layer, _, _ in passes)
+    for qtype, (_, pattern, ids) in zip(types, passes):
+        assert pattern is qtype.pattern
+        assert ids.tolist() == [record.ids.tolist() for record in ds.records[qtype.formula_text]]
     # a negated branch that gains test edges loses answers there, so a train
     # answer need not be a test answer: no layer is a mask of another's ids
     assert any(record.train_answers - record.test_answers for record in ds.iter_records())
     for record in ds.iter_records():
         for name in ("train", "valid", "test"):
             assert record.answers(name) == frozenset(answer(layers.layer(name), record.query, record.ids))
+
+
+def test_a_type_split_into_several_passes_gives_the_same_records(desk_layers, monkeypatch):
+    # the bits of a pass are capped at PASS_BYTES: three rows a pass here
+    types = [parse_formula(f) for f in ("(p,(e))", "(i,(n,(p,(e))),(p,(p,(e))))")]
+    cfg = SamplerConfig(per_type_count=8, seed=3)
+    whole = sample_dataset(desk_layers, types, cfg)
+    passes = []
+
+    def counted(layer, pattern, ids):
+        passes.append(len(ids))
+        return answer_bits(layer, pattern, ids)
+
+    monkeypatch.setattr(sampler, "PASS_BYTES", 3 * desk_layers.train.num_entities)
+    monkeypatch.setattr(sampler, "answer_bits", counted)
+    assert sample_dataset(desk_layers, types, cfg).records == whole.records
+    assert passes == [3, 3, 2, 3, 3, 2]
 
 
 def test_incoming_index_built_once_on_the_source_layer_only(tmp_path, monkeypatch):

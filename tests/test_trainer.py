@@ -332,10 +332,11 @@ def test_train_config_validation():
     for key, low in (
         ("d", 1), ("batch_size", 1), ("epochs", 0), ("eval_every", 0),
         ("layers", 1), ("heads", 1), ("max_len", 1), ("rpe_clip", 0),
+        ("seed", 0),  # a negative seed has no SeedSequence stream
     ):
         with pytest.raises(ValueError, match=f"^{key} must be >= {low}, got {low - 1}$"):
             TrainConfig(**{key: low - 1})
-    TrainConfig(d=1, batch_size=1, epochs=0, eval_every=0, layers=1, heads=1, max_len=1, rpe_clip=0)
+    TrainConfig(d=1, batch_size=1, epochs=0, eval_every=0, layers=1, heads=1, max_len=1, rpe_clip=0, seed=0)
     # a zero or NaN step size or epsilon trains without error into NaN parameters
     for key in ("learning_rate", "adam_eps"):
         for value in (0.0, -1e-3, float("nan"), float("inf")):
