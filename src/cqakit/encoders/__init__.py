@@ -16,8 +16,14 @@ Architectures (all gradients hand-derived, verified by finite differences):
 encoder behind a single encode/backward surface used by the trainer and
 evaluator. Every encoder reads the same input, the token lists of
 :func:`~cqakit.linearize.linearize`, and has ``forward(queries, rows) -> ((B,d), cache)``
-and ``backward(cache, d_out) -> (param grads, token ids (N,), token grads (N,d))``,
-one gradient row per token it read from ``rows``. Nothing is padded.
+and ``backward(cache, d_out, grads=None) -> (param grads, token ids (N,), token grads (N,d))``,
+one gradient row per token it read from ``rows``; it adds its parameter gradients into
+``grads`` (fresh zeros when omitted). Nothing is padded.
+
+A model's parameters are views of one flat vector, laid out in sorted-name order
+(``enc.*``, then ``table``): :func:`new_model` allocates it, and
+:meth:`QueryModel.zero_grads` gives a gradient vector in the same layout, which
+:meth:`QueryModel.backward` adds into, so Adam steps flat arrays only.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from ..queries import ComputationGraph
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .gradcheck import NonFiniteLossError, grad_check
 from .lstm import BiLSTMEncoder
-from .numerics import softmax, uniform_init
+from .numerics import FlatTensors, softmax, uniform_init
 from .transformer import TransformerEncoder
 from .treelstm import TREE_CELLS, TreeLSTMEncoder
 
@@ -107,10 +113,11 @@ class QueryModel:
         """View of the answer-entity embeddings e_v, in entity-id order."""
         return self.rows[self.vocab.entity_offset :]
 
-    def parameters(self) -> dict[str, np.ndarray]:
+    def parameters(self) -> FlatTensors:
+        """Every parameter by name; ``flat`` is the vector they are views of, if they are."""
         out = {"table": self.rows}
         out.update({f"enc.{k}": v for k, v in self.encoder.params.items()})
-        return out
+        return FlatTensors.of(out)
 
     def prepare(self, graphs: list[ComputationGraph]):
         """Each graph's linearized token list, the one input form of every encoder."""
@@ -120,13 +127,29 @@ class QueryModel:
         """Encode token lists; returns ((B,d) embeddings, cache)."""
         return self.encoder.forward(queries, self.rows)
 
-    def backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients for every parameter given d(loss)/d(embeddings)."""
-        enc_grads, token_ids, token_grads = self.encoder.backward(cache, d_out)
-        d_table = np.zeros_like(self.rows)
-        np.add.at(d_table, token_ids, token_grads)
-        grads = {"table": d_table}
-        grads.update({f"enc.{k}": v for k, v in enc_grads.items()})
+    def zero_grads(self) -> FlatTensors:
+        """A fresh zeroed vector in the parameters' sorted-name layout, viewed by name."""
+        shapes = {f"enc.{k}": v.shape for k, v in self.encoder.params.items()}
+        shapes["table"] = self.rows.shape
+        return FlatTensors.zeros(shapes, self.rows.dtype)
+
+    def backward(self, cache, d_out: np.ndarray, grads: FlatTensors | None = None) -> FlatTensors:
+        """Gradients for every parameter given d(loss)/d(embeddings), added into ``grads``
+        (fresh :meth:`zero_grads` if None) and returned.
+
+        The encoder adds into its views. The token gradients are summed per table row
+        first and then added to the row once, so a row the caller has already written
+        (the trainer's score-side entity gradient) ends as that value plus the row's sum:
+        the same bits as adding the caller's term after the sum.
+        """
+        if grads is None:
+            grads = self.zero_grads()
+        enc_grads = {k: grads[f"enc.{k}"] for k in self.encoder.params}
+        _, token_ids, token_grads = self.encoder.backward(cache, d_out, enc_grads)
+        rows, inverse = np.unique(token_ids, return_inverse=True)
+        summed = np.zeros((len(rows), self.d), grads["table"].dtype)
+        np.add.at(summed, inverse, token_grads)
+        grads["table"][rows] += summed
         return grads
 
     def encode_graphs(self, graphs: list[ComputationGraph]) -> np.ndarray:
@@ -140,24 +163,39 @@ class QueryModel:
         return e_q @ self.entity_rows.T
 
 
+_INIT_ROWS = 1024  # table rows drawn per call, straight into the parameter vector
+
+
 def new_model(vocab: Vocabulary, arch: str, d: int, seed: int, dtype=np.float64, **options) -> QueryModel:
     """Freshly initialized model (seeded uniform init scaled by 1/sqrt(d)).
 
     ``options`` are the encoder sizes :func:`make_encoder` takes. The table and every
-    encoder parameter are cast to ``dtype`` here, the one place a parameter dtype is chosen.
+    encoder parameter are drawn in float64 and written into one flat vector of ``dtype``,
+    in sorted-name order: the one place the parameter dtype and layout are chosen. The
+    table's draws come first in the stream, so its rows are drawn block by block into the
+    vector (the same values as one draw), after a throwaway encoder has given the shapes.
     """
     from ..rng import make_rng
 
+    throwaway = make_encoder(arch, d, np.random.default_rng(0), **options)
+    shapes = {f"enc.{k}": v.shape for k, v in throwaway.params.items()}
+    shapes["table"] = (vocab.size, d)
+    params = FlatTensors.zeros(shapes, dtype)
     rng = make_rng(seed, 0)
-    rows = uniform_init(rng, (vocab.size, d), d).astype(dtype, copy=False)
+    for start in range(0, vocab.size, _INIT_ROWS):
+        rows = params["table"][start : start + _INIT_ROWS]
+        rows[...] = uniform_init(rng, rows.shape, d)
     encoder = make_encoder(arch, d, rng, **options)
-    encoder.params = {k: v.astype(dtype, copy=False) for k, v in encoder.params.items()}
-    return QueryModel(vocab, rows, encoder)
+    for k, v in encoder.params.items():
+        params[f"enc.{k}"][...] = v
+    encoder.params = {k: params[f"enc.{k}"] for k in encoder.params}
+    return QueryModel(vocab, params["table"], encoder)
 
 
 __all__ = [
     "ARCHITECTURES",
     "BiLSTMEncoder",
+    "FlatTensors",
     "TreeLSTMEncoder",
     "TransformerEncoder",
     "QueryModel",

@@ -178,11 +178,13 @@ class BiLSTMEncoder:
         readout[pack.order[::-1]] = layer_in
         return readout, (caches, pack.order, tokens)
 
-    def backward(self, cache, d_readout: np.ndarray):
-        """Returns (param grads, token ids (N,), token grads (N,d)), in time-major packed order."""
+    def backward(self, cache, d_readout: np.ndarray, grads=None):
+        """Adds the parameter gradients into ``grads`` (fresh zeros if None) and returns
+        (param grads, token ids (N,), token grads (N,d)), in time-major packed order."""
         caches, order, tokens = cache
         h_dim = self.hidden
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        if grads is None:
+            grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
         d_layer_out = np.zeros((len(tokens), self.d), dtype=d_readout.dtype)
         d_layer_out[: len(order)] = d_readout[order[::-1]]

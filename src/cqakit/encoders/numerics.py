@@ -1,11 +1,59 @@
-"""Shared primitives for the hand-rolled encoders, the packed token layout included."""
+"""Shared primitives for the hand-rolled encoders, the packed token layout and the
+flat parameter layout included."""
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+
+
+class FlatTensors(dict):
+    """Named tensors laid end to end in one 1-D array ``flat``, in sorted-name order.
+
+    Every value is a view of ``flat``; writing a view writes ``flat`` and the other way
+    round. :meth:`of` also wraps tensors that are separate arrays, with ``flat`` None.
+    """
+
+    flat: np.ndarray | None = None
+
+    @classmethod
+    def over(cls, flat: np.ndarray, shapes: dict[str, tuple]) -> "FlatTensors":
+        """Views of the 1-D ``flat`` in ``shapes``, one per name in sorted order; they must tile it."""
+        out = cls()
+        start = 0
+        for name in sorted(shapes):
+            end = start + math.prod(shapes[name])
+            out[name] = flat[start:end].reshape(shapes[name])
+            start = end
+        if start != flat.size:
+            raise ValueError(f"shapes hold {start} values, the flat array {flat.size}")
+        out.flat = flat
+        return out
+
+    @classmethod
+    def zeros(cls, shapes: dict[str, tuple], dtype) -> "FlatTensors":
+        return cls.over(np.zeros(sum(math.prod(s) for s in shapes.values()), dtype), shapes)
+
+    @classmethod
+    def of(cls, tensors: dict[str, np.ndarray]) -> "FlatTensors":
+        """``tensors`` as they are, with ``flat`` set where they tile one 1-D array in sorted-name order."""
+        out = cls(tensors)
+        names = sorted(tensors)
+        base = tensors[names[0]].base if names else None
+        if not (isinstance(base, np.ndarray) and base.ndim == 1 and base.flags.c_contiguous):
+            return out
+        address = base.ctypes.data
+        for arr in map(tensors.get, names):
+            tiled = arr.base is base and arr.dtype == base.dtype and arr.flags.c_contiguous
+            if not (tiled and arr.ctypes.data == address):
+                return out
+            address += arr.nbytes
+        if address == base.ctypes.data + base.nbytes:
+            out.flat = base
+        return out
 
 
 def sigmoid(z):

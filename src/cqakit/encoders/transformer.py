@@ -227,12 +227,14 @@ class TransformerEncoder:
         readout[pack.order] = y[:, 0]
         return readout, (pack, groups, blocks, lnf_cache)
 
-    def backward(self, cache, d_readout: np.ndarray):
-        """Returns (param grads, token ids (N,), token grads (N,d)), the tokens in batch order."""
+    def backward(self, cache, d_readout: np.ndarray, grads=None):
+        """Adds the parameter gradients into ``grads`` (fresh zeros if None) and returns
+        (param grads, token ids (N,), token grads (N,d)), the tokens in batch order."""
         p = self.params
         pack, groups, blocks, lnf_cache = cache
         d = self.d
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
+        if grads is None:
+            grads = {k: np.zeros_like(v) for k, v in p.items()}
 
         dy = d_readout[pack.order][:, None]
         dh, dg, db = layernorm_backward(dy, lnf_cache, p["lnf.g"])

@@ -168,11 +168,13 @@ class TreeLSTMEncoder:
             steps.append(cell_cache)
         return states[0][roots], (tokens, roots, levels, x, steps)
 
-    def backward(self, cache, d_out: np.ndarray):
-        """Returns (param grads, token ids (N,), token grads (N,d))."""
+    def backward(self, cache, d_out: np.ndarray, grads=None):
+        """Adds the parameter gradients into ``grads`` (fresh zeros if None) and returns
+        (param grads, token ids (N,), token grads (N,d))."""
         tokens, roots, levels, x, steps = cache
         p = self.params
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
+        if grads is None:
+            grads = {k: np.zeros_like(v) for k, v in p.items()}
         d_states = [np.zeros_like(x) for _ in range(self.cell.num_states)]
         d_states[0][roots] = d_out
         dx = np.empty_like(x)

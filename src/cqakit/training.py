@@ -21,6 +21,7 @@ import numpy as np
 
 from .encoders import (
     CheckpointError,
+    FlatTensors,
     QueryModel,
     load_checkpoint,
     make_encoder,
@@ -184,48 +185,72 @@ def loss_and_grads(model: QueryModel, batch: list[Pair]):
     np.subtract.at(d_scores, (inverse, targets), 1.0)  # a repeated (query, target) pair counts twice
     d_scores /= B
     dQ = d_scores @ E
-    grads = model.backward(cache, dQ)
-    # score-side gradient for the (tied) entity rows
-    grads["table"][model.vocab.entity_offset :] += d_scores.T @ Q
+    grads = model.zero_grads()
+    # score-side gradient for the (tied) entity rows, written straight into the gradient vector
+    np.matmul(d_scores.T, Q, out=grads["table"][model.vocab.entity_offset :])
+    model.backward(cache, dQ, grads)
     diagnostics = {"prob_sums": probs.sum(axis=1)}
     return loss, grads, diagnostics
 
 
-class Adam:
-    """Adam with bias correction; parameters updated in place in name order.
+# values of each flat array that one pass of Adam.step carries through all its operations
+_ADAM_BLOCK = 16384
 
-    A step computes the bias-corrected moments and the update in two scratch
-    buffers of the parameters' dtype, sized to the largest tensor and shared by all.
+
+class Adam:
+    """Adam with bias correction, over one flat vector.
+
+    The moments ``m`` and ``v`` map each parameter name to a view of one flat array each,
+    in sorted-name order, the layout of :func:`~cqakit.encoders.new_model`'s parameter
+    vector and of ``QueryModel.backward``'s gradients. A step runs the textbook operation
+    sequence over ``_ADAM_BLOCK`` values of the four flat arrays at a time, in two scratch
+    blocks of the moments' dtype, so each value is read from memory once per step and not
+    once per operation; every operation is elementwise, so the result does not depend on
+    the block size. Parameters or gradients that are separate arrays are stepped through
+    a flat copy.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        shapes = {k: v.shape for k, v in params.items()}
+        dtype = np.result_type(*params.values()) if params else np.float64
+        self.m = FlatTensors.zeros(shapes, dtype)
+        self.v = FlatTensors.zeros(shapes, dtype)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.step_count += 1
         t = self.step_count
-        moments = list(self.m.values())
-        scratch = np.empty((2, max(m.size for m in moments)), moments[0].dtype)
-        for name in sorted(params):
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            update, denom = (buf[: m.size].reshape(m.shape) for buf in scratch)
-            m *= self.beta1
-            m += np.multiply(1 - self.beta1, g, out=update)
-            v *= self.beta2
-            np.multiply(1 - self.beta2, g, out=update)
-            v += np.multiply(update, g, out=update)
-            np.divide(m, 1 - self.beta1**t, out=update)  # m_hat
-            np.divide(v, 1 - self.beta2**t, out=denom)  # v_hat
+        m, v = self.m.flat, self.v.flat
+        p, g = (_flat(tensors) for tensors in (params, grads))
+        scratch = np.empty((2, min(_ADAM_BLOCK, m.size)), m.dtype)
+        for start in range(0, m.size, _ADAM_BLOCK):
+            block = slice(start, start + _ADAM_BLOCK)
+            mb, vb, gb = m[block], v[block], g[block]
+            update, denom = (buf[: mb.size] for buf in scratch)
+            mb *= self.beta1
+            mb += np.multiply(1 - self.beta1, gb, out=update)
+            vb *= self.beta2
+            np.multiply(1 - self.beta2, gb, out=update)
+            vb += np.multiply(update, gb, out=update)
+            np.divide(mb, 1 - self.beta1**t, out=update)  # m_hat
+            np.divide(vb, 1 - self.beta2**t, out=denom)  # v_hat
             np.sqrt(denom, out=denom)
             denom += self.eps
             update *= self.lr
             update /= denom
-            params[name] -= update
+            p[block] -= update
+        if p is not getattr(params, "flat", None):  # stepped a copy: write it back
+            for name, arr in FlatTensors.over(p, {k: a.shape for k, a in self.m.items()}).items():
+                params[name][...] = arr
+
+
+def _flat(tensors: dict[str, np.ndarray]) -> np.ndarray:
+    """The flat vector ``tensors`` are views of, or a copy laid out the same way."""
+    flat = getattr(tensors, "flat", None)
+    if flat is None:
+        flat = np.concatenate([np.ravel(tensors[name]) for name in sorted(tensors)])
+    return flat
 
 
 # the checkpoint meta holds exactly what loading reads
@@ -271,11 +296,15 @@ class Checkpoint:
 
         The encoder is rebuilt from ``train_config``; the file must hold exactly its
         parameters and their Adam moments, in the shapes it defines and the config's dtype.
+        Every tensor stays a view of the file's payload, uncopied: the loaded model has no
+        flat parameter vector and its moments no flat arrays, so it is not stepped.
         """
         meta, tensors = load_checkpoint(path)
         for key, kind in _META_TYPES.items():
             if not isinstance(meta.get(key), kind) or isinstance(meta.get(key), bool):
                 raise CheckpointError(f"{path}: meta needs {key!r} of type {kind.__name__}")
+        if meta["step"] < 0:
+            raise CheckpointError(f"{path}: meta 'step' must be >= 0, found {meta['step']}")
         vocab = Vocabulary(meta["num_relations"], meta["num_entities"])
         if vocab.layout_hash() != meta["vocab_hash"]:
             raise CheckpointError(f"{path}: vocabulary layout hash mismatch (another universe)")

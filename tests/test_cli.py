@@ -342,6 +342,18 @@ def test_eval_checkpoint_without_train_config_exits_two(capsys, handmade_dataset
     assert "Traceback" not in err and "mean_over_types" not in out
 
 
+def test_eval_checkpoint_with_negative_step_exits_two(capsys, handmade_dataset, tmp_path):
+    ckpt, data = untrained_checkpoint(tmp_path / "m.ckpt", 1, 10), handmade_dataset()
+    assert run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))[0] == 0
+    meta, tensors = load_checkpoint(ckpt)
+    meta["step"] = -7
+    save_checkpoint(ckpt, meta, tensors)
+    code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))
+    assert code == 2
+    assert "'step' must be >= 0, found -7" in err
+    assert "Traceback" not in err and "mean_over_types" not in out
+
+
 def test_eval_universe_mismatch_exits_two(capsys, kg_dir, tmp_path):
     data = tmp_path / "d.jsonl"
     assert main(["generate", "--kg", str(kg_dir), "--types", "conj", "--count", "1",

@@ -347,6 +347,14 @@ def test_checkpoint_vocab_hash_mismatch(tmp_path):
         Checkpoint.load(path)
 
 
+def test_checkpoint_negative_step_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    saved_checkpoint(path, "LSTM", seed=19)
+    tamper(path, lambda meta, tensors: meta.update(step=-7))
+    with pytest.raises(CheckpointError, match="'step' must be >= 0, found -7"):
+        Checkpoint.load(path)
+
+
 def test_checkpoint_detects_corruption(tmp_path):
     path = tmp_path / "m.ckpt"
     saved_checkpoint(path, "LSTM", seed=14)

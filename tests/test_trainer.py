@@ -1,12 +1,16 @@
 import math
 import sys
+import tracemalloc
 import types
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cqakit import training
-from cqakit.encoders import ARCHITECTURES, grad_check, load_checkpoint, new_model
+from cqakit.encoders import ARCHITECTURES, FlatTensors, grad_check, load_checkpoint, new_model
+from cqakit.encoders.checkpoint import MAGIC
 from cqakit.linearize import PAD, Vocabulary
 from cqakit.queries import parse_grounded, query_ids
 from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance
@@ -190,6 +194,94 @@ def test_adam_step_is_bit_identical_to_the_formula(dtype):
             assert params[name].dtype == np.dtype(dtype)
             assert np.array_equal(params[name], ref[name]), (t, name)
             assert np.array_equal(adam.m[name], ref_m[name]) and np.array_equal(adam.v[name], ref_v[name])
+
+
+BLOCK = training._ADAM_BLOCK
+
+
+@st.composite
+def block_spanning_shapes(draw):
+    """Tensor shapes whose total spans several Adam blocks; ``t1`` straddles the first block edge."""
+    head = draw(st.integers(1, BLOCK - 1))
+    sizes = [head, draw(st.integers(BLOCK - head + 1, 2 * BLOCK))]
+    sizes += draw(st.lists(st.integers(1, BLOCK), max_size=3))
+    return {f"t{i}": (n // 2, 2) if n % 2 == 0 else (n,) for i, n in enumerate(sizes)}
+
+
+@settings(deadline=None, max_examples=12)
+@given(shapes=block_spanning_shapes(), flat=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_blocked_adam_is_bit_identical_to_the_formula(dtype, shapes, flat, seed):
+    sizes = [math.prod(shapes[name]) for name in sorted(shapes)]
+    assert sizes[0] < BLOCK < sizes[0] + sizes[1] and sum(sizes) > BLOCK
+    rng = np.random.default_rng(seed)
+
+    def tensors():  # views of one flat vector, as a model's, or separate arrays
+        out = FlatTensors.zeros(shapes, dtype) if flat else {k: np.zeros(s, dtype) for k, s in shapes.items()}
+        for arr in out.values():
+            arr[...] = rng.normal(size=arr.shape)
+        return out
+
+    params = tensors()
+    ref = {k: a.copy() for k, a in params.items()}
+    ref_m = {k: np.zeros_like(a) for k, a in params.items()}
+    ref_v = {k: np.zeros_like(a) for k, a in params.items()}
+    adam = Adam(params, lr=3e-2, beta1=0.8, beta2=0.99, eps=1e-7)
+    for t in range(1, 8):
+        grads = tensors()
+        for g in grads.values():
+            g *= dtype(10.0 ** rng.integers(-6, 3))
+        adam.step(params, grads)
+        reference_adam_step(ref, grads, ref_m, ref_v, t, 3e-2, 0.8, 0.99, 1e-7)
+        for name in params:
+            assert np.array_equal(params[name], ref[name]), (t, name)
+            assert np.array_equal(adam.m[name], ref_m[name]) and np.array_equal(adam.v[name], ref_v[name])
+
+
+def test_adam_scratch_is_two_blocks():
+    # the table alone is 2.5 MB; a step may allocate its two scratch blocks, not table-sized buffers
+    vocab = Vocabulary(num_relations=5, num_entities=20_000 - 12)
+    model = new_model(vocab, "TreeLSTM", d=16, seed=3)
+    assert model.rows.shape == (20_000, 16)
+    params = model.parameters()
+    _, grads, _ = loss_and_grads(model, [Pair(model.prepare([parse_grounded("(p,(1),(e,(2)))")])[0], 7, "t")])
+    adam = Adam(params, lr=1e-3)
+    adam.step(params, grads)
+    tracemalloc.start()
+    try:
+        adam.step(params, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_model_moments_and_checkpoint_share_one_layout(arch, desk_dataset, desk_vocab, tmp_path):
+    model = new_model(desk_vocab, arch, d=8, seed=4, layers=1, heads=2)
+    params = model.parameters()
+    names = sorted(params)
+    assert names[-1] == "table" and all(name.startswith("enc.") for name in names[:-1])
+    flat = params.flat
+    assert flat is not None and flat.ndim == 1 and flat.flags.c_contiguous
+    start = 0
+    for name in names:
+        arr = params[name]
+        assert arr.base is flat and arr.flags.c_contiguous
+        assert arr.ctypes.data == flat.ctypes.data + start * flat.itemsize, name
+        start += arr.size
+    assert start == flat.size
+
+    cfg = TrainConfig(arch=arch, d=8, layers=1, heads=2, epochs=1, batch_size=64, seed=4)
+    ckpt = train(cfg, desk_dataset, desk_vocab)
+    path = tmp_path / "m.ckpt"
+    ckpt.save(path)
+    payload = path.read_bytes()[len(MAGIC) :].split(b"\n", 1)[1]
+    trained = ckpt.model.parameters()
+    assert ckpt.step > 0 and trained.flat is not None
+    for moments in (ckpt.moments.m, ckpt.moments.v):
+        assert moments.keys() == trained.keys() and moments.flat.size == trained.flat.size
+    assert payload == ckpt.moments.m.flat.tobytes() + ckpt.moments.v.flat.tobytes() + trained.flat.tobytes()
 
 
 def test_train_epochs_zero_equals_init(desk_dataset, desk_vocab):
