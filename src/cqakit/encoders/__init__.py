@@ -16,14 +16,15 @@ Architectures (all gradients hand-derived, verified by finite differences):
 encoder behind a single encode/backward surface used by the trainer and
 evaluator. Every encoder reads the same input, the token lists of
 :func:`~cqakit.linearize.linearize`, and has ``forward(queries, rows) -> ((B,d), cache)``
-and ``backward(cache, d_out, grads=None) -> (param grads, token ids (N,), token grads (N,d))``,
-one gradient row per token it read from ``rows``; it adds its parameter gradients into
-``grads`` (fresh zeros when omitted). Nothing is padded.
+and ``backward(cache, d_out, grads) -> (token ids (N,), token grads (N,d))``: it adds
+its parameter gradients into ``grads``, one array per parameter name, and returns one
+gradient row per token it read from ``rows``. Nothing is padded.
 
-A model's parameters are views of one flat vector, laid out in sorted-name order
-(``enc.*``, then ``table``): :func:`new_model` allocates it, and
-:meth:`QueryModel.zero_grads` gives a gradient vector in the same layout, which
-:meth:`QueryModel.backward` adds into, so Adam steps flat arrays only.
+A model's parameters are one :class:`~cqakit.encoders.numerics.FlatTensors`, views of
+one flat vector in sorted-name order (``enc.*``, then ``table``), whose names and shapes
+:func:`model_shapes` states. :class:`QueryModel` binds its encoder's parameters to those
+views, and :meth:`QueryModel.zero_grads` gives a gradient vector in the same layout,
+which :meth:`QueryModel.backward` adds into, so Adam steps flat arrays only.
 """
 
 from __future__ import annotations
@@ -79,22 +80,28 @@ def make_encoder(
 class QueryModel:
     """Token embedding rows + encoder with one encode/backward surface.
 
-    ``rows`` holds one embedding per token id: specials, relations, entities.
-    The entity block doubles as the answer-entity embeddings, so retrieval
-    scores are inner products against the same rows the encoder reads (tied).
-    Every architecture consumes linearized token sequences, which must not be
-    empty; the tree encoders read each query's tree from its brackets.
-    ``parameters`` exposes every learnable tensor under a flat name space
-    ('table' plus 'enc.*') for the optimizer and the gradient checker.
+    ``params`` holds every learnable tensor under a flat name space, 'table' plus
+    'enc.*', as views of one vector; the encoder's ``params`` are bound to the
+    'enc.*' views. The table holds one embedding per token id: specials, relations,
+    entities. The entity block doubles as the answer-entity embeddings, so
+    retrieval scores are inner products against the same rows the encoder reads
+    (tied). Every architecture consumes linearized token sequences, which must not
+    be empty; the tree encoders read each query's tree from its brackets.
     """
 
     vocab: Vocabulary
-    rows: np.ndarray
+    params: FlatTensors
     encoder: object
 
     def __post_init__(self):
         if self.rows.shape[0] != self.vocab.size:
             raise ValueError(f"table has {self.rows.shape[0]} rows, vocabulary needs {self.vocab.size}")
+        self.encoder.params = {k: self.params[f"enc.{k}"] for k in self.encoder.params}
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The embedding table, one row per token id."""
+        return self.params["table"]
 
     @property
     def arch(self) -> str:
@@ -114,10 +121,8 @@ class QueryModel:
         return self.rows[self.vocab.entity_offset :]
 
     def parameters(self) -> FlatTensors:
-        """Every parameter by name; ``flat`` is the vector they are views of, if they are."""
-        out = {"table": self.rows}
-        out.update({f"enc.{k}": v for k, v in self.encoder.params.items()})
-        return FlatTensors.of(out)
+        """Every parameter by name, views of the vector ``flat``."""
+        return self.params
 
     def prepare(self, graphs: list[ComputationGraph]):
         """Each graph's linearized token list, the one input form of every encoder."""
@@ -128,10 +133,8 @@ class QueryModel:
         return self.encoder.forward(queries, self.rows)
 
     def zero_grads(self) -> FlatTensors:
-        """A fresh zeroed vector in the parameters' sorted-name layout, viewed by name."""
-        shapes = {f"enc.{k}": v.shape for k, v in self.encoder.params.items()}
-        shapes["table"] = self.rows.shape
-        return FlatTensors.zeros(shapes, self.rows.dtype)
+        """A fresh zeroed vector in the parameters' layout, viewed by name."""
+        return FlatTensors.zeros({k: v.shape for k, v in self.params.items()}, self.params.flat.dtype)
 
     def backward(self, cache, d_out: np.ndarray, grads: FlatTensors | None = None) -> FlatTensors:
         """Gradients for every parameter given d(loss)/d(embeddings), added into ``grads``
@@ -145,7 +148,7 @@ class QueryModel:
         if grads is None:
             grads = self.zero_grads()
         enc_grads = {k: grads[f"enc.{k}"] for k in self.encoder.params}
-        _, token_ids, token_grads = self.encoder.backward(cache, d_out, enc_grads)
+        token_ids, token_grads = self.encoder.backward(cache, d_out, enc_grads)
         rows, inverse = np.unique(token_ids, return_inverse=True)
         summed = np.zeros((len(rows), self.d), grads["table"].dtype)
         np.add.at(summed, inverse, token_grads)
@@ -163,6 +166,13 @@ class QueryModel:
         return e_q @ self.entity_rows.T
 
 
+def model_shapes(vocab: Vocabulary, encoder) -> dict[str, tuple]:
+    """The name and shape of each of a model's tensors: the encoder's as 'enc.*', and 'table'."""
+    shapes = {f"enc.{k}": v.shape for k, v in encoder.params.items()}
+    shapes["table"] = (vocab.size, encoder.d)
+    return shapes
+
+
 _INIT_ROWS = 1024  # table rows drawn per call, straight into the parameter vector
 
 
@@ -178,9 +188,7 @@ def new_model(vocab: Vocabulary, arch: str, d: int, seed: int, dtype=np.float64,
     from ..rng import make_rng
 
     throwaway = make_encoder(arch, d, np.random.default_rng(0), **options)
-    shapes = {f"enc.{k}": v.shape for k, v in throwaway.params.items()}
-    shapes["table"] = (vocab.size, d)
-    params = FlatTensors.zeros(shapes, dtype)
+    params = FlatTensors.zeros(model_shapes(vocab, throwaway), dtype)
     rng = make_rng(seed, 0)
     for start in range(0, vocab.size, _INIT_ROWS):
         rows = params["table"][start : start + _INIT_ROWS]
@@ -188,8 +196,7 @@ def new_model(vocab: Vocabulary, arch: str, d: int, seed: int, dtype=np.float64,
     encoder = make_encoder(arch, d, rng, **options)
     for k, v in encoder.params.items():
         params[f"enc.{k}"][...] = v
-    encoder.params = {k: params[f"enc.{k}"] for k in encoder.params}
-    return QueryModel(vocab, params["table"], encoder)
+    return QueryModel(vocab, params, encoder)
 
 
 __all__ = [
@@ -206,6 +213,7 @@ __all__ = [
     "load_checkpoint",
     "softmax",
     "make_encoder",
+    "model_shapes",
     "new_model",
     "normalize_arch",
 ]

@@ -6,8 +6,9 @@ tensor bytes concatenated in directory order. Tensors are stored as
 little-endian IEEE-754 floats regardless of host byte order.
 
 Files are replaced atomically. The writer hashes and writes each tensor's
-buffer without copying it; the reader reads the payload into one buffer and
-returns the tensors as views of it, so the directory must tile the payload.
+buffer without copying it, in sorted-name order; the reader reads the payload
+into one buffer and returns the tensors as views of it, so the directory must
+list the tensors in sorted-name order and tile the payload.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 import numpy as np
 
 from ..files import replacing
+from .numerics import FlatTensors
 
 MAGIC = b"CQAKIT-CKPT v1\n"
 
@@ -59,13 +61,14 @@ def save_checkpoint(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
             fh.write(arr)
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+def load_checkpoint(path) -> tuple[dict, FlatTensors]:
     """Read ``(meta, tensors)``; any malformed part raises :class:`CheckpointError`.
 
-    The payload is read into one buffer, and each tensor is a view of it,
-    converted only where the host byte order is not the stored one. The
-    directory must tile the payload: each tensor starts where the one
-    listed before it ends, and the last ends where the payload does.
+    The payload is read into one buffer, ``tensors.flat`` (bytes), and each tensor
+    is a view of it; where the host byte order is not the stored one, the bytes are
+    swapped in place. The directory must list the tensors in sorted-name order and
+    tile the payload: each tensor starts where the one listed before it ends, and
+    the last ends where the payload does.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
@@ -89,12 +92,15 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: manifest is not an object with 'meta' and 'tensors' fields")
     if hashlib.sha256(payload).hexdigest() != manifest.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch")
-    tensors = {}
+    tensors = FlatTensors()
     end = 0
     for entry in manifest["tensors"]:
         name, offset, arr = _read_tensor(path, entry, payload)
         if name in tensors:
             raise CheckpointError(f"{path}: tensor {name} listed twice")
+        last = next(reversed(tensors), "")
+        if name < last:
+            raise CheckpointError(f"{path}: {name}: listed after {last}, not in sorted-name order")
         if offset != end:
             raise CheckpointError(
                 f"{path}: {name}: starts at byte {offset}, not where the tensor before it ends ({end})"
@@ -103,6 +109,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         end += arr.nbytes
     if end != payload.size:
         raise CheckpointError(f"{path}: {payload.size - end} payload bytes follow the last tensor")
+    tensors.flat = payload
     return manifest["meta"], tensors
 
 
@@ -123,6 +130,6 @@ def _read_tensor(path, entry, payload: np.ndarray) -> tuple[str, int, np.ndarray
     if nbytes != count * dtype.itemsize or offset < 0 or offset + nbytes > payload.size:
         raise CheckpointError(f"{path}: {name}: {nbytes} bytes at {offset} do not hold shape {shape}")
     stored = payload[offset : offset + nbytes].view(entry["dtype"])
-    if not stored.dtype.isnative:
-        stored = stored.astype(dtype)
+    if not stored.dtype.isnative:  # swapped in place, so the tensor stays a view of the payload
+        stored = stored.byteswap(inplace=True).view(dtype)
     return name, offset, stored.reshape(shape)

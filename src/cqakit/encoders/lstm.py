@@ -178,14 +178,11 @@ class BiLSTMEncoder:
         readout[pack.order[::-1]] = layer_in
         return readout, (caches, pack.order, tokens)
 
-    def backward(self, cache, d_readout: np.ndarray, grads=None):
-        """Adds the parameter gradients into ``grads`` (fresh zeros if None) and returns
-        (param grads, token ids (N,), token grads (N,d)), in time-major packed order."""
+    def backward(self, cache, d_readout: np.ndarray, grads):
+        """Adds the parameter gradients into ``grads`` and returns
+        (token ids (N,), token grads (N,d)), in time-major packed order."""
         caches, order, tokens = cache
         h_dim = self.hidden
-        if grads is None:
-            grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-
         d_layer_out = np.zeros((len(tokens), self.d), dtype=d_readout.dtype)
         d_layer_out[: len(order)] = d_readout[order[::-1]]
         for l in range(self.layers - 1, -1, -1):
@@ -193,4 +190,4 @@ class BiLSTMEncoder:
             dxf = self._run_direction_backward(cf, d_layer_out[:, :h_dim], grads)
             d_layer_out = self._run_direction_backward(cb, d_layer_out[:, h_dim:], grads)
             d_layer_out[: len(dxf)] += dxf
-        return grads, tokens, d_layer_out
+        return tokens, d_layer_out

@@ -227,15 +227,12 @@ class TransformerEncoder:
         readout[pack.order] = y[:, 0]
         return readout, (pack, groups, blocks, lnf_cache)
 
-    def backward(self, cache, d_readout: np.ndarray, grads=None):
-        """Adds the parameter gradients into ``grads`` (fresh zeros if None) and returns
-        (param grads, token ids (N,), token grads (N,d)), the tokens in batch order."""
+    def backward(self, cache, d_readout: np.ndarray, grads):
+        """Adds the parameter gradients into ``grads`` and returns
+        (token ids (N,), token grads (N,d)), the tokens in batch order."""
         p = self.params
         pack, groups, blocks, lnf_cache = cache
         d = self.d
-        if grads is None:
-            grads = {k: np.zeros_like(v) for k, v in p.items()}
-
         dy = d_readout[pack.order][:, None]
         dh, dg, db = layernorm_backward(dy, lnf_cache, p["lnf.g"])
         grads["lnf.g"] += dg
@@ -270,5 +267,5 @@ class TransformerEncoder:
                 grads["pos"][:L] += dh[toks].reshape(-1, L, d).sum(axis=0)
         dx = np.empty_like(dh)
         dx[pack.flat] = dh
-        return grads, pack.tokens, dx
+        return pack.tokens, dx
 

@@ -150,6 +150,7 @@ class TreeLSTMEncoder:
     def __init__(self, cell, d: int, rng: np.random.Generator):
         self.cell = cell
         self.arch = cell.arch
+        self.d = d
         self.params = cell.init(d, rng)
 
     def forward(self, queries: list[list[int]], rows: np.ndarray):
@@ -168,13 +169,10 @@ class TreeLSTMEncoder:
             steps.append(cell_cache)
         return states[0][roots], (tokens, roots, levels, x, steps)
 
-    def backward(self, cache, d_out: np.ndarray, grads=None):
-        """Adds the parameter gradients into ``grads`` (fresh zeros if None) and returns
-        (param grads, token ids (N,), token grads (N,d))."""
+    def backward(self, cache, d_out: np.ndarray, grads):
+        """Adds the parameter gradients into ``grads`` and returns (token ids (N,), token grads (N,d))."""
         tokens, roots, levels, x, steps = cache
         p = self.params
-        if grads is None:
-            grads = {k: np.zeros_like(v) for k, v in p.items()}
         d_states = [np.zeros_like(x) for _ in range(self.cell.num_states)]
         d_states[0][roots] = d_out
         dx = np.empty_like(x)
@@ -183,4 +181,4 @@ class TreeLSTMEncoder:
             dx[level], d_children = self.cell.backward(p, grads, x[level], own, cell_cache, d_level)
             for g, d_child in zip(d_states, d_children):
                 g[kids] = d_child  # a node's parent is its only gradient source
-        return grads, tokens, dx
+        return tokens, dx

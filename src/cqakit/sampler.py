@@ -55,7 +55,7 @@ import numpy as np
 
 from .files import replacing
 from .graph import GraphLayers, KnowledgeGraph
-from .linearize import KIND_TO_OP, LPAREN, NUM_SPECIALS, PAD, RPAREN, Vocabulary, linearize
+from .linearize import NUM_SPECIALS, PAD, Vocabulary, linearize
 from .queries import (
     ComputationGraph,
     OperatorKind,
@@ -501,45 +501,31 @@ class _Template(NamedTuple):
     slots: np.ndarray
 
 
-# the parts of a canonical type formula that give tokens: an anchor, an
-# operator opening its group, or a group's end
-_FORMULA_PART = re.compile(r"\(e\)|\(([piun])|\)")
-_OP_TOKENS = {kind.value: op for kind, op in KIND_TO_OP.items()}
-
-
 @lru_cache(maxsize=1024)
 def _type_template(formula: str) -> _Template | None:
     """The template of a canonical type formula; None for any other text.
 
-    Only the check that ``formula`` is canonical parses it; the template is
-    read off the text with no recursion, so nesting deep enough to overflow
-    the parser gives None, never ``RecursionError``.
+    The token list is the linearization of the type's pattern filled with ids
+    ``0..k-1`` in a vocabulary of ``k`` relations and ``k`` entities, so every id's
+    token is its own and at least ``NUM_SPECIALS``, a relation's below
+    ``NUM_SPECIALS + k``. Nesting deep enough to overflow the parser or the
+    linearizer gives None, never ``RecursionError``.
     """
-    try:
-        if parse_formula(formula).formula_text != formula:
-            return None
-    except (QuerySyntaxError, QueryStructureError):
-        return None
     text = formula.replace("(e)", "(e,({}))").replace("(p,", "(p,({}),")
     pieces = text.split("{}")
-    tokens: list[int] = []
-    slots: list[int] = []
-    for part in _FORMULA_PART.finditer(formula):
-        if part[0] == ")":
-            tokens.append(RPAREN)
-            continue
-        if part[1] is not None:
-            tokens += (LPAREN, _OP_TOKENS[part[1]])
-        if part[1] in (None, "p"):  # an anchor's entity or a projection's relation
-            slots.append(len(tokens))
-            tokens.append(PAD)
-    return _Template(
-        regex=re.compile(_ID.join(map(re.escape, pieces))),
-        text=text,
-        relations=tuple(piece.endswith("(p,(") for piece in pieces[:-1]),
-        tokens=np.array(tokens, dtype=np.int64),
-        slots=np.array(slots, dtype=np.int64),
-    )
+    k = len(pieces) - 1
+    try:
+        qtype = parse_formula(formula)
+        if qtype.formula_text != formula:
+            return None
+        tokens = np.array(linearize(fill_pattern(qtype.pattern, range(k)), Vocabulary(k, k)), dtype=np.int64)
+    except (QuerySyntaxError, QueryStructureError, RecursionError):
+        return None
+    slots = np.flatnonzero(tokens >= NUM_SPECIALS)
+    relations = tokens[slots] < NUM_SPECIALS + k
+    tokens[slots] = PAD
+    regex = re.compile(_ID.join(map(re.escape, pieces)))
+    return _Template(regex, text, tuple(relations.tolist()), tokens, slots)
 
 
 def _template(record: GroundedQueryRecord) -> _Template:

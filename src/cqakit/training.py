@@ -25,6 +25,7 @@ from .encoders import (
     QueryModel,
     load_checkpoint,
     make_encoder,
+    model_shapes,
     new_model,
     normalize_arch,
     save_checkpoint,
@@ -200,29 +201,24 @@ _ADAM_BLOCK = 16384
 class Adam:
     """Adam with bias correction, over one flat vector.
 
-    The moments ``m`` and ``v`` map each parameter name to a view of one flat array each,
-    in sorted-name order, the layout of :func:`~cqakit.encoders.new_model`'s parameter
-    vector and of ``QueryModel.backward``'s gradients. A step runs the textbook operation
-    sequence over ``_ADAM_BLOCK`` values of the four flat arrays at a time, in two scratch
-    blocks of the moments' dtype, so each value is read from memory once per step and not
-    once per operation; every operation is elementwise, so the result does not depend on
-    the block size. Parameters or gradients that are separate arrays are stepped through
-    a flat copy.
+    The moments ``m`` and ``v`` are :class:`~cqakit.encoders.FlatTensors` in the
+    parameters' layout, given when Adam is built: zeroed (``QueryModel.zero_grads``)
+    to train a fresh model, a checkpoint's to resume it. A step runs the textbook
+    operation sequence over ``_ADAM_BLOCK`` values of the four flat arrays (parameters,
+    gradients, ``m``, ``v``) at a time, in two scratch blocks of the moments' dtype, so
+    each value is read from memory once per step and not once per operation; every
+    operation is elementwise, so the result does not depend on the block size.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, m: FlatTensors, v: FlatTensors, lr, beta1=0.9, beta2=0.999, eps=1e-8, step_count=0):
+        self.m, self.v = m, v
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.step_count = 0
-        shapes = {k: v.shape for k, v in params.items()}
-        dtype = np.result_type(*params.values()) if params else np.float64
-        self.m = FlatTensors.zeros(shapes, dtype)
-        self.v = FlatTensors.zeros(shapes, dtype)
+        self.step_count = step_count
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+    def step(self, params: FlatTensors, grads: FlatTensors):
         self.step_count += 1
         t = self.step_count
-        m, v = self.m.flat, self.v.flat
-        p, g = (_flat(tensors) for tensors in (params, grads))
+        m, v, p, g = self.m.flat, self.v.flat, params.flat, grads.flat
         scratch = np.empty((2, min(_ADAM_BLOCK, m.size)), m.dtype)
         for start in range(0, m.size, _ADAM_BLOCK):
             block = slice(start, start + _ADAM_BLOCK)
@@ -240,17 +236,6 @@ class Adam:
             update *= self.lr
             update /= denom
             p[block] -= update
-        if p is not getattr(params, "flat", None):  # stepped a copy: write it back
-            for name, arr in FlatTensors.over(p, {k: a.shape for k, a in self.m.items()}).items():
-                params[name][...] = arr
-
-
-def _flat(tensors: dict[str, np.ndarray]) -> np.ndarray:
-    """The flat vector ``tensors`` are views of, or a copy laid out the same way."""
-    flat = getattr(tensors, "flat", None)
-    if flat is None:
-        flat = np.concatenate([np.ravel(tensors[name]) for name in sorted(tensors)])
-    return flat
 
 
 # the checkpoint meta holds exactly what loading reads
@@ -296,8 +281,10 @@ class Checkpoint:
 
         The encoder is rebuilt from ``train_config``; the file must hold exactly its
         parameters and their Adam moments, in the shapes it defines and the config's dtype.
-        Every tensor stays a view of the file's payload, uncopied: the loaded model has no
-        flat parameter vector and its moments no flat arrays, so it is not stepped.
+        The file lists its tensors in sorted-name order, so its payload is three vectors in
+        the parameters' layout: Adam's ``m``, then ``v``, then the parameters. Each is viewed
+        as :class:`~cqakit.encoders.FlatTensors`, uncopied, so a loaded checkpoint has a
+        trained one's layout and can be stepped on.
         """
         meta, tensors = load_checkpoint(path)
         for key, kind in _META_TYPES.items():
@@ -310,14 +297,13 @@ class Checkpoint:
             raise CheckpointError(f"{path}: vocabulary layout hash mismatch (another universe)")
         try:
             config = config_from_mapping(meta["train_config"])
-            # the random init only fixes the shapes: every parameter is replaced below
+            # the random init only fixes the shapes: the model binds the encoder to the file's views
             rng = np.random.default_rng(0)
             encoder = make_encoder(config.arch, config.d, rng, **config.encoder_options())
         except ValueError as exc:
             raise CheckpointError(f"{path}: train_config does not describe a model: {exc}") from None
 
-        shapes = {"table": (vocab.size, config.d)}
-        shapes.update({f"enc.{k}": v.shape for k, v in encoder.params.items()})
+        shapes = model_shapes(vocab, encoder)
         expected = {p + name: shape for p in ("",) + _MOMENT_PREFIXES for name, shape in shapes.items()}
         if tensors.keys() != expected.keys():
             missing = sorted(expected.keys() - tensors.keys())
@@ -329,12 +315,10 @@ class Checkpoint:
                 raise CheckpointError(
                     f"{path}: {name}: expected {expected[name]} {dtype}, found {arr.shape} {arr.dtype}"
                 )
-        encoder.params = {k: tensors[f"enc.{k}"] for k in encoder.params}
-        model = QueryModel(vocab, tensors["table"], encoder)
-        adam = Adam({}, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
-        adam.m, adam.v = ({n: tensors[prefix + n] for n in shapes} for prefix in _MOMENT_PREFIXES)
-        adam.step_count = meta["step"]
-        return Checkpoint(model, config, adam)
+        m, v, params = (FlatTensors.over(third, shapes) for third in np.split(tensors.flat.view(dtype), 3))
+        adam = Adam(m, v, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
+                    step_count=meta["step"])
+        return Checkpoint(QueryModel(vocab, params, encoder), config, adam)
 
 
 def _batches(pairs: list[Pair], order: np.ndarray, batch_size: int, group_types: bool):
@@ -416,7 +400,8 @@ def train(cfg: TrainConfig, dataset: Dataset, vocab: Vocabulary) -> Checkpoint:
     _retain_freed_memory()
     model = new_model(vocab, cfg.arch, cfg.d, cfg.seed, cfg.dtype, **cfg.encoder_options())
     params = model.parameters()
-    adam = Adam(params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    m, v = model.zero_grads(), model.zero_grads()
+    adam = Adam(m, v, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     pairs, _ = make_pairs(dataset, model)
     history: list[dict] = []
     ckpt = Checkpoint(model, cfg, adam, history)

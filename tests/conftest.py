@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from cqakit.encoders import FlatTensors
 from cqakit.graph import split_edges, synthetic_graph
 from cqakit.linearize import build_vocabulary
 from cqakit.queries import parse_formula, query_ids
@@ -24,6 +25,37 @@ def answer_set(ids) -> AnswerSet:
 def answer_tree(layer, query) -> AnswerSet:
     """The engine's answer to a query tree: the tree is its own pattern."""
     return answer(layer, query, query_ids(query))
+
+
+def stored_in_reverse(checkpoint: bytes) -> bytes:
+    """The checkpoint file with its tensors listed and stored in reverse name order: the
+    directory still tiles the payload and the checksum holds, but the order is not sorted."""
+    magic, manifest, payload = checkpoint.split(b"\n", 2)
+    manifest = json.loads(manifest)
+    parts, offset = [], 0
+    for entry in reversed(manifest["tensors"]):
+        parts.append(payload[entry["offset"] : entry["offset"] + entry["nbytes"]])
+        entry["offset"], offset = offset, offset + entry["nbytes"]
+    manifest["tensors"].reverse()
+    payload = b"".join(parts)
+    manifest["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    return b"\n".join([magic, json.dumps(manifest).encode(), payload])
+
+
+def assert_loaded_layout(loaded, saved):
+    """A loaded checkpoint's moments ``m``, ``v`` and parameters are ``FlatTensors`` over three
+    consecutive thirds of one payload buffer, with the bytes of the saved checkpoint's vectors."""
+    thirds = (loaded.moments.m, loaded.moments.v, loaded.model.parameters())
+    payload = thirds[0].flat.base
+    start = payload.ctypes.data
+    for third, vector in zip(thirds, (saved.moments.m, saved.moments.v, saved.model.parameters())):
+        assert isinstance(third, FlatTensors) and third.flat.base is payload
+        assert np.shares_memory(third.flat, payload)
+        assert all(np.shares_memory(arr, third.flat) for arr in third.values())
+        assert third.flat.ctypes.data == start
+        assert third.keys() == vector.keys() and third.flat.tobytes() == vector.flat.tobytes()
+        start += third.flat.nbytes
+    assert start == payload.ctypes.data + payload.nbytes
 
 
 @pytest.fixture(scope="session")

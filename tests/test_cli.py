@@ -15,7 +15,7 @@ from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance, write_datas
 from cqakit.symbolic import answer_dnf, to_dnf
 from cqakit.training import TrainConfig, train
 
-from conftest import answer_set
+from conftest import answer_set, stored_in_reverse
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +402,7 @@ def test_eval_damaged_files_exit_two(capsys, handmade_dataset, tmp_path):
         (b"\n".join([magic, b"5", payload]), good_data),  # manifest not an object
         (b"\n".join([magic, manifest.replace(b'"tensors":[', b'"tensors":[' + entry + b","), payload]),
          good_data),  # tensor entry without dtype, shape and size
+        (stored_in_reverse(good_ckpt), good_data),  # tensors not in sorted-name order
         (good_ckpt, b"[1,2]\n"),  # dataset header not an object
         (good_ckpt, b"\xfe\xff garbage \x00\n"),  # dataset that is not UTF-8
     ):

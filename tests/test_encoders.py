@@ -4,6 +4,7 @@ import json
 import math
 import os
 import threading
+import types
 
 import hypothesis.strategies as st
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from cqakit.encoders import (
     BiLSTMEncoder,
     CheckpointError,
+    FlatTensors,
     QueryModel,
     TransformerEncoder,
     grad_check,
@@ -35,6 +37,8 @@ from cqakit.queries import OperatorKind, anchor, builtin_query_types, parse_grou
 from cqakit.rng import make_rng
 from cqakit.sampler import Dataset
 from cqakit.training import Checkpoint, TrainConfig, train
+
+from conftest import assert_loaded_layout, stored_in_reverse
 
 VOCAB = Vocabulary(num_relations=5, num_entities=20)
 GRAPHS = [
@@ -60,7 +64,8 @@ def packed_run(enc, x, lengths, d_readout):
     B, T, d = x.shape
     rows = x.reshape(B * T, d)
     out, cache = enc.forward([list(range(b * T, b * T + n)) for b, n in enumerate(lengths)], rows)
-    grads, token_ids, token_grads = enc.backward(cache, d_readout)
+    grads = {k: np.zeros_like(v) for k, v in enc.params.items()}
+    token_ids, token_grads = enc.backward(cache, d_readout, grads)
     dx = np.zeros_like(rows)
     np.add.at(dx, token_ids, token_grads)
     return out, grads, dx.reshape(B, T, d)
@@ -93,9 +98,15 @@ def test_treelstm_anchor_locality():
     np.testing.assert_array_equal(out1, out2)
 
 
+def table_only_model(vocab, rows):
+    """A model over the table ``rows`` whose encoder has no parameters."""
+    table = FlatTensors.over(rows.reshape(-1), {"table": rows.shape})
+    return QueryModel(vocab, table, types.SimpleNamespace(params={}))
+
+
 def test_query_model_needs_one_row_per_token():
     with pytest.raises(ValueError, match=f"table has {VOCAB.size - 1} rows, vocabulary needs {VOCAB.size}"):
-        QueryModel(VOCAB, np.zeros((VOCAB.size - 1, 4)), None)
+        table_only_model(VOCAB, np.zeros((VOCAB.size - 1, 4)))
 
 
 def test_score_all_zero_query():
@@ -108,7 +119,7 @@ def test_score_all_zero_query():
 
 
 def test_score_all_orthogonal_argmax():
-    model = QueryModel(VOCAB, np.zeros((VOCAB.size, 4)), None)
+    model = table_only_model(VOCAB, np.zeros((VOCAB.size, 4)))
     model.rows[VOCAB.entity_token(7)] = np.array([1.0, 0, 0, 0])
     model.rows[VOCAB.entity_token(3)] = np.array([0, 1.0, 0, 0])
     scores = model.entity_scores(np.array([1.0, 0, 0, 0]))
@@ -119,7 +130,7 @@ def test_score_all_hand_computed():
     rng = make_rng(44)
     vocab = Vocabulary(num_relations=2, num_entities=10)
     rows = rng.normal(size=(vocab.size, 3))
-    model = QueryModel(vocab, rows, None)
+    model = table_only_model(vocab, rows)
     e_q = rng.normal(size=3)
     scores = model.entity_scores(e_q)
     for v in range(10):
@@ -450,6 +461,15 @@ def test_checkpoint_directory_must_tile_the_payload(edit, tail, match, tmp_path)
         load_checkpoint(path)
 
 
+def test_checkpoint_directory_must_list_sorted_names(tmp_path):
+    # every writer sorts, and a loaded model's parameters and moments are the payload's thirds
+    path = tmp_path / "m.ckpt"
+    saved_checkpoint(path, "TreeLSTM", seed=24)
+    path.write_bytes(stored_in_reverse(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=r"enc\.\S+: listed after table, not in sorted-name order"):
+        load_checkpoint(path)
+
+
 def test_loaded_tensors_are_views_of_one_buffer(tmp_path):
     path = tmp_path / "m.ckpt"
     saved = saved_checkpoint(path, "TreeLSTM", seed=25)
@@ -473,6 +493,7 @@ def test_checkpoint_loads_from_a_pipe(tmp_path):
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert_same_model(saved.model, loaded.model)
+    assert_loaded_layout(loaded, saved)
 
 
 def test_checkpoint_with_older_meta_keys_loads(tmp_path):

@@ -16,6 +16,7 @@ from cqakit.queries import parse_grounded, query_ids
 from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance
 from cqakit.training import (
     Adam,
+    Checkpoint,
     Pair,
     TrainConfig,
     TrainingDivergedError,
@@ -26,7 +27,7 @@ from cqakit.training import (
     parse_config_file,
     train,
 )
-from conftest import answer_set
+from conftest import answer_set, assert_loaded_layout
 
 VOCAB100 = Vocabulary(num_relations=5, num_entities=100)
 
@@ -158,7 +159,7 @@ def test_adam_zero_lr_is_identity():
     before = {k: v.copy() for k, v in params.items()}
     pairs, _ = make_pairs(tiny_dataset(), model)
     _, grads, _ = loss_and_grads(model, pairs)
-    Adam(params, lr=0.0).step(params, grads)
+    Adam(model.zero_grads(), model.zero_grads(), lr=0.0).step(params, grads)
     for name in params:
         np.testing.assert_array_equal(params[name], before[name])
 
@@ -176,18 +177,29 @@ def reference_adam_step(params, grads, m, v, t, lr, beta1, beta2, eps):
         params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def flat_tensors(shapes, dtype, draw):
+    """``FlatTensors`` in ``shapes``, each tensor set to ``draw(shape)`` cast to ``dtype``;
+    the draws run in the order of ``shapes``, not the layout's sorted order."""
+    out = FlatTensors.zeros(shapes, dtype)
+    for name, shape in shapes.items():
+        out[name][...] = draw(shape)
+    return out
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_adam_step_is_bit_identical_to_the_formula(dtype):
     rng = np.random.default_rng(31)
     shapes = {"table": (37, 6), "enc.b": (6,), "enc.W": (6, 24), "enc.g": (1,)}
-    params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    params = flat_tensors(shapes, dtype, lambda shape: rng.normal(size=shape).astype(dtype))
     ref = {k: a.copy() for k, a in params.items()}
     ref_m = {k: np.zeros_like(a) for k, a in params.items()}
     ref_v = {k: np.zeros_like(a) for k, a in params.items()}
-    adam = Adam(params, lr=3e-2, beta1=0.8, beta2=0.99, eps=1e-7)
+    m, v = FlatTensors.zeros(shapes, dtype), FlatTensors.zeros(shapes, dtype)
+    adam = Adam(m, v, lr=3e-2, beta1=0.8, beta2=0.99, eps=1e-7)
     for t in range(1, 8):
-        grads = {k: (rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
-                 for k, a in params.items()}
+        grads = flat_tensors(
+            shapes, dtype, lambda shape: (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+        )
         adam.step(params, grads)
         reference_adam_step(ref, grads, ref_m, ref_v, t, 3e-2, 0.8, 0.99, 1e-7)
         for name in params:
@@ -209,24 +221,22 @@ def block_spanning_shapes(draw):
 
 
 @settings(deadline=None, max_examples=12)
-@given(shapes=block_spanning_shapes(), flat=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@given(shapes=block_spanning_shapes(), seed=st.integers(0, 2**32 - 1))
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_blocked_adam_is_bit_identical_to_the_formula(dtype, shapes, flat, seed):
+def test_blocked_adam_is_bit_identical_to_the_formula(dtype, shapes, seed):
     sizes = [math.prod(shapes[name]) for name in sorted(shapes)]
     assert sizes[0] < BLOCK < sizes[0] + sizes[1] and sum(sizes) > BLOCK
     rng = np.random.default_rng(seed)
 
-    def tensors():  # views of one flat vector, as a model's, or separate arrays
-        out = FlatTensors.zeros(shapes, dtype) if flat else {k: np.zeros(s, dtype) for k, s in shapes.items()}
-        for arr in out.values():
-            arr[...] = rng.normal(size=arr.shape)
-        return out
+    def tensors():  # views of one flat vector, as a model's
+        return flat_tensors(shapes, dtype, lambda shape: rng.normal(size=shape))
 
     params = tensors()
     ref = {k: a.copy() for k, a in params.items()}
     ref_m = {k: np.zeros_like(a) for k, a in params.items()}
     ref_v = {k: np.zeros_like(a) for k, a in params.items()}
-    adam = Adam(params, lr=3e-2, beta1=0.8, beta2=0.99, eps=1e-7)
+    m, v = FlatTensors.zeros(shapes, dtype), FlatTensors.zeros(shapes, dtype)
+    adam = Adam(m, v, lr=3e-2, beta1=0.8, beta2=0.99, eps=1e-7)
     for t in range(1, 8):
         grads = tensors()
         for g in grads.values():
@@ -245,7 +255,7 @@ def test_adam_scratch_is_two_blocks():
     assert model.rows.shape == (20_000, 16)
     params = model.parameters()
     _, grads, _ = loss_and_grads(model, [Pair(model.prepare([parse_grounded("(p,(1),(e,(2)))")])[0], 7, "t")])
-    adam = Adam(params, lr=1e-3)
+    adam = Adam(model.zero_grads(), model.zero_grads(), lr=1e-3)
     adam.step(params, grads)
     tracemalloc.start()
     try:
@@ -282,6 +292,33 @@ def test_model_moments_and_checkpoint_share_one_layout(arch, desk_dataset, desk_
     for moments in (ckpt.moments.m, ckpt.moments.v):
         assert moments.keys() == trained.keys() and moments.flat.size == trained.flat.size
     assert payload == ckpt.moments.m.flat.tobytes() + ckpt.moments.v.flat.tobytes() + trained.flat.tobytes()
+
+    # loaded, the payload's thirds are the same three vectors, and they step as the trained ones do
+    loaded = Checkpoint.load(path)
+    assert_loaded_layout(loaded, ckpt)
+    pairs, _ = make_pairs(desk_dataset, ckpt.model)
+    _, grads, _ = loss_and_grads(ckpt.model, pairs[:8])
+    for resumed in (ckpt, loaded):
+        resumed.moments.step(resumed.model.parameters(), grads)
+    assert_loaded_layout(loaded, ckpt)
+
+
+def test_checkpoint_load_allocates_only_the_payload(tmp_path):
+    # 2.6 MB per vector: a fresh moment or a copied vector on load would exceed the 1 MB margin
+    vocab = Vocabulary(num_relations=5, num_entities=40_000)
+    ckpt = train(TrainConfig(arch="TreeLSTM", d=8, epochs=0, seed=3), Dataset(), vocab)
+    vector_bytes = ckpt.model.parameters().flat.nbytes
+    assert vector_bytes >= 2 << 20
+    path = tmp_path / "m.ckpt"
+    ckpt.save(path)
+    tracemalloc.start()
+    try:
+        loaded = Checkpoint.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * vector_bytes + (1 << 20), peak
+    assert_loaded_layout(loaded, ckpt)
 
 
 def test_train_epochs_zero_equals_init(desk_dataset, desk_vocab):
@@ -377,7 +414,7 @@ def test_loss_explosion_names_its_guard(monkeypatch):
     losses = iter([1.0, 20.0, 30.0, 40.0, 50.0])
 
     def exploding(model, batch):
-        return next(losses), {k: np.zeros_like(v) for k, v in model.parameters().items()}, {}
+        return next(losses), model.zero_grads(), {}
 
     monkeypatch.setattr(training, "loss_and_grads", exploding)
     cfg = TrainConfig(arch="LSTM", d=8, epochs=5, seed=0)
