@@ -118,13 +118,13 @@ def _read_tensor(path, entry, payload: np.ndarray) -> tuple[str, int, np.ndarray
     if not isinstance(entry, dict):
         raise CheckpointError(f"{path}: tensor entry is not an object")
     for key, kind in _ENTRY_FIELDS.items():
-        if not isinstance(entry.get(key), kind):
+        if not isinstance(entry.get(key), kind) or isinstance(entry.get(key), bool):
             raise CheckpointError(f"{path}: tensor entry needs {key!r} of type {kind.__name__}")
     name, shape, offset, nbytes = entry["name"], entry["shape"], entry["offset"], entry["nbytes"]
     dtype = _DTYPES.get(entry["dtype"])
     if dtype is None:
         raise CheckpointError(f"{path}: {name}: unsupported dtype {entry['dtype']!r}")
-    if not all(isinstance(n, int) and n >= 0 for n in shape):
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
         raise CheckpointError(f"{path}: {name}: bad shape {shape}")
     count = math.prod(shape)
     if nbytes != count * dtype.itemsize or offset < 0 or offset + nbytes > payload.size:

@@ -13,7 +13,8 @@ all cumulative layers with one ``np.unique``, tagging each edge with the
 first layer that holds it. The build is one :class:`RelationTable`, where
 each edge carries one bit per layer that holds it; a
 :class:`KnowledgeGraph` is the view of one layer of it. A layer's incoming
-index is built from its edges on first use; readers that race on that
+index (:class:`InIndex`) is built from its sorted keys on first use: one
+stable sort by tail, no Python object per edge. Readers that race on that
 first use build equal indexes, and one of them is kept.
 
 A layer's edge set is an :class:`EdgeView` over its sorted packed keys.
@@ -199,9 +200,8 @@ class KnowledgeGraph:
     and the edges with bit ``layer`` set.
 
     Graphs are equal when their universes and edge sets are.
-    ``in_index[tail]`` lists all ``(head, relation)`` pairs pointing at
-    ``tail`` (used by the reverse sampler), built on first use; absent
-    tails read as the empty tuple.
+    ``in_index`` holds the edges into each tail (used by the reverse
+    sampler), built on first use.
     """
 
     table: RelationTable = field(repr=False, compare=False)
@@ -224,12 +224,8 @@ class KnowledgeGraph:
         return KnowledgeGraph(_build_table([_as_rows(edges)], num_entities, num_relations)[0], 0)
 
     @cached_property
-    def in_index(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        return _in_index(self.edges.rows())
-
-    def in_edges(self, tail: int) -> tuple[tuple[int, int], ...]:
-        """All ``(head, relation)`` pairs with an edge into ``tail``."""
-        return self.in_index.get(tail, ())
+    def in_index(self) -> InIndex:
+        return _in_index(self.edges.ids, self.num_entities)
 
 
 def _unpack(keys: np.ndarray, num_entities: int, num_relations: int) -> np.ndarray:
@@ -246,18 +242,25 @@ def _as_rows(edges) -> np.ndarray:
         raise GraphFormatError(f"edges must be (head, relation, tail) integer triples: {exc}") from None
 
 
-def _in_index(rows: np.ndarray) -> dict:
-    """``{tail: ((head, relation), ...)}`` over edge rows sorted by ``(head, relation, tail)``."""
-    heads, relations, tails = rows.T
-    if tails.size == 0:
-        return {}
-    # a stable sort by tail gives (tail, head, relation) order
-    by_tail = np.argsort(tails, kind="stable")
-    tails = tails[by_tail]
-    starts = np.flatnonzero(np.r_[True, tails[1:] != tails[:-1]])
-    values = list(zip(heads[by_tail].tolist(), relations[by_tail].tolist()))
-    bounds = starts.tolist() + [len(values)]
-    return {key: tuple(values[a:b]) for key, a, b in zip(tails[starts].tolist(), bounds, bounds[1:])}
+class InIndex(NamedTuple):
+    """A layer's edges by tail: the edges into ``tail`` are
+    ``pairs[offsets[tail]:offsets[tail + 1]]``, each ``head·R + relation``,
+    in ascending ``(head, relation)`` order. ``offsets`` are V + 1 ints;
+    ``pairs`` is read-only ``int64``."""
+
+    offsets: list[int]
+    pairs: np.ndarray
+
+
+def _in_index(keys: np.ndarray, num_entities: int) -> InIndex:
+    """The :class:`InIndex` of sorted packed edge keys ``(h·R + r)·V + t``."""
+    pairs, tails = np.divmod(keys, max(num_entities, 1))
+    # keys sort by (head, relation, tail), so a stable sort by tail gives
+    # (tail, head, relation) order
+    pairs = pairs[np.argsort(tails, kind="stable")]
+    pairs.flags.writeable = False
+    offsets = np.r_[0, np.cumsum(np.bincount(tails, minlength=num_entities))].tolist()
+    return InIndex(offsets, pairs)
 
 
 def _build_table(

@@ -200,21 +200,24 @@ def ground_type(
     ``ids`` are the query's relation and entity ids in print order, the
     type's pattern filled as :func:`~cqakit.queries.fill_pattern` reads it.
     The seed node is guaranteed to be an answer of the query on ``layer``.
-    Raises :class:`GroundingError` when the retry budget is exhausted.
+    A projection into ``v`` draws one of the edges into ``v`` uniformly from
+    ``layer.in_index``, in ``(head, relation)`` order. Raises
+    :class:`GroundingError` when the retry budget is exhausted.
     """
     if not layer.edges:
         raise GroundingError("cannot ground queries on an empty graph")
     ids: list[int] = []
+    offsets, pairs = layer.in_index
 
     def ground(node: QueryNode, v: int) -> None:
         k = node.kind
         if k is OperatorKind.ANCHOR:
             ids.append(v)
         elif k is OperatorKind.PROJECTION:
-            incoming = layer.in_edges(v)
-            if not incoming:
+            lo, hi = offsets[v], offsets[v + 1]
+            if lo == hi:
                 raise _DeadEnd
-            u, r = incoming[rng.integers(len(incoming))]
+            u, r = divmod(pairs.item(rng.integers(lo, hi)), layer.num_relations)
             ids.append(r)
             ground(node.children[0], u)
         elif k is OperatorKind.INTERSECTION:
@@ -439,9 +442,12 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError(f"{path}:1: bad header: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise DatasetFormatError(f"{path}:1: not a {DATASET_FORMAT} file")
-    if header.get("version") != DATASET_VERSION:
+    for key in ("version", "num_records"):
+        if not isinstance(header.get(key), int) or isinstance(header.get(key), bool):
+            raise DatasetFormatError(f"{path}:1: header {key!r} is not an integer")
+    if header["version"] != DATASET_VERSION:
         raise DatasetFormatError(
-            f"{path}:1: version mismatch (file {header.get('version')}, reader {DATASET_VERSION})"
+            f"{path}:1: version mismatch (file {header['version']}, reader {DATASET_VERSION})"
         )
     for key in ("num_entities", "num_relations"):
         value = header.get(key)
@@ -467,10 +473,8 @@ def read_dataset(path) -> Dataset:
         if record is None:
             record = _read_record(line, dataset, f"{path}:{lineno}")
         dataset.records.setdefault(record.type_formula, []).append(record)
-    if len(dataset) != header.get("num_records"):
-        raise DatasetFormatError(
-            f"{path}: record count {len(dataset)} != header {header.get('num_records')}"
-        )
+    if len(dataset) != header["num_records"]:
+        raise DatasetFormatError(f"{path}: record count {len(dataset)} != header {header['num_records']}")
     return dataset
 
 

@@ -27,6 +27,17 @@ def answer_tree(layer, query) -> AnswerSet:
     return answer(layer, query, query_ids(query))
 
 
+def incoming_map(index, num_relations) -> dict:
+    """A layer's :class:`~cqakit.graph.InIndex` as ``{tail: ((head, relation), ...)}``,
+    with no entry for a tail that no edge reaches."""
+    offsets, pairs = index
+    return {
+        tail: tuple(divmod(pair, num_relations) for pair in pairs[lo:hi].tolist())
+        for tail, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+        if lo < hi
+    }
+
+
 def stored_in_reverse(checkpoint: bytes) -> bytes:
     """The checkpoint file with its tensors listed and stored in reverse name order: the
     directory still tiles the payload and the checksum holds, but the order is not sorted."""

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy
 import pytest
 
 from cqakit.cli import main
@@ -397,12 +398,20 @@ def test_eval_damaged_files_exit_two(capsys, handmade_dataset, tmp_path):
     good_ckpt, good_data = ckpt.read_bytes(), data.read_bytes()
     magic, manifest, payload = good_ckpt.split(b"\n", 2)
     entry = b'{"name":"table","offset":0}'
+
+    def first_entry_edited(edit):
+        edited = json.loads(manifest)
+        edit(edited["tensors"][0])
+        return b"\n".join([magic, json.dumps(edited).encode(), payload])
+
     for damaged_ckpt, damaged_data in (
         (good_ckpt[: len(good_ckpt) // 2], good_data),  # truncated checkpoint
         (b"\n".join([magic, b"5", payload]), good_data),  # manifest not an object
         (b"\n".join([magic, manifest.replace(b'"tensors":[', b'"tensors":[' + entry + b","), payload]),
          good_data),  # tensor entry without dtype, shape and size
         (stored_in_reverse(good_ckpt), good_data),  # tensors not in sorted-name order
+        (first_entry_edited(lambda e: e["shape"].append(True)), good_data),  # a JSON true as a dimension
+        (first_entry_edited(lambda e: e.update(offset=False)), good_data),  # a JSON false as the offset
         (good_ckpt, b"[1,2]\n"),  # dataset header not an object
         (good_ckpt, b"\xfe\xff garbage \x00\n"),  # dataset that is not UTF-8
     ):
@@ -479,3 +488,15 @@ def test_non_utf8_triple_file_exits_two(tmp_path, capsys):
     assert code == 2
     assert f"{tmp_path / 'train.txt'}: not UTF-8" in err
     assert "Traceback" not in err
+
+
+def test_runtime_imports_are_numpy_and_the_standard_library():
+    # -S skips the site hooks, which may import third-party modules of their
+    # own; the path holds the package's source and numpy's directory only
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = [os.path.join(root, "src"), os.path.dirname(os.path.dirname(numpy.__file__))]
+    code = f"import sys; sys.path[:0] = {paths!r}; import cqakit.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    top = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert top - set(sys.stdlib_module_names) - {"__main__", "cqakit"} == {"numpy"}

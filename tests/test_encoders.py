@@ -412,17 +412,24 @@ def edit_entry(index, **fields):
     return edit
 
 
+def with_trailing_true_dim(manifest):
+    manifest["tensors"][0]["shape"].append(True)  # the element count is unchanged
+    return json.dumps(manifest)
+
+
 @pytest.mark.parametrize("edit,match", [
     (lambda manifest: "5", "manifest is not an object"),
     (lambda manifest: "[" * 100_000 + "]" * 100_000, "bad manifest"),
     (edit_entry(0, dtype=None), "tensor entry needs 'dtype' of type str"),
     (edit_entry(0, dtype="<f2"), "unsupported dtype '<f2'"),
     (edit_entry(0, shape=[-4, 2]), r"bad shape \[-4, 2\]"),
+    (with_trailing_true_dim, r"bad shape \[.*, True\]"),
+    (edit_entry(0, offset=False), "tensor entry needs 'offset' of type int"),
     (edit_entry(0, nbytes=8), "do not hold shape"),
     (edit_entry(-1, offset=10**6), "do not hold shape"),
     (lambda manifest: json.dumps({**manifest, "tensors": manifest["tensors"] * 2}), "listed twice"),
-], ids=["number", "deep-nesting", "entry-without-dtype", "unknown-dtype", "negative-dim", "size-not-shape", "past-payload",
-        "listed-twice"])
+], ids=["number", "deep-nesting", "entry-without-dtype", "unknown-dtype", "negative-dim", "bool-dim", "bool-offset",
+        "size-not-shape", "past-payload", "listed-twice"])
 def test_checkpoint_bad_manifest_rejected(edit, match, tmp_path):
     path = tmp_path / "m.ckpt"
     saved_checkpoint(path, "LSTM", seed=21)

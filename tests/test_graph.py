@@ -2,6 +2,7 @@ import hashlib
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cqakit.graph import (
     synthetic_graph,
 )
 from cqakit.queries import QuerySyntaxError, parse_grounded
+from conftest import incoming_map
 
 TOY_SIX_LINES = "0\t0\t1\n0\t0\t2\n1\t1\t2\n2\t0\t3\n1\t1\t2\n3\t1\t0\n"
 
@@ -54,7 +56,9 @@ def test_toy_file_dedup_and_indexes(tmp_path):
         (1, 1, 2, 0xFF),
         (1, 3, 0, 0xFF),
     ]
-    assert kg.in_index == {0: ((3, 1),), 1: ((0, 0),), 2: ((0, 0), (1, 1)), 3: ((2, 0),)}
+    assert incoming_map(kg.in_index, kg.num_relations) == {
+        0: ((3, 1),), 1: ((0, 0),), 2: ((0, 0), (1, 1)), 3: ((2, 0),)
+    }
 
 
 def test_empty_file_with_dictionaries(tmp_path):
@@ -64,7 +68,7 @@ def test_empty_file_with_dictionaries(tmp_path):
     assert kg.num_entities == 5 and kg.num_relations == 2
     assert not kg.edges
     assert kg.table.offsets == (0, 0, 0) and table_rows(kg) == []
-    assert kg.in_edges(0) == ()
+    assert kg.in_index.offsets == [0] * 6 and not kg.in_index.pairs.size
 
 
 def test_dictionary_files_and_labels(tmp_path):
@@ -268,7 +272,7 @@ def test_layer_graphs_cumulative(tmp_path):
 
 def test_incoming_index_first_use_from_many_threads():
     # readers racing on the lazily built index all see the reference mapping
-    reference = synthetic_graph(60, 5, 500, seed=3).in_index
+    reference = incoming_map(synthetic_graph(60, 5, 500, seed=3).in_index, 5)
     kg = synthetic_graph(60, 5, 500, seed=3)
     start, seen = threading.Barrier(8), []
 
@@ -287,8 +291,22 @@ def test_incoming_index_first_use_from_many_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(seen) == 8 and all(index == reference for index in seen)
-    assert kg.in_index == reference
+    assert len(seen) == 8 and all(incoming_map(index, 5) == reference for index in seen)
+    assert incoming_map(kg.in_index, 5) == reference
+
+
+def test_incoming_index_holds_no_object_per_edge():
+    # about 12 bytes per edge here: the int64 pairs and one offset per entity;
+    # a tuple of Python ints per edge takes about 100
+    rows = np.random.default_rng(0).integers(0, [2000, 10, 2000], size=(20000, 3))
+    kg = KnowledgeGraph.from_edges(rows, 2000, 10)
+    tracemalloc.start()
+    try:
+        kg.in_index
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kg.edges) > 19000 and retained < 32 * len(kg.edges)
 
 
 def test_layer_graphs_empty_valid_test(tmp_path):

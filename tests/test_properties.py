@@ -61,7 +61,7 @@ from cqakit.sampler import (
 )
 from cqakit.symbolic import answer, answer_bits, answer_dnf, to_dnf
 from cqakit.training import Checkpoint, TrainConfig, config_from_mapping, parse_config_file, train
-from conftest import answer_set, answer_tree
+from conftest import answer_set, answer_tree, incoming_map
 from test_graph import table_rows
 
 NUM_ENTITIES = 24
@@ -213,7 +213,7 @@ def test_layer_builder_matches_naive_reference(data):
         edges, inc = naive_layer(held)
         assert layer.edges == edges and len(layer.edges) == len(edges)
         assert sorted(layer.edges) == list(layer.edges)
-        assert layer.in_index == inc
+        assert incoming_map(layer.in_index, layer.num_relations) == inc
         # the shared table: its rows, and this layer's edges as the rows with bit k
         assert layer.table is layers.train.table and layer.layer == k
         assert table_rows(layer) == rows
@@ -615,16 +615,18 @@ def test_id_set_behaves_as_its_frozenset(kind, data):
 def ground_type_nodes(layer, qtype, rng, max_retries=64):
     """The sampler's grounding as it was when it built the query tree: the
     reference that :func:`~cqakit.sampler.ground_type` must follow id for id
-    and draw for draw. Only the engine call of the negation check changed."""
+    and draw for draw. Only the engine call of the negation check and the
+    incoming pairs, read from :func:`naive_layer`'s map, changed."""
     if not layer.edges:
         raise GroundingError("cannot ground queries on an empty graph")
+    incoming_pairs = naive_layer(layer.edges)[1]
 
     def ground(node: QueryNode, v: int) -> QueryNode:
         k = node.kind
         if k is OperatorKind.ANCHOR:
             return anchor(v)
         if k is OperatorKind.PROJECTION:
-            incoming = layer.in_edges(v)
+            incoming = incoming_pairs.get(v, ())
             if not incoming:
                 raise _DeadEnd
             u, r = incoming[rng.integers(len(incoming))]

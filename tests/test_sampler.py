@@ -230,11 +230,16 @@ MALFORMED_FIELDS = pytest.mark.parametrize("record,header,match", [
     ({"query": "(p,(0)," * 3000 + "(e,(1))" + ")" * 3000}, None, ":2: bad query"),
     (None, [1, 2], ":1: not a cqakit-dataset file"),
     (None, {"num_entities": "10"}, ":1: header lacks a non-negative integer 'num_entities'"),
+    (None, {"version": True}, ":1: header 'version' is not an integer"),
+    (None, {"version": 1.0}, ":1: header 'version' is not an integer"),
+    (None, {"num_records": True}, ":1: header 'num_records' is not an integer"),
+    (None, {"num_records": 1.0}, ":1: header 'num_records' is not an integer"),
 ], ids=["answer-id-too-large", "answer-id-negative", "answers-not-a-list", "answer-bool", "answer-int-then-bool",
         "answer-float", "answer-id-past-int64", "answer-id-past-int64-inside-universe",
         "answer-unsorted-past-int64-inside-universe", "record-not-object",
         "query-not-a-string", "query-entity-outside", "query-relation-outside", "query-syntax", "query-too-deep",
-        "header-not-object", "header-universe-string"])
+        "header-not-object", "header-universe-string", "header-version-bool", "header-version-float",
+        "header-num-records-bool", "header-num-records-float"])
 
 
 @MALFORMED_FIELDS
@@ -382,9 +387,9 @@ def test_incoming_index_built_once_on_the_source_layer_only(tmp_path, monkeypatc
         path.write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in part))
     builds, in_index = [], graph._in_index
 
-    def counted(edge_rows):
-        builds.append(len(edge_rows))
-        return in_index(edge_rows)
+    def counted(keys, num_entities):
+        builds.append(len(keys))
+        return in_index(keys, num_entities)
 
     monkeypatch.setattr(graph, "_in_index", counted)
     layers = layer_graphs(*paths)
