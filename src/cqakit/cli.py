@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .encoders import ARCHITECTURES
 from .evaluation import MODES, evaluate
+from .files import write_lines
 from .graph import GraphLayers, layer_graphs, load_dictionary
 from .linearize import Vocabulary, build_vocabulary, linearize, render_tokens
 from .queries import (
@@ -154,9 +155,7 @@ def cmd_train(args) -> int:
     ckpt = train(cfg, dataset, vocab)
     ckpt.save(args.out)
     if args.log:
-        with open(args.log, "w", encoding="utf-8", newline="\n") as fh:
-            for entry in ckpt.history:
-                fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+        write_lines(args.log, (json.dumps(entry, sort_keys=True, separators=(",", ":")) for entry in ckpt.history))
     final = ckpt.history[-1]["loss"] if ckpt.history else float("nan")
     print(f"trained {cfg.arch} for {cfg.epochs} epochs ({ckpt.step} steps), final loss {final:.6f}")
     print(f"checkpoint written to {args.out}")
@@ -176,9 +175,7 @@ def cmd_eval(args) -> int:
     report = evaluate(model, dataset, mode=args.mode)
     print(report.table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            for line in report.lines():
-                fh.write(line + "\n")
+        write_lines(args.out, report.lines())
         print(f"report rows written to {args.out}")
     return 0
 
@@ -230,7 +227,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--data", required=True, help="dataset file from 'generate'")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--log", help="append-only JSONL metrics log")
+    p.add_argument("--log", help="JSONL metrics log, one line per epoch; an existing file is replaced")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help=f"config overrides (arch one of {', '.join(ARCHITECTURES)})")
     p.set_defaults(func=cmd_train)

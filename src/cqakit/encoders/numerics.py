@@ -14,8 +14,8 @@ class FlatTensors(dict):
     """Named tensors laid end to end in one 1-D array ``flat``, in sorted-name order.
 
     Every value is a view of ``flat``; writing a view writes ``flat`` and the other way round.
-    A loaded checkpoint's tensors (:func:`~cqakit.encoders.load_checkpoint`) have the
-    payload's raw bytes as ``flat``.
+    A model's parameters, its gradients and Adam's moments are each one, and a loaded
+    checkpoint's are views of the file's payload (:meth:`cqakit.training.Checkpoint.load`).
     """
 
     flat: np.ndarray

@@ -1,4 +1,5 @@
-"""Atomic file replacement for the dataset and checkpoint writers."""
+"""Atomic file replacement for every file the package writes: datasets, checkpoints,
+training logs and metric reports."""
 
 from __future__ import annotations
 
@@ -24,3 +25,10 @@ def replacing(path, mode: str, **options):
         with contextlib.suppress(OSError):
             os.remove(temporary)
         raise
+
+
+def write_lines(path, lines) -> None:
+    """Write each of ``lines`` and a LF in UTF-8, replacing ``path`` atomically."""
+    with replacing(path, "x", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")

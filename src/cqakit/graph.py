@@ -404,6 +404,17 @@ def load_dictionary(path) -> dict[str, int]:
     return dict(zip(labels, ids.tolist()))
 
 
+def noncanonical_ids(b: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Whether each field of the bytes ``b`` is not a canonical id of at most 18
+    digits (so below ``int64``): it is empty, longer, or has a leading zero.
+
+    ``ends`` holds the separator after each field; a field starts after the one
+    before it, or at the start of ``b``. The caller checks that fields hold only
+    digits."""
+    widths = np.diff(ends, prepend=-1) - 1
+    return (widths < 1) | (widths > 18) | ((b[ends - widths] == ord("0")) & (widths > 1))
+
+
 def _canonical_rows(data: bytes) -> np.ndarray | None:
     """The rows of a triple file in canonical form, or None.
 
@@ -418,8 +429,7 @@ def _canonical_rows(data: bytes) -> np.ndarray | None:
     ends = np.flatnonzero(b < ord("0"))
     if ends.size % 3 or (b[ends].reshape(-1, 3) != (9, 9, 10)).any():
         return None
-    widths = np.diff(ends, prepend=-1) - 1
-    if widths.min() < 1 or widths.max() > 18 or ((b[ends - widths] == ord("0")) & (widths > 1)).any():
+    if noncanonical_ids(b, ends).any():
         return None
     return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 3)
 

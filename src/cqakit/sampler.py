@@ -54,7 +54,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .files import replacing
-from .graph import GraphLayers, KnowledgeGraph
+from .graph import GraphLayers, KnowledgeGraph, noncanonical_ids
 from .linearize import NUM_SPECIALS, PAD, Vocabulary, linearize
 from .queries import (
     ComputationGraph,
@@ -624,9 +624,7 @@ def _id_lists(texts: list[str], num_entities: int) -> list[np.ndarray | None]:
     starts = np.cumsum(counts) - counts  # the index of each list's first id
     joined = ",".join(filter(None, texts)).encode()
     b = np.frombuffer(joined + b"," if joined else b"", dtype=np.uint8)
-    ends = np.flatnonzero(b == ord(","))  # the comma after each id
-    widths = np.diff(ends, prepend=-1) - 1
-    bad = (widths < 1) | (widths > 18) | ((b[ends - widths] == ord("0")) & (widths > 1))
+    bad = noncanonical_ids(b, np.flatnonzero(b == ord(",")))
     if bad.any():
         refused = set((starts.searchsorted(bad.nonzero()[0], "right") - 1).tolist())
         arrays = _id_lists(["" if i in refused else t for i, t in enumerate(texts)], num_entities)

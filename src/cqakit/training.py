@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import json
 import logging
 import math
 import sys
@@ -243,12 +244,51 @@ _META_TYPES = dict(num_entities=int, num_relations=int, vocab_hash=str, train_co
 _MOMENT_PREFIXES = ("adam.m.", "adam.v.")
 
 
+def _directory(shapes: dict[str, tuple], dtype) -> list[dict]:
+    """The tensor directory of a checkpoint over parameters of these shapes and dtype.
+
+    It lists each parameter and its Adam moments ('adam.m.'/'adam.v.' + name) in
+    sorted-name order, stored little-endian, each starting where the one before it
+    ends: the payload is Adam's ``m``, then ``v``, then the parameters, each a flat
+    vector in the parameters' layout.
+    """
+    dtype = np.dtype(dtype).newbyteorder("<")
+    directory, offset = [], 0
+    for prefix in _MOMENT_PREFIXES + ("",):
+        for name in sorted(shapes):
+            nbytes = math.prod(shapes[name]) * dtype.itemsize
+            directory.append({"name": prefix + name, "dtype": dtype.str, "shape": list(shapes[name]),
+                              "offset": offset, "nbytes": nbytes})
+            offset += nbytes
+    return directory
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _directory_mismatch(found: list, expected: list[dict]) -> str:
+    """Name the tensors missing from ``found`` and the unexpected ones, or else its
+    first entry that differs from ``expected``; ``found`` may hold any JSON values."""
+    names = {entry["name"] for entry in expected}
+    listed = {entry["name"] for entry in found if isinstance(entry, dict) and isinstance(entry.get("name"), str)}
+    missing, unexpected = sorted(names - listed), sorted(listed - names)
+    if missing or unexpected:
+        return f"missing tensors {missing}, unexpected tensors {unexpected}"
+    found_texts = [_canonical(entry) for entry in found] + ["no entry"]
+    expected_texts = [_canonical(entry) for entry in expected] + ["no entry"]
+    i = next(i for i, (a, b) in enumerate(zip(found_texts, expected_texts)) if a != b)
+    return f"tensor entry {i}: expected {expected_texts[i]}, found {found_texts[i]}"
+
+
 @dataclass
 class Checkpoint:
     """A trained model with its config and Adam moments.
 
-    ``save``/``load`` are the only writer and reader of checkpoint files,
-    which hold each parameter and its Adam moments ('adam.m.'/'adam.v.' + name).
+    ``save``/``load`` are the only writer and reader of checkpoint files. A file's
+    tensor directory is the one :func:`_directory` states for the config's model:
+    each parameter and its two Adam moments, tiling the payload as ``m``, ``v``,
+    parameters.
     """
 
     model: QueryModel
@@ -262,9 +302,10 @@ class Checkpoint:
         return self.moments.step_count
 
     def save(self, path):
-        tensors = dict(self.model.parameters())
-        for prefix, moments in zip(_MOMENT_PREFIXES, (self.moments.m, self.moments.v)):
-            tensors.update({prefix + name: arr for name, arr in moments.items()})
+        params = self.model.parameters()
+        directory = _directory({name: arr.shape for name, arr in params.items()}, params.flat.dtype)
+        stored = directory[0]["dtype"]
+        vectors = [t.flat.astype(stored, copy=False) for t in (self.moments.m, self.moments.v, params)]
         vocab = self.model.vocab
         meta = {
             "num_entities": vocab.num_entities,
@@ -273,20 +314,20 @@ class Checkpoint:
             "train_config": self.config.to_dict(),
             "step": self.step,
         }
-        save_checkpoint(path, meta, tensors)
+        save_checkpoint(path, meta, directory, vectors)
 
     @staticmethod
     def load(path) -> "Checkpoint":
         """Rebuild a checkpoint, raising :class:`CheckpointError` for any file it refuses.
 
-        The encoder is rebuilt from ``train_config``; the file must hold exactly its
-        parameters and their Adam moments, in the shapes it defines and the config's dtype.
-        The file lists its tensors in sorted-name order, so its payload is three vectors in
-        the parameters' layout: Adam's ``m``, then ``v``, then the parameters. Each is viewed
-        as :class:`~cqakit.encoders.FlatTensors`, uncopied, so a loaded checkpoint has a
-        trained one's layout and can be stepped on.
+        The encoder is rebuilt from ``train_config``. The file's tensor directory must
+        be the one :func:`_directory` states for it, compared as canonical JSON text
+        (so a JSON ``true`` is not ``1``), and the payload must end where the directory
+        does. The payload's three vectors, Adam's ``m``, then ``v``, then the parameters,
+        are each viewed as :class:`~cqakit.encoders.FlatTensors`, uncopied, so a loaded
+        checkpoint has a trained one's layout and can be stepped on.
         """
-        meta, tensors = load_checkpoint(path)
+        meta, directory, payload = load_checkpoint(path)
         for key, kind in _META_TYPES.items():
             if not isinstance(meta.get(key), kind) or isinstance(meta.get(key), bool):
                 raise CheckpointError(f"{path}: meta needs {key!r} of type {kind.__name__}")
@@ -304,18 +345,16 @@ class Checkpoint:
             raise CheckpointError(f"{path}: train_config does not describe a model: {exc}") from None
 
         shapes = model_shapes(vocab, encoder)
-        expected = {p + name: shape for p in ("",) + _MOMENT_PREFIXES for name, shape in shapes.items()}
-        if tensors.keys() != expected.keys():
-            missing = sorted(expected.keys() - tensors.keys())
-            unexpected = sorted(tensors.keys() - expected.keys())
-            raise CheckpointError(f"{path}: missing tensors {missing}, unexpected tensors {unexpected}")
-        dtype = np.dtype(config.dtype)
-        for name, arr in tensors.items():
-            if arr.shape != expected[name] or arr.dtype != dtype:
-                raise CheckpointError(
-                    f"{path}: {name}: expected {expected[name]} {dtype}, found {arr.shape} {arr.dtype}"
-                )
-        m, v, params = (FlatTensors.over(third, shapes) for third in np.split(tensors.flat.view(dtype), 3))
+        expected = _directory(shapes, config.dtype)
+        if _canonical(directory) != _canonical(expected):
+            raise CheckpointError(f"{path}: {_directory_mismatch(directory, expected)}")
+        end = expected[-1]["offset"] + expected[-1]["nbytes"]
+        if payload.size != end:
+            raise CheckpointError(f"{path}: the payload holds {payload.size} bytes, the directory {end}")
+        values = payload.view(expected[0]["dtype"])
+        if not values.dtype.isnative:  # swapped in place, so the vectors stay views of the payload
+            values = values.byteswap(inplace=True).view(values.dtype.newbyteorder("="))
+        m, v, params = (FlatTensors.over(third, shapes) for third in np.split(values, 3))
         adam = Adam(m, v, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
                     step_count=meta["step"])
         return Checkpoint(QueryModel(vocab, params, encoder), config, adam)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,19 +39,37 @@ def incoming_map(index, num_relations) -> dict:
     }
 
 
-def stored_in_reverse(checkpoint: bytes) -> bytes:
-    """The checkpoint file with its tensors listed and stored in reverse name order: the
-    directory still tiles the payload and the checksum holds, but the order is not sorted."""
-    magic, manifest, payload = checkpoint.split(b"\n", 2)
-    manifest = json.loads(manifest)
-    parts, offset = [], 0
-    for entry in reversed(manifest["tensors"]):
-        parts.append(payload[entry["offset"] : entry["offset"] + entry["nbytes"]])
-        entry["offset"], offset = offset, offset + entry["nbytes"]
-    manifest["tensors"].reverse()
-    payload = b"".join(parts)
+def rewrite_checkpoint(path, edit):
+    """Rewrite a checkpoint file after ``edit(meta, directory, payload)``, which changes the
+    meta, the directory list and the payload, a ``bytearray``, in place; the file gets the
+    checksum of the new payload."""
+    magic, manifest, payload = path.read_bytes().split(b"\n", 2)
+    manifest, payload = json.loads(manifest), bytearray(payload)
+    edit(manifest["meta"], manifest["tensors"], payload)
     manifest["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-    return b"\n".join([magic, json.dumps(manifest).encode(), payload])
+    path.write_bytes(b"\n".join([magic, json.dumps(manifest).encode(), payload]))
+
+
+def with_tensors(edit):
+    """An edit for :func:`rewrite_checkpoint` that hands ``edit`` the file's tensors, a dict of
+    arrays in directory order, and stores the dict it returns in its order, each tensor
+    starting where the one before it ends."""
+
+    def rewrite(meta, directory, payload):
+        data = bytes(payload)
+        tensors = edit({
+            entry["name"]: np.frombuffer(data, entry["dtype"], math.prod(entry["shape"]), entry["offset"])
+            .reshape(entry["shape"])
+            for entry in directory
+        })
+        directory.clear()
+        payload.clear()
+        for name, arr in tensors.items():
+            directory.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
+                              "offset": len(payload), "nbytes": arr.nbytes})
+            payload += arr.tobytes()
+
+    return rewrite
 
 
 def assert_loaded_layout(loaded, saved):

@@ -8,7 +8,6 @@ import numpy
 import pytest
 
 from cqakit.cli import main
-from cqakit.encoders import load_checkpoint, save_checkpoint
 from cqakit.graph import layer_graphs, split_edges, synthetic_graph
 from cqakit.linearize import Vocabulary
 from cqakit.queries import parse_grounded, query_ids
@@ -16,7 +15,7 @@ from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance, write_datas
 from cqakit.symbolic import answer_dnf, to_dnf
 from cqakit.training import TrainConfig, train
 
-from conftest import answer_set, stored_in_reverse
+from conftest import answer_set, rewrite_checkpoint, with_tensors
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +249,8 @@ def test_train_eval_pipeline(capsys, kg_dir, tmp_path):
         "--seed", "5", "--out", str(data),
     )
     assert code == 0
+    log.write_text("an earlier run's log\n")  # --log and --out replace what they find
+    report.write_text("an earlier report\n")
     code, out, _ = run(
         capsys, "train", "--data", str(data), "--out", str(ckpt), "--log", str(log),
         "--set", "epochs=2", "--set", "d=16", "--set", "batch_size=64",
@@ -299,9 +300,7 @@ def test_eval_checkpoint_without_table_exits_two(capsys, kg_dir, tmp_path):
                  "--seed", "3", "--out", str(data)]) == 0
     assert main(["train", "--data", str(data), "--out", str(ckpt),
                  "--set", "epochs=1", "--set", "d=8", "--set", "arch=TreeLSTM"]) == 0
-    meta, tensors = load_checkpoint(ckpt)
-    del tensors["table"]
-    save_checkpoint(ckpt, meta, tensors)
+    rewrite_checkpoint(ckpt, with_tensors(lambda tensors: {k: a for k, a in tensors.items() if k != "table"}))
     capsys.readouterr()
     code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))
     assert code == 2
@@ -334,9 +333,7 @@ def untrained_checkpoint(path, num_relations, num_entities):
 
 def test_eval_checkpoint_without_train_config_exits_two(capsys, handmade_dataset, tmp_path):
     ckpt = untrained_checkpoint(tmp_path / "m.ckpt", 1, 10)
-    meta, tensors = load_checkpoint(ckpt)
-    del meta["train_config"]
-    save_checkpoint(ckpt, meta, tensors)
+    rewrite_checkpoint(ckpt, lambda meta, directory, payload: meta.pop("train_config"))
     code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(handmade_dataset()))
     assert code == 2
     assert "train_config" in err
@@ -346,9 +343,7 @@ def test_eval_checkpoint_without_train_config_exits_two(capsys, handmade_dataset
 def test_eval_checkpoint_with_negative_step_exits_two(capsys, handmade_dataset, tmp_path):
     ckpt, data = untrained_checkpoint(tmp_path / "m.ckpt", 1, 10), handmade_dataset()
     assert run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))[0] == 0
-    meta, tensors = load_checkpoint(ckpt)
-    meta["step"] = -7
-    save_checkpoint(ckpt, meta, tensors)
+    rewrite_checkpoint(ckpt, lambda meta, directory, payload: meta.update(step=-7))
     code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))
     assert code == 2
     assert "'step' must be >= 0, found -7" in err
@@ -396,22 +391,24 @@ def test_eval_damaged_files_exit_two(capsys, handmade_dataset, tmp_path):
     ckpt = untrained_checkpoint(tmp_path / "m.ckpt", 1, 10)
     assert run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))[0] == 0
     good_ckpt, good_data = ckpt.read_bytes(), data.read_bytes()
-    magic, manifest, payload = good_ckpt.split(b"\n", 2)
-    entry = b'{"name":"table","offset":0}'
+    magic, _, payload = good_ckpt.split(b"\n", 2)
 
-    def first_entry_edited(edit):
-        edited = json.loads(manifest)
-        edit(edited["tensors"][0])
-        return b"\n".join([magic, json.dumps(edited).encode(), payload])
+    def rewritten(edit):
+        ckpt.write_bytes(good_ckpt)
+        rewrite_checkpoint(ckpt, edit)
+        return ckpt.read_bytes()
 
     for damaged_ckpt, damaged_data in (
         (good_ckpt[: len(good_ckpt) // 2], good_data),  # truncated checkpoint
         (b"\n".join([magic, b"5", payload]), good_data),  # manifest not an object
-        (b"\n".join([magic, manifest.replace(b'"tensors":[', b'"tensors":[' + entry + b","), payload]),
+        (rewritten(lambda meta, directory, payload: directory.insert(0, {"name": "table", "offset": 0})),
          good_data),  # tensor entry without dtype, shape and size
-        (stored_in_reverse(good_ckpt), good_data),  # tensors not in sorted-name order
-        (first_entry_edited(lambda e: e["shape"].append(True)), good_data),  # a JSON true as a dimension
-        (first_entry_edited(lambda e: e.update(offset=False)), good_data),  # a JSON false as the offset
+        (rewritten(with_tensors(lambda tensors: dict(reversed(tensors.items())))),
+         good_data),  # tensors not in sorted-name order
+        (rewritten(lambda meta, directory, payload: directory[0]["shape"].append(True)),
+         good_data),  # a JSON true as a dimension
+        (rewritten(lambda meta, directory, payload: directory[0].update(offset=False)),
+         good_data),  # a JSON false as the offset
         (good_ckpt, b"[1,2]\n"),  # dataset header not an object
         (good_ckpt, b"\xfe\xff garbage \x00\n"),  # dataset that is not UTF-8
     ):

@@ -21,7 +21,6 @@ from cqakit.encoders import (
     load_checkpoint,
     new_model,
     normalize_arch,
-    save_checkpoint,
 )
 from cqakit.encoders.checkpoint import MAGIC
 from cqakit.encoders.gradcheck import NonFiniteLossError
@@ -38,7 +37,7 @@ from cqakit.rng import make_rng
 from cqakit.sampler import Dataset
 from cqakit.training import Checkpoint, TrainConfig, train
 
-from conftest import assert_loaded_layout, stored_in_reverse
+from conftest import assert_loaded_layout, rewrite_checkpoint, with_tensors
 
 VOCAB = Vocabulary(num_relations=5, num_entities=20)
 GRAPHS = [
@@ -272,13 +271,6 @@ def saved_checkpoint(path, arch, seed, **config):
     return ckpt
 
 
-def tamper(path, edit):
-    """Rewrite a checkpoint after ``edit(meta, tensors)``, with a valid checksum."""
-    meta, tensors = load_checkpoint(path)
-    edit(meta, tensors)
-    save_checkpoint(path, meta, tensors)
-
-
 def assert_same_model(a, b):
     assert a.arch == b.arch and a.d == b.d
     for name, arr in a.parameters().items():
@@ -325,9 +317,10 @@ def test_tree_checkpoint_round_trip(arch, tmp_path):
     path = tmp_path / "m.ckpt"
     saved = saved_checkpoint(path, arch, seed=15)
     assert set(saved.model.encoder.params) == TREE_PARAM_NAMES[arch]
-    _, tensors = load_checkpoint(path)
+    _, directory, _ = load_checkpoint(path)
     names = {"table"} | {f"enc.{k}" for k in TREE_PARAM_NAMES[arch]}
-    assert set(tensors) == {prefix + n for prefix in ("", "adam.m.", "adam.v.") for n in names}
+    stored = {entry["name"] for entry in directory}
+    assert stored == {prefix + n for prefix in ("", "adam.m.", "adam.v.") for n in names}
     assert_same_model(saved.model, Checkpoint.load(path).model)
 
 
@@ -336,7 +329,7 @@ def test_tree_checkpoint_round_trip(arch, tmp_path):
 def test_checkpoint_missing_tensor_rejected(arch, dropped, tmp_path):
     path = tmp_path / "m.ckpt"
     saved_checkpoint(path, arch, seed=16)
-    tamper(path, lambda meta, tensors: tensors.pop(dropped))
+    rewrite_checkpoint(path, with_tensors(lambda tensors: {k: a for k, a in tensors.items() if k != dropped}))
     with pytest.raises(CheckpointError, match=dropped):
         Checkpoint.load(path)
 
@@ -344,7 +337,7 @@ def test_checkpoint_missing_tensor_rejected(arch, dropped, tmp_path):
 def test_checkpoint_table_shape_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     saved_checkpoint(path, "TreeLSTM", seed=17)
-    tamper(path, lambda meta, tensors: tensors.update(table=tensors["table"][:, :4]))
+    rewrite_checkpoint(path, with_tensors(lambda tensors: {**tensors, "table": tensors["table"][:, :4]}))
     with pytest.raises(CheckpointError, match="table"):
         Checkpoint.load(path)
 
@@ -353,7 +346,7 @@ def test_checkpoint_vocab_hash_mismatch(tmp_path):
     path = tmp_path / "m.ckpt"
     saved_checkpoint(path, "LSTM", seed=13)
     # the table no longer matches the recorded layout
-    tamper(path, lambda meta, tensors: meta.update(num_entities=21))
+    rewrite_checkpoint(path, lambda meta, directory, payload: meta.update(num_entities=21))
     with pytest.raises(CheckpointError, match="vocabulary layout"):
         Checkpoint.load(path)
 
@@ -361,7 +354,7 @@ def test_checkpoint_vocab_hash_mismatch(tmp_path):
 def test_checkpoint_negative_step_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     saved_checkpoint(path, "LSTM", seed=19)
-    tamper(path, lambda meta, tensors: meta.update(step=-7))
+    rewrite_checkpoint(path, lambda meta, directory, payload: meta.update(step=-7))
     with pytest.raises(CheckpointError, match="'step' must be >= 0, found -7"):
         Checkpoint.load(path)
 
@@ -383,108 +376,116 @@ def test_checkpoint_one_dtype(tmp_path):
     assert {arr.dtype for arr in loaded.model.parameters().values()} == {np.dtype(np.float32)}
     assert_same_model(saved.model, loaded.model)
     saved_checkpoint(path, "LSTM", seed=18)
-    tamper(path, lambda meta, tensors: tensors.update(table=tensors["table"].astype(np.float32)))
-    with pytest.raises(CheckpointError, match="table: expected .* float64, found .* float32"):
+    rewrite_checkpoint(path, with_tensors(lambda tensors: {**tensors, "table": tensors["table"].astype(np.float32)}))
+    found = r'expected \{"dtype":"<f8","name":"table".*found \{"dtype":"<f4","name":"table"'
+    with pytest.raises(CheckpointError, match=found):
         Checkpoint.load(path)
 
 
+def on_meta(edit):
+    return lambda meta, directory, payload: edit(meta)
+
+
 @pytest.mark.parametrize("edit,match", [
-    (lambda meta, tensors: tensors.update({"enc.extra": np.zeros(3)}), r"unexpected tensors \['enc.extra'\]"),
-    (lambda meta, tensors: meta.pop("train_config"), "meta needs 'train_config' of type dict"),
-    (lambda meta, tensors: meta.update(step="7"), "meta needs 'step' of type int"),
-    (lambda meta, tensors: meta["train_config"].update(arch=5), "config key 'arch' expects str"),
-    (lambda meta, tensors: meta["train_config"].update(arch="CNN"), "unknown architecture"),
-    (lambda meta, tensors: meta["train_config"].update(heads=0), "heads must be >= 1, got 0"),
+    (with_tensors(lambda tensors: dict(sorted({**tensors, "enc.extra": np.zeros(3)}.items()))),
+     r"unexpected tensors \['enc.extra'\]"),
+    (on_meta(lambda meta: meta.pop("train_config")), "meta needs 'train_config' of type dict"),
+    (on_meta(lambda meta: meta.update(step="7")), "meta needs 'step' of type int"),
+    (on_meta(lambda meta: meta["train_config"].update(arch=5)), "config key 'arch' expects str"),
+    (on_meta(lambda meta: meta["train_config"].update(arch="CNN")), "unknown architecture"),
+    (on_meta(lambda meta: meta["train_config"].update(heads=0)), "heads must be >= 1, got 0"),
 ], ids=["extra-tensor", "no-train-config", "string-step", "numeric-arch", "unknown-arch", "zero-heads"])
 def test_checkpoint_bad_meta_or_tensors_rejected(edit, match, tmp_path):
     path = tmp_path / "m.ckpt"
     saved_checkpoint(path, "TreeLSTM", seed=19)
-    tamper(path, edit)
+    rewrite_checkpoint(path, edit)
     with pytest.raises(CheckpointError, match=match):
         Checkpoint.load(path)
 
 
-def edit_entry(index, **fields):
-    def edit(manifest):
-        manifest["tensors"][index].update(fields)
-        return json.dumps(manifest)
+@pytest.mark.parametrize("manifest,match", [
+    (b"5", "manifest is not an object"),
+    (b"[" * 100_000 + b"]" * 100_000, "bad manifest"),
+], ids=["number", "deep-nesting"])
+def test_checkpoint_bad_manifest_rejected(manifest, match, tmp_path):
+    path = tmp_path / "m.ckpt"
+    saved_checkpoint(path, "LSTM", seed=21)
+    _, _, payload = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(MAGIC + manifest + b"\n" + payload)
+    with pytest.raises(CheckpointError, match=match):
+        Checkpoint.load(path)
 
-    return edit
+
+def on_entry(index, edit):
+    return lambda meta, directory, payload: edit(directory[index])
 
 
-def with_trailing_true_dim(manifest):
-    manifest["tensors"][0]["shape"].append(True)  # the element count is unchanged
-    return json.dumps(manifest)
+# each mismatch names the first entry that differs, as the expected and the found canonical JSON
+@pytest.mark.parametrize("edit,match", [
+    (on_entry(0, lambda entry: entry.update(dtype=None)),
+     r'tensor entry 0: expected \{"dtype":"<f8".*found \{"dtype":null'),
+    (on_entry(0, lambda entry: entry.update(dtype="<f2")), r'found \{"dtype":"<f2"'),
+    (on_entry(0, lambda entry: entry.update(shape=[-4, 2])), r'found \{.*"shape":\[-4,2\]'),
+    # the element count is unchanged
+    (on_entry(0, lambda entry: entry["shape"].append(True)), r'found \{.*"shape":\[.*,true\]'),
+    (on_entry(0, lambda entry: entry.update(offset=False)), r'found \{.*"offset":false'),
+    (on_entry(0, lambda entry: entry.update(nbytes=8)), r'found \{.*"nbytes":8,'),
+    (on_entry(-1, lambda entry: entry.update(offset=10**6)),
+     r'tensor entry \d+: .*found \{.*"offset":1000000,'),
+    (lambda meta, directory, payload: directory.extend(directory),
+     r"tensor entry \d+: expected no entry, found \{"),
+], ids=["entry-without-dtype", "unknown-dtype", "negative-dim", "bool-dim", "bool-offset", "size-not-shape",
+        "past-payload", "listed-twice"])
+def test_checkpoint_bad_directory_rejected(edit, match, tmp_path):
+    path = tmp_path / "m.ckpt"
+    saved_checkpoint(path, "LSTM", seed=21)
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(CheckpointError, match=match):
+        Checkpoint.load(path)
+
+
+def swap_offsets(meta, directory, payload):
+    first, second = directory[:2]
+    first["offset"], second["offset"] = second["offset"], first["offset"]
 
 
 @pytest.mark.parametrize("edit,match", [
-    (lambda manifest: "5", "manifest is not an object"),
-    (lambda manifest: "[" * 100_000 + "]" * 100_000, "bad manifest"),
-    (edit_entry(0, dtype=None), "tensor entry needs 'dtype' of type str"),
-    (edit_entry(0, dtype="<f2"), "unsupported dtype '<f2'"),
-    (edit_entry(0, shape=[-4, 2]), r"bad shape \[-4, 2\]"),
-    (with_trailing_true_dim, r"bad shape \[.*, True\]"),
-    (edit_entry(0, offset=False), "tensor entry needs 'offset' of type int"),
-    (edit_entry(0, nbytes=8), "do not hold shape"),
-    (edit_entry(-1, offset=10**6), "do not hold shape"),
-    (lambda manifest: json.dumps({**manifest, "tensors": manifest["tensors"] * 2}), "listed twice"),
-], ids=["number", "deep-nesting", "entry-without-dtype", "unknown-dtype", "negative-dim", "bool-dim", "bool-offset",
-        "size-not-shape", "past-payload", "listed-twice"])
-def test_checkpoint_bad_manifest_rejected(edit, match, tmp_path):
-    path = tmp_path / "m.ckpt"
-    saved_checkpoint(path, "LSTM", seed=21)
-    _, manifest, payload = path.read_bytes().split(b"\n", 2)
-    path.write_bytes(MAGIC + edit(json.loads(manifest)).encode() + b"\n" + payload)
-    with pytest.raises(CheckpointError, match=match):
-        load_checkpoint(path)
-
-
-def swap_offsets(manifest):
-    first, second = manifest["tensors"][:2]
-    first["offset"], second["offset"] = second["offset"], first["offset"]
-    return json.dumps(manifest)
-
-
-def listed_in_reverse(manifest):
-    manifest["tensors"].reverse()
-    return json.dumps(manifest)
-
-
-@pytest.mark.parametrize("edit,tail,match", [
-    (swap_offsets, b"", r"starts at byte \d+, not where the tensor before it ends \(0\)"),
-    (edit_entry(1, offset=0), b"", r"starts at byte 0, not where the tensor before it ends \(\d+\)"),
-    (listed_in_reverse, b"", r"not where the tensor before it ends \(0\)"),
-    (json.dumps, b"\0" * 8, "8 payload bytes follow the last tensor"),
+    (swap_offsets, r'tensor entry 0: expected \{.*"offset":0,.*found \{.*"offset":[1-9]'),
+    (on_entry(1, lambda entry: entry.update(offset=0)),
+     r'tensor entry 1: expected \{.*"offset":[1-9]\d*,.*found \{.*"offset":0,'),
+    (lambda meta, directory, payload: directory.reverse(),
+     r'tensor entry 0: expected \{.*found \{.*"name":"table"'),
+    (lambda meta, directory, payload: payload.extend(b"\0" * 8),
+     r"the payload holds \d+ bytes, the directory \d+"),
 ], ids=["swapped-offsets", "overlapping", "listed-out-of-order", "trailing-bytes"])
-def test_checkpoint_directory_must_tile_the_payload(edit, tail, match, tmp_path):
+def test_checkpoint_directory_must_tile_the_payload(edit, match, tmp_path):
     path = tmp_path / "m.ckpt"
     saved_checkpoint(path, "LSTM", seed=24)
-    _, manifest, payload = path.read_bytes().split(b"\n", 2)
-    manifest = json.loads(manifest)
-    payload += tail
-    manifest["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-    path.write_bytes(MAGIC + edit(manifest).encode() + b"\n" + payload)
+    rewrite_checkpoint(path, edit)
     with pytest.raises(CheckpointError, match=match):
-        load_checkpoint(path)
+        Checkpoint.load(path)
 
 
 def test_checkpoint_directory_must_list_sorted_names(tmp_path):
-    # every writer sorts, and a loaded model's parameters and moments are the payload's thirds
+    # stored in reverse name order, the directory still tiles the payload
     path = tmp_path / "m.ckpt"
     saved_checkpoint(path, "TreeLSTM", seed=24)
-    path.write_bytes(stored_in_reverse(path.read_bytes()))
-    with pytest.raises(CheckpointError, match=r"enc\.\S+: listed after table, not in sorted-name order"):
-        load_checkpoint(path)
+    rewrite_checkpoint(path, with_tensors(lambda tensors: dict(reversed(tensors.items()))))
+    found = r'tensor entry 0: expected \{.*"name":"adam\.m\.enc\..*found \{.*"name":"table"'
+    with pytest.raises(CheckpointError, match=found):
+        Checkpoint.load(path)
 
 
 def test_loaded_tensors_are_views_of_one_buffer(tmp_path):
     path = tmp_path / "m.ckpt"
     saved = saved_checkpoint(path, "TreeLSTM", seed=25)
-    _, tensors = load_checkpoint(path)
-    assert len({id(arr.base) for arr in tensors.values()}) == 1
-    assert all(arr.flags.writeable and arr.flags.aligned for arr in tensors.values())
     loaded = Checkpoint.load(path)
+    tensors = [arr for third in (loaded.moments.m, loaded.moments.v, loaded.model.parameters())
+               for arr in third.values()]
+    assert len({id(arr.base) for arr in tensors}) == 1
+    assert all(arr.flags.writeable and arr.flags.aligned for arr in tensors)
     assert_same_model(saved.model, loaded.model)
+    assert_loaded_layout(loaded, saved)
 
 
 def test_checkpoint_loads_from_a_pipe(tmp_path):
@@ -509,7 +510,7 @@ def test_checkpoint_with_older_meta_keys_loads(tmp_path):
     saved = saved_checkpoint(path, "Transformer-APE", seed=20, heads=2)
     older = {"arch": "Transformer-APE", "d": 8, "layers": 2, "heads": 2, "max_len": 64,
              "rpe_clip": 16, "readout": "position0"}
-    tamper(path, lambda meta, tensors: meta.update(older))
+    rewrite_checkpoint(path, lambda meta, directory, payload: meta.update(older))
     assert_same_model(saved.model, Checkpoint.load(path).model)
 
 

@@ -1,4 +1,4 @@
-"""Atomic replacement of dataset and checkpoint files."""
+"""Atomic replacement of dataset, checkpoint, training-log and report files."""
 
 import errno
 import os
@@ -47,11 +47,21 @@ def write_small_dataset(path):
 
 
 def write_small_checkpoint(path):
-    save_checkpoint(path, {"note": "small"}, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4, np.float32)})
+    save_checkpoint(path, {"note": "small"}, [{"name": "a"}, {"name": "b"}], [np.arange(6.0), np.ones(4)])
+
+
+LINES = ['{"epoch":0,"loss":1.5}', '{"epoch":1,"loss":1.25}']
+
+
+def write_small_lines(path):
+    # the writer of `cqakit train --log` and `cqakit eval --out`
+    files.write_lines(path, LINES)
 
 
 WRITERS = pytest.mark.parametrize(
-    "write", [write_small_dataset, write_small_checkpoint], ids=["dataset", "checkpoint"]
+    "write",
+    [write_small_dataset, write_small_checkpoint, write_small_lines],
+    ids=["dataset", "checkpoint", "lines"],
 )
 
 
@@ -86,9 +96,12 @@ def test_a_write_replaces_the_target_with_the_mode_of_a_new_file(write, tmp_path
     assert sorted(os.listdir(tmp_path)) == ["fresh", "out"]
     if write is write_small_dataset:
         assert read_dataset(target) == small_dataset()
+    elif write is write_small_checkpoint:
+        meta, directory, payload = load_checkpoint(target)
+        assert meta == {"note": "small"} and directory == [{"name": "a"}, {"name": "b"}]
+        assert payload.view("<f8").tolist() == [0, 1, 2, 3, 4, 5, 1, 1, 1, 1]
     else:
-        meta, tensors = load_checkpoint(target)
-        assert meta == {"note": "small"} and tensors["a"].tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert target.read_text().splitlines() == LINES
 
 
 def test_an_exception_in_the_block_removes_the_temporary_file(tmp_path):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import pathlib
 import re
 import string
 import tempfile
@@ -12,7 +13,7 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from cqakit.encoders import CheckpointError
 from cqakit.encoders.checkpoint import MAGIC
@@ -61,7 +62,7 @@ from cqakit.sampler import (
 )
 from cqakit.symbolic import answer, answer_bits, answer_dnf, to_dnf
 from cqakit.training import Checkpoint, TrainConfig, config_from_mapping, parse_config_file, train
-from conftest import answer_set, answer_tree, incoming_map
+from conftest import answer_set, answer_tree, incoming_map, rewrite_checkpoint
 from test_graph import table_rows
 
 NUM_ENTITIES = 24
@@ -433,6 +434,49 @@ def test_checkpoint_reader_raises_only_checkpoint_error(data):
         read_damaged(damaged_blob, Checkpoint.load)
     except CheckpointError:
         pass
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_checkpoint_directory_edits_are_refused(data):
+    # the checksum is rewritten, so every edit reaches the directory rule
+    directory = json.loads(checkpoint_bytes().split(b"\n", 2)[1])["tensors"]
+    i, j = data.draw(st.lists(st.integers(0, len(directory) - 1), min_size=2, max_size=2, unique=True))
+    kind = data.draw(st.sampled_from(["name", "dtype", "offset", "nbytes", "shape", "drop", "duplicate", "swap",
+                                      "trailing bytes"]))
+    dim = data.draw(st.integers(0, len(directory[i]["shape"]) - 1))
+    old = directory[i]["shape"][dim] if kind == "shape" else directory[i].get(kind)
+    # a JSON bool, a list or a float, which Python may take as equal, standing in for an int or a
+    # name; or another int or name
+    value = data.draw(st.one_of(
+        st.booleans(), st.just([old]), st.just(float(old)) if isinstance(old, int) else st.nothing(),
+        st.integers(-1, 2**20), st.text(max_size=6),
+    ))
+    tail = data.draw(st.binary(min_size=1, max_size=16))
+
+    def edit(meta, entries, payload):
+        if kind == "shape":
+            entries[i]["shape"][dim] = value
+        elif kind in ("name", "dtype", "offset", "nbytes"):
+            entries[i][kind] = value
+        elif kind == "drop":
+            del entries[i]
+        elif kind == "duplicate":
+            entries.insert(i, dict(entries[i]))
+        elif kind == "swap":
+            entries[i], entries[j] = entries[j], entries[i]
+        else:
+            payload.extend(tail)
+
+    with tempfile.TemporaryDirectory() as root:
+        path = pathlib.Path(root, "m.ckpt")
+        path.write_bytes(checkpoint_bytes())
+        Checkpoint.load(path)  # the unedited file loads
+        rewrite_checkpoint(path, edit)
+        edited = json.loads(path.read_bytes().split(b"\n", 2)[1])["tensors"]
+        assume(json.dumps(edited) != json.dumps(directory) or kind == "trailing bytes")
+        with pytest.raises(CheckpointError):
+            Checkpoint.load(path)
 
 
 @settings(deadline=None, max_examples=300)

@@ -27,7 +27,7 @@ from cqakit.training import (
     parse_config_file,
     train,
 )
-from conftest import answer_set, assert_loaded_layout
+from conftest import answer_set, assert_loaded_layout, rewrite_checkpoint, with_tensors
 
 VOCAB100 = Vocabulary(num_relations=5, num_entities=100)
 
@@ -364,16 +364,15 @@ def test_train_checkpoint_round_trip(desk_dataset, desk_vocab, tmp_path):
 
 @pytest.mark.parametrize("prefix", ["adam.m.", "adam.v.", "adam.v.enc.U"])
 def test_checkpoint_missing_adam_moments_rejected(prefix, desk_dataset, desk_vocab, tmp_path):
-    from cqakit.encoders import CheckpointError, load_checkpoint, save_checkpoint
+    from cqakit.encoders import CheckpointError
     from cqakit.training import Checkpoint
 
     cfg = TrainConfig(arch="TreeLSTM-NoMemoryCell", d=8, epochs=1, seed=13)
     path = tmp_path / "t.ckpt"
     train(cfg, desk_dataset, desk_vocab).save(path)
-    meta, tensors = load_checkpoint(path)
-    for name in [n for n in tensors if n.startswith(prefix)]:
-        del tensors[name]
-    save_checkpoint(path, meta, tensors)
+    rewrite_checkpoint(path, with_tensors(lambda tensors: {
+        name: arr for name, arr in tensors.items() if not name.startswith(prefix)
+    }))
     with pytest.raises(CheckpointError, match=prefix):
         Checkpoint.load(path)
 
@@ -495,8 +494,8 @@ def test_single_precision_is_float32_throughout(arch, desk_dataset, desk_vocab, 
         assert {name: m.dtype for name, m in moments.items()} == dict.fromkeys(grads, np.float32)
     path = tmp_path / "single.ckpt"
     ckpt.save(path)
-    _, tensors = load_checkpoint(path)
-    assert {name: t.dtype for name, t in tensors.items()} == dict.fromkeys(tensors, np.float32)
+    _, directory, _ = load_checkpoint(path)
+    assert {entry["dtype"] for entry in directory} == {"<f4"}
     loaded = training.Checkpoint.load(path)
     assert loaded.model.encode([p.query for p in pairs[:3]])[0].dtype == np.float32
 
