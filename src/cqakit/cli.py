@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .encoders import ARCHITECTURES
 from .evaluation import MODES, evaluate
-from .files import write_lines
+from .files import canonical_json, write_lines
 from .graph import GraphLayers, layer_graphs, load_dictionary
 from .linearize import Vocabulary, build_vocabulary, linearize, render_tokens
 from .queries import (
@@ -155,7 +155,7 @@ def cmd_train(args) -> int:
     ckpt = train(cfg, dataset, vocab)
     ckpt.save(args.out)
     if args.log:
-        write_lines(args.log, (json.dumps(entry, sort_keys=True, separators=(",", ":")) for entry in ckpt.history))
+        write_lines(args.log, map(canonical_json, ckpt.history))
     final = ckpt.history[-1]["loss"] if ckpt.history else float("nan")
     print(f"trained {cfg.arch} for {cfg.epochs} epochs ({ckpt.step} steps), final loss {final:.6f}")
     print(f"checkpoint written to {args.out}")

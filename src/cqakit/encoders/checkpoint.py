@@ -3,7 +3,8 @@
 Layout: a magic line, a JSON manifest line (the caller's metadata, its tensor
 directory and a payload checksum), then the payload bytes. This module hides
 that framing and nothing else: it checks the magic, that the manifest is an
-object with a ``meta`` object and a ``tensors`` list, and the checksum. What
+object with a ``meta`` object and a ``tensors`` list (read by the package's one
+field rule, :func:`cqakit.files.read_fields`), and the checksum. What
 the directory must say, and how the payload is viewed, is the caller's rule
 (:meth:`cqakit.training.Checkpoint.load`).
 
@@ -20,7 +21,7 @@ import os
 
 import numpy as np
 
-from ..files import replacing
+from ..files import canonical_json, read_fields, replacing
 
 MAGIC = b"CQAKIT-CKPT v1\n"
 
@@ -38,7 +39,7 @@ def save_checkpoint(path, meta: dict, directory: list, vectors) -> None:
     manifest = {"meta": meta, "tensors": directory, "payload_sha256": digest.hexdigest()}
     with replacing(path, "xb") as fh:
         fh.write(MAGIC)
-        fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        fh.write(canonical_json(manifest).encode() + b"\n")
         for vector in vectors:
             fh.write(vector)
 
@@ -63,12 +64,9 @@ def load_checkpoint(path) -> tuple[dict, list, np.ndarray]:
         manifest = json.loads(manifest_line)
     except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not UTF-8, deep nesting
         raise CheckpointError(f"{path}: bad manifest: {exc}") from None
-    if not (
-        isinstance(manifest, dict)
-        and isinstance(manifest.get("meta"), dict)
-        and isinstance(manifest.get("tensors"), list)
-    ):
-        raise CheckpointError(f"{path}: manifest is not an object with 'meta' and 'tensors' fields")
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not an object")
+    meta, directory = read_fields(manifest, {"meta": dict, "tensors": list}, f"{path}: manifest", CheckpointError)
     if hashlib.sha256(payload).hexdigest() != manifest.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch")
-    return manifest["meta"], manifest["tensors"], payload
+    return meta, directory, payload

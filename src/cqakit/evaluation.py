@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .files import canonical_json
 from .queries import distribution_of, parse_formula
 from .sampler import AnswerSet, Dataset, GroundedQueryRecord, query_tokens
 
@@ -95,9 +96,7 @@ class MetricReport:
         raise KeyError((mode, metric, group_kind, group))
 
     def lines(self) -> list[str]:
-        import json
-
-        return [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in self.rows]
+        return list(map(canonical_json, self.rows))
 
     def table(self) -> str:
         width = max((len(str(r["group"])) for r in self.rows), default=10) + 2

@@ -1,9 +1,11 @@
-"""Atomic file replacement for every file the package writes: datasets, checkpoints,
-training logs and metric reports."""
+"""What every file the package reads and writes shares: datasets, checkpoints,
+training logs and metric reports are replaced atomically, their JSON is written in
+one form, and their JSON fields are read by one rule."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 
 
@@ -32,3 +34,30 @@ def write_lines(path, lines) -> None:
     with replacing(path, "x", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def canonical_json(value) -> str:
+    """``value`` as JSON text with sorted keys and no whitespace, the one form of
+    every JSON text the package writes."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+_KIND_NAMES = {int: "a non-negative integer", str: "a string", dict: "an object", list: "a list"}
+
+
+def read_fields(mapping: dict, kinds: dict, where: str, error: type[Exception]) -> list:
+    """The values of ``mapping`` at the keys of ``kinds``, in that order.
+
+    ``kinds`` maps each key to its type (``int``, ``str``, ``dict`` or ``list``),
+    or to ``(type, default)`` when the key may be absent. An ``int`` is never a
+    bool and never below 0. Any other value, or an absent key without a default,
+    raises ``error`` naming the key after ``where``.
+    """
+    values = []
+    for key, kind in kinds.items():
+        kind, *default = kind if isinstance(kind, tuple) else (kind,)
+        value = mapping.get(key, *default)
+        if not isinstance(value, kind) or isinstance(value, bool) or (kind is int and value < 0):
+            raise error(f"{where} {key!r} is not {_KIND_NAMES[kind]}")
+        values.append(value)
+    return values

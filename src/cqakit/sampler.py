@@ -47,13 +47,13 @@ import json
 import logging
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .files import replacing
+from .files import canonical_json, read_fields, replacing
 from .graph import GraphLayers, KnowledgeGraph, noncanonical_ids
 from .linearize import NUM_SPECIALS, PAD, Vocabulary, linearize
 from .queries import (
@@ -109,15 +109,7 @@ class SamplerConfig:
             raise ValueError("source_layer must be 'train' or 'test'")
 
     def config_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "per_type_count": self.per_type_count,
-                "seed": self.seed,
-                "max_retries": self.max_retries,
-                "source_layer": self.source_layer,
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -359,24 +351,20 @@ def _records(
 # per line with sorted answer lists.
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def write_dataset(dataset: Dataset, path) -> None:
     """Write ``dataset`` in canonical form, replacing ``path`` atomically.
 
-    Each line is formatted directly, in the bytes ``json.dumps`` gives with
-    sorted keys and no whitespace: a query is printed from its type's format
-    and its ids, and answer ids are rendered through one table of their
-    decimal strings. A record whose type is not a canonical formula that its
-    ids fill raises ``ValueError``.
+    Each line is formatted directly, in the bytes
+    :func:`~cqakit.files.canonical_json` gives: a query is printed from its
+    type's format and its ids, and answer ids are rendered through one table
+    of their decimal strings. A record whose type is not a canonical formula
+    that its ids fill raises ``ValueError``.
     """
     records = list(dataset.iter_records())
     answers = [a.ids for r in records for a in (r.train_answers, r.valid_answers, r.test_answers)]
     digits = _digit_table(answers)
     if digits is None:
-        texts = (_canonical(ids.tolist())[1:-1] for ids in answers)
+        texts = (canonical_json(ids.tolist())[1:-1] for ids in answers)
     else:
         texts = (",".join(digits[ids].tolist()) for ids in answers)
     queries = (_template(record).text.format(*record.ids.tolist()) for record in records)
@@ -388,7 +376,7 @@ def write_dataset(dataset: Dataset, path) -> None:
         f'"train_answers":[{train}],"type":"{record.type_formula}","valid_answers":[{valid}]}}\n'
         for record, query, train, valid, test in zip(records, queries, texts, texts, texts)
     )
-    header = _canonical(
+    header = canonical_json(
         {
             "format": DATASET_FORMAT,
             "version": DATASET_VERSION,
@@ -416,10 +404,6 @@ def _digit_table(arrays: list[np.ndarray]) -> np.ndarray | None:
     return np.array(list(map(str, range(every.max() + 1))), dtype=object)
 
 
-# header keys that name where a dataset came from, with their types
-_PROVENANCE = (("kg", str, "unknown"), ("seed", int, 0), ("config_hash", str, ""))
-
-
 def read_dataset(path) -> Dataset:
     """Read a dataset file; any malformed part raises :class:`DatasetFormatError`.
 
@@ -442,39 +426,27 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError(f"{path}:1: bad header: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise DatasetFormatError(f"{path}:1: not a {DATASET_FORMAT} file")
-    for key in ("version", "num_records"):
-        if not isinstance(header.get(key), int) or isinstance(header.get(key), bool):
-            raise DatasetFormatError(f"{path}:1: header {key!r} is not an integer")
-    if header["version"] != DATASET_VERSION:
-        raise DatasetFormatError(
-            f"{path}:1: version mismatch (file {header['version']}, reader {DATASET_VERSION})"
-        )
-    for key in ("num_entities", "num_relations"):
-        value = header.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise DatasetFormatError(f"{path}:1: header lacks a non-negative integer {key!r}")
-    for key, kind, _ in _PROVENANCE:
-        value = header.get(key, kind())
-        if not isinstance(value, kind) or isinstance(value, bool):
-            what = "a string" if kind is str else "an integer"
-            raise DatasetFormatError(f"{path}:1: header {key!r} is not {what}")
+    version, num_records, num_entities, num_relations, *provenance = read_fields(
+        header,
+        dict(version=int, num_records=int, num_entities=int, num_relations=int,
+             kg=(str, "unknown"), seed=(int, 0), config_hash=(str, "")),
+        f"{path}:1: header", DatasetFormatError,
+    )
+    if version != DATASET_VERSION:
+        raise DatasetFormatError(f"{path}:1: version mismatch (file {version}, reader {DATASET_VERSION})")
     checksum = hashlib.sha256(body.encode()).hexdigest()
     if checksum != header.get("checksum"):
         raise DatasetFormatError(f"{path}: checksum failure (file edited or truncated?)")
 
-    dataset = Dataset(
-        provenance=Provenance(*(header.get(key, default) for key, _, default in _PROVENANCE)),
-        num_entities=header["num_entities"],
-        num_relations=header["num_relations"],
-    )
+    dataset = Dataset(provenance=Provenance(*provenance), num_entities=num_entities, num_relations=num_relations)
     lines = body.splitlines()
     del body  # not held twice while the records are read
     for lineno, (line, record) in enumerate(zip(lines, _read_canonical(lines, dataset)), start=2):
         if record is None:
             record = _read_record(line, dataset, f"{path}:{lineno}")
         dataset.records.setdefault(record.type_formula, []).append(record)
-    if len(dataset) != header["num_records"]:
-        raise DatasetFormatError(f"{path}: record count {len(dataset)} != header {header['num_records']}")
+    if len(dataset) != num_records:
+        raise DatasetFormatError(f"{path}: record count {len(dataset)} != header {num_records}")
     return dataset
 
 
@@ -617,18 +589,17 @@ def _read_canonical(lines: list[str], dataset: Dataset) -> list[GroundedQueryRec
 
 def _id_lists(texts: list[str], num_entities: int) -> list[np.ndarray | None]:
     """Each text's comma-separated ids as an ``int64`` array, or None where
-    they are not canonical ids of at most 18 digits, strictly ascending and
-    below ``num_entities``. One text parse reads all the lists, and the
-    arrays are views of its result."""
-    counts = np.fromiter((t.count(",") + 1 if t else 0 for t in texts), dtype=np.int64, count=len(texts))
-    starts = np.cumsum(counts) - counts  # the index of each list's first id
+    they are not strictly ascending and below ``num_entities``. One text
+    parse reads all the lists, and the arrays are views of its result. When
+    any id is not canonical (at most 18 digits, so below ``int64``), every
+    text is None: the writer never prints such an id, so the record reader
+    takes the whole chunk."""
     joined = ",".join(filter(None, texts)).encode()
     b = np.frombuffer(joined + b"," if joined else b"", dtype=np.uint8)
-    bad = noncanonical_ids(b, np.flatnonzero(b == ord(",")))
-    if bad.any():
-        refused = set((starts.searchsorted(bad.nonzero()[0], "right") - 1).tolist())
-        arrays = _id_lists(["" if i in refused else t for i, t in enumerate(texts)], num_entities)
-        return [None if i in refused else a for i, a in enumerate(arrays)]
+    if noncanonical_ids(b, np.flatnonzero(b == ord(","))).any():
+        return [None] * len(texts)
+    counts = np.fromiter((t.count(",") + 1 if t else 0 for t in texts), dtype=np.int64, count=len(texts))
+    starts = np.cumsum(counts) - counts  # the index of each list's first id
     ids = np.fromstring(joined, dtype=np.int64, sep=",")
     bad = np.zeros(ids.size, dtype=bool)
     np.less_equal(ids[1:], ids[:-1], out=bad[1:])
@@ -647,37 +618,27 @@ def _read_record(line: str, dataset: Dataset, where: str) -> GroundedQueryRecord
         raise DatasetFormatError(f"{where}: malformed record: {exc}") from None
     if not isinstance(obj, dict):
         raise DatasetFormatError(f"{where}: record is not a JSON object")
-    for key in ("type", "query"):
-        if not isinstance(obj.get(key), str):
-            raise DatasetFormatError(f"{where}: missing string field {key!r}")
+    formula, text = read_fields(obj, {"type": str, "query": str}, f"{where}: record", DatasetFormatError)
     answers, n = [], dataset.num_entities
     for key in ("train_answers", "valid_answers", "test_answers"):
         ids = obj.get(key)
         if not isinstance(ids, list) or not set(map(type, ids)) <= {int}:
             raise DatasetFormatError(f"{where}: {key} is not a list of integer entity ids")
-        # -1 < ids[0] < ... < ids[-1] < num_entities, on the int64 array once
-        # the type check has refused bools
+        # -1 < ids[0] < ... < ids[-1] < num_entities, then int64
+        if not all(map(operator.lt, [-1] + ids, ids + [n])):
+            raise DatasetFormatError(f"{where}: {key} not sorted strictly ascending inside [0, {n})")
         try:
-            array = np.array(ids, dtype=np.int64)
-            ascending = not array.size or (
-                array.item(0) >= 0 and array.item(-1) < n and not np.count_nonzero(array[1:] <= array[:-1])
-            )
+            answers.append(AnswerSet(np.array(ids, dtype=np.int64)))
         except OverflowError:
-            ascending = False
-        if not ascending:
-            # the list check names the failure: order and range before int64
-            if not all(map(operator.lt, [-1] + ids, ids + [n])):
-                raise DatasetFormatError(f"{where}: {key} not sorted strictly ascending inside [0, {n})")
-            raise DatasetFormatError(f"{where}: {key} holds an entity id beyond int64")
-        answers.append(AnswerSet(array))
+            raise DatasetFormatError(f"{where}: {key} holds an entity id beyond int64") from None
     try:
-        query = parse_grounded(obj["query"], dataset)  # ids checked against the header universe
-        formula = serialize_formula(query)
+        query = parse_grounded(text, dataset)  # ids checked against the header universe
+        query_type = serialize_formula(query)
         ids = query_ids(query)
     except (QuerySyntaxError, QueryStructureError) as exc:
         raise DatasetFormatError(f"{where}: bad query: {exc}") from None
     except RecursionError:  # the printer recurses deeper than the reader
         raise DatasetFormatError(f"{where}: bad query: query nested too deeply") from None
-    if formula != obj["type"]:
-        raise DatasetFormatError(f"{where}: type {obj['type']!r} is not the query's type {formula}")
-    return GroundedQueryRecord(obj["type"], ids, *answers)
+    if query_type != formula:
+        raise DatasetFormatError(f"{where}: type {formula!r} is not the query's type {query_type}")
+    return GroundedQueryRecord(formula, ids, *answers)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
-import json
 import logging
 import math
 import sys
@@ -32,6 +31,7 @@ from .encoders import (
     save_checkpoint,
 )
 from .evaluation import evaluate
+from .files import canonical_json, read_fields
 from .linearize import Vocabulary
 from .rng import make_rng
 from .sampler import Dataset, query_tokens
@@ -239,8 +239,6 @@ class Adam:
             p[block] -= update
 
 
-# the checkpoint meta holds exactly what loading reads
-_META_TYPES = dict(num_entities=int, num_relations=int, vocab_hash=str, train_config=dict, step=int)
 _MOMENT_PREFIXES = ("adam.m.", "adam.v.")
 
 
@@ -263,10 +261,6 @@ def _directory(shapes: dict[str, tuple], dtype) -> list[dict]:
     return directory
 
 
-def _canonical(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 def _directory_mismatch(found: list, expected: list[dict]) -> str:
     """Name the tensors missing from ``found`` and the unexpected ones, or else its
     first entry that differs from ``expected``; ``found`` may hold any JSON values."""
@@ -275,8 +269,8 @@ def _directory_mismatch(found: list, expected: list[dict]) -> str:
     missing, unexpected = sorted(names - listed), sorted(listed - names)
     if missing or unexpected:
         return f"missing tensors {missing}, unexpected tensors {unexpected}"
-    found_texts = [_canonical(entry) for entry in found] + ["no entry"]
-    expected_texts = [_canonical(entry) for entry in expected] + ["no entry"]
+    found_texts = [canonical_json(entry) for entry in found] + ["no entry"]
+    expected_texts = [canonical_json(entry) for entry in expected] + ["no entry"]
     i = next(i for i, (a, b) in enumerate(zip(found_texts, expected_texts)) if a != b)
     return f"tensor entry {i}: expected {expected_texts[i]}, found {found_texts[i]}"
 
@@ -320,24 +314,24 @@ class Checkpoint:
     def load(path) -> "Checkpoint":
         """Rebuild a checkpoint, raising :class:`CheckpointError` for any file it refuses.
 
-        The encoder is rebuilt from ``train_config``. The file's tensor directory must
-        be the one :func:`_directory` states for it, compared as canonical JSON text
-        (so a JSON ``true`` is not ``1``), and the payload must end where the directory
-        does. The payload's three vectors, Adam's ``m``, then ``v``, then the parameters,
+        The meta's fields are read by :func:`~cqakit.files.read_fields`, so its universe
+        and step are non-negative ints, and the encoder is rebuilt from ``train_config``.
+        The file's tensor directory must be the one :func:`_directory` states for it,
+        compared as canonical JSON text (so a JSON ``true`` is not ``1``), and the
+        payload must end where the directory does. The payload's three vectors, Adam's ``m``, then ``v``, then the parameters,
         are each viewed as :class:`~cqakit.encoders.FlatTensors`, uncopied, so a loaded
         checkpoint has a trained one's layout and can be stepped on.
         """
         meta, directory, payload = load_checkpoint(path)
-        for key, kind in _META_TYPES.items():
-            if not isinstance(meta.get(key), kind) or isinstance(meta.get(key), bool):
-                raise CheckpointError(f"{path}: meta needs {key!r} of type {kind.__name__}")
-        if meta["step"] < 0:
-            raise CheckpointError(f"{path}: meta 'step' must be >= 0, found {meta['step']}")
-        vocab = Vocabulary(meta["num_relations"], meta["num_entities"])
-        if vocab.layout_hash() != meta["vocab_hash"]:
+        num_entities, num_relations, vocab_hash, train_config, step = read_fields(
+            meta, dict(num_entities=int, num_relations=int, vocab_hash=str, train_config=dict, step=int),
+            f"{path}: meta", CheckpointError,
+        )
+        vocab = Vocabulary(num_relations, num_entities)
+        if vocab.layout_hash() != vocab_hash:
             raise CheckpointError(f"{path}: vocabulary layout hash mismatch (another universe)")
         try:
-            config = config_from_mapping(meta["train_config"])
+            config = config_from_mapping(train_config)
             # the random init only fixes the shapes: the model binds the encoder to the file's views
             rng = np.random.default_rng(0)
             encoder = make_encoder(config.arch, config.d, rng, **config.encoder_options())
@@ -346,7 +340,7 @@ class Checkpoint:
 
         shapes = model_shapes(vocab, encoder)
         expected = _directory(shapes, config.dtype)
-        if _canonical(directory) != _canonical(expected):
+        if canonical_json(directory) != canonical_json(expected):
             raise CheckpointError(f"{path}: {_directory_mismatch(directory, expected)}")
         end = expected[-1]["offset"] + expected[-1]["nbytes"]
         if payload.size != end:
@@ -356,7 +350,7 @@ class Checkpoint:
             values = values.byteswap(inplace=True).view(values.dtype.newbyteorder("="))
         m, v, params = (FlatTensors.over(third, shapes) for third in np.split(values, 3))
         adam = Adam(m, v, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
-                    step_count=meta["step"])
+                    step_count=step)
         return Checkpoint(QueryModel(vocab, params, encoder), config, adam)
 
 

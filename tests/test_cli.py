@@ -8,12 +8,13 @@ import numpy
 import pytest
 
 from cqakit.cli import main
+from cqakit.encoders import CheckpointError
 from cqakit.graph import layer_graphs, split_edges, synthetic_graph
 from cqakit.linearize import Vocabulary
 from cqakit.queries import parse_grounded, query_ids
-from cqakit.sampler import Dataset, GroundedQueryRecord, Provenance, write_dataset
+from cqakit.sampler import Dataset, DatasetFormatError, GroundedQueryRecord, Provenance, read_dataset, write_dataset
 from cqakit.symbolic import answer_dnf, to_dnf
-from cqakit.training import TrainConfig, train
+from cqakit.training import Checkpoint, TrainConfig, train
 
 from conftest import answer_set, rewrite_checkpoint, with_tensors
 
@@ -346,8 +347,46 @@ def test_eval_checkpoint_with_negative_step_exits_two(capsys, handmade_dataset, 
     rewrite_checkpoint(ckpt, lambda meta, directory, payload: meta.update(step=-7))
     code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))
     assert code == 2
-    assert "'step' must be >= 0, found -7" in err
+    assert "meta 'step' is not a non-negative integer" in err
     assert "Traceback" not in err and "mean_over_types" not in out
+
+
+def negative_universe(key, value, other, other_value):
+    """A checkpoint meta edit over a 1-relation, 10-entity model whose universe keeps the
+    table's 11 rows past the specials and whose vocabulary hash matches it."""
+    universe = {key: value, other: other_value}
+    vocab_hash = Vocabulary(universe["num_relations"], universe["num_entities"]).layout_hash()
+    return {**universe, "vocab_hash": vocab_hash}
+
+
+@pytest.mark.parametrize("file,edit", [
+    (file, {key: value})
+    for file, keys in (
+        ("dataset", ("version", "num_records", "num_entities", "num_relations", "seed")),
+        ("checkpoint", ("num_entities", "num_relations", "step")),
+    )
+    for key in keys
+    for value in (True, 1.0, "1", None, -1)
+] + [
+    ("checkpoint", negative_universe("num_relations", -3, "num_entities", 14)),
+    ("checkpoint", negative_universe("num_entities", -5, "num_relations", 16)),
+], ids=lambda param: param if isinstance(param, str) else "-".join(map(repr, list(param.items())[0])))
+def test_integer_fields_are_non_negative_ints(file, edit, capsys, handmade_dataset, tmp_path):
+    # one field rule for both files: a bool, a float, a string, null or a negative int is refused
+    key = next(iter(edit))
+    data = handmade_dataset(None, edit if file == "dataset" else None)
+    if file == "dataset":
+        path, error, read, argv, where = data, DatasetFormatError, read_dataset, ["inspect"], "header"
+    else:
+        path = untrained_checkpoint(tmp_path / "m.ckpt", 1, 10)
+        rewrite_checkpoint(path, lambda meta, directory, payload: meta.update(edit))
+        error, read, argv, where = CheckpointError, Checkpoint.load, ["eval", "--ckpt", str(path)], "meta"
+    message = f"{where} '{key}' is not a non-negative integer"
+    with pytest.raises(error, match=message):
+        read(path)
+    code, out, err = run(capsys, *argv, "--data", str(data))
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_eval_universe_mismatch_exits_two(capsys, kg_dir, tmp_path):

@@ -355,7 +355,7 @@ def test_checkpoint_negative_step_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     saved_checkpoint(path, "LSTM", seed=19)
     rewrite_checkpoint(path, lambda meta, directory, payload: meta.update(step=-7))
-    with pytest.raises(CheckpointError, match="'step' must be >= 0, found -7"):
+    with pytest.raises(CheckpointError, match="meta 'step' is not a non-negative integer"):
         Checkpoint.load(path)
 
 
@@ -389,8 +389,8 @@ def on_meta(edit):
 @pytest.mark.parametrize("edit,match", [
     (with_tensors(lambda tensors: dict(sorted({**tensors, "enc.extra": np.zeros(3)}.items()))),
      r"unexpected tensors \['enc.extra'\]"),
-    (on_meta(lambda meta: meta.pop("train_config")), "meta needs 'train_config' of type dict"),
-    (on_meta(lambda meta: meta.update(step="7")), "meta needs 'step' of type int"),
+    (on_meta(lambda meta: meta.pop("train_config")), "meta 'train_config' is not an object"),
+    (on_meta(lambda meta: meta.update(step="7")), "meta 'step' is not a non-negative integer"),
     (on_meta(lambda meta: meta["train_config"].update(arch=5)), "config key 'arch' expects str"),
     (on_meta(lambda meta: meta["train_config"].update(arch="CNN")), "unknown architecture"),
     (on_meta(lambda meta: meta["train_config"].update(heads=0)), "heads must be >= 1, got 0"),

@@ -223,17 +223,17 @@ MALFORMED_FIELDS = pytest.mark.parametrize("record,header,match", [
     ({"test_answers": [2**63]}, {"num_entities": 2**64}, ":2: test_answers holds an entity id beyond int64"),
     ({"test_answers": [5, 3, 2**63]}, {"num_entities": 2**64}, ":2: test_answers not sorted strictly ascending"),
     (["a", "b"], None, ":2: record is not a JSON object"),
-    ({"query": 7}, None, ":2: missing string field 'query'"),
+    ({"query": 7}, None, ":2: record 'query' is not a string"),
     ({"query": "(p,(0),(e,(10)))"}, None, r":2: bad query: entity id 10 out of range \[0, 10\)"),
     ({"query": "(p,(1),(e,(2)))"}, None, r":2: bad query: relation id 1 out of range \[0, 1\)"),
     ({"query": "(p,(0)"}, None, ":2: bad query"),
     ({"query": "(p,(0)," * 3000 + "(e,(1))" + ")" * 3000}, None, ":2: bad query"),
     (None, [1, 2], ":1: not a cqakit-dataset file"),
-    (None, {"num_entities": "10"}, ":1: header lacks a non-negative integer 'num_entities'"),
-    (None, {"version": True}, ":1: header 'version' is not an integer"),
-    (None, {"version": 1.0}, ":1: header 'version' is not an integer"),
-    (None, {"num_records": True}, ":1: header 'num_records' is not an integer"),
-    (None, {"num_records": 1.0}, ":1: header 'num_records' is not an integer"),
+    (None, {"num_entities": "10"}, ":1: header 'num_entities' is not a non-negative integer"),
+    (None, {"version": True}, ":1: header 'version' is not a non-negative integer"),
+    (None, {"version": 1.0}, ":1: header 'version' is not a non-negative integer"),
+    (None, {"num_records": True}, ":1: header 'num_records' is not a non-negative integer"),
+    (None, {"num_records": 1.0}, ":1: header 'num_records' is not a non-negative integer"),
 ], ids=["answer-id-too-large", "answer-id-negative", "answers-not-a-list", "answer-bool", "answer-int-then-bool",
         "answer-float", "answer-id-past-int64", "answer-id-past-int64-inside-universe",
         "answer-unsorted-past-int64-inside-universe", "record-not-object",
@@ -277,9 +277,9 @@ def test_compact_handwritten_record_takes_the_bulk_reader(handmade_dataset, monk
 @pytest.mark.parametrize("header,match", [
     ({"kg": ["x"]}, ":1: header 'kg' is not a string"),
     ({"kg": None}, ":1: header 'kg' is not a string"),
-    ({"seed": {"a": 1}}, ":1: header 'seed' is not an integer"),
-    ({"seed": True}, ":1: header 'seed' is not an integer"),
-    ({"seed": 1.0}, ":1: header 'seed' is not an integer"),
+    ({"seed": {"a": 1}}, ":1: header 'seed' is not a non-negative integer"),
+    ({"seed": True}, ":1: header 'seed' is not a non-negative integer"),
+    ({"seed": 1.0}, ":1: header 'seed' is not a non-negative integer"),
     ({"config_hash": 7}, ":1: header 'config_hash' is not a string"),
 ], ids=["kg-list", "kg-null", "seed-object", "seed-bool", "seed-float", "config-hash-number"])
 def test_read_rejects_mistyped_provenance(header, match, handmade_dataset):
