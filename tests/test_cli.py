@@ -11,8 +11,17 @@ from cqakit.cli import main
 from cqakit.encoders import CheckpointError
 from cqakit.graph import layer_graphs, split_edges, synthetic_graph
 from cqakit.linearize import Vocabulary
-from cqakit.queries import parse_grounded, query_ids
-from cqakit.sampler import Dataset, DatasetFormatError, GroundedQueryRecord, Provenance, read_dataset, write_dataset
+from cqakit.queries import builtin_query_types, parse_grounded, query_ids
+from cqakit.sampler import (
+    Dataset,
+    DatasetFormatError,
+    GroundedQueryRecord,
+    Provenance,
+    SamplerConfig,
+    read_dataset,
+    sample_dataset,
+    write_dataset,
+)
 from cqakit.symbolic import answer_dnf, to_dnf
 from cqakit.training import Checkpoint, TrainConfig, train
 
@@ -268,6 +277,31 @@ def test_train_eval_pipeline(capsys, kg_dir, tmp_path):
     assert "mean_over_types" in out
     rows = [json.loads(line) for line in report.read_text().splitlines()]
     assert {r["mode"] for r in rows} == {"entailment", "inference"}
+
+
+@pytest.mark.parametrize("mode,table_digest,report_digest", [
+    ("both",
+     "b64a948a29f3877f7287a744350dfc7f3f4c25a53112772e01850d5592bf68c8",
+     "171a844fb5b0704dd0f1b2a6dcafb0a72c871abbdb5d8c0422c5e700e9306e07"),
+    ("validation-swap",
+     "9b78b465162cedf0629e54921466da88b0bdbfcc7786c75f051857b4184f8dc9",
+     "387b532e032aac6de8372a77dc6969b519c8977fd06582be6315bc6ce24da51c"),
+])
+def test_eval_report_bytes_pinned(mode, table_digest, report_digest, desk_layers, capsys, tmp_path):
+    # sha256 of the printed table and of the --out file, recorded from the
+    # evaluator that built the type, depth and distribution rows in three loops;
+    # all 58 types, so every breakdown and both distributions have rows
+    data, ckpt, report = tmp_path / "desk.jsonl", tmp_path / "m.ckpt", tmp_path / "report.jsonl"
+    ds = sample_dataset(
+        desk_layers, builtin_query_types().all_fol, SamplerConfig(per_type_count=3, seed=29), kg_name="desk"
+    )
+    write_dataset(ds, data)
+    train(TrainConfig(d=8, epochs=2, seed=3), ds, Vocabulary(ds.num_relations, ds.num_entities)).save(ckpt)
+    code, out, _ = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data), "--mode", mode, "--out", str(report))
+    assert code == 0
+    table = out.removesuffix(f"report rows written to {report}\n")
+    assert hashlib.sha256(table.encode()).hexdigest() == table_digest
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
 
 
 def test_train_rejects_unknown_config_key(capsys, kg_dir, tmp_path):
