@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .encoders import ARCHITECTURES
 from .evaluation import MODES, evaluate
-from .files import canonical_json, write_lines
+from .files import canonical_json, text_lines, write_lines
 from .graph import GraphLayers, layer_graphs, load_dictionary
 from .linearize import Vocabulary, build_vocabulary, linearize, render_tokens
 from .queries import (
@@ -88,15 +88,8 @@ def _resolve_types(selector: str, include_ood: bool):
     path = Path(selector)
     if not path.exists():
         raise DataError(f"--types must be 'fol', 'conj', or a formula file; {selector!r} not found")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     types = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path):
         try:
             types.append(parse_formula(line))
         except (QuerySyntaxError, QueryStructureError) as exc:

@@ -71,6 +71,14 @@ def _mode_sets(record: GroundedQueryRecord, mode: str) -> tuple[AnswerSet, Answe
 METRICS = ("MRR",) + tuple(f"Hit@{k}" for k in HIT_KS)
 
 
+# a breakdown's groups: each type alone, then the types of one depth, then those of one distribution
+_BREAKDOWNS = (
+    ("type", lambda formula: formula),
+    ("depth", lambda formula: str(parse_formula(formula).depth)),
+    ("distribution", distribution_of),
+)
+
+
 @dataclass
 class MetricReport:
     """Flat metric rows plus exclusion counts.
@@ -84,38 +92,34 @@ class MetricReport:
     excluded: dict[str, int] = field(default_factory=dict)
     evaluated: dict[str, int] = field(default_factory=dict)
 
+    def _index(self) -> dict:
+        """Each row's value at its (mode, group_kind, group, metric); the evaluator writes
+        one row per key, and every group it writes has all of ``METRICS``."""
+        return {(r["mode"], r["group_kind"], r["group"], r["metric"]): r["value"] for r in self.rows}
+
     def value(self, mode: str, metric: str, group_kind: str = "overall", group="mean_over_types"):
-        for row in self.rows:
-            if (
-                row["mode"] == mode
-                and row["metric"] == metric
-                and row["group_kind"] == group_kind
-                and row["group"] == group
-            ):
-                return row["value"]
-        raise KeyError((mode, metric, group_kind, group))
+        return self._index()[mode, group_kind, group, metric]
 
     def lines(self) -> list[str]:
         return list(map(canonical_json, self.rows))
 
     def table(self) -> str:
-        width = max((len(str(r["group"])) for r in self.rows), default=10) + 2
+        index = self._index()
+        width = max((len(str(group)) for _, _, group, _ in index), default=10) + 2
         out = []
-        for mode in sorted({r["mode"] for r in self.rows}):
+        for mode in sorted({mode for mode, *_ in index}):
             out.append(f"== mode: {mode} (queries evaluated: {self.evaluated.get(mode, 0)}, "
                        f"excluded empty-target: {self.excluded.get(mode, 0)})")
-            header = f"{'group':<{width}}" + "".join(f"{m:>10}" for m in METRICS)
-            out.append(header)
+            out.append(f"{'group':<{width}}" + "".join(f"{m:>10}" for m in METRICS))
             for kind in ("overall", "distribution", "depth", "type"):
-                rows = [r for r in self.rows if r["mode"] == mode and r["group_kind"] == kind]
-                groups = sorted({str(r["group"]) for r in rows})
-                for g in groups:
-                    cells = []
-                    for m in METRICS:
-                        v = [r["value"] for r in rows if str(r["group"]) == g and r["metric"] == m]
-                        cells.append(f"{v[0]:>10.4f}" if v else f"{'-':>10}")
-                    out.append(f"{g:<{width}}" + "".join(cells))
+                for group in sorted({g for m, k, g, _ in index if (m, k) == (mode, kind)}):
+                    out.append(f"{group:<{width}}" + "".join(f"{index[mode, kind, group, m]:>10.4f}" for m in METRICS))
         return "\n".join(out)
+
+
+def _mean(rows) -> np.ndarray:
+    """``np.mean(rows, axis=0)`` bit for bit, its sum and division without its per-call cost."""
+    return np.add.reduce(rows, axis=0) / len(rows)
 
 
 def evaluate_scores(
@@ -128,7 +132,10 @@ def evaluate_scores(
     ``scores`` is an (N, V) array or any iterable of N rows; a row count
     that differs from the record count raises ``ValueError``. A query's
     values are ``MRR = mean(1/r)`` and ``Hit@k = mean(r <= k)`` over its
-    targets' ranks ``r``.
+    targets' ranks ``r``. A type's values are the means over its queries,
+    and every group of types (a type alone, a depth, a distribution) has the
+    mean of its types' values, so each type weighs equally, with the
+    group's summed query count.
     """
     per_query: dict[str, list[tuple[str, list[float]]]] = {mode: [] for mode in modes}
     excluded = dict.fromkeys(modes, 0)
@@ -142,52 +149,31 @@ def evaluate_scores(
             # mean(1/r) and mean(r <= k), without np.mean's per-call cost
             values = [(1.0 / r).sum() / r.size] + [np.count_nonzero(r <= k) / r.size for k in HIT_KS]
             per_query[mode].append((record.type_formula, values))
-    report = MetricReport()
-    for mode in modes:
-        queries = per_query[mode]
-        report.excluded[mode] = excluded[mode]
-        report.evaluated[mode] = len(queries)
-        if not queries:
-            continue
-
-        def add_row(kind, group, metric, value, count):
-            report.rows.append(
-                {
-                    "mode": mode,
-                    "metric": metric,
-                    "group_kind": kind,
-                    "group": group,
-                    "value": float(value),
-                    "num_queries": count,
-                }
-            )
-
+    report = MetricReport(excluded=excluded, evaluated={mode: len(per_query[mode]) for mode in modes})
+    for mode, queries in per_query.items():
         by_type: dict[str, list[list[float]]] = {}
         for formula, values in queries:
             by_type.setdefault(formula, []).append(values)
-        type_means = {formula: np.mean(rows, axis=0) for formula, rows in sorted(by_type.items())}
-        for formula, means in type_means.items():
-            for m, value in zip(METRICS, means):
-                add_row("type", formula, m, value, len(by_type[formula]))
-
-        # grouped breakdowns share the per-type means so each type weighs equally
-        def grouped(key_fn, kind):
-            buckets: dict[str, list[str]] = {}
+        type_means = {formula: _mean(rows) for formula, rows in sorted(by_type.items())}
+        cells = []  # (group_kind, group, metric, value, num_queries)
+        for kind, key in _BREAKDOWNS:
+            groups: dict[str, list[str]] = {}
             for formula in type_means:
-                buckets.setdefault(key_fn(formula), []).append(formula)
-            for group, formulas in sorted(buckets.items()):
+                groups.setdefault(key(formula), []).append(formula)
+            for group, formulas in sorted(groups.items()):
+                means = _mean([type_means[f] for f in formulas])
                 count = sum(len(by_type[f]) for f in formulas)
-                for m, value in zip(METRICS, np.mean([type_means[f] for f in formulas], axis=0)):
-                    add_row(kind, group, m, value, count)
-
-        grouped(lambda f: str(parse_formula(f).depth), "depth")
-        grouped(distribution_of, "distribution")
-
-        over_types = np.mean(list(type_means.values()), axis=0)
-        over_queries = np.mean([values for _, values in queries], axis=0)
-        for m, by_types, by_queries in zip(METRICS, over_types, over_queries):
-            add_row("overall", "mean_over_types", m, by_types, len(queries))
-            add_row("overall", "mean_over_queries", m, by_queries, len(queries))
+                cells += [(kind, group, m, value, count) for m, value in zip(METRICS, means)]
+        if queries:  # the overall rows, interleaved per metric
+            over_types = _mean(list(type_means.values()))
+            over_queries = _mean([values for _, values in queries])
+            for m, by_types, by_queries in zip(METRICS, over_types, over_queries):
+                cells += [("overall", "mean_over_types", m, by_types, len(queries)),
+                          ("overall", "mean_over_queries", m, by_queries, len(queries))]
+        report.rows += (
+            {"mode": mode, "metric": m, "group_kind": kind, "group": group, "value": float(value), "num_queries": n}
+            for kind, group, m, value, n in cells
+        )
     return report
 
 
@@ -199,13 +185,10 @@ def evaluate(model, dataset: Dataset, mode: str = "both") -> MetricReport:
     Score rows reach :func:`evaluate_scores` one chunk at a time, so memory
     stays at O(chunk * num_entities) whatever the record count.
     """
+    if mode not in MODES + ("both",):
+        raise ValueError(f"unknown mode {mode!r}")
     modes = ("entailment", "inference") if mode == "both" else (mode,)
-    for m in modes:
-        if m not in MODES:
-            raise ValueError(f"unknown mode {m!r}")
     records = list(dataset.iter_records())
-    if not records:
-        return MetricReport()
     return evaluate_scores(records, _score_rows(model, records), modes)
 
 

@@ -1,6 +1,7 @@
 """What every file the package reads and writes shares: datasets, checkpoints,
 training logs and metric reports are replaced atomically, their JSON is written in
-one form, and their JSON fields are read by one rule."""
+one form, and their JSON fields are read by one rule; the text files users write,
+formula and config files, are read by one line rule."""
 
 from __future__ import annotations
 
@@ -34,6 +35,19 @@ def write_lines(path, lines) -> None:
     with replacing(path, "x", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def text_lines(path) -> list[tuple[int, str]]:
+    """The lines of the UTF-8 text file ``path`` that hold more than a comment, as
+    ``(line number, text)`` pairs: ``#`` starts a comment that runs to the end of its
+    line, and each text is stripped. A file that is not UTF-8 raises ``ValueError``
+    naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    return [(lineno, text) for lineno, line in enumerate(lines, start=1) if (text := line.split("#", 1)[0].strip())]
 
 
 def canonical_json(value) -> str:

@@ -358,16 +358,18 @@ def write_dataset(dataset: Dataset, path) -> None:
     :func:`~cqakit.files.canonical_json` gives: a query is printed from its
     type's format and its ids, and answer ids are rendered through one table
     of their decimal strings. A record whose type is not a canonical formula
-    that its ids fill raises ``ValueError``.
+    that its ids fill, or whose ids :func:`read_dataset` would refuse, raises
+    ``ValueError`` before ``path`` is touched.
     """
     records = list(dataset.iter_records())
+    templates = [_template(record) for record in records]
     answers = [a.ids for r in records for a in (r.train_answers, r.valid_answers, r.test_answers)]
-    digits = _digit_table(answers)
+    digits = _digit_table(_checked_answer_ids(dataset, records, templates, answers))
     if digits is None:
         texts = (canonical_json(ids.tolist())[1:-1] for ids in answers)
     else:
         texts = (",".join(digits[ids].tolist()) for ids in answers)
-    queries = (_template(record).text.format(*record.ids.tolist()) for record in records)
+    queries = (template.text.format(*record.ids.tolist()) for record, template in zip(records, templates))
     # zip takes a record's train, valid and test texts from ``texts`` in
     # turn; the query and its type are in the query grammar, which JSON
     # strings hold unescaped
@@ -394,12 +396,41 @@ def write_dataset(dataset: Dataset, path) -> None:
         fh.write(body)
 
 
-def _digit_table(arrays: list[np.ndarray]) -> np.ndarray | None:
+def _checked_answer_ids(dataset: Dataset, records, templates, answers) -> np.ndarray:
+    """The answer lists ``answers`` (each record's train, valid and test ids in
+    turn) concatenated, once no record holds ids that :func:`read_dataset`
+    refuses: a query id outside the universe, or an answer list that is not
+    strictly ascending inside ``[0, num_entities)``. The first record that does
+    raises ``ValueError``, worded by :func:`_read_record`."""
+    every = np.concatenate(answers) if answers else np.empty(0, dtype=np.int64)
+    # the largest id of each universe, at most int64's
+    entity_top, relation_top = (min(n, 2**63) - 1 for n in (dataset.num_entities, dataset.num_relations))
+    ids = np.concatenate([r.ids for r in records]) if records else np.empty(0, dtype=np.int64)
+    relations = np.fromiter(itertools.chain.from_iterable(t.relations for t in templates), dtype=bool, count=ids.size)
+    bad_ids = (ids < 0) | (ids > np.where(relations, relation_top, entity_top))
+    ends = np.cumsum([a.size for a in answers], dtype=np.int64)  # where each list ends in ``every``
+    bad_answers = np.zeros(every.size, dtype=bool)
+    np.less_equal(every[1:], every[:-1], out=bad_answers[1:])
+    bad_answers[ends[ends < every.size]] = False  # a list's first id follows no id of its own list
+    bad_answers |= (every < 0) | (every > entity_top)
+    id_ends = np.cumsum([r.ids.size for r in records], dtype=np.int64)
+    culprits = np.concatenate([id_ends.searchsorted(bad_ids.nonzero()[0], "right"),
+                               ends.searchsorted(bad_answers.nonzero()[0], "right") // 3])
+    if culprits.size:
+        i = int(culprits.min())
+        record = records[i]
+        line = canonical_json({"type": record.type_formula, "query": templates[i].text.format(*record.ids.tolist()),
+                               **{f"{layer}_answers": record.answers(layer).ids.tolist()
+                                  for layer in ("train", "valid", "test")}})
+        _read_record(line, dataset, f"record {i} of type {record.type_formula!r}")
+    return every
+
+
+def _digit_table(every: np.ndarray) -> np.ndarray | None:
     """The decimal strings of ``0..m`` as an object array, where ``m`` is the
-    largest id of ``arrays``; None unless every id is an ``int64`` in that
-    range and the table is no longer than the ids it renders."""
-    every = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
-    if every.dtype != np.int64 or not every.size or every.min() < 0 or every.max() >= every.size:
+    largest of ``every``, non-negative ids; None unless they are ``int64`` and
+    the table is no longer than the ids it renders."""
+    if every.dtype != np.int64 or not every.size or every.max() >= every.size:
         return None
     return np.array(list(map(str, range(every.max() + 1))), dtype=object)
 

@@ -31,7 +31,7 @@ from .encoders import (
     save_checkpoint,
 )
 from .evaluation import evaluate
-from .files import canonical_json, read_fields
+from .files import canonical_json, read_fields, text_lines
 from .linearize import Vocabulary
 from .rng import make_rng
 from .sampler import Dataset, query_tokens
@@ -116,17 +116,13 @@ def config_from_mapping(mapping: dict) -> TrainConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Line-oriented ``key = value`` config; '#' starts a comment."""
+    """Line-oriented ``key = value`` config, read by :func:`~cqakit.files.text_lines`."""
     mapping = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
+    for lineno, line in text_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        mapping[key.strip()] = value.strip()
     return mapping
 
 
@@ -315,12 +311,14 @@ class Checkpoint:
         """Rebuild a checkpoint, raising :class:`CheckpointError` for any file it refuses.
 
         The meta's fields are read by :func:`~cqakit.files.read_fields`, so its universe
-        and step are non-negative ints, and the encoder is rebuilt from ``train_config``.
-        The file's tensor directory must be the one :func:`_directory` states for it,
-        compared as canonical JSON text (so a JSON ``true`` is not ``1``), and the
-        payload must end where the directory does. The payload's three vectors, Adam's ``m``, then ``v``, then the parameters,
-        are each viewed as :class:`~cqakit.encoders.FlatTensors`, uncopied, so a loaded
-        checkpoint has a trained one's layout and can be stepped on.
+        and step are non-negative ints, and the encoder is rebuilt from ``train_config``,
+        each of whose values must be the one the config holds, as canonical JSON text
+        (so the config text ``"8"`` is not ``8``). The file's tensor directory must be the
+        one :func:`_directory` states for it, compared the same way (so a JSON ``true`` is
+        not ``1``), and the payload must end where the directory does. The payload's three
+        vectors, Adam's ``m``, then ``v``, then the parameters, are each viewed as
+        :class:`~cqakit.encoders.FlatTensors`, uncopied, so a loaded checkpoint has a
+        trained one's layout and can be stepped on.
         """
         meta, directory, payload = load_checkpoint(path)
         num_entities, num_relations, vocab_hash, train_config, step = read_fields(
@@ -337,6 +335,10 @@ class Checkpoint:
             encoder = make_encoder(config.arch, config.d, rng, **config.encoder_options())
         except ValueError as exc:
             raise CheckpointError(f"{path}: train_config does not describe a model: {exc}") from None
+        for key, value in train_config.items():
+            if canonical_json(value) != canonical_json(getattr(config, key)):
+                raise CheckpointError(f"{path}: train_config {key!r} is {canonical_json(value)}, "
+                                      f"not {canonical_json(getattr(config, key))}")
 
         shapes = model_shapes(vocab, encoder)
         expected = _directory(shapes, config.dtype)
@@ -392,6 +394,11 @@ def _retain_freed_memory() -> None:
     depends on what the process did earlier. Fixing the mmap threshold and
     never trimming makes every step after the first reuse the heap. The
     setting is process-wide and made once.
+
+    Measured before keeping it: with this function a no-op, ``bench/run.py``
+    (35 s runs, one BLAS thread, 2 vCPUs) trained slower on both workloads,
+    e.g. Transformer-APE 1,400 -> 1,190 pairs/s on ``desk-loop`` and LSTM
+    about 1,900 -> 1,620 on ``fb237-rank`` (ROADMAP item 3 has the figures).
     """
     global _heap_pinned
     if _heap_pinned or not sys.platform.startswith("linux"):

@@ -18,6 +18,23 @@ from cqakit.symbolic import answer
 settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
+def pytest_terminal_summary(terminalreporter):
+    """Repeat the ``ACCEPTANCE n (...): PASS/FAIL`` lines that the acceptance tests
+    print, in criterion order, so every run shows the contract without ``-s``."""
+    lines = [
+        line
+        for outcome in ("passed", "failed")
+        for report in terminalreporter.stats.get(outcome, [])
+        if getattr(report, "when", None) == "call"
+        for line in report.capstdout.splitlines()
+        if line.startswith("ACCEPTANCE ")
+    ]
+    if lines:
+        terminalreporter.write_sep("-", "acceptance criteria")
+        for line in sorted(lines, key=lambda line: int(line.split()[1])):
+            terminalreporter.write_line(line)
+
+
 def answer_set(ids) -> AnswerSet:
     """The answer set of any collection of int entity ids."""
     return AnswerSet(np.unique(np.fromiter(ids, dtype=np.int64)))

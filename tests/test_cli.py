@@ -211,6 +211,16 @@ def test_generate_custom_type_file(capsys, kg_dir, tmp_path):
     assert "2 types" in out
 
 
+def test_generate_type_file_trailing_comment(capsys, kg_dir, tmp_path):
+    # formula and config files share one line rule: '#' comments to the end of the line
+    tfile = tmp_path / "types.txt"
+    tfile.write_text("(p,(e))  # one hop\n   # indented comment\n(p,(p,(e)))#two hops\n")
+    code, out, _ = run(capsys, "generate", "--kg", str(kg_dir), "--types", str(tfile), "--count", "2",
+                       "--seed", "1", "--out", str(tmp_path / "ds.jsonl"))
+    assert code == 0
+    assert list(read_dataset(tmp_path / "ds.jsonl").records) == ["(p,(e))", "(p,(p,(e)))"]
+
+
 def test_generate_repeated_type_exits_two(capsys, kg_dir, tmp_path):
     tfile = tmp_path / "types.txt"
     tfile.write_text("(p,(e))\n(u,(p,(e)),(p,(e)))\n(p, (e))\n")
@@ -304,6 +314,16 @@ def test_eval_report_bytes_pinned(mode, table_digest, report_digest, desk_layers
     assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
 
 
+def test_train_non_utf8_config_file_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_bytes(b"d = 8\nepochs = 1 # caf\xe9\n")
+    code, out, err = run(capsys, "train", "--config", str(cfg), "--data", str(tmp_path / "none.jsonl"),
+                         "--out", str(tmp_path / "m.ckpt"))
+    assert code == 2 and out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("config-hash:")]
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: not UTF-8 text")
+
+
 def test_train_rejects_unknown_config_key(capsys, kg_dir, tmp_path):
     data = tmp_path / "d.jsonl"
     run(capsys, "generate", "--kg", str(kg_dir), "--types", str(write_line(tmp_path, "(p,(e))")),
@@ -373,6 +393,16 @@ def test_eval_checkpoint_without_train_config_exits_two(capsys, handmade_dataset
     assert code == 2
     assert "train_config" in err
     assert "Traceback" not in err and "mean_over_types" not in out
+
+
+def test_eval_checkpoint_with_config_text_exits_two(capsys, handmade_dataset, tmp_path):
+    ckpt = untrained_checkpoint(tmp_path / "m.ckpt", 1, 10)
+    rewrite_checkpoint(ckpt, lambda meta, directory, payload: meta["train_config"].update(
+        d="8", epochs=" 50 ", learning_rate="1e-3"))
+    code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(handmade_dataset()))
+    assert code == 2 and out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("config-hash:")]
+    assert lines == [f'error: {ckpt}: train_config \'d\' is "8", not 8']
 
 
 def test_eval_checkpoint_with_negative_step_exits_two(capsys, handmade_dataset, tmp_path):

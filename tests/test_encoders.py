@@ -394,7 +394,14 @@ def on_meta(edit):
     (on_meta(lambda meta: meta["train_config"].update(arch=5)), "config key 'arch' expects str"),
     (on_meta(lambda meta: meta["train_config"].update(arch="CNN")), "unknown architecture"),
     (on_meta(lambda meta: meta["train_config"].update(heads=0)), "heads must be >= 1, got 0"),
-], ids=["extra-tensor", "no-train-config", "string-step", "numeric-arch", "unknown-arch", "zero-heads"])
+    # config text is read from --config and --set, never from a checkpoint's JSON
+    (on_meta(lambda meta: meta["train_config"].update(d="8")), r"""train_config 'd' is "8", not 8$"""),
+    (on_meta(lambda meta: meta["train_config"].update(epochs=" 50 ")),
+     r"""train_config 'epochs' is " 50 ", not 50$"""),
+    (on_meta(lambda meta: meta["train_config"].update(learning_rate="1e-3")),
+     r"""train_config 'learning_rate' is "1e-3", not 0.001$"""),
+], ids=["extra-tensor", "no-train-config", "string-step", "numeric-arch", "unknown-arch", "zero-heads",
+        "text-d", "text-epochs", "text-learning-rate"])
 def test_checkpoint_bad_meta_or_tensors_rejected(edit, match, tmp_path):
     path = tmp_path / "m.ckpt"
     saved_checkpoint(path, "TreeLSTM", seed=19)

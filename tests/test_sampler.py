@@ -17,6 +17,7 @@ from cqakit.queries import (
 )
 from cqakit.rng import make_rng
 from cqakit.sampler import (
+    AnswerSet,
     Dataset,
     DatasetFormatError,
     GroundedQueryRecord,
@@ -166,6 +167,23 @@ def test_dataset_round_trip(desk_layers, tmp_path):
     path = tmp_path / "ds.jsonl"
     write_dataset(ds, path)
     assert read_dataset(path) == ds
+
+
+@pytest.mark.parametrize("ids,answers,match", [
+    ([7, 2], [3, 4], r"bad query: relation id 7 out of range \[0, 3\)"),
+    ([1, 20], [3, 4], r"bad query: entity id 20 out of range \[0, 10\)"),
+    ([1, 2], [3, 40], r"train_answers not sorted strictly ascending inside \[0, 10\)"),
+    ([1, 2], [-1, 3], r"train_answers not sorted strictly ascending inside \[0, 10\)"),
+    ([1, 2], [4, 3], r"train_answers not sorted strictly ascending inside \[0, 10\)"),
+], ids=["relation", "entity", "answer-beyond", "negative-answer", "descending"])
+def test_write_refuses_ids_the_reader_refuses(ids, answers, match, tmp_path):
+    good = GroundedQueryRecord("(p,(e))", [0, 5], *[answer_set({2, 9})] * 3)
+    bad = GroundedQueryRecord("(p,(e))", ids, *[AnswerSet(np.array(answers))] * 3)
+    path = tmp_path / "ds.jsonl"
+    path.write_text("an earlier file\n")
+    with pytest.raises(ValueError, match=r"^record 1 of type '\(p,\(e\)\)': " + match):
+        write_dataset(Dataset({"(p,(e))": [good, bad]}, num_entities=10, num_relations=3), path)
+    assert path.read_text() == "an earlier file\n"
 
 
 def test_read_rejects_unsorted_answers(handmade_dataset):
